@@ -48,6 +48,10 @@ class Distribution:
         guess = 0.5 * (max(lo, -1.0) + min(hi, 1.0))
         return bisect_increasing(self.cdf, u, guess, lo_bound=lo, hi_bound=hi)
 
+    def quantiles(self, us) -> list[float]:
+        """Quantiles at each probability in ``us``, in the same order."""
+        return [self.quantile(u) for u in us]
+
     def hazard(self, x: float) -> float:
         s = self.sf(x)
         if s <= 0.0:

@@ -77,10 +77,3 @@ class GridSpec:
     def from_json(cls, obj: dict) -> "GridSpec":
         return cls(**obj)
 
-
-def default_x_grid(**kw) -> GridSpec:
-    return GridSpec(kind="x", **kw)
-
-
-def default_u_grid(**kw) -> GridSpec:
-    return GridSpec(kind="u", **kw)

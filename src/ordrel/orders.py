@@ -104,19 +104,15 @@ def _ratio_and_rate_check(relation, A, B, grid, num_fn, den_fn, rate_a, rate_b,
     """
     grid, xs = _x_grid(A, B, grid)
     ratio_xs, ratios = [], []
-    guard_hit = False
     for x in xs:
         den = den_fn(x)
         if den < _TINY:
-            guard_hit = True
             continue
         ratio_xs.append(x)
         ratios.append(num_fn(x) / den)
     ratio_viol = None
     if len(ratios) >= 2:
         ratio_viol = _monotone_violation(ratio_xs, ratios, grid.tau_mono)
-    else:
-        guard_hit = True
 
     rate_viol = None
     rate_usable = 0
@@ -124,10 +120,8 @@ def _ratio_and_rate_check(relation, A, B, grid, num_fn, den_fn, rate_a, rate_b,
         try:
             ra, rb = rate_a(x), rate_b(x)
         except SupportError:
-            guard_hit = True
             continue
         if not (math.isfinite(ra) and math.isfinite(rb)):
-            guard_hit = True
             continue
         rate_usable += 1
         lhs, rhs = (rb, ra) if rate_sign > 0 else (ra, rb)
@@ -135,8 +129,6 @@ def _ratio_and_rate_check(relation, A, B, grid, num_fn, den_fn, rate_a, rate_b,
         if lhs > rhs + grid.tau_pt * (1.0 + abs(rhs)):
             rate_viol = (x, ra, rb)
             break
-    if rate_usable < 2:
-        guard_hit = True
 
     ratio_ok = ratio_viol is None and len(ratios) >= 2
     rate_ok = rate_viol is None and rate_usable >= 2
@@ -165,11 +157,9 @@ def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_lr B: pdf_B/pdf_A non-decreasing."""
     grid, xs = _x_grid(A, B, grid)
     rxs, ratios = [], []
-    guard_hit = False
     for x in xs:
         fa, fb = A.pdf(x), B.pdf(x)
         if fa < _TINY or not (math.isfinite(fa) and math.isfinite(fb)):
-            guard_hit = True
             continue
         rxs.append(x)
         ratios.append(fb / fa)
@@ -184,17 +174,16 @@ def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
 def check_disp(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_disp B: quantile_B(u) - quantile_A(u) non-decreasing in u."""
     grid, us = _u_grid(grid)
-    pts, diffs = [], []
-    for u in us:
-        try:
-            qa, qb = A.quantile(u), B.quantile(u)
-        except (SupportError, OverflowError):
-            return OrderVerdict(DISP, INCONCLUSIVE, None, grid)
+    try:
+        qas, qbs = A.quantiles(us), B.quantiles(us)
+    except (SupportError, OverflowError):
+        return OrderVerdict(DISP, INCONCLUSIVE, None, grid)
+    diffs = []
+    for qa, qb in zip(qas, qbs):
         if not (math.isfinite(qa) and math.isfinite(qb)):
             return OrderVerdict(DISP, INCONCLUSIVE, None, grid)
-        pts.append(u)
         diffs.append(qb - qa)
-    viol = _monotone_violation(pts, diffs, grid.tau_mono)
+    viol = _monotone_violation(us, diffs, grid.tau_mono)
     if viol is not None:
         return OrderVerdict(DISP, FAILS, viol, grid)
     return OrderVerdict(DISP, HOLDS, None, grid)
@@ -207,16 +196,14 @@ def check_star(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     u-grid (the star order is a scale-free comparison of positive lifetimes).
     """
     grid, us = _u_grid(grid)
-    pts, ratios = [], []
-    for u in us:
-        qa, qb = A.quantile(u), B.quantile(u)
+    ratios = []
+    for qa, qb in zip(A.quantiles(us), B.quantiles(us)):
         if qa <= 0.0 or qb <= 0.0:
             raise SupportError("star order needs strictly positive quantiles")
         if not (math.isfinite(qa) and math.isfinite(qb)):
             return OrderVerdict(STAR, INCONCLUSIVE, None, grid)
-        pts.append(u)
         ratios.append(qb / qa)
-    viol = _monotone_violation(pts, ratios, grid.tau_mono)
+    viol = _monotone_violation(us, ratios, grid.tau_mono)
     if viol is not None:
         return OrderVerdict(STAR, FAILS, viol, grid)
     return OrderVerdict(STAR, HOLDS, None, grid)

@@ -1,46 +1,11 @@
-"""Special functions and scalar root finding.
+"""Scalar root finding.
 
-The gamma function uses the Lanczos approximation (g=7, 9 coefficients),
-accurate to better than 1e-13 relative on the range needed for Weibull
-moments.  The bisection helper inverts monotone cdfs that lack a closed-form
-quantile.
+``bisect_increasing`` inverts monotone functions that lack a closed-form
+inverse, such as the cdf of a mixed-baseline system.  Given a derivative it
+takes safeguarded Newton steps; without one it grows a bracket and bisects.
 """
 
 import math
-
-from .errors import ParameterDomainError
-
-# Lanczos coefficients for g = 7, n = 9
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function via the Lanczos approximation.
-
-    Valid for all real x except the non-positive integers.
-    """
-    if x <= 0 and x == math.floor(x):
-        raise ParameterDomainError(f"gamma undefined at non-positive integer {x}")
-    if x < 0.5:
-        # reflection formula
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    a = _LANCZOS_COEF[0]
-    t = x + _LANCZOS_G + 0.5
-    for i in range(1, len(_LANCZOS_COEF)):
-        a += _LANCZOS_COEF[i] / (x + i)
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * a
 
 
 def bisect_increasing(
@@ -51,38 +16,57 @@ def bisect_increasing(
     hi_bound: float = math.inf,
     ytol: float = 1e-12,
     xtol: float = 1e-10,
-    max_iter: int = 200,
+    max_iter: int = 400,
+    dfn=None,
 ) -> float:
-    """Solve fn(x) = target for a non-decreasing fn.
+    """Solve fn(x) = target for a non-decreasing fn on [lo_bound, hi_bound].
 
-    The bracket is grown geometrically from ``guess`` until it straddles the
-    target, then bisected until either the y- or x-tolerance is met.
+    The solver keeps a bracket with fn(lo) <= target <= fn(hi), starting
+    from ``guess``.  With a derivative ``dfn`` it takes the Newton step from
+    the latest point whenever that step lands strictly inside the bracket.
+    Otherwise it grows the bracket geometrically while one side is still
+    open, or bisects.  A derivative that is 0, nan or inf, a non-finite
+    ``fn`` value and a point on a bound also fall back to bracketing, so the
+    guess and ``dfn`` only affect the speed.
+
+    It stops when |fn(x) - target| < ytol, or when the bracket or the
+    Newton step is narrower than xtol * (1 + |x|), after at most
+    ``max_iter`` evaluations of ``fn``.  If fn stays above the target at
+    lo_bound (below it at hi_bound), that bound is returned.
     """
-    # grow bracket
-    lo = hi = guess
+    lo, hi = lo_bound, hi_bound
+    has_lo = has_hi = False
     step = max(abs(guess), 1.0)
-    for _ in range(200):
-        if fn(lo) <= target:
-            break
-        lo = max(lo - step, lo_bound)
-        step *= 2.0
-        if lo == lo_bound and fn(lo) > target:
-            return lo_bound
-    step = max(abs(guess), 1.0)
-    for _ in range(200):
-        if fn(hi) >= target:
-            break
-        hi = min(hi + step, hi_bound)
-        step *= 2.0
-        if hi == hi_bound and fn(hi) < target:
-            return hi_bound
+    x = guess
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        y = fn(mid)
-        if abs(y - target) < ytol or (hi - lo) < xtol * (1.0 + abs(mid)):
-            return mid
+        y = fn(x)
+        if abs(y - target) < ytol:
+            return x
         if y < target:
-            lo = mid
+            if x >= hi_bound:
+                return hi_bound
+            lo, has_lo = x, True
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            if x <= lo_bound:
+                return lo_bound
+            hi, has_hi = x, True
+        if has_lo and has_hi and hi - lo < xtol * (1.0 + abs(x)):
+            return x
+        if dfn is not None and math.isfinite(y) and lo_bound < x < hi_bound:
+            d = dfn(x)
+            if 0.0 < d < math.inf:
+                nx = x - (y - target) / d
+                if lo < nx < hi:
+                    if abs(nx - x) < xtol * (1.0 + abs(nx)):
+                        return nx
+                    x = nx
+                    continue
+        if not has_lo:
+            x = max(hi - step, lo_bound)
+            step *= 2.0
+        elif not has_hi:
+            x = min(lo + step, hi_bound)
+            step *= 2.0
+        else:
+            x = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) if has_lo and has_hi else x

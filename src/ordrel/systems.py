@@ -3,7 +3,10 @@
 A series system of PHR components has survival prod_i sf_i(x)**a_i; a
 parallel system of PRHR components has cdf prod_i cdf_i(x)**a_i.  When all
 components share one baseline the product collapses to a single power, which
-gives closed-form quantiles; mixed-baseline systems fall back to bisection.
+gives closed-form quantiles.  Mixed-baseline systems invert the cumulative
+hazard -log sf (series) or log cdf (parallel) by safeguarded Newton steps,
+whose derivative is the system's rate sum; ``quantiles`` sweeps a u-grid and
+starts each solve from the previous root.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Distribution, dist_from_json
+from .distributions import Distribution, _check_prob, dist_from_json
 from .errors import MomentUndefinedError, ParameterDomainError, SupportError
 from .quadrature import adaptive_quad
-from .special import bisect_increasing, gamma_fn
+from .special import bisect_increasing
 
 SERIES_PHR = "series_phr"
 PARALLEL_PRHR = "parallel_prhr"
@@ -148,6 +151,10 @@ class OrderStatDist(Distribution):
     def _min_rate(self, x):
         return sum(p * b.hazard(x) for b, p in self.spec.components)
 
+    def _cum_hazard(self, x):
+        s = self._min_sf(x)
+        return -math.log(s) if s > 0.0 else math.inf
+
     # -- parallel (maximum) ----------------------------------------------
     def _max_cdf(self, x):
         out = 1.0
@@ -160,6 +167,10 @@ class OrderStatDist(Distribution):
 
     def _max_rate(self, x):
         return sum(p * b.rev_hazard(x) for b, p in self.spec.components)
+
+    def _log_cdf(self, x):
+        c = self._max_cdf(x)
+        return math.log(c) if c > 0.0 else -math.inf
 
     # -- common surface ---------------------------------------------------
     def sf(self, x):
@@ -197,18 +208,38 @@ class OrderStatDist(Distribution):
         return super().rev_hazard(x)
 
     def quantile(self, u):
-        if not (0.0 < u < 1.0):
-            raise ParameterDomainError(f"probability must lie in (0,1), got {u}")
         base = self._shared
+        if base is None:
+            return self.quantiles((u,))[0]
+        _check_prob(u)
         total = self.spec.prop_sum()
-        if base is not None:
-            if self.spec.kind == SERIES_PHR:
-                # sf0(x)**total = 1-u
-                return base.quantile(1.0 - (1.0 - u) ** (1.0 / total))
-            return base.quantile(u ** (1.0 / total))
+        if self.spec.kind == SERIES_PHR:
+            # sf0(x)**total = 1-u
+            return base.quantile(1.0 - (1.0 - u) ** (1.0 / total))
+        return base.quantile(u ** (1.0 / total))
+
+    def quantiles(self, us):
+        """Quantiles in one sweep.  A mixed-baseline system solves the
+        cumulative hazard (series) or log cdf (parallel) for each u, with
+        the rate sum as derivative, starting from the previous root.  That
+        root is only a guess, so the order of ``us`` does not matter beyond
+        the solver tolerances."""
+        if self._shared is not None:
+            return super().quantiles(us)
+        series = self.spec.kind == SERIES_PHR
+        if series:
+            fn, rate = self._cum_hazard, self._min_rate
+        else:
+            fn, rate = self._log_cdf, self._max_rate
         lo, hi = self.support
         guess = 0.5 * (max(lo, -1.0) + min(hi, 1.0))
-        return bisect_increasing(self.cdf, u, guess, lo_bound=lo, hi_bound=hi)
+        out = []
+        for u in us:
+            _check_prob(u)
+            target = -math.log1p(-u) if series else math.log(u)
+            guess = bisect_increasing(fn, target, guess, lo_bound=lo, hi_bound=hi, dfn=rate)
+            out.append(guess)
+        return out
 
     def tail_exponent(self):
         exps = []
@@ -271,8 +302,8 @@ def weibull_min_variance(ks, a: float) -> float:
     if a <= 0.0 or any(k <= 0.0 for k in ks):
         raise ParameterDomainError("shape and rates must be positive")
     total = sum(ks)
-    g2 = gamma_fn(2.0 / a + 1.0)
-    g1 = gamma_fn(1.0 / a + 1.0)
+    g2 = math.gamma(2.0 / a + 1.0)
+    g1 = math.gamma(1.0 / a + 1.0)
     return (1.0 / total) ** (2.0 / a) * (g2 - g1 * g1)
 
 

@@ -8,6 +8,7 @@ from ordrel import (
     Lomax,
     OrderStatDist,
     ParetoI,
+    ReflectedDFR,
     SupportError,
     Weibull,
     check_disp,
@@ -16,6 +17,8 @@ from ordrel import (
     check_rh,
     check_st,
     check_star,
+    mixed_parallel,
+    mixed_series,
     series_phr,
 )
 from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE
@@ -104,6 +107,21 @@ class TestDispersive:
         small = OrderStatDist(series_phr(base, (2.0, 2.0)))
         # the higher-rate minimum is less dispersed
         assert check_disp(small, big, GU).holds
+
+
+    @pytest.mark.parametrize("mixed,lomax,expo", [
+        (mixed_series, Lomax(1.4, 1.0), Exponential(1.1)),
+        (mixed_parallel, ReflectedDFR(Lomax(1.4, 1.0)), ReflectedDFR(Exponential(1.1))),
+    ], ids=["series", "parallel"])
+    def test_mixed_systems_have_power(self, mixed, lomax, expo):
+        # DFR (series) or IRHR (parallel) baselines: scaling every
+        # parameter by c > 1 gives the less dispersed system
+        front, back, c = (0.5, 1.2), (0.8,), 1.6
+        x = OrderStatDist(mixed(lomax, [c * v for v in front], expo, [c * v for v in back]))
+        y = OrderStatDist(mixed(lomax, front, expo, back))
+        grid = GridSpec(kind="u", n=512)
+        assert check_disp(x, y, grid).outcome == HOLDS
+        assert check_disp(y, x, grid).outcome == FAILS
 
 
 class TestStar:

@@ -1,16 +1,19 @@
 """Series/parallel system distributions, closed forms and moments."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ordrel import (
     Exponential,
+    GridSpec,
     Lomax,
     MomentUndefinedError,
     OrderStatDist,
     ParameterDomainError,
+    ReflectedDFR,
     SystemSpec,
     Weibull,
     lomax_min_moments,
@@ -126,6 +129,37 @@ class TestOrderStatSurface:
     def test_series_quantile_identity(self, a1, a2, u):
         o = OrderStatDist(series_phr(Lomax(2.0, 1.0), (a1, a2)))
         assert o.cdf(o.quantile(u)) == pytest.approx(u, abs=1e-9)
+
+
+MIXED_SYSTEMS = [
+    OrderStatDist(mixed_series(Lomax(1.2, 1.0), (0.6, 0.9), Exponential(0.8), (1.3,))),
+    OrderStatDist(mixed_parallel(ReflectedDFR(Lomax(1.2, 1.0)), (0.6, 0.9),
+                                 ReflectedDFR(Exponential(0.8)), (1.3,))),
+]
+
+
+class TestQuantileSweep:
+    US = GridSpec(kind="u", n=2048).u_points()  # includes eps and 1 - eps
+
+    @pytest.mark.parametrize("o", MIXED_SYSTEMS, ids=["series", "parallel"])
+    def test_sweep_matches_pointwise_quantiles(self, o):
+        qs = o.quantiles(self.US)
+        for u, q in zip(self.US, qs):
+            assert q == pytest.approx(o.quantile(u), rel=1e-9)
+            assert abs(o.cdf(q) - u) <= 1e-12
+
+    @pytest.mark.parametrize("o", MIXED_SYSTEMS, ids=["series", "parallel"])
+    def test_sweep_does_not_depend_on_order(self, o):
+        qs = dict(zip(self.US, o.quantiles(self.US)))
+        shuffled = list(self.US)
+        random.Random(3).shuffle(shuffled)
+        for us in (self.US[::-1], shuffled):
+            for u, q in zip(us, o.quantiles(us)):
+                assert q == pytest.approx(qs[u], rel=1e-9)
+
+    def test_sweep_validates_probabilities(self):
+        with pytest.raises(ParameterDomainError):
+            MIXED_SYSTEMS[0].quantiles([0.5, 1.0])
 
 
 class TestLomaxClosedForms:
