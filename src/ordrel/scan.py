@@ -16,16 +16,12 @@ from dataclasses import dataclass, field
 from . import systems
 from .copulas import Clayton, Independence, ShiftedSystem
 from .distributions import Exponential, Lomax, ParetoI, ReflectedDFR, Weibull
-from .errors import ParameterDomainError
+from .errors import ConfigError, ParameterDomainError
 from .harness import TheoremCase, TheoremReport, run_case
 from .orders import FAILS, INCONCLUSIVE
 from .systems import mixed_parallel, mixed_series, parallel_prhr, series_phr
 
 SCAN_GRID_N = 96  # per-check grid resolution during scans
-
-
-def _default_box(names_ranges):
-    return dict(names_ranges)
 
 
 # Each sampler maps a knob dict (name -> float in [0,1], rescaled through the
@@ -54,11 +50,11 @@ def _sample_T1(v, violate):
     }
 
 
-_BOX_T1 = _default_box({
+_BOX_T1 = {
     "f_shape": (0.4, 2.0), "scale": (0.5, 2.0), "hr_gap": (0.05, 1.0),
     "a1": (0.2, 2.0), "a2": (0.2, 2.0), "a3": (0.2, 2.0),
     "sum_gap": (0.05, 0.8),
-})
+}
 
 
 def _sample_T2(v, violate):
@@ -76,11 +72,11 @@ def _sample_T2(v, violate):
     }
 
 
-_BOX_T2 = _default_box({
+_BOX_T2 = {
     "f_shape": (0.4, 2.0), "scale": (0.5, 2.0), "rh_gap": (0.05, 1.0),
     "a1": (0.2, 2.0), "a2": (0.2, 2.0), "a3": (0.2, 2.0),
     "sum_gap": (0.05, 0.8),
-})
+}
 
 
 def _mixed_props(v, violate):
@@ -106,11 +102,11 @@ def _sample_T3(v, violate):
     }
 
 
-_BOX_T3 = _default_box({
+_BOX_T3 = {
     "rate": (0.5, 2.0), "g_shape": (0.5, 2.5),
     "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
     "gap1": (0.05, 1.0), "gap2": (0.05, 1.0),
-})
+}
 
 
 def _sample_T4(v, violate):
@@ -123,11 +119,11 @@ def _sample_T4(v, violate):
     }
 
 
-_BOX_T4 = _default_box({
+_BOX_T4 = {
     "rate": (0.5, 2.0), "f_shape": (0.5, 2.5),
     "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
     "gap1": (0.05, 1.0), "gap2": (0.05, 1.0),
-})
+}
 
 
 def _sample_T5(v, violate):
@@ -143,10 +139,10 @@ def _sample_T5(v, violate):
     }
 
 
-_BOX_T5 = _default_box({
+_BOX_T5 = {
     "p_shape": (0.5, 3.0), "a1": (0.3, 2.0), "a2": (0.3, 2.0),
     "sum_gap": (0.05, 1.0),
-})
+}
 
 
 def _sample_T6(v, violate):
@@ -161,10 +157,10 @@ def _sample_T6(v, violate):
     return {"theta": v["theta"], "alphas": alphas, "alphas_star": tuple(star)}
 
 
-_BOX_T6 = _default_box({
+_BOX_T6 = {
     "theta": (0.5, 2.0), "b1": (0.5, 3.0), "b2": (0.5, 3.0), "b3": (0.5, 3.0),
     "shift": (0.1, 1.0), "mode": (0.0, 1.0),
-})
+}
 
 
 def _sample_T7(v, violate):
@@ -188,11 +184,11 @@ def _sample_T7(v, violate):
     }
 
 
-_BOX_T7 = _default_box({
+_BOX_T7 = {
     "theta1": (0.5, 3.0), "theta_frac": (0.3, 1.0), "rate_f": (0.5, 2.0),
     "rate_gap": (0.05, 1.0), "m1": (0.2, 1.5), "m2": (0.2, 1.5),
     "shift": (0.05, 0.8),
-})
+}
 
 
 def _sample_T8(v, violate):
@@ -217,11 +213,11 @@ def _sample_T8(v, violate):
     }
 
 
-_BOX_T8 = _default_box({
+_BOX_T8 = {
     "theta1": (0.5, 2.0), "theta_gap": (0.0, 1.5), "g_shape": (0.6, 2.0),
     "shape_gap": (0.05, 1.0), "scale": (0.5, 2.0),
     "m1": (0.2, 1.5), "m2": (0.2, 1.5), "shift": (0.05, 0.8),
-})
+}
 
 
 SAMPLERS = {
@@ -286,13 +282,23 @@ def scan(theorem_id: str, box: dict | None = None, strategy: str = "random",
 
     Any inconsistent report (hypothesis satisfied and conclusion fails) is a
     release-blocking artifact bug or a genuine finding; full reproduction
-    data rides along in each report.
+    data rides along in each report.  `box` overrides some of the theorem's
+    knob ranges; an unknown knob or a range with lo > hi is a ConfigError,
+    raised before any case runs.
     """
     if theorem_id not in SAMPLERS:
         raise ParameterDomainError(
             f"no scan sampler for {theorem_id!r}; choose from {sorted(SAMPLERS)}")
     sampler, default_box = SAMPLERS[theorem_id]
-    box = {**default_box, **(box or {})}
+    box = box or {}
+    unknown = sorted(set(box) - set(default_box))
+    if unknown:
+        raise ConfigError(f"{theorem_id} box has unknown knobs {unknown}; "
+                          f"choose from {sorted(default_box)}")
+    for name, (lo, hi) in box.items():
+        if not lo <= hi:
+            raise ConfigError(f"{theorem_id} box {name!r} has lo {lo!r} above hi {hi!r}")
+    box = {**default_box, **box}
     reports = []
     counts = {"total": 0, "satisfied_holds": 0, "vacuous": 0,
               "inconsistent": 0, "inconclusive": 0}

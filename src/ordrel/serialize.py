@@ -1,17 +1,23 @@
 """JSON loading and validation for all configuration objects.
 
-Everything entering from a file passes jsonschema validation (unknown
-fields rejected) before any object is constructed; theorem scenarios get a
-second, per-id structural pass here because their shape depends on the id.
+Everything entering from a file is checked against the bundled JSON Schema
+(`schemas/ordrel.schema.json`, unknown fields rejected) before any object
+is constructed; theorem scenarios get a second, per-id structural pass here
+because their shape depends on the id.
+
+The check is a small recursive interpreter of the keywords the schema
+uses (`_RULES`); a test walks the schema file so that it cannot use one the
+interpreter lacks.  It is stricter than Draft 2020-12 in two ways: an
+integer field takes only JSON integers (not `64.0`), and NaN fails every
+bound.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from functools import lru_cache
 from importlib import resources
-
-import jsonschema
 
 from .copulas import Generator, generator_from_json
 from .distributions import Distribution, dist_from_json
@@ -27,18 +33,102 @@ def _schema() -> dict:
     return json.loads(path.read_text())
 
 
-@lru_cache(maxsize=None)
-def _validator(def_name: str) -> jsonschema.Draft202012Validator:
-    schema = {"$ref": f"#/$defs/{def_name}", "$defs": _schema()["$defs"]}
-    return jsonschema.Draft202012Validator(schema)
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "null": lambda v: v is None,
+    "integer": lambda v: type(v) is int,
+    "number": _is_number,
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _check(v, schema: dict, path: tuple):
+    """The first violation of `schema` by `v` as (path, reason), or None."""
+    return _first(_RULES[key](v, arg, schema, path) for key, arg in schema.items())
+
+
+def _first(errors):
+    return next((err for err in errors if err), None)
+
+
+def _type(v, names, schema, path):
+    names = [names] if isinstance(names, str) else names
+    if not any(_TYPES[name](v) for name in names):
+        return path, f"{v!r} is not of type {' or '.join(map(repr, names))}"
+
+
+def _bound(op, sign):
+    def rule(v, limit, schema, path):
+        if _is_number(v) and not op(v, limit):  # so NaN fails every bound
+            return path, f"{v!r} is not {sign} {limit!r}"
+    return rule
+
+
+def _length(op, sign):
+    def rule(v, limit, schema, path):
+        if isinstance(v, list) and not op(len(v), limit):
+            return path, f"{v!r} does not have {sign} {limit} items"
+    return rule
+
+
+def _properties(v, props, schema, path):
+    if isinstance(v, dict):
+        return _first(_check(v[k], sub, path + (k,))
+                      for k, sub in props.items() if k in v)
+
+
+def _additional(v, extra, schema, path):
+    if isinstance(v, dict):
+        extras = [k for k in v if k not in schema.get("properties", {})]
+        if extras and extra is False:
+            return path, f"unexpected property {extras[0]!r}"
+        if isinstance(extra, dict):
+            return _first(_check(v[k], extra, path + (k,)) for k in extras)
+
+
+def _items(v, sub, schema, path):
+    if isinstance(v, list):
+        return _first(_check(item, sub, path + (i,)) for i, item in enumerate(v))
+
+
+def _one_of(v, branches, schema, path):
+    errors = [_check(v, branch, path) for branch in branches]
+    if errors.count(None) == 1:
+        return None
+    if None in errors:
+        return path, f"{v!r} matches more than one oneOf alternative"
+    return max(errors, key=lambda err: len(err[0]))  # the branch that got furthest
+
+
+_RULES = {
+    "$ref": lambda v, ref, s, path: _check(
+        v, _schema()["$defs"][ref.removeprefix("#/$defs/")], path),
+    "type": _type,
+    "const": lambda v, c, s, path: None if v == c else (path, f"{v!r} is not {c!r}"),
+    "enum": lambda v, e, s, path: None if v in e else (path, f"{v!r} is not one of {e}"),
+    "required": lambda v, names, s, path: isinstance(v, dict) and _first(
+        (path, f"{k!r} is a required property") for k in names if k not in v),
+    "properties": _properties,
+    "additionalProperties": _additional,
+    "items": _items,
+    "minItems": _length(operator.ge, ">="),
+    "maxItems": _length(operator.le, "<="),
+    "minimum": _bound(operator.ge, ">="),
+    "exclusiveMinimum": _bound(operator.gt, ">"),
+    "exclusiveMaximum": _bound(operator.lt, "<"),
+    "oneOf": _one_of,
+}
 
 
 def validate(obj, def_name: str) -> None:
-    errors = sorted(_validator(def_name).iter_errors(obj), key=str)
-    if errors:
-        first = errors[0]
-        path = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigError(f"invalid {def_name} at {path}: {first.message}")
+    err = _check(obj, _schema()["$defs"][def_name], ())
+    if err:
+        path = "/".join(map(str, err[0])) or "<root>"
+        raise ConfigError(f"invalid {def_name} at {path}: {err[1]}")
 
 
 def load_dist(obj: dict) -> Distribution:

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordrel
 from ordrel.cli import main
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
@@ -129,11 +133,33 @@ class TestScan:
         assert main(["scan", "-s", path, "--seed", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 2
 
+    @pytest.mark.parametrize("extra", [{"budget": 3.0},
+                                       {"box": {"f_shap": [1.0, 2.0]}},
+                                       {"box": {"a1": [3.0, -1.0]}}],
+                             ids=["float-budget", "unknown-knob", "lo-above-hi"])
+    def test_bad_config_exit_two(self, spec_file, capsys, extra):
+        path = spec_file("scan.json", {"id": "T1", "budget": 3, **extra})
+        assert main(["scan", "-s", path]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
     def test_csv_rows(self, spec_file, capsys):
         path = spec_file("scan.json", {"id": "T6", "budget": 4})
         assert main(["scan", "-s", path, "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5  # header + one row per case
+
+
+class TestImports:
+    def test_cli_imports_no_jsonschema_or_numpy(self):
+        code = ("import ordrel.cli, sys; "
+                "assert 'jsonschema' not in sys.modules and 'numpy' not in sys.modules")
+        package_root = os.path.dirname(os.path.dirname(ordrel.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestUsage:

@@ -1,8 +1,10 @@
 """Configuration scans: determinism, counting, strategies."""
 
+import importlib
+
 import pytest
 
-from ordrel import ParameterDomainError, scan
+from ordrel import ConfigError, ParameterDomainError, scan
 from ordrel.scan import SAMPLERS
 
 
@@ -39,6 +41,16 @@ class TestScan:
         for rep in r.reports:
             comp = rep.case["scenario"]["system_x"]["components"][0]
             assert comp["baseline"]["params"]["shape"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("box", [{"f_shap": (1.0, 2.0)}, {"a1": (3.0, -1.0)}],
+                             ids=["unknown-knob", "lo-above-hi"])
+    def test_malformed_box_rejected_before_any_case(self, box, monkeypatch):
+        def no_case(case):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(importlib.import_module("ordrel.scan"), "run_case", no_case)
+        with pytest.raises(ConfigError):
+            scan("T1", budget=5, seed=0, box=box)
 
     def test_unknown_theorem(self):
         with pytest.raises(ParameterDomainError):

@@ -1,9 +1,17 @@
 """JSON schema validation and object loading."""
 
+import copy
+import math
+import random
+
 import pytest
 
 from ordrel import ConfigError, Exponential, GridSpec, Lomax
 from ordrel.serialize import (
+    _RULES,
+    _TYPES,
+    _check,
+    _schema,
     load_case,
     load_dist,
     load_dist_or_system,
@@ -42,6 +50,10 @@ class TestDistLoading:
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(ConfigError):
             load_dist({"family": "exponential", "params": {"rate": -1.0}})
+
+    def test_nan_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="at params/rate:"):
+            load_dist({"family": "exponential", "params": {"rate": math.nan}})
 
 
 class TestSystemLoading:
@@ -91,6 +103,11 @@ class TestGridLoading:
         with pytest.raises(ConfigError):
             load_grid({"n": 10})
 
+    @pytest.mark.parametrize("n", [64.0, True])
+    def test_integer_field_takes_only_integers(self, n):
+        with pytest.raises(ConfigError, match="at n:"):
+            load_grid({"n": n})
+
 
 class TestCaseLoading:
     def test_t6(self):
@@ -139,6 +156,10 @@ class TestScanConfig:
                                 "box": {"f_shape": [1.0, 2.0]}})
         assert cfg["box"] == {"f_shape": (1.0, 2.0)}
 
+    def test_float_budget_rejected(self):
+        with pytest.raises(ConfigError, match="at budget:"):
+            load_scan_config({"id": "T1", "budget": 3.0})
+
     def test_example_ids_not_scannable(self):
         with pytest.raises(ConfigError):
             load_scan_config({"id": "Ex1", "budget": 5})
@@ -159,3 +180,135 @@ class TestFiles:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             read_json_file(p)
+
+
+def _subschemas(schema):
+    """Every schema position in `schema`, following the keywords that nest."""
+    yield schema
+    for key, arg in schema.items():
+        if key in ("$defs", "properties"):
+            subs = arg.values()
+        elif key == "oneOf":
+            subs = arg
+        elif key in ("items", "additionalProperties") and isinstance(arg, dict):
+            subs = [arg]
+        else:
+            continue
+        for sub in subs:
+            yield from _subschemas(sub)
+
+
+# One valid document per $defs entry; the fuzz below mutates these.
+SEEDS = {
+    "positive": 1.5,
+    "dist": {"family": "reflected_dfr", "params": {
+        "inner": {"family": "lomax", "params": {"shape": 1.5, "scale": 2.0}}}},
+    "system": {"kind": "parallel_prhr", "split": 1, "components": [
+        {"baseline": {"family": "weibull", "params": {"shape": 1.5, "rate": 2.0}},
+         "prop": 0.5}]},
+    "generator": {"family": "frank", "theta": -2.0, "dim": 3},
+    "grid": {"kind": "u", "lo": None, "hi": 2.0, "eps": 0.01, "n": 64,
+             "tau_mono": 1e-9, "tau_pt": 1e-9},
+    "outlier_block": {"p": 2, "q": 0, "a1": 1.0, "a2": 2.0},
+    "theorem_case": {"id": "T7", "scenario": {"theta": 1.0}, "n": 64,
+                     "grids": {"x": {"kind": "x", "n": 128}}},
+    "scan_config": {"id": "T1", "budget": 5, "strategy": "grid", "seed": 3,
+                    "grid_n": 64, "box": {"a1": [0.5, 1.0]}},
+}
+
+VALUES = [
+    None, True, False, 0, 1, 2, -1, 63, 64, 0.0, 0.5, -0.5, 0.49, 1.5, 2.0, 64.0,
+    math.nan, math.inf, -math.inf, "", "x", "u", "exponential", "weibull", "lomax",
+    "pareto1", "reflected_dfr", "series_phr", "clayton", "independence", "T1",
+    "Ex1", "grid", [], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], ["a", "b"], {},
+    {"rate": 1.0}, {"shape": 2.0}, {"inner": {"family": "pareto1", "params": {"shape": 1.0}}},
+    {"family": "exponential", "params": {"rate": 1.0}},
+]
+
+
+def _containers(doc):
+    if isinstance(doc, (dict, list)):
+        yield doc
+        for child in (doc.values() if isinstance(doc, dict) else doc):
+            yield from _containers(child)
+
+
+def _value(rng, like):
+    """A value from VALUES; half the time one of the same type as `like`."""
+    same = [v for v in VALUES if type(v) is type(like)]
+    return copy.deepcopy(rng.choice(same if same and rng.random() < 0.5 else VALUES))
+
+
+def _mutate(doc, rng, keys):
+    """`doc` after one seeded edit: replace a value, delete or add a key, or
+    append an item."""
+    containers = list(_containers(doc))
+    if not containers or rng.random() < 0.05:
+        return _value(rng, doc)
+    node = rng.choice(containers)
+    op = rng.choice(("replace", "delete", "add", "append"))
+    if isinstance(node, list):
+        if op == "replace" and node:
+            i = rng.randrange(len(node))
+            node[i] = _value(rng, node[i])
+        else:
+            node.append(copy.deepcopy(rng.choice(node)) if node else _value(rng, None))
+    elif op == "replace" and node:
+        k = rng.choice(list(node))
+        node[k] = _value(rng, node[k])
+    elif op == "delete" and node:
+        del node[rng.choice(list(node))]
+    else:
+        node[rng.choice(keys)] = _value(rng, None)
+    return doc
+
+
+def _deliberate_difference(doc, err) -> bool:
+    """The checker rejects NaN at a bound and integral floats as integers,
+    where Draft 2020-12 accepts both."""
+    path, reason = err
+    for step in path:
+        doc = doc[step]
+    return (isinstance(doc, float) and
+            (math.isnan(doc) or (doc.is_integer() and "'integer'" in reason)))
+
+
+class TestSchemaChecker:
+    def test_schema_uses_only_implemented_keywords(self):
+        root = _schema()
+        assert set(root) <= {"$schema", "$id", "title", "$defs"}
+        for sub in _subschemas(root):
+            if sub is root:
+                continue
+            assert set(sub) <= set(_RULES), sorted(set(sub) - set(_RULES))
+            types = sub.get("type", [])
+            assert set([types] if isinstance(types, str) else types) <= set(_TYPES)
+            if "$ref" in sub:
+                name = sub["$ref"].removeprefix("#/$defs/")
+                assert sub["$ref"] == f"#/$defs/{name}" and name in root["$defs"]
+            assert isinstance(sub.get("additionalProperties", True), (bool, dict))
+
+    def test_every_def_has_a_seed(self):
+        assert set(SEEDS) == set(_schema()["$defs"])
+
+    @pytest.mark.parametrize("def_name", sorted(SEEDS))
+    def test_agrees_with_jsonschema(self, def_name):
+        jsonschema = pytest.importorskip("jsonschema")
+        defs = _schema()["$defs"]
+        reference = jsonschema.Draft202012Validator(
+            {"$ref": f"#/$defs/{def_name}", "$defs": defs})
+        keys = sorted({k for sub in _subschemas(_schema()) for k in sub.get("properties", {})})
+        keys.append("extra")
+        assert _check(SEEDS[def_name], defs[def_name], ()) is None
+        assert reference.is_valid(SEEDS[def_name])
+        rng = random.Random(f"ordrel-{def_name}")
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            doc = copy.deepcopy(SEEDS[def_name])
+            for _ in range(rng.randint(1, 2)):
+                doc = _mutate(doc, rng, keys)
+            err = _check(doc, defs[def_name], ())
+            if (err is None) != reference.is_valid(doc):
+                assert err is not None and _deliberate_difference(doc, err), (doc, err)
+            verdicts[err is None] += 1
+        assert min(verdicts[True], verdicts[False]) >= 30, verdicts  # both sides exercised
