@@ -2,8 +2,11 @@
 
 Everything entering from a file is checked against the bundled JSON Schema
 (`schemas/ordrel.schema.json`, unknown fields rejected) before any object
-is constructed; theorem scenarios get a second, per-id structural pass here
-because their shape depends on the id.
+is constructed.  A theorem case gets a second pass here, because its shape
+depends on its id: the id must be in the registry (`harness.THEOREMS`),
+whose entry names the scenario fields, the `$def` that each field is
+validated against and loaded by (`_LOADERS`), and the grid keys a case may
+set.
 
 The check is a small recursive interpreter of the keywords the schema
 uses (`_RULES`); a test walks the schema file so that it cannot use one the
@@ -23,7 +26,7 @@ from .copulas import Generator, generator_from_json
 from .distributions import Distribution, dist_from_json
 from .errors import ConfigError
 from .grids import GridSpec
-from .harness import THEOREM_IDS, TheoremCase
+from .harness import SCAN_IDS, THEOREMS, TheoremCase
 from .systems import SystemSpec
 
 
@@ -39,6 +42,7 @@ def _is_number(v) -> bool:
 
 _TYPES = {
     "null": lambda v: v is None,
+    "string": lambda v: isinstance(v, str),
     "integer": lambda v: type(v) is int,
     "number": _is_number,
     "array": lambda v: isinstance(v, list),
@@ -164,63 +168,60 @@ def load_grid(obj: dict) -> GridSpec:
     return GridSpec.from_json(obj)
 
 
-_SCENARIO_KEYS = {
-    "T1": {"system_x", "system_y"},
-    "T2": {"system_x", "system_y"},
-    "T3": {"system_x", "system_y"},
-    "T4": {"system_x", "system_y"},
-    "T5": {"system_x", "system_y"},
-    "C1": {"baseline_x", "baseline_y", "outlier_x", "outlier_y"},
-    "C2": {"baseline_x", "baseline_y", "outlier_x", "outlier_y"},
-    "T6": {"theta", "alphas", "alphas_star"},
-    "T7": {"generator_x", "generator_y", "baseline_x", "baseline_y",
-           "shifts_x", "shifts_y", "branch"},
-    "T8": {"generator_x", "generator_y", "baseline_x", "baseline_y",
-           "shifts_x", "shifts_y", "branch"},
-    "Ex1": {"shape", "rates_x", "rates_y"},
-    "Ex2": {"alphas_x", "alphas_y"},
+def _load_json(def_name: str):
+    """Loader for a def whose values stay plain JSON."""
+    def load(obj):
+        validate(obj, def_name)
+        return obj
+    return load
+
+
+# One loader per $def a scenario field can name in the theorem registry.
+_LOADERS = {
+    "dist": load_dist,
+    "system": load_system,
+    "generator": load_generator,
+    **{name: _load_json(name) for name in
+       ("outlier_block", "positive", "positive_array", "number_array", "branch")},
 }
 
-_OPTIONAL_SCENARIO_IDS = ("Ex1", "Ex2")  # defaults fill missing fields
-_OPTIONAL_KEYS = {"T7": {"branch"}, "T8": {"branch"}}
+
+def _check_id(obj: dict, def_name: str, ids) -> str:
+    """The id of a validated `def_name` object; one outside `ids` is
+    rejected the way a schema enum would reject it."""
+    if obj["id"] not in ids:
+        raise ConfigError(f"invalid {def_name} at id: {obj['id']!r} is not one of {list(ids)}")
+    return obj["id"]
 
 
 def load_case(obj: dict) -> TheoremCase:
     validate(obj, "theorem_case")
-    tid = obj["id"]
+    tid = _check_id(obj, "theorem_case", THEOREMS)
+    theorem = THEOREMS[tid]
     raw = obj["scenario"]
-    allowed = _SCENARIO_KEYS[tid]
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(theorem.fields)
     if unknown:
         raise ConfigError(f"{tid} scenario has unknown fields: {sorted(unknown)}")
-    if tid not in _OPTIONAL_SCENARIO_IDS:
-        missing = allowed - set(raw) - _OPTIONAL_KEYS.get(tid, set())
-        if missing:
-            raise ConfigError(f"{tid} scenario missing fields: {sorted(missing)}")
+    missing = set(theorem.fields) - set(raw) - set(theorem.optional)
+    if missing:
+        raise ConfigError(f"{tid} scenario missing fields: {sorted(missing)}")
+    unknown = set(obj.get("grids", {})) - set(theorem.grids)
+    if unknown:
+        raise ConfigError(f"{tid} grids has unknown keys: {sorted(unknown)}; "
+                          f"{tid} reads {list(theorem.grids)}")
     scenario = {}
-    try:
-        for key, value in raw.items():
-            if key.startswith("system_"):
-                scenario[key] = load_system(value)
-            elif key.startswith("generator_"):
-                scenario[key] = load_generator(value)
-            elif key.startswith("baseline_"):
-                scenario[key] = load_dist(value)
-            elif key.startswith("outlier_"):
-                validate(value, "outlier_block")
-                scenario[key] = dict(value)
-            else:
-                scenario[key] = value
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {tid} scenario: {exc}") from exc
+    for key, value in raw.items():
+        try:
+            scenario[key] = _LOADERS[theorem.fields[key]](value)
+        except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+            raise ConfigError(f"{tid} scenario field {key!r}: {exc}") from exc
     grids = {k: load_grid(v) for k, v in obj.get("grids", {}).items()}
     return TheoremCase(tid, scenario, grids=grids, n=obj.get("n", 256))
 
 
 def load_scan_config(obj: dict) -> dict:
     validate(obj, "scan_config")
+    _check_id(obj, "scan_config", SCAN_IDS)
     box = None
     if "box" in obj:
         box = {k: (float(v[0]), float(v[1])) for k, v in obj["box"].items()}
@@ -242,6 +243,3 @@ def read_json_file(path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-
-
-assert set(_SCENARIO_KEYS) == set(THEOREM_IDS)

@@ -253,30 +253,6 @@ class OrderStatDist(Distribution):
 
 # -- module-level operations ----------------------------------------------
 
-def min_sf(s: SystemSpec, x: float) -> float:
-    if s.kind != SERIES_PHR:
-        raise ParameterDomainError("min_sf needs a series PHR system")
-    return OrderStatDist(s)._min_sf(x)
-
-
-def max_cdf(s: SystemSpec, x: float) -> float:
-    if s.kind != PARALLEL_PRHR:
-        raise ParameterDomainError("max_cdf needs a parallel PRHR system")
-    return OrderStatDist(s)._max_cdf(x)
-
-
-def min_hazard(s: SystemSpec, x: float) -> float:
-    if s.kind != SERIES_PHR:
-        raise ParameterDomainError("min_hazard needs a series PHR system")
-    return OrderStatDist(s)._min_rate(x)
-
-
-def max_rev_hazard(s: SystemSpec, x: float) -> float:
-    if s.kind != PARALLEL_PRHR:
-        raise ParameterDomainError("max_rev_hazard needs a parallel PRHR system")
-    return OrderStatDist(s)._max_rate(x)
-
-
 def lomax_g(alpha: float, u: float) -> float:
     """g(alpha) = alpha / (u**alpha - 1) for u = x/theta + 1 > 1."""
     if u <= 1.0:

@@ -3,6 +3,8 @@
 CORPUS_PAIRS is the pool of comparable (A, B) pairs used by the
 implication-chain meta-test and various checker tests; SHIFTED_SYSTEMS is
 the pool of dependent systems exercised by the copula invariants.
+BAD_SCALAR_FIELDS and T6_UNKNOWN_GRID are malformed theorem cases that the
+loader and the CLI must both reject.
 """
 
 import pytest
@@ -69,6 +71,24 @@ GENERATORS = [
     Frank(3.0),
     Frank(-2.0),
 ]
+
+
+# Scenario fields of the wrong type, one per kind of scalar $def (positive
+# number, number array); the loader must reject each before any check runs.
+BAD_SCALAR_FIELDS = {
+    "theta": {"id": "T6", "scenario": {"theta": "a", "alphas": [1.0], "alphas_star": [1.0]}},
+    "shape": {"id": "Ex1", "scenario": {"shape": "x"}},
+    "shifts_x": {"id": "T7", "scenario": {
+        "generator_x": {"family": "clayton", "theta": 2.0},
+        "generator_y": {"family": "clayton", "theta": 1.0},
+        "baseline_x": {"family": "exponential", "params": {"rate": 1.0}},
+        "baseline_y": {"family": "exponential", "params": {"rate": 1.5}},
+        "shifts_x": [0.2, "q"], "shifts_y": [0.5, 0.8]}},
+}
+
+T6_UNKNOWN_GRID = {"id": "T6", "scenario": {
+    "theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.5]},
+    "grids": {"rh_grid": {"n": 4096}}}
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import pytest
 
 import ordrel
 from ordrel.cli import main
+from conftest import BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
@@ -113,6 +114,21 @@ class TestTheorem:
         path = spec_file("c.json", {"id": "T6", "scenario": {"theta": 1.0}})
         assert main(["theorem", "-s", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,obj", list(BAD_SCALAR_FIELDS.items()))
+    def test_bad_scalar_field_exit_two(self, spec_file, capsys, field, obj):
+        path = spec_file("c.json", obj)
+        assert main(["theorem", "-s", path]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and repr(field) in captured.err
+        assert captured.out == ""
+
+    def test_unknown_grid_key_exit_two(self, spec_file, capsys):
+        path = spec_file("c.json", T6_UNKNOWN_GRID)
+        assert main(["theorem", "-s", path]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "rh_grid" in captured.err
+        assert captured.out == ""
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

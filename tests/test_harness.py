@@ -1,5 +1,7 @@
 """Theorem harness: hypothesis predicates, conclusions, consistency."""
 
+import dataclasses
+
 import pytest
 
 from ordrel import (
@@ -16,7 +18,8 @@ from ordrel import (
     run_case,
     series_phr,
 )
-from ordrel.harness import THEOREM_IDS, CHECKS
+from ordrel.harness import THEOREMS
+from ordrel.serialize import load_case
 
 
 def _t1_case(alphas=(1.0, 2.0, 0.5), betas=(1.5, 2.0, 1.0)):
@@ -127,8 +130,6 @@ class TestLomaxMaxima:
             "alphas_star": (1.0, 2.0, 3.0),
         }, n=128))
         assert rep.hypothesis_satisfied and rep.consistent
-        assert rep.extras["g_convex_in_alpha"]
-        assert rep.extras["g_decreasing_in_alpha"]
 
     def test_t6_vacuous_when_not_supermajorized(self):
         rep = run_case(TheoremCase("T6", {
@@ -200,9 +201,6 @@ class TestCaseObject:
         with pytest.raises(ParameterDomainError):
             TheoremCase("T99", {})
 
-    def test_every_id_has_a_check(self):
-        assert set(CHECKS) == set(THEOREM_IDS)
-
     def test_report_json_shape(self):
         rep = run_case(_t1_case())
         obj = rep.to_json()
@@ -210,3 +208,121 @@ class TestCaseObject:
         assert obj["hypothesis"]["satisfied"] is True
         assert obj["consistent"] is True
         assert obj["case"]["scenario"]["system_x"]["kind"] == "series_phr"
+
+
+def _lomax(shape):
+    return {"family": "lomax", "params": {"shape": shape}}
+
+
+def _reflected(inner):
+    return {"family": "reflected_dfr", "params": {"inner": inner}}
+
+
+def _exp(rate):
+    return {"family": "exponential", "params": {"rate": rate}}
+
+
+def _system(kind, components, split=None):
+    obj = {"kind": kind, "components": [{"baseline": b, "prop": p} for b, p in components]}
+    if split is not None:
+        obj["split"] = split
+    return obj
+
+
+def _dependent(tid, generator_x, baseline_x, baseline_y, branch):
+    return {"id": tid, "n": 128, "scenario": {
+        "generator_x": generator_x, "generator_y": {"family": "clayton", "theta": 1.0},
+        "baseline_x": baseline_x, "baseline_y": baseline_y,
+        "shifts_x": [0.2, 0.5], "shifts_y": [0.5, 0.8], "branch": branch}}
+
+
+_SERIES_DISP = ("sum_beta_ge_sum_alpha", "baseline_x_dfr", "baseline_y_hr_le_baseline_x")
+_PARALLEL_DISP = ("baseline_x_irhr", "sum_beta_ge_sum_alpha", "baseline_x_rh_le_baseline_y")
+_BLOCKS = ("front_sum_alpha_gt_beta", "back_sum_alpha_gt_beta")
+_CONVEX = ("mu_submajorized_by_mu_star", "generator_x_log_convex", "baseline_x_{}",
+           "baseline_y_st_le_baseline_x", "composition_super_additive")
+_CONCAVE = ("mu_supermajorized_by_mu_star", "generator_x_log_concave", "baseline_x_{}",
+            "baseline_x_st_le_baseline_y", "composition_super_additive")
+_INDEPENDENCE = {"family": "independence"}
+_CLAYTON = {"family": "clayton", "theta": 2.0}
+_PARETO = {"family": "pareto1", "params": {"shape": 1.5}}
+
+# One case per registry id, both branches of the dependent results: the
+# conclusion's relation and the hypothesis condition names in report order,
+# as released before the registry existed.
+REPORT_FORMAT = {
+    "T1": ({"id": "T1", "n": 128, "scenario": {
+        "system_x": _system("series_phr", [(_lomax(1.0), 1.0), (_lomax(1.0), 2.0)]),
+        "system_y": _system("series_phr", [(_lomax(2.0), 1.5), (_lomax(2.0), 2.0)])}},
+        "disp", _SERIES_DISP),
+    "C1": ({"id": "C1", "n": 128, "scenario": {
+        "baseline_x": _lomax(1.0), "baseline_y": _lomax(2.0),
+        "outlier_x": {"p": 2, "q": 1, "a1": 0.5, "a2": 1.0},
+        "outlier_y": {"p": 2, "q": 1, "a1": 1.0, "a2": 1.5}}},
+        "disp", _SERIES_DISP),
+    "T2": ({"id": "T2", "n": 128, "scenario": {
+        "system_x": _system("parallel_prhr", [(_reflected(_lomax(1.0)), 1.0)]),
+        "system_y": _system("parallel_prhr", [(_reflected(_lomax(2.0)), 1.5)])}},
+        "disp", _PARALLEL_DISP),
+    "C2": ({"id": "C2", "n": 128, "scenario": {
+        "baseline_x": _reflected(_lomax(1.0)), "baseline_y": _reflected(_lomax(2.0)),
+        "outlier_x": {"p": 1, "q": 2, "a1": 0.5, "a2": 0.7},
+        "outlier_y": {"p": 1, "q": 2, "a1": 0.8, "a2": 1.0}}},
+        "disp", _PARALLEL_DISP),
+    "T3": ({"id": "T3", "n": 128, "scenario": {
+        "system_x": _system("series_phr", [(_exp(1.0), 1.0), (_lomax(1.5), 1.5)], 1),
+        "system_y": _system("series_phr", [(_exp(1.0), 0.5), (_lomax(1.5), 1.0)], 1)}},
+        "hr", _BLOCKS),
+    "T4": ({"id": "T4", "n": 128, "scenario": {
+        "system_x": _system("parallel_prhr", [(_lomax(1.5), 1.0), (_exp(1.0), 1.5)], 1),
+        "system_y": _system("parallel_prhr", [(_lomax(1.5), 0.5), (_exp(1.0), 1.0)], 1)}},
+        "rh", _BLOCKS),
+    "T5": ({"id": "T5", "n": 128, "scenario": {
+        "system_x": _system("series_phr", [(_PARETO, 0.5)]),
+        "system_y": _system("series_phr", [(_PARETO, 1.0)])}},
+        "star", ("sum_alpha_le_sum_beta", "x_hazard_decreasing")),
+    "T6": ({"id": "T6", "n": 128, "scenario": {
+        "theta": 1.5, "alphas": [2.0, 2.0, 2.0], "alphas_star": [1.0, 2.0, 3.0]}},
+        "rh", ("alpha_supermajorized_by_alpha_star",)),
+    "T7": (_dependent("T7", _CLAYTON, _exp(1.0), _exp(1.5), "log_convex"),
+           "st", tuple(name.format("ifr") for name in _CONVEX)),
+    "T7-log_concave": (_dependent("T7", _INDEPENDENCE, _lomax(1.5), _lomax(1.0), "log_concave"),
+                       "st", tuple(name.format("dfr") for name in _CONCAVE)),
+    "T8": (_dependent("T8", _CLAYTON, _reflected(_lomax(2.0)), _reflected(_lomax(1.0)),
+                      "log_convex"),
+           "st", tuple(name.format("irhr") for name in _CONVEX)),
+    "T8-log_concave": (_dependent("T8", _INDEPENDENCE, _reflected(_lomax(1.0)),
+                                  _reflected(_lomax(2.0)), "log_concave"),
+                       "st", tuple(name.format("drhr") for name in _CONCAVE)),
+    "Ex1": ({"id": "Ex1", "scenario": {}}, None, ("default_configuration",)),
+    "Ex2": ({"id": "Ex2", "scenario": {"alphas_x": [1.0, 4.0, 7.0]}}, None,
+            ("default_configuration",)),
+}
+
+
+class _RecordingGrids(dict):
+    """An empty grids mapping that records every key a check looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+class TestRegistry:
+    def test_report_format_covers_every_id(self):
+        assert {obj["id"] for obj, _, _ in REPORT_FORMAT.values()} == set(THEOREMS)
+
+    @pytest.mark.parametrize("label", sorted(REPORT_FORMAT))
+    def test_report_format(self, label):
+        obj, relation, names = REPORT_FORMAT[label]
+        case = load_case(obj)
+        grids = _RecordingGrids()
+        rep = run_case(dataclasses.replace(case, grids=grids))
+        assert rep.id == obj["id"] and rep.consistent
+        assert rep.conclusion.get("relation") == relation
+        assert tuple(rep.conditions) == names
+        assert grids.read == set(THEOREMS[case.id].grids)  # the declared grid keys

@@ -1,11 +1,12 @@
 """Configuration scans: determinism, counting, strategies."""
 
+import dataclasses
 import importlib
 
 import pytest
 
 from ordrel import ConfigError, ParameterDomainError, scan
-from ordrel.scan import SAMPLERS
+from ordrel.harness import SCAN_IDS, THEOREMS
 
 
 class TestScan:
@@ -65,9 +66,21 @@ class TestScan:
         assert r.inconsistent == ()
 
     def test_all_samplers_produce_valid_cases(self):
-        for tid in SAMPLERS:
+        for tid in SCAN_IDS:
             r = scan(tid, budget=4, seed=3)
             assert r.counts["inconsistent"] == 0
+
+    @pytest.mark.parametrize("tid", SCAN_IDS)
+    def test_reversed_conclusion_is_caught(self, tid, monkeypatch):
+        """Negative control: with only the conclusion's A and B swapped,
+        every case whose hypothesis holds must come out inconsistent."""
+        theorem = THEOREMS[tid]
+        rel, a, b = theorem.conclusion
+        monkeypatch.setitem(THEOREMS, tid, dataclasses.replace(theorem, conclusion=(rel, b, a)))
+        c = scan(tid, budget=30, seed=7).counts
+        assert c["vacuous"] < c["total"]
+        assert c["inconsistent"] == c["total"] - c["vacuous"]
+        assert c["satisfied_holds"] == 0
 
     def test_json_shape(self):
         r = scan("T4", budget=3, seed=0)

@@ -7,7 +7,10 @@ import random
 import pytest
 
 from ordrel import ConfigError, Exponential, GridSpec, Lomax
+from ordrel.harness import THEOREMS
+from conftest import BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID
 from ordrel.serialize import (
+    _LOADERS,
     _RULES,
     _TYPES,
     _check,
@@ -144,6 +147,34 @@ class TestCaseLoading:
         with pytest.raises(ConfigError):
             load_case({"id": "T99", "scenario": {}})
 
+    @pytest.mark.parametrize("field,obj", list(BAD_SCALAR_FIELDS.items()))
+    def test_bad_scalar_field_rejected(self, field, obj):
+        with pytest.raises(ConfigError, match=f"{obj['id']} scenario field '{field}'"):
+            load_case(obj)
+
+    def test_unknown_grid_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown keys: \\['rh_grid'\\]"):
+            load_case(T6_UNKNOWN_GRID)
+
+    def test_declared_grid_key_is_used(self):
+        case = load_case({**T6_UNKNOWN_GRID, "grids": {"rh": {"n": 64}}})
+        assert case.grids == {"rh": GridSpec(n=64)}
+
+    @pytest.mark.parametrize("loader,def_name,obj", [
+        (load_case, "theorem_case", {"id": "T99", "scenario": {}}),
+        (load_scan_config, "scan_config", {"id": "Ex1", "budget": 5}),
+    ], ids=["unknown", "unscannable"])
+    def test_id_rejected_at_id(self, loader, def_name, obj):
+        with pytest.raises(ConfigError, match=f"invalid {def_name} at id: '{obj['id']}' "
+                                              "is not one of \\['T1', "):
+            loader(obj)
+
+    def test_registry_fields_name_defs_with_loaders(self):
+        for theorem in THEOREMS.values():
+            assert set(theorem.optional) <= set(theorem.fields)
+            assert set(theorem.fields.values()) <= set(_LOADERS)
+        assert set(_LOADERS) <= set(_schema()["$defs"])
+
 
 class TestScanConfig:
     def test_defaults(self):
@@ -201,6 +232,9 @@ def _subschemas(schema):
 # One valid document per $defs entry; the fuzz below mutates these.
 SEEDS = {
     "positive": 1.5,
+    "positive_array": [0.5, 2.0],
+    "number_array": [-0.5, 1.5],
+    "branch": "log_concave",
     "dist": {"family": "reflected_dfr", "params": {
         "inner": {"family": "lomax", "params": {"shape": 1.5, "scale": 2.0}}}},
     "system": {"kind": "parallel_prhr", "split": 1, "components": [
@@ -220,7 +254,8 @@ VALUES = [
     None, True, False, 0, 1, 2, -1, 63, 64, 0.0, 0.5, -0.5, 0.49, 1.5, 2.0, 64.0,
     math.nan, math.inf, -math.inf, "", "x", "u", "exponential", "weibull", "lomax",
     "pareto1", "reflected_dfr", "series_phr", "clayton", "independence", "T1",
-    "Ex1", "grid", [], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], ["a", "b"], {},
+    "Ex1", "grid", "log_convex", "log_concave",
+    [], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], ["a", "b"], {},
     {"rate": 1.0}, {"shape": 2.0}, {"inner": {"family": "pareto1", "params": {"shape": 1.0}}},
     {"family": "exponential", "params": {"rate": 1.0}},
 ]

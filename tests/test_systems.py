@@ -26,14 +26,7 @@ from ordrel import (
     series_phr,
     weibull_min_variance,
 )
-from ordrel.systems import (
-    PARALLEL_PRHR,
-    SERIES_PHR,
-    max_cdf,
-    max_rev_hazard,
-    min_hazard,
-    min_sf,
-)
+from ordrel.systems import PARALLEL_PRHR, SERIES_PHR
 
 pos = st.floats(min_value=0.3, max_value=3.0)
 
@@ -70,26 +63,24 @@ class TestSystemSpec:
 
 class TestOrderStatSurface:
     def test_min_sf_is_product_of_powers(self):
-        s = series_phr(Exponential(1.0), (1.0, 2.0, 0.5))
+        o = OrderStatDist(series_phr(Exponential(1.0), (1.0, 2.0, 0.5)))
         for x in (0.2, 1.0, 3.0):
-            assert min_sf(s, x) == pytest.approx(math.exp(-3.5 * x), rel=1e-13)
+            assert o.sf(x) == pytest.approx(math.exp(-3.5 * x), rel=1e-13)
 
     def test_max_cdf_is_product_of_powers(self):
-        s = parallel_prhr(Lomax(2.0, 1.0), (1.0, 1.5))
+        o = OrderStatDist(parallel_prhr(Lomax(2.0, 1.0), (1.0, 1.5)))
         for x in (0.3, 1.0, 4.0):
-            assert max_cdf(s, x) == pytest.approx(Lomax(2.0, 1.0).cdf(x) ** 2.5,
-                                                  rel=1e-13)
+            assert o.cdf(x) == pytest.approx(Lomax(2.0, 1.0).cdf(x) ** 2.5, rel=1e-13)
 
     def test_min_hazard_is_weighted_sum(self):
-        s = series_phr(Exponential(2.0), (1.0, 3.0))
-        assert min_hazard(s, 0.7) == pytest.approx(8.0, rel=1e-13)
+        o = OrderStatDist(series_phr(Exponential(2.0), (1.0, 3.0)))
+        assert o.hazard(0.7) == pytest.approx(8.0, rel=1e-13)
 
-    def test_kind_guards(self):
-        s = series_phr(Exponential(1.0), (1.0,))
-        with pytest.raises(ParameterDomainError):
-            max_cdf(s, 1.0)
-        with pytest.raises(ParameterDomainError):
-            max_rev_hazard(s, 1.0)
+    def test_max_rev_hazard_is_weighted_sum(self):
+        o = OrderStatDist(parallel_prhr(Lomax(2.0, 1.0), (1.0, 1.5)))
+        for x in (0.3, 1.0, 4.0):
+            assert o.rev_hazard(x) == pytest.approx(2.5 * Lomax(2.0, 1.0).rev_hazard(x),
+                                                    rel=1e-12)
 
     def test_exponential_minimum_is_exponential(self):
         o = OrderStatDist(series_phr(Exponential(1.0), (1.0, 2.0, 0.5)))
