@@ -43,7 +43,6 @@ from .harness import TheoremCase, TheoremReport, run_case
 from .majorization import (
     SchurCertificate,
     majorizes,
-    monotone_schur_implication,
     schur_certify,
     weak_submajorizes,
     weak_supermajorizes,
@@ -127,7 +126,6 @@ __all__ = [
     "majorizes",
     "mixed_parallel",
     "mixed_series",
-    "monotone_schur_implication",
     "numeric_mean_variance",
     "numeric_moment",
     "parallel_prhr",

@@ -9,18 +9,19 @@ verdicts verbatim; the harness never reimplements order logic.
 
 `THEOREMS` is the one list of theorem ids.  Each entry holds the scenario
 fields with the schema `$def` that validates each, the grid keys its check
-reads, the check, the conclusion as (relation, A, B), and, for scannable
-theorems, the sampler and the box of its knobs; `CHECKS`, the loader's
-scenario and grid checks and the scan all read it.  Adding a theorem is
-adding one entry.  The paper proves most results twice, for series minima
-(PHR) and parallel maxima (PRHR): each such pair is one check and one
-sampler here, and the entries pass the side as data.
+reads with the kind of grid each must be, the check, the conclusion as
+(relation, A, B), and, for scannable theorems, the sampler and the box of
+its knobs; `CHECKS`, the loader's scenario and grid checks and the scan all
+read it.  Adding a theorem is adding one entry.  The paper proves most
+results twice, for series minima (PHR) and parallel maxima (PRHR): each
+such pair is one check and one sampler here, and the entries pass the side
+as data.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -59,10 +60,12 @@ class TheoremCase:
             raise ParameterDomainError(f"unknown theorem id {self.id!r}")
 
     def grid(self, key: str, **defaults) -> GridSpec:
+        """The case's grid `key`, or one of the kind the registry declares
+        for that key, built from `defaults`."""
         if key in self.grids:
             return self.grids[key]
         defaults.setdefault("n", self.n)
-        return GridSpec(**defaults)
+        return GridSpec(kind=THEOREMS[self.id].grids[key], **defaults)
 
     def to_json(self) -> dict:
         return {"id": self.id, "scenario": _scenario_to_json(self.scenario),
@@ -128,7 +131,7 @@ def _conclude(case: TheoremCase, sides: dict, grid: GridSpec | None = None,
     if mirrored:
         a, b = b, a
     if grid is None:
-        grid = case.grid(rel, kind="u" if rel in (orders.DISP, orders.STAR) else "x")
+        grid = case.grid(rel)
     return orders.CHECKERS[rel](sides[a], sides[b], grid)
 
 
@@ -258,14 +261,19 @@ def _check_lomax_maxima(case: TheoremCase) -> TheoremReport:
 # -- dependent models ------------------------------------------------------
 
 def _dep_grid(case, systems_) -> GridSpec:
-    if "dep" in case.grids:
-        return case.grids["dep"]
+    """The case's "dep" grid.  The dependent extremes have no quantile
+    function, so an unset bound comes from the baseline quantiles at
+    0.01/0.99 moved by the shifts."""
+    grid = case.grid("dep")
+    if grid.lo is not None and grid.hi is not None:
+        return grid
     los, his = [], []
     for s in systems_:
         qlo, qhi = s.baseline.quantile(0.01), s.baseline.quantile(0.99)
         los.append(qlo - max(s.shifts))
         his.append(qhi - min(s.shifts))
-    return GridSpec(kind="x", lo=min(los), hi=max(his), n=case.n)
+    return replace(grid, lo=min(los) if grid.lo is None else grid.lo,
+                   hi=max(his) if grid.hi is None else grid.hi)
 
 
 def _check_dependent(case: TheoremCase, *, extreme: type, ageing: dict,
@@ -450,7 +458,7 @@ class Theorem:
 
     fields: dict  # scenario field -> name of the schema $def that validates it
     check: Callable[[TheoremCase], TheoremReport]
-    grids: tuple = ()  # keys of TheoremCase.grids the check reads
+    grids: dict = field(default_factory=dict)  # key the check reads -> grid kind
     optional: tuple = ()  # scenario fields a case may leave out
     conclusion: tuple | None = None  # (relation, A, B), A and B "x" or "y"
     sampler: Callable | None = None  # (knob values, violate) -> scenario
@@ -458,6 +466,11 @@ class Theorem:
 
 
 _SYSTEMS = {"system_x": "system", "system_y": "system"}
+# The dispersive and star orders compare quantiles on a u-grid; every other
+# grid is an x-grid.
+_DISP_SERIES_GRIDS = {"ageing": "x", "hr": "x", "disp": "u"}
+_DISP_PARALLEL_GRIDS = {"ageing": "x", "rh": "x", "disp": "u"}
+_DEPENDENT_GRIDS = {"ageing": "x", "st": "x", "dep": "x"}
 _OUTLIERS = {"baseline_x": "dist", "baseline_y": "dist",
              "outlier_x": "outlier_block", "outlier_y": "outlier_block"}
 _DEPENDENT = {"generator_x": "generator", "generator_y": "generator",
@@ -475,7 +488,7 @@ _MAXIMA = {"extreme": DependentMax, "compose_low_first": True,
 
 THEOREMS = {
     "T1": Theorem(
-        fields=_SYSTEMS, grids=("ageing", "hr", "disp"), check=_DISP_SERIES,
+        fields=_SYSTEMS, grids=_DISP_SERIES_GRIDS, check=_DISP_SERIES,
         conclusion=("disp", "y", "x"),
         sampler=partial(_sample_disp, build=series_phr, gap="hr_gap",
                         order=("a3", "a1", "a2")),
@@ -483,10 +496,10 @@ THEOREMS = {
              "a1": (0.2, 2.0), "a2": (0.2, 2.0), "a3": (0.2, 2.0),
              "sum_gap": (0.05, 0.8)}),
     "C1": Theorem(
-        fields=_OUTLIERS, grids=("ageing", "hr", "disp"),
+        fields=_OUTLIERS, grids=_DISP_SERIES_GRIDS,
         check=partial(_DISP_SERIES, outliers=True), conclusion=("disp", "y", "x")),
     "T2": Theorem(
-        fields=_SYSTEMS, grids=("ageing", "rh", "disp"), check=_DISP_PARALLEL,
+        fields=_SYSTEMS, grids=_DISP_PARALLEL_GRIDS, check=_DISP_PARALLEL,
         conclusion=("disp", "y", "x"),
         sampler=partial(_sample_disp, build=parallel_prhr, gap="rh_gap",
                         order=("a2", "a3", "a1"), reflect=True),
@@ -494,43 +507,43 @@ THEOREMS = {
              "a1": (0.2, 2.0), "a2": (0.2, 2.0), "a3": (0.2, 2.0),
              "sum_gap": (0.05, 0.8)}),
     "C2": Theorem(
-        fields=_OUTLIERS, grids=("ageing", "rh", "disp"),
+        fields=_OUTLIERS, grids=_DISP_PARALLEL_GRIDS,
         check=partial(_DISP_PARALLEL, outliers=True), conclusion=("disp", "y", "x")),
     "T3": Theorem(
-        fields=_SYSTEMS, grids=("hr",), check=partial(_check_mixed, kind=SERIES_PHR),
+        fields=_SYSTEMS, grids={"hr": "x"}, check=partial(_check_mixed, kind=SERIES_PHR),
         conclusion=("hr", "x", "y"),
         sampler=partial(_sample_mixed, build=mixed_series, lomax_front=False),
         box={"rate": (0.5, 2.0), "g_shape": (0.5, 2.5),
              "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
              "gap1": (0.05, 1.0), "gap2": (0.05, 1.0)}),
     "T4": Theorem(
-        fields=_SYSTEMS, grids=("rh",), check=partial(_check_mixed, kind=PARALLEL_PRHR),
+        fields=_SYSTEMS, grids={"rh": "x"}, check=partial(_check_mixed, kind=PARALLEL_PRHR),
         conclusion=("rh", "y", "x"),
         sampler=partial(_sample_mixed, build=mixed_parallel, lomax_front=True),
         box={"rate": (0.5, 2.0), "f_shape": (0.5, 2.5),
              "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
              "gap1": (0.05, 1.0), "gap2": (0.05, 1.0)}),
     "T5": Theorem(
-        fields=_SYSTEMS, grids=("xr", "star"), check=_check_star,
+        fields=_SYSTEMS, grids={"xr": "x", "star": "u"}, check=_check_star,
         conclusion=("star", "y", "x"), sampler=_sample_star,
         box={"p_shape": (0.5, 3.0), "a1": (0.3, 2.0), "a2": (0.3, 2.0),
              "sum_gap": (0.05, 1.0)}),
     "T6": Theorem(
         fields={"theta": "positive", "alphas": "positive_array",
                 "alphas_star": "positive_array"},
-        grids=("rh",), check=_check_lomax_maxima, conclusion=("rh", "x", "y"),
+        grids={"rh": "x"}, check=_check_lomax_maxima, conclusion=("rh", "x", "y"),
         sampler=_sample_lomax_maxima,
         box={"theta": (0.5, 2.0), "b1": (0.5, 3.0), "b2": (0.5, 3.0),
              "b3": (0.5, 3.0), "shift": (0.1, 1.0), "mode": (0.0, 1.0)}),
     "T7": Theorem(
-        fields=_DEPENDENT, optional=("branch",), grids=("ageing", "st", "dep"),
+        fields=_DEPENDENT, optional=("branch",), grids=_DEPENDENT_GRIDS,
         check=partial(_check_dependent, **_MINIMA), conclusion=("st", "y", "x"),
         sampler=_sample_dependent_minima,
         box={"theta1": (0.5, 3.0), "theta_frac": (0.3, 1.0), "rate_f": (0.5, 2.0),
              "rate_gap": (0.05, 1.0), "m1": (0.2, 1.5), "m2": (0.2, 1.5),
              "shift": (0.05, 0.8)}),
     "T8": Theorem(
-        fields=_DEPENDENT, optional=("branch",), grids=("ageing", "st", "dep"),
+        fields=_DEPENDENT, optional=("branch",), grids=_DEPENDENT_GRIDS,
         check=partial(_check_dependent, **_MAXIMA), conclusion=("st", "y", "x"),
         sampler=_sample_dependent_maxima,
         box={"theta1": (0.5, 2.0), "theta_gap": (0.0, 1.5), "g_shape": (0.6, 2.0),

@@ -164,38 +164,3 @@ def schur_certify(f, region, mode: str = "convex", samples: int = 200,
     verdict = "refuted" if witness is not None else "certified"
     return SchurCertificate(mode, verdict, min_d, max_d, samples, witness, seed)
 
-
-@dataclass(frozen=True)
-class ImplicationResult:
-    """Outcome of the weak-majorization implication for a monotone
-    Schur-convex function: relation used, implied direction and the direct
-    function evaluations confirming (or not) that direction."""
-
-    relation: str | None  # "submajorize" | "supermajorize" | None
-    direction: str | None  # "f(a) <= f(b)" when the implication applies
-    f_a: float
-    f_b: float
-    confirmed: bool
-
-
-def monotone_schur_implication(f, a, b, monotonicity: str,
-                               tol: float = 1e-9) -> ImplicationResult:
-    """Implication for f certified monotone and Schur-convex.
-
-    increasing + Schur-convex: a weakly submajorized by b  => f(a) <= f(b);
-    decreasing + Schur-convex: a weakly supermajorized by b => f(a) <= f(b).
-    The implied inequality is also evaluated directly.
-    """
-    if monotonicity not in ("increasing", "decreasing"):
-        raise ParameterDomainError(f"unknown monotonicity {monotonicity!r}")
-    f_a, f_b = f(list(a)), f(list(b))
-    if monotonicity == "increasing":
-        applies = weak_submajorizes(a, b)
-        relation = "submajorize" if applies else None
-    else:
-        applies = weak_supermajorizes(a, b)
-        relation = "supermajorize" if applies else None
-    if not applies:
-        return ImplicationResult(None, None, f_a, f_b, False)
-    confirmed = f_a <= f_b + tol * (1.0 + abs(f_b))
-    return ImplicationResult(relation, "f(a) <= f(b)", f_a, f_b, confirmed)

@@ -6,7 +6,7 @@ is constructed.  A theorem case gets a second pass here, because its shape
 depends on its id: the id must be in the registry (`harness.THEOREMS`),
 whose entry names the scenario fields, the `$def` that each field is
 validated against and loaded by (`_LOADERS`), and the grid keys a case may
-set.
+set with the kind of grid each must be.
 
 The check is a small recursive interpreter of the keywords the schema
 uses (`_RULES`); a test walks the schema file so that it cannot use one the
@@ -216,6 +216,10 @@ def load_case(obj: dict) -> TheoremCase:
         except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
             raise ConfigError(f"{tid} scenario field {key!r}: {exc}") from exc
     grids = {k: load_grid(v) for k, v in obj.get("grids", {}).items()}
+    for key, grid in grids.items():
+        if grid.kind != theorem.grids[key]:
+            raise ConfigError(f"{tid} grid {key!r} needs kind {theorem.grids[key]!r}, "
+                              f"got {grid.kind!r}")
     return TheoremCase(tid, scenario, grids=grids, n=obj.get("n", 256))
 
 

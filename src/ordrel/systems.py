@@ -5,8 +5,10 @@ parallel system of PRHR components has cdf prod_i cdf_i(x)**a_i.  When all
 components share one baseline the product collapses to a single power, which
 gives closed-form quantiles.  Mixed-baseline systems invert the cumulative
 hazard -log sf (series) or log cdf (parallel) by safeguarded Newton steps,
-whose derivative is the system's rate sum; ``quantiles`` sweeps a u-grid and
-starts each solve from the previous root.
+whose derivative is the system's rate sum.  ``quantiles`` sweeps a u-grid in
+one call: a shared-baseline system computes its exponent once and applies
+the closed form to each u, a mixed-baseline one starts each solve from the
+previous root.  ``quantile`` is the one-point sweep.
 """
 
 from __future__ import annotations
@@ -208,25 +210,25 @@ class OrderStatDist(Distribution):
         return super().rev_hazard(x)
 
     def quantile(self, u):
-        base = self._shared
-        if base is None:
-            return self.quantiles((u,))[0]
-        _check_prob(u)
-        total = self.spec.prop_sum()
-        if self.spec.kind == SERIES_PHR:
-            # sf0(x)**total = 1-u
-            return base.quantile(1.0 - (1.0 - u) ** (1.0 / total))
-        return base.quantile(u ** (1.0 / total))
+        return self.quantiles((u,))[0]
 
     def quantiles(self, us):
-        """Quantiles in one sweep.  A mixed-baseline system solves the
+        """Quantiles in one sweep.  A shared-baseline system inverts its
+        single power in closed form: sf0(x)**total = 1-u (series) or
+        cdf0(x)**total = u (parallel).  A mixed-baseline system solves the
         cumulative hazard (series) or log cdf (parallel) for each u, with
         the rate sum as derivative, starting from the previous root.  That
         root is only a guess, so the order of ``us`` does not matter beyond
         the solver tolerances."""
-        if self._shared is not None:
-            return super().quantiles(us)
         series = self.spec.kind == SERIES_PHR
+        base = self._shared
+        if base is not None:
+            p = 1.0 / self.spec.prop_sum()
+            out = []
+            for u in us:
+                _check_prob(u)
+                out.append(base.quantile(1.0 - (1.0 - u) ** p if series else u ** p))
+            return out
         if series:
             fn, rate = self._cum_hazard, self._min_rate
         else:

@@ -3,8 +3,8 @@
 CORPUS_PAIRS is the pool of comparable (A, B) pairs used by the
 implication-chain meta-test and various checker tests; SHIFTED_SYSTEMS is
 the pool of dependent systems exercised by the copula invariants.
-BAD_SCALAR_FIELDS and T6_UNKNOWN_GRID are malformed theorem cases that the
-loader and the CLI must both reject.
+BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID and T6_WRONG_GRID_KIND are malformed
+theorem cases that the loader and the CLI must both reject.
 """
 
 import pytest
@@ -89,6 +89,9 @@ BAD_SCALAR_FIELDS = {
 T6_UNKNOWN_GRID = {"id": "T6", "scenario": {
     "theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.5]},
     "grids": {"rh_grid": {"n": 4096}}}
+
+# The rh checker reads an x-grid; a u-grid under its key must not load.
+T6_WRONG_GRID_KIND = {**T6_UNKNOWN_GRID, "grids": {"rh": {"kind": "u", "n": 64}}}
 
 
 @pytest.fixture

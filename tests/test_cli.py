@@ -9,7 +9,7 @@ import pytest
 
 import ordrel
 from ordrel.cli import main
-from conftest import BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID
+from conftest import BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
@@ -128,6 +128,14 @@ class TestTheorem:
         assert main(["theorem", "-s", path]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and "rh_grid" in captured.err
+        assert captured.out == ""
+
+    def test_wrong_grid_kind_exit_two(self, spec_file, capsys):
+        path = spec_file("c.json", T6_WRONG_GRID_KIND)
+        assert main(["theorem", "-s", path]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "T6 grid 'rh' needs kind 'x'" in captured.err
         assert captured.out == ""
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Archimedean generators, copula values and dependent systems."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +125,89 @@ class TestSuperAdditivity:
         g = Clayton(1.5)
         ok, _ = super_additive_check(compose_phi_psi(g, g))
         assert ok
+
+    @staticmethod
+    def _pairwise(h, x_max=10.0, n=48, tau=1e-9):
+        """The check as first written: h(x+y) evaluated afresh for every
+        grid pair."""
+        xs = [i * x_max / (2 * (n - 1)) for i in range(n)]
+        vals = [h(x) for x in xs]
+        for i, x in enumerate(xs):
+            for j in range(i, len(xs)):
+                y = xs[j]
+                lhs = h(x + y)
+                rhs = vals[i] + vals[j]
+                if lhs < rhs - tau * (1.0 + abs(rhs)):
+                    return False, (x, y, lhs, rhs)
+        return True, None
+
+    @staticmethod
+    def _draw_generator(rng):
+        family = rng.choice(("clayton", "independence", "frank"))
+        if family == "clayton":
+            return Clayton(rng.uniform(0.2, 4.0))
+        if family == "frank":
+            return Frank(rng.uniform(0.2, 6.0))
+        return Independence()
+
+    def test_lattice_agrees_with_pairwise_check(self):
+        rng = random.Random(2024)
+        outcomes = {True: 0, False: 0}
+        pairs = [(Clayton(t1), Clayton(t2)) for t1, t2 in
+                 ((rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0)) for _ in range(80))]
+        pairs += [(b, a) for a, b in pairs]  # Clayton x Clayton in both orders
+        pairs += [(self._draw_generator(rng), self._draw_generator(rng))
+                  for _ in range(160)]
+        for outer, inner in pairs:
+            n = rng.choice((48, 48, 17, 64))
+            x_max = 10.0 if n == 48 else rng.uniform(1.0, 20.0)
+            h = compose_phi_psi(outer, inner)
+            ok, witness = super_additive_check(h, x_max=x_max, n=n)
+            ok_ref, witness_ref = self._pairwise(h, x_max=x_max, n=n)
+            assert ok == ok_ref, (outer, inner, n, x_max)
+            outcomes[ok] += 1
+            if not ok:
+                x, y, lhs, rhs = witness
+                assert (x, y, rhs) == (witness_ref[0], witness_ref[1], witness_ref[3])
+                assert lhs == pytest.approx(witness_ref[2], rel=1e-12, abs=1e-12)
+                step = x_max / (2 * (n - 1))
+                k = round((x + y) / step)
+                assert 0 <= k <= 2 * n - 2
+                assert x + y == pytest.approx(k * step, rel=1e-12, abs=1e-12)
+                assert lhs == h(k * x_max / (2 * (n - 1)))
+        assert len(pairs) >= 300
+        assert min(outcomes.values()) >= 50, outcomes
+
+    @pytest.mark.parametrize("n", [48, 64, 5])
+    @pytest.mark.parametrize("thetas", [(2.0, 1.0), (1.0, 2.0)], ids=["passes", "fails"])
+    def test_h_evaluated_once_per_lattice_point(self, n, thetas):
+        h = compose_phi_psi(Clayton(thetas[0]), Clayton(thetas[1]))
+        seen = []
+
+        def counting(x):
+            seen.append(x)
+            return h(x)
+
+        ok, _ = super_additive_check(counting, n=n)
+        assert ok == (thetas[0] >= thetas[1])
+        assert len(seen) == len(set(seen)) == 2 * n - 1
+
+
+class TestFrankNegativeTheta:
+    @pytest.mark.parametrize("theta", [-5.0, -1.0, -0.3])
+    def test_psi_stays_in_unit_interval(self, theta):
+        g = Frank(theta)
+        assert g.psi(0.0) == 1.0
+        for i in range(200):
+            x = 0.05 * i
+            u = g.psi(x)
+            assert 0.0 <= u <= 1.0
+            assert g.phi(u) == pytest.approx(x, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("thetas", [(-0.3, -0.5), (-0.5, -0.3)])
+    def test_super_additive_check_runs(self, thetas):
+        ok, witness = super_additive_check(compose_phi_psi(*map(Frank, thetas)))
+        assert ok or witness is not None
 
 
 class TestShiftedSystems:

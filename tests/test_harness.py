@@ -326,3 +326,13 @@ class TestRegistry:
         assert rep.conclusion.get("relation") == relation
         assert tuple(rep.conditions) == names
         assert grids.read == set(THEOREMS[case.id].grids)  # the declared grid keys
+
+    @pytest.mark.parametrize("label", sorted(REPORT_FORMAT))
+    def test_declared_grid_kinds_run(self, label):
+        # every declared key, set in a spec with its declared kind, loads
+        # and runs: a u-grid where a check needs an x-grid would raise
+        obj, _, names = REPORT_FORMAT[label]
+        grids = {key: {"kind": kind, "n": 64}
+                 for key, kind in THEOREMS[obj["id"]].grids.items()}
+        rep = run_case(load_case({**obj, "grids": grids}))
+        assert tuple(rep.conditions) == names

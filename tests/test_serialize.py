@@ -8,7 +8,7 @@ import pytest
 
 from ordrel import ConfigError, Exponential, GridSpec, Lomax
 from ordrel.harness import THEOREMS
-from conftest import BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID
+from conftest import BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND
 from ordrel.serialize import (
     _LOADERS,
     _RULES,
@@ -159,6 +159,24 @@ class TestCaseLoading:
     def test_declared_grid_key_is_used(self):
         case = load_case({**T6_UNKNOWN_GRID, "grids": {"rh": {"n": 64}}})
         assert case.grids == {"rh": GridSpec(n=64)}
+
+    def test_wrong_grid_kind_rejected(self):
+        with pytest.raises(ConfigError, match="T6 grid 'rh' needs kind 'x', got 'u'"):
+            load_case(T6_WRONG_GRID_KIND)
+
+    def test_grid_kinds_follow_the_relation(self):
+        t1 = {"id": "T1", "scenario": {
+            "system_x": {"kind": "series_phr", "components": [
+                {"baseline": {"family": "lomax", "params": {"shape": 1.0, "scale": 1.0}},
+                 "prop": 1.0}]},
+            "system_y": {"kind": "series_phr", "components": [
+                {"baseline": {"family": "lomax", "params": {"shape": 2.0, "scale": 1.0}},
+                 "prop": 1.5}]}}}
+        case = load_case({**t1, "grids": {"disp": {"kind": "u", "n": 64},
+                                          "hr": {"kind": "x", "n": 64}}})
+        assert case.grids["disp"].kind == "u"
+        with pytest.raises(ConfigError, match="T1 grid 'disp' needs kind 'u', got 'x'"):
+            load_case({**t1, "grids": {"disp": {"n": 64}}})
 
     @pytest.mark.parametrize("loader,def_name,obj", [
         (load_case, "theorem_case", {"id": "T99", "scenario": {}}),

@@ -13,6 +13,7 @@ from ordrel import (
     MomentUndefinedError,
     OrderStatDist,
     ParameterDomainError,
+    ParetoI,
     ReflectedDFR,
     SystemSpec,
     Weibull,
@@ -151,6 +152,46 @@ class TestQuantileSweep:
     def test_sweep_validates_probabilities(self):
         with pytest.raises(ParameterDomainError):
             MIXED_SYSTEMS[0].quantiles([0.5, 1.0])
+
+
+SHARED_BASELINES = [Weibull(0.7, 1.3), Lomax(1.5, 2.0), ParetoI(2.5),
+                    ReflectedDFR(Lomax(1.2, 1.0))]
+SHARED_SYSTEMS = [OrderStatDist(build(b, (0.4, 1.1, 2.3)))
+                  for build in (series_phr, parallel_prhr) for b in SHARED_BASELINES]
+SHARED_IDS = [f"{o.spec.kind}-{type(o.spec.same_baseline()).__name__}" for o in SHARED_SYSTEMS]
+
+
+def _closed_form_quantile(o, u):
+    """The shared-baseline quantile written out per u: the baseline quantile
+    of 1-(1-u)**(1/sum) (series) or u**(1/sum) (parallel)."""
+    base, total = o.spec.same_baseline(), o.spec.prop_sum()
+    if o.spec.kind == SERIES_PHR:
+        return base.quantile(1.0 - (1.0 - u) ** (1.0 / total))
+    return base.quantile(u ** (1.0 / total))
+
+
+class TestSharedBaselineSweep:
+    US = GridSpec(kind="u", n=512).u_points() + [1e-12, 0.5, 1.0 - 1e-12]
+
+    @pytest.mark.parametrize("o", SHARED_SYSTEMS, ids=SHARED_IDS)
+    def test_sweep_is_bitwise_pointwise(self, o):
+        qs = o.quantiles(self.US)
+        assert qs == [o.quantile(u) for u in self.US]
+        assert qs == [_closed_form_quantile(o, u) for u in self.US]
+        assert o.quantiles(self.US[::-1]) == qs[::-1]
+
+    @pytest.mark.parametrize("o", SHARED_SYSTEMS, ids=SHARED_IDS)
+    def test_sweep_inverts_the_cdf(self, o):
+        for u, q in zip(self.US[:-3], o.quantiles(self.US[:-3])):
+            assert o.cdf(q) == pytest.approx(u, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("o", SHARED_SYSTEMS[::4], ids=["series", "parallel"])
+    def test_sweep_validates_probabilities(self, o, bad):
+        with pytest.raises(ParameterDomainError):
+            o.quantiles([0.5, bad])
+        with pytest.raises(ParameterDomainError):
+            o.quantile(bad)
 
 
 class TestLomaxClosedForms:
