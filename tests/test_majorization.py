@@ -128,3 +128,34 @@ class TestSchurCertify:
         assert obj["verdict"] == "certified"
         assert obj["samples"] == 20
 
+
+
+def _implication(f, a, b, monotonicity, tol=1e-9):
+    """Weak-majorization implication for a monotone Schur-convex f:
+    (relation used or None, whether f(a) <= f(b) was confirmed)."""
+    if monotonicity == "increasing":
+        relation = "submajorize" if weak_submajorizes(a, b) else None
+    else:
+        relation = "supermajorize" if weak_supermajorizes(a, b) else None
+    f_a, f_b = f(list(a)), f(list(b))
+    confirmed = relation is not None and f_a <= f_b + tol * (1.0 + abs(f_b))
+    return relation, confirmed
+
+
+class TestImplication:
+    def test_increasing_convex_uses_submajorization(self):
+        f = lambda a: sum(x * x for x in a)
+        relation, confirmed = _implication(f, (1.0, 2.0), (1.5, 2.5), "increasing")
+        assert relation == "submajorize"
+        assert confirmed and f([1.0, 2.0]) <= f([1.5, 2.5])
+
+    def test_decreasing_convex_uses_supermajorization(self):
+        f = lambda a: sum(1.0 / x for x in a)
+        relation, confirmed = _implication(f, (2.0, 3.0), (1.0, 2.0), "decreasing")
+        assert relation == "supermajorize"
+        assert confirmed
+
+    def test_not_applicable(self):
+        f = lambda a: sum(a)
+        relation, confirmed = _implication(f, (5.0, 5.0), (1.0, 1.0), "increasing")
+        assert relation is None and not confirmed
