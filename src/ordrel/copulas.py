@@ -143,33 +143,27 @@ def copula_value(g: Generator, u) -> float:
     return g.psi(total)
 
 
-def _second_diffs_sign(values, tol: float, want_nonneg: bool) -> bool:
-    for i in range(1, len(values) - 1):
-        d2 = values[i - 1] - 2.0 * values[i] + values[i + 1]
-        scale = tol * (1.0 + abs(values[i]))
-        if want_nonneg and d2 < -scale:
-            return False
-        if not want_nonneg and d2 > scale:
+def _log_curvature_holds(g: Generator, grid, tol: float, sign: float) -> bool:
+    """sign * (second difference of ln psi) >= -tol*(1 + |ln psi|) at every
+    interior point of the grid (default: 256 points on [1e-3, 20])."""
+    if grid is None:
+        grid = [1e-3 + i * (20.0 - 1e-3) / 255 for i in range(256)]
+    logs = [math.log(g.psi(x)) for x in grid]
+    for i in range(1, len(logs) - 1):
+        d2 = sign * (logs[i - 1] - 2.0 * logs[i] + logs[i + 1])
+        if d2 < -tol * (1.0 + abs(logs[i])):
             return False
     return True
 
 
-def _log_psi_grid(g: Generator, grid):
-    if grid is None:
-        n = 256
-        grid = [1e-3 + i * (20.0 - 1e-3) / (n - 1) for i in range(n)]
-    return grid, [math.log(g.psi(x)) for x in grid]
-
-
 def is_log_convex(g: Generator, grid=None, tol: float = 1e-9) -> bool:
     """Numeric convexity of ln psi via second differences on a grid."""
-    grid, logs = _log_psi_grid(g, grid)
-    return _second_diffs_sign(logs, tol, want_nonneg=True)
+    return _log_curvature_holds(g, grid, tol, 1.0)
 
 
 def is_log_concave(g: Generator, grid=None, tol: float = 1e-9) -> bool:
-    grid, logs = _log_psi_grid(g, grid)
-    return _second_diffs_sign(logs, tol, want_nonneg=False)
+    """Numeric concavity of ln psi: the convexity test with the sign flipped."""
+    return _log_curvature_holds(g, grid, tol, -1.0)
 
 
 def compose_phi_psi(outer: Generator, inner: Generator):
@@ -242,9 +236,9 @@ def j2(s: ShiftedSystem, x: float) -> float:
     return 1.0 - s.generator.psi(total)
 
 
-class DependentMin:
-    """Minimal distribution surface (sf/cdf/support) for J1, so the order
-    checkers can consume dependent minima."""
+class _DependentExtreme:
+    """Support shared by the dependent minimum and maximum of a
+    ShiftedSystem; each subclass supplies sf and cdf."""
 
     def __init__(self, system: ShiftedSystem):
         self.system = system
@@ -254,6 +248,11 @@ class DependentMin:
         lo, hi = self.system.baseline.support
         mn, mx = min(self.system.shifts), max(self.system.shifts)
         return (lo - mx, hi - mn)
+
+
+class DependentMin(_DependentExtreme):
+    """Minimal distribution surface (sf/cdf/support) for J1, so the order
+    checkers can consume dependent minima."""
 
     def sf(self, x):
         return j1(self.system, x)
@@ -262,17 +261,8 @@ class DependentMin:
         return 1.0 - j1(self.system, x)
 
 
-class DependentMax:
+class DependentMax(_DependentExtreme):
     """Distribution surface for J2 (survival of the dependent maximum)."""
-
-    def __init__(self, system: ShiftedSystem):
-        self.system = system
-
-    @property
-    def support(self):
-        lo, hi = self.system.baseline.support
-        mn, mx = min(self.system.shifts), max(self.system.shifts)
-        return (lo - mx, hi - mn)
 
     def sf(self, x):
         return j2(self.system, x)

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError, SupportError
-from .grids import GridSpec
-from .special import bisect_increasing
+from .grids import GridSpec, first_decrease
 
 
 class Distribution:
@@ -32,21 +31,13 @@ class Distribution:
         raise NotImplementedError
 
     def sf(self, x: float) -> float:
-        lo, hi = self.support
-        if x <= lo:
-            return 1.0
-        if x >= hi:
-            return 0.0
-        return 1.0 - self.cdf(x)
+        raise NotImplementedError
 
     def pdf(self, x: float) -> float:
         raise NotImplementedError
 
     def quantile(self, u: float) -> float:
-        _check_prob(u)
-        lo, hi = self.support
-        guess = 0.5 * (max(lo, -1.0) + min(hi, 1.0))
-        return bisect_increasing(self.cdf, u, guess, lo_bound=lo, hi_bound=hi)
+        raise NotImplementedError
 
     def quantiles(self, us) -> list[float]:
         """Quantiles at each probability in ``us``, in the same order."""
@@ -342,41 +333,34 @@ class AgeingClass:
         return flag in self.flags
 
 
-def _monotone_flags(values, up_flag: str, down_flag: str, tol: float) -> set[str]:
-    flags = {up_flag, down_flag}
-    prev = values[0]
-    for v in values[1:]:
-        scale = tol * (1.0 + max(abs(prev), abs(v)))
-        if v < prev - scale:
-            flags.discard(up_flag)
-        if v > prev + scale:
-            flags.discard(down_flag)
-        prev = v
-    return flags
-
-
-def classify_ageing(d: Distribution, grid: GridSpec | None = None) -> AgeingClass:
-    """Classify IFR/DFR (hazard) and IRHR/DRHR (reversed hazard) on a grid.
-
-    Monotonicity is judged by adjacent-pair slopes with the grid's
-    ``tau_mono`` tolerance, so a constant hazard carries both flags.
-    """
-    if grid is None:
-        grid = GridSpec(kind="x", n=128)
+def ageing_points(d: Distribution, grid: GridSpec) -> list[float]:
+    """The points at which the ageing of ``d`` is judged.  A bounded x-grid
+    must lie in the support and is used as is; any other grid gives
+    ``grid.n`` quantiles on [eps, 1-eps], which keep clear of both support
+    edges."""
     if grid.kind == "x" and grid.lo is not None and grid.hi is not None:
         lo, hi = d.support
         if grid.lo < lo or grid.hi > hi:
             raise SupportError("ageing grid extends outside the support")
-        xs = grid.x_points()
-    else:
-        # interior quantile grid keeps clear of both support edges
-        eps = grid.eps if grid.kind == "u" else 1e-3
-        n = grid.n
-        xs = [d.quantile(eps + i * (1.0 - 2 * eps) / (n - 1)) for i in range(n)]
-    if len(xs) < 32:
-        raise ParameterDomainError("ageing classification needs >= 32 grid points")
-    hz = [d.hazard(x) for x in xs]
-    rh = [d.rev_hazard(x) for x in xs]
-    flags = _monotone_flags(hz, "IFR", "DFR", grid.tau_mono)
-    flags |= _monotone_flags(rh, "IRHR", "DRHR", grid.tau_mono)
+        return grid.x_points()
+    eps, n = grid.eps, grid.n
+    return [d.quantile(eps + i * (1.0 - 2 * eps) / (n - 1)) for i in range(n)]
+
+
+def classify_ageing(d: Distribution, grid: GridSpec | None = None) -> AgeingClass:
+    """Classify IFR/DFR (hazard) and IRHR/DRHR (reversed hazard) at the
+    grid's `ageing_points`: a class holds when `grids.first_decrease` finds
+    no drop beyond ``tau_mono`` in the rate (for DFR/DRHR, in the negated
+    rate), so a constant hazard carries both flags."""
+    if grid is None:
+        grid = GridSpec(kind="x", n=128)
+    xs = ageing_points(d, grid)
+    rates = (([d.hazard(x) for x in xs], "IFR", "DFR"),
+             ([d.rev_hazard(x) for x in xs], "IRHR", "DRHR"))
+    flags = set()
+    for values, up_flag, down_flag in rates:
+        if first_decrease(xs, values, grid.tau_mono) is None:
+            flags.add(up_flag)
+        if first_decrease(xs, [-v for v in values], grid.tau_mono) is None:
+            flags.add(down_flag)
     return AgeingClass(flags=frozenset(flags), grid=tuple(xs))

@@ -1,4 +1,5 @@
-"""Evaluation grids for the numerical order checkers and classifiers."""
+"""Evaluation grids for the numerical order checkers and classifiers, and
+the one monotone rule they all judge by (`first_decrease`)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,17 @@ from .errors import ParameterDomainError
 
 DEFAULT_TAU_MONO = 1e-9
 DEFAULT_TAU_PT = 1e-9
+
+
+def first_decrease(xs, values, tau: float) -> tuple[float, float, float] | None:
+    """The one monotone rule: the first adjacent pair (a, b) of ``values``
+    with b < a - tau*(1 + max(|a|, |b|)), as (x at b, b, a), or None.  The
+    non-increasing test is this test on the negated values (exact)."""
+    for i in range(1, len(values)):
+        a, b = values[i - 1], values[i]
+        if b < a and b < a - tau * (1.0 + max(abs(a), abs(b))):
+            return (xs[i], b, a)
+    return None
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       compose_phi_psi, is_log_concave, is_log_convex,
                       super_additive_check)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
-                            ReflectedDFR, Weibull, classify_ageing)
+                            ReflectedDFR, Weibull, ageing_points, classify_ageing)
 from .errors import ParameterDomainError
-from .grids import GridSpec
+from .grids import GridSpec, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
 from .orders import FAILS, HOLDS, OrderVerdict
 from .systems import (PARALLEL_PRHR, SERIES_PHR, OrderStatDist, SystemSpec,
@@ -211,16 +211,9 @@ def _check_mixed(case: TheoremCase, *, kind: str) -> TheoremReport:
 # -- star order for minima ------------------------------------------------
 
 def _xr_decreasing(baseline: Distribution, grid: GridSpec) -> bool:
-    eps = 1e-3
-    n = grid.n
-    xs = [baseline.quantile(eps + i * (1.0 - 2 * eps) / (n - 1)) for i in range(n)]
-    vals = [x * baseline.hazard(x) for x in xs]
-    prev = vals[0]
-    for v in vals[1:]:
-        if v > prev + grid.tau_mono * (1.0 + abs(prev)):
-            return False
-        prev = v
-    return True
+    """x*r(x) non-increasing on the baseline's `ageing_points`."""
+    xs = ageing_points(baseline, grid)
+    return first_decrease(xs, [-x * baseline.hazard(x) for x in xs], grid.tau_mono) is None
 
 
 def _check_star(case: TheoremCase) -> TheoremReport:

@@ -1,8 +1,13 @@
 """Majorization relations and numerical Schur-convexity certification.
 
-The relations are exact prefix-sum comparisons with a float tolerance scaled
-by the vector magnitude.  ``schur_certify`` is a sampler, not a prover:
-"certified" means no violation of the pairwise difference criterion
+The three relations are one ascending prefix-sum test with a float
+tolerance scaled by the vector magnitude: weak supermajorization is the
+test itself, majorization is equal sums and the test, and weak
+submajorization is the test on the negated vectors (negation is exact and
+turns descending prefix sums into ascending ones).
+
+``schur_certify`` is a sampler, not a prover: "certified" means no
+violation of the pairwise difference criterion
 
     Delta = (a_i - a_j) * (df/da_i - df/da_j)
 
@@ -38,52 +43,39 @@ def _tol(a, b):
     return _REL_TOL * scale * len(a)
 
 
-def majorizes(a, b) -> bool:
-    """a majorized by b (a < b in the majorization pre-order): equal sums and
-    every ascending prefix sum of a at least that of b."""
-    a, b = _prep(a, b)
+def _ascending_prefixes_dominate(a, b) -> bool:
+    """Every ascending prefix sum of a is at least that of b, within the
+    tolerance."""
     tol = _tol(a, b)
-    if abs(sum(a) - sum(b)) > tol:
-        return False
-    sa, sb = sorted(a), sorted(b)
     ca = cb = 0.0
-    for i in range(len(a) - 1):
-        ca += sa[i]
-        cb += sb[i]
+    for x, y in zip(sorted(a), sorted(b)):
+        ca += x
+        cb += y
         if ca < cb - tol:
             return False
     return True
 
 
+def majorizes(a, b) -> bool:
+    """a majorized by b (a < b in the majorization pre-order): equal sums and
+    every ascending prefix sum of a at least that of b."""
+    a, b = _prep(a, b)
+    if abs(sum(a) - sum(b)) > _tol(a, b):
+        return False
+    return _ascending_prefixes_dominate(a, b)
+
+
 def weak_submajorizes(a, b) -> bool:
     """a weakly submajorized by b: every descending prefix sum of a is at
-    most that of b."""
+    most that of b, i.e. -a is weakly supermajorized by -b."""
     a, b = _prep(a, b)
-    tol = _tol(a, b)
-    sa = sorted(a, reverse=True)
-    sb = sorted(b, reverse=True)
-    ca = cb = 0.0
-    for x, y in zip(sa, sb):
-        ca += x
-        cb += y
-        if ca > cb + tol:
-            return False
-    return True
+    return _ascending_prefixes_dominate([-v for v in a], [-v for v in b])
 
 
 def weak_supermajorizes(a, b) -> bool:
     """a weakly supermajorized by b: every ascending prefix sum of a is at
     least that of b."""
-    a, b = _prep(a, b)
-    tol = _tol(a, b)
-    sa, sb = sorted(a), sorted(b)
-    ca = cb = 0.0
-    for x, y in zip(sa, sb):
-        ca += x
-        cb += y
-        if ca < cb - tol:
-            return False
-    return True
+    return _ascending_prefixes_dominate(*_prep(a, b))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,14 @@ min/max wrappers).  Verdicts are three-valued: a tail or degeneracy guard can
 make a check inconclusive, so numerical trouble never masquerades as a
 mathematical violation.  Ties at the tolerance resolve toward "holds" since
 all six orders are non-strict.
+
+Three bodies carry the six checks.  One pointwise rule (`_pointwise`,
+within ``tau_pt``) judges st and the rate form of hr/rh.  One monotone rule
+(`grids.first_decrease`, within ``tau_mono``) judges the ratio form of
+hr/rh, lr and the quantile spreads.  One quantile-order body
+(`_check_quantile_spread`) serves disp and star, which differ only in the
+spread passed in: the difference of the quantiles for disp, their ratio for
+star.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SupportError
-from .grids import GridSpec
+from .grids import GridSpec, first_decrease
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -55,52 +63,42 @@ def _x_grid(A, B, grid: GridSpec | None) -> tuple[GridSpec, list[float]]:
     return grid, grid.x_points((A, B))
 
 
-def _u_grid(grid: GridSpec | None) -> tuple[GridSpec, list[float]]:
-    if grid is None:
-        grid = GridSpec(kind="u")
-    return grid, grid.u_points()
-
-
-def _check_pointwise(relation, xs, lhs_fn, rhs_fn, grid) -> OrderVerdict:
-    """Holds iff lhs(x) <= rhs(x) + tau_pt at every usable point."""
+def _pointwise(xs, fa, fb, tau: float, a_larger: bool = False):
+    """The one pointwise rule: fa(x) <= fb(x), or >= with `a_larger`,
+    within tau*(1 + |larger side|), skipping points where fa or fb (called
+    in that order) raises SupportError or is not finite.  Returns the number
+    of usable points and the first violation (x, fa(x), fb(x)), or None."""
     usable = 0
     for x in xs:
         try:
-            lhs, rhs = lhs_fn(x), rhs_fn(x)
+            va, vb = fa(x), fb(x)
         except SupportError:
             continue
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        if not (math.isfinite(va) and math.isfinite(vb)):
             continue
         usable += 1
-        if lhs > rhs + grid.tau_pt * (1.0 + abs(rhs)):
-            return OrderVerdict(relation, FAILS, (x, lhs, rhs), grid)
-    if usable == 0:
-        return OrderVerdict(relation, INCONCLUSIVE, None, grid)
-    return OrderVerdict(relation, HOLDS, None, grid)
-
-
-def _monotone_violation(xs, values, tau) -> tuple[float, float, float] | None:
-    """First adjacent pair where the sequence decreases beyond tolerance."""
-    for i in range(1, len(values)):
-        a, b = values[i - 1], values[i]
-        if b < a - tau * (1.0 + max(abs(a), abs(b))):
-            return (xs[i], b, a)
-    return None
+        small, large = (vb, va) if a_larger else (va, vb)
+        if small > large + tau * (1.0 + abs(large)):
+            return usable, (x, va, vb)
+    return usable, None
 
 
 def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_st B: sf_A(x) <= sf_B(x) everywhere."""
     grid, xs = _x_grid(A, B, grid)
-    return _check_pointwise(ST, xs, A.sf, B.sf, grid)
+    usable, viol = _pointwise(xs, A.sf, B.sf, grid.tau_pt)
+    outcome = FAILS if viol else (HOLDS if usable else INCONCLUSIVE)
+    return OrderVerdict(ST, outcome, viol, grid)
 
 
 def _ratio_and_rate_check(relation, A, B, grid, num_fn, den_fn, rate_a, rate_b,
-                          rate_sign) -> OrderVerdict:
+                          a_larger: bool) -> OrderVerdict:
     """Shared body of the hr and rh checks.
 
     Runs both equivalent formulations: monotonicity of the ratio
-    num(x)/den(x) and the pointwise rate comparison.  Disagreement between
-    the two is reported as inconclusive rather than silently choosing one.
+    num(x)/den(x) and the pointwise rate comparison, where A's rate is the
+    larger side when `a_larger`.  Disagreement between the two is reported
+    as inconclusive rather than silently choosing one.
     """
     grid, xs = _x_grid(A, B, grid)
     ratio_xs, ratios = [], []
@@ -110,47 +108,29 @@ def _ratio_and_rate_check(relation, A, B, grid, num_fn, den_fn, rate_a, rate_b,
             continue
         ratio_xs.append(x)
         ratios.append(num_fn(x) / den)
-    ratio_viol = None
-    if len(ratios) >= 2:
-        ratio_viol = _monotone_violation(ratio_xs, ratios, grid.tau_mono)
-
-    rate_viol = None
-    rate_usable = 0
-    for x in xs:
-        try:
-            ra, rb = rate_a(x), rate_b(x)
-        except SupportError:
-            continue
-        if not (math.isfinite(ra) and math.isfinite(rb)):
-            continue
-        rate_usable += 1
-        lhs, rhs = (rb, ra) if rate_sign > 0 else (ra, rb)
-        # rate_sign > 0: need ra >= rb; else ra <= rb
-        if lhs > rhs + grid.tau_pt * (1.0 + abs(rhs)):
-            rate_viol = (x, ra, rb)
-            break
+    ratio_viol = first_decrease(ratio_xs, ratios, grid.tau_mono)
+    rate_usable, rate_viol = _pointwise(xs, rate_a, rate_b, grid.tau_pt, a_larger)
 
     ratio_ok = ratio_viol is None and len(ratios) >= 2
     rate_ok = rate_viol is None and rate_usable >= 2
     if ratio_ok and rate_ok:
         return OrderVerdict(relation, HOLDS, None, grid)
-    if not ratio_ok and not rate_ok and ratio_viol is not None and rate_viol is not None:
+    if ratio_viol is not None and rate_viol is not None:
         return OrderVerdict(relation, FAILS, rate_viol, grid)
-    witness = ratio_viol or rate_viol
-    return OrderVerdict(relation, INCONCLUSIVE, witness, grid)
+    return OrderVerdict(relation, INCONCLUSIVE, ratio_viol or rate_viol, grid)
 
 
 def check_hr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_hr B: sf_B/sf_A increasing, equivalently hazard_A >= hazard_B."""
     return _ratio_and_rate_check(HR, A, B, grid, B.sf, A.sf,
-                                 A.hazard, B.hazard, rate_sign=+1)
+                                 A.hazard, B.hazard, a_larger=True)
 
 
 def check_rh(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_rh B: cdf_B/cdf_A increasing, equivalently
     rev_hazard_A <= rev_hazard_B."""
     return _ratio_and_rate_check(RH, A, B, grid, B.cdf, A.cdf,
-                                 A.rev_hazard, B.rev_hazard, rate_sign=-1)
+                                 A.rev_hazard, B.rev_hazard, a_larger=False)
 
 
 def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
@@ -165,48 +145,51 @@ def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
         ratios.append(fb / fa)
     if len(ratios) < 2:
         return OrderVerdict(LR, INCONCLUSIVE, None, grid)
-    viol = _monotone_violation(rxs, ratios, grid.tau_mono)
-    if viol is not None:
-        return OrderVerdict(LR, FAILS, viol, grid)
-    return OrderVerdict(LR, HOLDS, None, grid)
+    viol = first_decrease(rxs, ratios, grid.tau_mono)
+    return OrderVerdict(LR, FAILS if viol else HOLDS, viol, grid)
+
+
+def _differences(qas, qbs) -> list[float]:
+    return [qb - qa for qa, qb in zip(qas, qbs)]
+
+
+def _positive_ratios(qas, qbs) -> list[float]:
+    # the star order is a scale-free comparison of positive lifetimes
+    if min(qas) <= 0.0 or min(qbs) <= 0.0:
+        raise SupportError("star order needs strictly positive quantiles")
+    return [qb / qa for qa, qb in zip(qas, qbs)]
+
+
+def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
+    """The one quantile-order body: spread(quantiles_A, quantiles_B) must
+    be non-decreasing on the u-grid.  A quantile that overflows, raises
+    SupportError or is not finite makes the check inconclusive."""
+    if grid is None:
+        grid = GridSpec(kind="u")
+    us = grid.u_points()
+    try:
+        qas, qbs = A.quantiles(us), B.quantiles(us)
+    except (SupportError, OverflowError):
+        return OrderVerdict(relation, INCONCLUSIVE, None, grid)
+    spreads = spread(qas, qbs)
+    if not (all(map(math.isfinite, qas)) and all(map(math.isfinite, qbs))):
+        return OrderVerdict(relation, INCONCLUSIVE, None, grid)
+    viol = first_decrease(us, spreads, grid.tau_mono)
+    return OrderVerdict(relation, FAILS if viol else HOLDS, viol, grid)
 
 
 def check_disp(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_disp B: quantile_B(u) - quantile_A(u) non-decreasing in u."""
-    grid, us = _u_grid(grid)
-    try:
-        qas, qbs = A.quantiles(us), B.quantiles(us)
-    except (SupportError, OverflowError):
-        return OrderVerdict(DISP, INCONCLUSIVE, None, grid)
-    diffs = []
-    for qa, qb in zip(qas, qbs):
-        if not (math.isfinite(qa) and math.isfinite(qb)):
-            return OrderVerdict(DISP, INCONCLUSIVE, None, grid)
-        diffs.append(qb - qa)
-    viol = _monotone_violation(us, diffs, grid.tau_mono)
-    if viol is not None:
-        return OrderVerdict(DISP, FAILS, viol, grid)
-    return OrderVerdict(DISP, HOLDS, None, grid)
+    return _check_quantile_spread(DISP, A, B, grid, _differences)
 
 
 def check_star(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_* B: quantile_B(u)/quantile_A(u) non-decreasing in u.
 
     Undefined unless both quantile functions are strictly positive on the
-    u-grid (the star order is a scale-free comparison of positive lifetimes).
+    u-grid: a non-positive quantile raises SupportError.
     """
-    grid, us = _u_grid(grid)
-    ratios = []
-    for qa, qb in zip(A.quantiles(us), B.quantiles(us)):
-        if qa <= 0.0 or qb <= 0.0:
-            raise SupportError("star order needs strictly positive quantiles")
-        if not (math.isfinite(qa) and math.isfinite(qb)):
-            return OrderVerdict(STAR, INCONCLUSIVE, None, grid)
-        ratios.append(qb / qa)
-    viol = _monotone_violation(us, ratios, grid.tau_mono)
-    if viol is not None:
-        return OrderVerdict(STAR, FAILS, viol, grid)
-    return OrderVerdict(STAR, HOLDS, None, grid)
+    return _check_quantile_spread(STAR, A, B, grid, _positive_ratios)
 
 
 CHECKERS = {

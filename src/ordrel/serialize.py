@@ -17,6 +17,7 @@ bound.
 
 from __future__ import annotations
 
+import inspect
 import json
 import operator
 from functools import lru_cache
@@ -27,6 +28,7 @@ from .distributions import Distribution, dist_from_json
 from .errors import ConfigError
 from .grids import GridSpec
 from .harness import SCAN_IDS, THEOREMS, TheoremCase
+from .scan import scan
 from .systems import SystemSpec
 
 
@@ -220,7 +222,13 @@ def load_case(obj: dict) -> TheoremCase:
         if grid.kind != theorem.grids[key]:
             raise ConfigError(f"{tid} grid {key!r} needs kind {theorem.grids[key]!r}, "
                               f"got {grid.kind!r}")
-    return TheoremCase(tid, scenario, grids=grids, n=obj.get("n", 256))
+    return TheoremCase(tid, scenario, grids=grids, n=obj.get("n", TheoremCase.n))
+
+
+# What a scan config leaves out takes scan()'s own default.
+_SCAN_DEFAULTS = {name: param.default for name, param in
+                  inspect.signature(scan).parameters.items()
+                  if name in ("strategy", "seed", "grid_n")}
 
 
 def load_scan_config(obj: dict) -> dict:
@@ -229,14 +237,8 @@ def load_scan_config(obj: dict) -> dict:
     box = None
     if "box" in obj:
         box = {k: (float(v[0]), float(v[1])) for k, v in obj["box"].items()}
-    return {
-        "theorem_id": obj["id"],
-        "budget": obj["budget"],
-        "strategy": obj.get("strategy", "random"),
-        "seed": obj.get("seed", 0),
-        "grid_n": obj.get("grid_n", 96),
-        "box": box,
-    }
+    return {"theorem_id": obj["id"], "budget": obj["budget"], "box": box,
+            **{k: obj.get(k, default) for k, default in _SCAN_DEFAULTS.items()}}
 
 
 def read_json_file(path) -> dict:

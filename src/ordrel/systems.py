@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .distributions import Distribution, _check_prob, dist_from_json
 from .errors import MomentUndefinedError, ParameterDomainError, SupportError
@@ -97,24 +98,22 @@ class SystemSpec:
             raise ParameterDomainError(f"bad system spec: {obj!r}") from exc
 
 
-def series_phr(baseline: Distribution, props, split: int | None = None) -> SystemSpec:
-    return SystemSpec(SERIES_PHR, tuple((baseline, float(p)) for p in props), split)
+def _single_baseline(kind, baseline, props, split=None) -> SystemSpec:
+    return SystemSpec(kind, tuple((baseline, float(p)) for p in props), split)
 
 
-def parallel_prhr(baseline: Distribution, props, split: int | None = None) -> SystemSpec:
-    return SystemSpec(PARALLEL_PRHR, tuple((baseline, float(p)) for p in props), split)
-
-
-def mixed_series(front: Distribution, front_props, back: Distribution, back_props) -> SystemSpec:
+def _mixed(kind, front, front_props, back, back_props) -> SystemSpec:
+    """A system split after its front block, on one baseline per block."""
+    front_props = tuple(front_props)
     comps = tuple((front, float(p)) for p in front_props)
     comps += tuple((back, float(p)) for p in back_props)
-    return SystemSpec(SERIES_PHR, comps, split=len(tuple(front_props)))
+    return SystemSpec(kind, comps, split=len(front_props))
 
 
-def mixed_parallel(front: Distribution, front_props, back: Distribution, back_props) -> SystemSpec:
-    comps = tuple((front, float(p)) for p in front_props)
-    comps += tuple((back, float(p)) for p in back_props)
-    return SystemSpec(PARALLEL_PRHR, comps, split=len(tuple(front_props)))
+series_phr = partial(_single_baseline, SERIES_PHR)
+parallel_prhr = partial(_single_baseline, PARALLEL_PRHR)
+mixed_series = partial(_mixed, SERIES_PHR)
+mixed_parallel = partial(_mixed, PARALLEL_PRHR)
 
 
 class OrderStatDist(Distribution):

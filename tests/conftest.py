@@ -4,7 +4,8 @@ CORPUS_PAIRS is the pool of comparable (A, B) pairs used by the
 implication-chain meta-test and various checker tests; SHIFTED_SYSTEMS is
 the pool of dependent systems exercised by the copula invariants.
 BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID and T6_WRONG_GRID_KIND are malformed
-theorem cases that the loader and the CLI must both reject.
+theorem cases that the loader and the CLI must both reject;
+T5_XR_OUTSIDE_SUPPORT loads but must fail before any check runs.
 """
 
 import pytest
@@ -92,6 +93,19 @@ T6_UNKNOWN_GRID = {"id": "T6", "scenario": {
 
 # The rh checker reads an x-grid; a u-grid under its key must not load.
 T6_WRONG_GRID_KIND = {**T6_UNKNOWN_GRID, "grids": {"rh": {"kind": "u", "n": 64}}}
+
+# T5 on a Pareto(1.5) baseline, whose support is [1, inf).
+T5_PARETO = {"id": "T5", "scenario": {
+    "system_x": {"kind": "series_phr", "components": [
+        {"baseline": {"family": "pareto1", "params": {"shape": 1.5}}, "prop": p}
+        for p in (0.5, 0.5)]},
+    "system_y": {"kind": "series_phr", "components": [
+        {"baseline": {"family": "pareto1", "params": {"shape": 1.5}}, "prop": p}
+        for p in (1.0, 1.5)]}}}
+
+# Its x*r(x) grid lies wholly left of the support.
+T5_XR_OUTSIDE_SUPPORT = {**T5_PARETO, "grids": {
+    "xr": {"kind": "x", "lo": -5.0, "hi": -1.0, "n": 64}}}
 
 
 @pytest.fixture

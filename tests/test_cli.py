@@ -9,7 +9,8 @@ import pytest
 
 import ordrel
 from ordrel.cli import main
-from conftest import BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND
+from conftest import (BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT, T6_UNKNOWN_GRID,
+                      T6_WRONG_GRID_KIND)
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
@@ -90,6 +91,15 @@ class TestOrder:
         assert main(["order", "--relation", "hr", "-s", a, "-s", b,
                      "--grid", g]) == 3
 
+    @pytest.mark.parametrize("relation", ["star", "disp"])
+    def test_overflowing_quantile_exit_three(self, spec_file, capsys, relation):
+        # Pareto-I quantiles (1-u)**(-1/shape) overflow a float for tiny shapes
+        a = spec_file("a.json", {"family": "pareto1", "params": {"shape": 0.005}})
+        b = spec_file("b.json", {"family": "pareto1", "params": {"shape": 0.004}})
+        g = spec_file("g.json", {"kind": "u", "n": 64})
+        assert main(["order", "--relation", relation, "-s", a, "-s", b, "--grid", g]) == 3
+        assert json.loads(capsys.readouterr().out)["outcome"] == "inconclusive"
+
     def test_one_spec_is_usage_error(self, spec_file):
         a = spec_file("a.json", EXP1)
         assert main(["order", "--relation", "st", "-s", a]) == 2
@@ -136,6 +146,13 @@ class TestTheorem:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert "T6 grid 'rh' needs kind 'x'" in captured.err
+        assert captured.out == ""
+
+    def test_grid_outside_support_exit_two(self, spec_file, capsys):
+        path = spec_file("c.json", T5_XR_OUTSIDE_SUPPORT)
+        assert main(["theorem", "-s", path]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "outside the support" in captured.err
         assert captured.out == ""
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
@@ -193,3 +210,4 @@ class TestUsage:
     def test_unknown_relation(self, spec_file, capsys):
         a = spec_file("a.json", EXP1)
         assert main(["order", "--relation", "total", "-s", a, "-s", a]) == 2
+

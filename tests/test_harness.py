@@ -7,11 +7,14 @@ import pytest
 from ordrel import (
     Clayton,
     Exponential,
+    GridSpec,
     Lomax,
     ParameterDomainError,
     ParetoI,
     ReflectedDFR,
+    SupportError,
     TheoremCase,
+    classify_ageing,
     mixed_parallel,
     mixed_series,
     parallel_prhr,
@@ -20,6 +23,7 @@ from ordrel import (
 )
 from ordrel.harness import THEOREMS
 from ordrel.serialize import load_case
+from conftest import T5_PARETO, T5_XR_OUTSIDE_SUPPORT
 
 
 def _t1_case(alphas=(1.0, 2.0, 0.5), betas=(1.5, 2.0, 1.0)):
@@ -336,3 +340,37 @@ class TestRegistry:
                  for key, kind in THEOREMS[obj["id"]].grids.items()}
         rep = run_case(load_case({**obj, "grids": grids}))
         assert tuple(rep.conditions) == names
+
+
+class TestAgeingPoints:
+    def test_unbounded_x_grid_takes_quantiles_on_eps(self):
+        from ordrel.distributions import ageing_points
+
+        d = Exponential(1.0)
+        xs = ageing_points(d, GridSpec(kind="x", eps=0.3, n=64))
+        assert len(xs) == 64
+        assert xs[0] == d.quantile(0.3)
+        assert xs[-1] == pytest.approx(d.quantile(0.7), rel=1e-12)
+        assert classify_ageing(d, GridSpec(kind="x", eps=0.3, n=64)).grid == tuple(xs)
+
+    def test_default_grid_points_unchanged(self):
+        from ordrel.distributions import ageing_points
+
+        d = Lomax(2.0, 1.0)
+        eps, n = 1e-3, 128
+        assert ageing_points(d, GridSpec(kind="x", n=n)) == [
+            d.quantile(eps + i * (1.0 - 2 * eps) / (n - 1)) for i in range(n)]
+
+    def test_bounded_x_grid_used_as_is(self):
+        from ordrel.distributions import ageing_points
+
+        g = GridSpec(kind="x", lo=1.0, hi=5.0, n=64)
+        assert ageing_points(ParetoI(1.5), g) == g.x_points()
+
+    def test_xr_grid_outside_support_rejected(self):
+        with pytest.raises(SupportError, match="outside the support"):
+            run_case(load_case(T5_XR_OUTSIDE_SUPPORT))
+
+    def test_xr_grid_inside_support_runs(self):
+        obj = {**T5_PARETO, "grids": {"xr": {"kind": "x", "lo": 1.0, "hi": 50.0, "n": 64}}}
+        assert run_case(load_case(obj)).conditions["x_hazard_decreasing"]

@@ -93,6 +93,83 @@ class TestRelations:
         assert increasing((2.0, 3.0)) > increasing((1.0, 2.0))
 
 
+def _old_tol(a, b):
+    return 1e-12 * max([abs(v) for v in a + b] + [1.0]) * len(a)
+
+
+def _old_majorizes(a, b):
+    tol = _old_tol(a, b)
+    if abs(sum(a) - sum(b)) > tol:
+        return False
+    sa, sb = sorted(a), sorted(b)
+    ca = cb = 0.0
+    for i in range(len(a) - 1):
+        ca += sa[i]
+        cb += sb[i]
+        if ca < cb - tol:
+            return False
+    return True
+
+
+def _old_weak_sub(a, b):
+    tol = _old_tol(a, b)
+    ca = cb = 0.0
+    for x, y in zip(sorted(a, reverse=True), sorted(b, reverse=True)):
+        ca += x
+        cb += y
+        if ca > cb + tol:
+            return False
+    return True
+
+
+def _old_weak_super(a, b):
+    tol = _old_tol(a, b)
+    ca = cb = 0.0
+    for x, y in zip(sorted(a), sorted(b)):
+        ca += x
+        cb += y
+        if ca < cb - tol:
+            return False
+    return True
+
+
+def _seeded_pairs(count, seed):
+    """Random pairs, pairs on a coarse lattice (ties, equal sums) and pairs
+    where b is a with a transfer between two entries (equal sums)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 5)
+        if k % 3 == 0:
+            yield ([rng.uniform(-3.0, 3.0) for _ in range(n)],
+                   [rng.uniform(-3.0, 3.0) for _ in range(n)])
+        elif k % 3 == 1:
+            yield ([rng.choice((-1.0, -0.5, 0.0, 0.5, 1.0)) for _ in range(n)],
+                   [rng.choice((-1.0, -0.5, 0.0, 0.5, 1.0)) for _ in range(n)])
+        else:
+            a = [float(rng.randint(-4, 4)) for _ in range(n)]
+            b = a[:]
+            i, j = rng.sample(range(n), 2)
+            t = float(rng.randint(-2, 2))
+            b[i] += t
+            b[j] -= t
+            rng.shuffle(b)
+            yield a, b
+
+
+def test_relations_agree_with_the_prefix_loops():
+    # the three relations share one ascending prefix test; each must give
+    # the verdict of its own prefix loop
+    relations = [(majorizes, _old_majorizes), (weak_submajorizes, _old_weak_sub),
+                 (weak_supermajorizes, _old_weak_super)]
+    seen = {rel.__name__: set() for rel, _ in relations}
+    for a, b in _seeded_pairs(600, seed=5):
+        for rel, old in relations:
+            verdict = rel(a, b)
+            assert verdict == old(a, b), (rel.__name__, a, b)
+            seen[rel.__name__].add(verdict)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
 class TestSchurCertify:
     def test_sum_of_squares_convex(self):
         cert = schur_certify(lambda a: sum(x * x for x in a),

@@ -1,8 +1,12 @@
 """Stochastic order checkers against analytic oracles."""
 
+import json
+import math
+
 import pytest
 
 from ordrel import (
+    Distribution,
     Exponential,
     GridSpec,
     Lomax,
@@ -17,8 +21,10 @@ from ordrel import (
     check_rh,
     check_st,
     check_star,
+    classify_ageing,
     mixed_parallel,
     mixed_series,
+    parallel_prhr,
     series_phr,
 )
 from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE
@@ -169,3 +175,103 @@ class TestVerdictShape:
         v = check_st(Exponential(1.0), Exponential(2.0), GX)
         obj = v.to_json()
         assert set(obj["witness"]) == {"x", "lhs", "rhs"}
+
+
+class TestStarOverflow:
+    # Pareto-I quantiles (1-u)**(-1/shape) overflow a float for tiny shapes
+    def test_overflowing_quantile_is_inconclusive(self):
+        g = GridSpec(kind="u", n=64)
+        a, b = ParetoI(0.005), ParetoI(0.004)
+        assert check_star(a, b, g).outcome == INCONCLUSIVE
+        assert check_disp(a, b, g).outcome == INCONCLUSIVE
+
+
+# Witnesses of failing checks on a 64-point x-grid, recorded before the
+# pointwise rule was shared between st and the rate form of hr/rh.
+WITNESSES = [
+    (check_st, Exponential(1.0), Exponential(2.0),
+     '{"x": 5.000250016667917e-05, "lhs": 0.9999499987499375, "rhs": 0.9999}'),
+    (check_st, OrderStatDist(series_phr(Exponential(1.0), (0.5, 1.0))),
+     OrderStatDist(series_phr(Exponential(1.0), (1.0, 2.0))),
+     '{"x": 3.333500011109257e-05, "lhs": 0.9999499987499375, "rhs": 0.9999}'),
+    (check_hr, Lomax(1.5, 1.0), Lomax(3.0, 1.0),
+     '{"x": 3.3335555728486455e-05, "lhs": 1.4999499983332407, "rhs": 2.9998999966664814}'),
+    (check_hr, Weibull(0.8, 1.0), Weibull(1.6, 1.0),
+     '{"x": 0.5093804844427683, "lhs": 0.9155488607711848, "rhs": 1.0674446476110517}'),
+    (check_rh, Exponential(1.0), Exponential(2.0),
+     '{"x": 5.000250016667917e-05, "lhs": 19998.499987499374, "rhs": 19998.0}'),
+    (check_rh, ReflectedDFR(Lomax(2.0, 1.0)), ReflectedDFR(Lomax(1.0, 1.0)),
+     '{"x": -9999.0000000011, "lhs": 0.000199999999999978, "rhs": 9.9999999999989e-05}'),
+    (check_rh, OrderStatDist(parallel_prhr(Lomax(2.0, 1.0), (1.5, 2.0))),
+     OrderStatDist(parallel_prhr(Lomax(2.0, 1.0), (0.5, 0.5))),
+     '{"x": 5.0003750312610507e-05, "lhs": 69989.50026235667, "rhs": 19997.000074959047}'),
+]
+
+
+@pytest.mark.parametrize("checker,a,b,witness", WITNESSES,
+                         ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(WITNESSES)])
+def test_failing_witness_is_unchanged(checker, a, b, witness):
+    v = checker(a, b, GridSpec(kind="x", n=64))
+    assert v.outcome == FAILS
+    assert json.dumps(v.to_json()["witness"]) == witness
+
+
+class _Sequence(Distribution):
+    """Stub whose grid point i sits at x = 2**i on the default 64-point
+    quantile grid, with rev_hazard(x) = values[i] and hazard(x) =
+    values[i]/x, so that x*hazard(x) is values[i] exactly; its quantiles
+    on a 64-point u-grid are the values themselves."""
+
+    def __init__(self, values):
+        self.values = values
+
+    support = (0.0, math.inf)
+
+    def quantile(self, u):
+        return 2.0 ** round((u - 1e-3) * 63 / (1.0 - 2e-3))
+
+    def quantiles(self, us):
+        return list(self.values)
+
+    def rev_hazard(self, x):
+        return self.values[int(math.log2(x))]
+
+    def hazard(self, x):
+        return self.rev_hazard(x) / x
+
+
+TAU = 2.0 ** -10  # a drop of exactly TAU*(1 + 1) is representable
+
+
+def _step(a, b):
+    return (a,) * 32 + (b,) * 32
+
+
+# (values, non-decreasing within TAU, non-increasing within TAU)
+MONOTONE_TABLE = [
+    (_step(1.0, 1.0), True, True),
+    (_step(1.0, 1.0 - 2 * TAU), True, True),  # drop of exactly tau*(1+max)
+    (_step(1.0, 1.0 - 4 * TAU), False, True),  # twice that
+    (_step(-1.0, -1.0 + 2 * TAU), True, True),  # rise of exactly tau*(1+max)
+    (_step(-1.0, -1.0 + 4 * TAU), True, False),
+    # a rise within tau*(1+max(|a|,|b|)) but beyond tau*(1+|a|)
+    (_step(1.0, 1.0 + 2 * TAU + TAU ** 2), True, True),
+    (tuple(float(i) for i in range(64)), True, False),
+]
+
+
+@pytest.mark.parametrize("values,up,down", MONOTONE_TABLE)
+def test_one_monotone_rule(values, up, down):
+    from ordrel.grids import first_decrease
+    from ordrel.harness import _xr_decreasing
+
+    xs = list(range(64))
+    assert (first_decrease(xs, list(values), TAU) is None) == up
+    assert (first_decrease(xs, [-v for v in values], TAU) is None) == down
+    u_grid = GridSpec(kind="u", n=64, tau_mono=TAU)
+    disp = check_disp(_Sequence((0.0,) * 64), _Sequence(values), u_grid)
+    assert disp.outcome == (HOLDS if up else FAILS)
+    x_grid = GridSpec(kind="x", n=64, tau_mono=TAU)
+    flags = classify_ageing(_Sequence(values), x_grid)
+    assert ("IRHR" in flags, "DRHR" in flags) == (up, down)
+    assert _xr_decreasing(_Sequence(values), x_grid) == down
