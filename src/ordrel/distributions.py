@@ -351,14 +351,19 @@ def classify_ageing(d: Distribution, grid: GridSpec | None = None) -> AgeingClas
     """Classify IFR/DFR (hazard) and IRHR/DRHR (reversed hazard) at the
     grid's `ageing_points`: a class holds when `grids.first_decrease` finds
     no drop beyond ``tau_mono`` in the rate (for DFR/DRHR, in the negated
-    rate), so a constant hazard carries both flags."""
+    rate), so a constant hazard carries both flags.  A rate undefined at
+    some point (a bounded grid that starts or ends at a support edge)
+    carries neither of its two flags."""
     if grid is None:
         grid = GridSpec(kind="x", n=128)
     xs = ageing_points(d, grid)
-    rates = (([d.hazard(x) for x in xs], "IFR", "DFR"),
-             ([d.rev_hazard(x) for x in xs], "IRHR", "DRHR"))
     flags = set()
-    for values, up_flag, down_flag in rates:
+    for rate, up_flag, down_flag in ((d.hazard, "IFR", "DFR"),
+                                     (d.rev_hazard, "IRHR", "DRHR")):
+        try:
+            values = [rate(x) for x in xs]
+        except SupportError:
+            continue
         if first_decrease(xs, values, grid.tau_mono) is None:
             flags.add(up_flag)
         if first_decrease(xs, [-v for v in values], grid.tau_mono) is None:

@@ -1,21 +1,22 @@
-"""Theorem harness: the theorem registry, hypothesis predicates, conclusions.
+"""Theorem harness: the theorem registry, hypothesis rows, conclusions.
 
-Every theorem/corollary is encoded as a pair (hypothesis predicate,
-conclusion check) and evaluated on concrete parameter configurations.  A
-report is *inconsistent* when the hypothesis is satisfied but the conclusion
-check fails outright; an inconclusive conclusion is reported separately and
-never counts as a failure.  Conclusion checks reuse the order-checker
-verdicts verbatim; the harness never reimplements order logic.
+Each paper result is a conjunction of simple conditions on the parameters
+and the ageing class of the baselines, then a stochastic-order conclusion.
+`THEOREMS` is the one list of theorem ids, and each entry states one result
+whole: the scenario fields with the schema `$def` that validates each, the
+grid keys it reads with the kind of grid each must be, a sides builder that
+validates the scenario and builds the named objects the statement reads,
+the hypothesis as (name, predicate(sides)) rows in report order, the
+conclusion as (relation, A, B) and, for scannable theorems, the sampler and
+the box of its knobs.  `CHECKS`, the loader's scenario and grid checks and
+the scan all read it; adding a theorem is adding one entry.
 
-`THEOREMS` is the one list of theorem ids.  Each entry holds the scenario
-fields with the schema `$def` that validates each, the grid keys its check
-reads with the kind of grid each must be, the check, the conclusion as
-(relation, A, B), and, for scannable theorems, the sampler and the box of
-its knobs; `CHECKS`, the loader's scenario and grid checks and the scan all
-read it.  Adding a theorem is adding one entry.  The paper proves most
-results twice, for series minima (PHR) and parallel maxima (PRHR): each
-such pair is one check and one sampler here, and the entries pass the side
-as data.
+One runner, `_run`, evaluates the rows and then the conclusion with the
+order checker's verdict.  A report is *inconsistent* when every row holds
+but the conclusion fails outright; an inconclusive conclusion is reported
+separately and never counts as a failure.  The paper proves most results
+twice, for series minima (PHR) and parallel maxima (PRHR): such a pair
+shares its rows, sides builder and sampler, with the side as data.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .distributions import (Distribution, Exponential, Lomax, ParetoI,
 from .errors import ParameterDomainError
 from .grids import GridSpec, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
-from .orders import FAILS, HOLDS, OrderVerdict
+from .orders import FAILS, HOLDS
 from .systems import (PARALLEL_PRHR, SERIES_PHR, OrderStatDist, SystemSpec,
                       lomax_min_moments, mixed_parallel, mixed_series,
                       numeric_mean_variance, parallel_prhr, series_phr,
@@ -108,45 +109,9 @@ class TheoremReport:
         }
 
 
-def _report(case: TheoremCase, conditions: dict, verdict: OrderVerdict) -> TheoremReport:
-    hyp = all(bool(v) for v in conditions.values())
-    consistent = (not hyp) or verdict.outcome != FAILS
-    return TheoremReport(
-        id=case.id,
-        conditions=conditions,
-        hypothesis_satisfied=hyp,
-        conclusion=verdict.to_json(),
-        conclusion_outcome=verdict.outcome,
-        consistent=consistent,
-        case=case.to_json(),
-    )
-
-
-def _conclude(case: TheoremCase, sides: dict, grid: GridSpec | None = None,
-              mirrored: bool = False) -> OrderVerdict:
-    """Check the registry's conclusion A <=_relation B for this case, where
-    `sides` maps "x" and "y" to the objects compared; `mirrored` swaps A and
-    B.  Without `grid`, the case's grid named after the relation is used."""
-    rel, a, b = THEOREMS[case.id].conclusion
-    if mirrored:
-        a, b = b, a
-    if grid is None:
-        grid = case.grid(rel)
-    return orders.CHECKERS[rel](sides[a], sides[b], grid)
-
-
-def _order_stats(sx: SystemSpec, sy: SystemSpec) -> dict:
-    return {"x": OrderStatDist(sx), "y": OrderStatDist(sy)}
-
-
-def _pair(case: TheoremCase, kind: str) -> tuple[SystemSpec, SystemSpec]:
-    sx, sy = case.scenario["system_x"], case.scenario["system_y"]
-    if sx.kind != kind or sy.kind != kind:
-        raise ParameterDomainError(f"{case.id} needs two {kind} systems")
-    return sx, sy
-
-
-# -- dispersive ordering for series minima and parallel maxima -------------
+# -- sides: the named objects a theorem's rows and conclusion read ---------
+# A sides builder validates the scenario and returns a dict; rows read the
+# case's grids through its "case".
 
 def _expand_outliers(baseline: Distribution, spec: dict, kind: str) -> SystemSpec:
     p, q = int(spec["p"]), int(spec["q"])
@@ -157,101 +122,59 @@ def _expand_outliers(baseline: Distribution, spec: dict, kind: str) -> SystemSpe
     return SystemSpec(kind, comps)
 
 
-def _check_disp(case: TheoremCase, *, kind: str, ageing: str,
-                baseline_order: tuple, ageing_first: bool = False,
-                outliers: bool = False) -> TheoremReport:
-    """Single-baseline systems of `kind`: sum(beta) >= sum(alpha), F0 of
-    class `ageing` and the baselines ordered as `baseline_order`
-    (relation, A, B) imply Y <=_disp X.  For series minima that is F0 DFR
-    and G0 <=_hr F0; for parallel maxima F0 IRHR and F0 <=_rh G0.  The
+def _system_sides(case: TheoremCase, *, kind: str, outliers: bool = False) -> dict:
+    """Two systems of `kind` and their extremes "x" and "y".  The
     multiple-outlier corollaries (`outliers`) first expand their two-block
-    parameter vectors to full vectors."""
+    parameter vectors."""
     sc = case.scenario
     if outliers:
         sx, sy = (_expand_outliers(sc[f"baseline_{s}"], sc[f"outlier_{s}"], kind)
                   for s in "xy")
     else:
-        sx, sy = _pair(case, kind)
-    f0, g0 = sx.same_baseline(), sy.same_baseline()
-    if f0 is None or g0 is None:
+        sx, sy = sc["system_x"], sc["system_y"]
+        if sx.kind != kind or sy.kind != kind:
+            raise ParameterDomainError(f"{case.id} needs two {kind} systems")
+    return {"case": case, "system_x": sx, "system_y": sy,
+            "x": OrderStatDist(sx), "y": OrderStatDist(sy)}
+
+
+def _single_baseline_sides(case: TheoremCase, **kwargs) -> dict:
+    sides = _system_sides(case, **kwargs)
+    f, g = sides["system_x"].same_baseline(), sides["system_y"].same_baseline()
+    if f is None or g is None:
         raise ParameterDomainError(f"{case.id} needs single-baseline systems")
-    sums = {"sum_beta_ge_sum_alpha": sy.prop_sum() >= sx.prop_sum()}
-    aged = {f"baseline_x_{ageing.lower()}":
-            ageing in classify_ageing(f0, case.grid("ageing", n=128))}
-    conditions = {**aged, **sums} if ageing_first else {**sums, **aged}
-    rel, lo, hi = baseline_order
-    base = {"x": f0, "y": g0}
-    conditions[f"baseline_{lo}_{rel}_le_baseline_{hi}"] = orders.CHECKERS[rel](
-        base[lo], base[hi], case.grid(rel)).holds
-    return _report(case, conditions, _conclude(case, _order_stats(sx, sy)))
+    return {**sides, "baseline_x": f, "baseline_y": g}
 
 
-# -- mixed-baseline block systems ----------------------------------------
-
-def _split_sums(s: SystemSpec) -> tuple[float, float]:
-    if s.split is None:
-        raise ParameterDomainError("mixed-baseline theorem needs split systems")
-    return s.front_sum(), s.back_sum()
-
-
-def _check_mixed(case: TheoremCase, *, kind: str) -> TheoremReport:
-    """Mixed-baseline systems of `kind`: strict blockwise sum dominance of
-    the X parameters implies X_min <=_hr Y_min (series) or X_max >=_rh Y_max
-    (parallel)."""
-    sx, sy = _pair(case, kind)
-    fx, bx = _split_sums(sx)
-    fy, by = _split_sums(sy)
-    conditions = {
-        "front_sum_alpha_gt_beta": fx > fy,
-        "back_sum_alpha_gt_beta": bx > by,
-    }
-    return _report(case, conditions, _conclude(case, _order_stats(sx, sy)))
-
-
-# -- star order for minima ------------------------------------------------
-
-def _xr_decreasing(baseline: Distribution, grid: GridSpec) -> bool:
-    """x*r(x) non-increasing on the baseline's `ageing_points`."""
-    xs = ageing_points(baseline, grid)
-    return first_decrease(xs, [-x * baseline.hazard(x) for x in xs], grid.tau_mono) is None
-
-
-def _check_star(case: TheoremCase) -> TheoremReport:
-    """Same-baseline series minima: sum(alpha) <= sum(beta) and x*r(x)
-    decreasing imply X_min >=_* Y_min."""
-    sx, sy = _pair(case, SERIES_PHR)
-    f = sx.same_baseline()
-    g = sy.same_baseline()
+def _common_baseline_sides(case: TheoremCase) -> dict:
+    sides = _system_sides(case, kind=SERIES_PHR)
+    f, g = sides["system_x"].same_baseline(), sides["system_y"].same_baseline()
     if f is None or g is None or str(f) != str(g):
         raise ParameterDomainError(f"{case.id} needs one common baseline")
-    conditions = {
-        "sum_alpha_le_sum_beta": sx.prop_sum() <= sy.prop_sum(),
-        "x_hazard_decreasing": _xr_decreasing(f, case.grid("xr", n=128)),
-    }
-    return _report(case, conditions, _conclude(case, _order_stats(sx, sy)))
+    return {**sides, "baseline_x": f, "baseline_y": g}
 
 
-# -- reversed hazard order for Lomax maxima -------------------------------
+def _split_sides(case: TheoremCase, *, kind: str) -> dict:
+    sides = _system_sides(case, kind=kind)
+    if sides["system_x"].split is None or sides["system_y"].split is None:
+        raise ParameterDomainError("mixed-baseline theorem needs split systems")
+    return sides
 
-def _check_lomax_maxima(case: TheoremCase) -> TheoremReport:
-    """Parallel Lomax maxima: alpha weakly supermajorized by alpha* implies
-    X_max <=_rh Y_max.  The proof rests on g(a) = a/(u**a - 1) being convex
-    and decreasing in a for u > 1; those properties hold for every case and
-    are certified once, by the acceptance suite's Schur criterion."""
+
+def _lomax_maxima_sides(case: TheoremCase) -> dict:
+    """Parallel Lomax maxima on the shape vectors alpha (X) and alpha* (Y).
+    The proof of T6 rests on g(a) = a/(u**a - 1) being convex and
+    decreasing in a for u > 1; those properties hold for every case and are
+    certified once, by the acceptance suite's Schur criterion."""
     theta = float(case.scenario["theta"])
     alphas = [float(v) for v in case.scenario["alphas"]]
     alphas_star = [float(v) for v in case.scenario["alphas_star"]]
     if len(alphas) != len(alphas_star):
         raise ParameterDomainError(f"{case.id} needs equal-length shape vectors")
-    conditions = {
-        "alpha_supermajorized_by_alpha_star": weak_supermajorizes(alphas, alphas_star),
-    }
-    sx = SystemSpec(PARALLEL_PRHR, tuple((Lomax(a, theta), 1.0) for a in alphas))
-    sy = SystemSpec(PARALLEL_PRHR, tuple((Lomax(a, theta), 1.0) for a in alphas_star))
-    return _report(case, conditions, _conclude(case, _order_stats(sx, sy)))
+    x, y = (OrderStatDist(SystemSpec(PARALLEL_PRHR, tuple((Lomax(a, theta), 1.0) for a in v)))
+            for v in (alphas, alphas_star))
+    return {"alphas": alphas, "alphas_star": alphas_star, "x": x, "y": y}
 
-
-# -- dependent models ------------------------------------------------------
 
 def _dep_grid(case, systems_) -> GridSpec:
     """The case's "dep" grid.  The dependent extremes have no quantile
@@ -269,8 +192,8 @@ def _dep_grid(case, systems_) -> GridSpec:
                    hi=max(his) if grid.hi is None else grid.hi)
 
 
-def _check_dependent(case: TheoremCase, *, extreme: type, ageing: dict,
-                     compose_low_first: bool) -> TheoremReport:
+def _dependent_sides(case: TheoremCase, *, extreme: type, ageing: dict,
+                     compose_low_first: bool) -> dict:
     """Shifted systems coupled by Archimedean copulas; `extreme` is
     DependentMin (minima, J1) or DependentMax (maxima, J2).
 
@@ -283,43 +206,33 @@ def _check_dependent(case: TheoremCase, *, extreme: type, ageing: dict,
     the baseline order's (A, B): the composition is phi_high o psi_low for
     minima and phi_low o psi_high for maxima (`compose_low_first`)."""
     sc = case.scenario
-    gen = {"x": sc["generator_x"], "y": sc["generator_y"]}
-    base = {"x": sc["baseline_x"], "y": sc["baseline_y"]}
     mu = tuple(float(v) for v in sc["shifts_x"])
     mu_star = tuple(float(v) for v in sc["shifts_y"])
     branch = sc.get("branch", "log_convex")
     if branch not in ("log_convex", "log_concave"):
         raise ParameterDomainError(f"unknown branch {branch!r}")
     convex = branch == "log_convex"
-    shifted = {"x": ShiftedSystem(base["x"], mu, gen["x"]),
-               "y": ShiftedSystem(base["y"], mu_star, gen["y"])}
-    ag = classify_ageing(base["x"], case.grid("ageing", n=128))
+    shifted = (ShiftedSystem(sc["baseline_x"], mu, sc["generator_x"]),
+               ShiftedSystem(sc["baseline_y"], mu_star, sc["generator_y"]))
     low, high = ("y", "x") if convex else ("x", "y")
     outer, inner = (low, high) if compose_low_first else (high, low)
-    majorizes = weak_submajorizes if convex else weak_supermajorizes
-    curvature = is_log_convex if convex else is_log_concave
-    conditions = {
-        f"mu_{'sub' if convex else 'super'}majorized_by_mu_star": majorizes(mu, mu_star),
-        f"generator_x_{branch}": curvature(gen["x"]),
-        f"baseline_x_{ageing[branch].lower()}": ageing[branch] in ag,
-        f"baseline_{low}_st_le_baseline_{high}": orders.check_st(
-            base[low], base[high], case.grid("st")).holds,
-        "composition_super_additive": super_additive_check(
-            compose_phi_psi(gen[outer], gen[inner]))[0],
-    }
-    verdict = _conclude(case, {s: extreme(shifted[s]) for s in "xy"},
-                        _dep_grid(case, shifted.values()), mirrored=not convex)
-    return _report(case, conditions, verdict)
+    return {"case": case, "branch": branch, "convex": convex, "swap": not convex,
+            "majorization": "sub" if convex else "super",
+            "ageing": ageing[branch].lower(), "low": low, "high": high,
+            "mu": mu, "mu_star": mu_star, "generator_x": sc["generator_x"],
+            "outer": sc[f"generator_{outer}"], "inner": sc[f"generator_{inner}"],
+            "baseline_x": sc["baseline_x"], "baseline_y": sc["baseline_y"],
+            "x": extreme(shifted[0]), "y": extreme(shifted[1]),
+            "grid": _dep_grid(case, shifted)}
 
 
-# -- worked examples -------------------------------------------------------
-
-def _check_variances(case: TheoremCase, *, defaults: dict, vectors: tuple,
-                     baseline: Callable, closed_form: Callable,
-                     reference: tuple, ordering: str) -> TheoremReport:
+def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
+                    baseline: Callable, closed_form: Callable,
+                    reference: tuple, ordering: str) -> dict:
     """Variances of two series minima on per-component baselines
     `baseline(param, scenario)`: closed form vs reference values vs the
-    quadrature oracle, plus the variance-ordering sign."""
+    quadrature oracle, plus the variance-ordering sign.  A worked example
+    has no order conclusion; this comparison is its conclusion."""
     sc = {**defaults, **case.scenario}
     params = [[float(v) for v in sc[key]] for key in vectors]
     var_x, var_y = (closed_form(p, sc) for p in params)
@@ -337,8 +250,84 @@ def _check_variances(case: TheoremCase, *, defaults: dict, vectors: tuple,
         "reference_x": ref_x, "reference_y": ref_y,
         "ordering": f"var_x {ordering} var_y",
     }
-    return TheoremReport(case.id, {"default_configuration": True}, True,
-                         conclusion, HOLDS if ok else FAILS, ok, case.to_json())
+    return {"conclusion": conclusion, "outcome": HOLDS if ok else FAILS}
+
+
+# -- hypothesis rows -------------------------------------------------------
+# A row is (name, predicate(sides)); a name may be a template on the sides.
+# Predicates look every checker up by its module-level name when called, so
+# a tracer that patches those names sees each call.
+
+def _ageing_row(cls: str) -> tuple:
+    """baseline_x is of ageing class `cls` ("{ageing}" for T7/T8)."""
+    return (f"baseline_x_{cls.lower()}",
+            lambda s: cls.format_map(s).upper() in classify_ageing(
+                s["baseline_x"], s["case"].grid("ageing", n=128)))
+
+
+def _order_row(rel: str, lo: str, hi: str) -> tuple:
+    """baseline_lo <=_rel baseline_hi on the case's `rel` grid; `lo` and `hi`
+    are "x", "y" or templates on the sides."""
+    return (f"baseline_{lo}_{rel}_le_baseline_{hi}",
+            lambda s: orders.CHECKERS[rel](s[f"baseline_{lo}".format_map(s)],
+                                           s[f"baseline_{hi}".format_map(s)],
+                                           s["case"].grid(rel)).holds)
+
+
+def _xr_decreasing(baseline: Distribution, grid: GridSpec) -> bool:
+    """x*r(x) non-increasing on the baseline's `ageing_points`."""
+    xs = ageing_points(baseline, grid)
+    return first_decrease(xs, [-x * baseline.hazard(x) for x in xs], grid.tau_mono) is None
+
+
+_SUMS = ("sum_beta_ge_sum_alpha",
+         lambda s: s["system_x"].prop_sum() <= s["system_y"].prop_sum())
+_SERIES_DISP_ROWS = (_SUMS, _ageing_row("DFR"), _order_row("hr", "y", "x"))
+_PARALLEL_DISP_ROWS = (_ageing_row("IRHR"), _SUMS, _order_row("rh", "x", "y"))
+_BLOCK_ROWS = (
+    ("front_sum_alpha_gt_beta",
+     lambda s: s["system_x"].front_sum() > s["system_y"].front_sum()),
+    ("back_sum_alpha_gt_beta",
+     lambda s: s["system_x"].back_sum() > s["system_y"].back_sum()),
+)
+_STAR_ROWS = (
+    ("sum_alpha_le_sum_beta", _SUMS[1]),  # the same comparison
+    ("x_hazard_decreasing",
+     lambda s: _xr_decreasing(s["baseline_x"], s["case"].grid("xr", n=128))),
+)
+_DEPENDENT_ROWS = (
+    ("mu_{majorization}majorized_by_mu_star",
+     lambda s: (weak_submajorizes if s["convex"] else weak_supermajorizes)(
+         s["mu"], s["mu_star"])),
+    ("generator_x_{branch}",
+     lambda s: (is_log_convex if s["convex"] else is_log_concave)(s["generator_x"])),
+    _ageing_row("{ageing}"),
+    _order_row("st", "{low}", "{high}"),
+    ("composition_super_additive",
+     lambda s: super_additive_check(compose_phi_psi(s["outer"], s["inner"]))[0]),
+)
+_DEFAULT_ROWS = (("default_configuration", lambda s: True),)
+
+
+def _run(case: TheoremCase) -> TheoremReport:
+    """Evaluate the case's hypothesis rows on its sides, then check its
+    conclusion on them (see `Theorem`) and report."""
+    theorem = THEOREMS[case.id]
+    sides = theorem.sides(case)
+    conditions = {name.format_map(sides): holds(sides)
+                  for name, holds in theorem.hypothesis}
+    if theorem.conclusion is None:
+        conclusion, outcome = sides["conclusion"], sides["outcome"]
+    else:
+        rel, a, b = theorem.conclusion
+        if sides.get("swap"):
+            a, b = b, a
+        grid = sides["grid"] if "grid" in sides else case.grid(rel)
+        verdict = orders.CHECKERS[rel](sides[a], sides[b], grid)
+        conclusion, outcome = verdict.to_json(), verdict.outcome
+    hyp = all(bool(v) for v in conditions.values())
+    return TheoremReport(case.id, conditions, hyp, conclusion, outcome,
+                         (not hyp) or outcome != FAILS, case.to_json())
 
 
 # -- scan samplers ---------------------------------------------------------
@@ -447,11 +436,17 @@ def _sample_dependent_maxima(v, violate):
 
 @dataclass(frozen=True)
 class Theorem:
-    """Everything the package knows about one theorem id."""
+    """Everything the package knows about one theorem id.
+
+    The sides map "x" and "y" to the objects the conclusion compares; with
+    "swap" true, A and B trade places, and a "grid" replaces the case's
+    grid for the relation.  Without a conclusion (the worked examples) the
+    sides carry the report's "conclusion" and "outcome"."""
 
     fields: dict  # scenario field -> name of the schema $def that validates it
-    check: Callable[[TheoremCase], TheoremReport]
-    grids: dict = field(default_factory=dict)  # key the check reads -> grid kind
+    sides: Callable[[TheoremCase], dict]  # validates the scenario, builds the sides
+    hypothesis: tuple  # (name, predicate(sides)) rows in report order
+    grids: dict = field(default_factory=dict)  # key the rows/conclusion read -> grid kind
     optional: tuple = ()  # scenario fields a case may leave out
     conclusion: tuple | None = None  # (relation, A, B), A and B "x" or "y"
     sampler: Callable | None = None  # (knob values, violate) -> scenario
@@ -470,10 +465,6 @@ _DEPENDENT = {"generator_x": "generator", "generator_y": "generator",
               "baseline_x": "dist", "baseline_y": "dist",
               "shifts_x": "number_array", "shifts_y": "number_array",
               "branch": "branch"}
-_DISP_SERIES = partial(_check_disp, kind=SERIES_PHR, ageing="DFR",
-                       baseline_order=("hr", "y", "x"))
-_DISP_PARALLEL = partial(_check_disp, kind=PARALLEL_PRHR, ageing="IRHR",
-                         baseline_order=("rh", "x", "y"), ageing_first=True)
 _MINIMA = {"extreme": DependentMin, "compose_low_first": False,
            "ageing": {"log_convex": "IFR", "log_concave": "DFR"}}
 _MAXIMA = {"extreme": DependentMax, "compose_low_first": True,
@@ -481,8 +472,9 @@ _MAXIMA = {"extreme": DependentMax, "compose_low_first": True,
 
 THEOREMS = {
     "T1": Theorem(
-        fields=_SYSTEMS, grids=_DISP_SERIES_GRIDS, check=_DISP_SERIES,
-        conclusion=("disp", "y", "x"),
+        fields=_SYSTEMS, grids=_DISP_SERIES_GRIDS,
+        sides=partial(_single_baseline_sides, kind=SERIES_PHR),
+        hypothesis=_SERIES_DISP_ROWS, conclusion=("disp", "y", "x"),
         sampler=partial(_sample_disp, build=series_phr, gap="hr_gap",
                         order=("a3", "a1", "a2")),
         box={"f_shape": (0.4, 2.0), "scale": (0.5, 2.0), "hr_gap": (0.05, 1.0),
@@ -490,10 +482,12 @@ THEOREMS = {
              "sum_gap": (0.05, 0.8)}),
     "C1": Theorem(
         fields=_OUTLIERS, grids=_DISP_SERIES_GRIDS,
-        check=partial(_DISP_SERIES, outliers=True), conclusion=("disp", "y", "x")),
+        sides=partial(_single_baseline_sides, kind=SERIES_PHR, outliers=True),
+        hypothesis=_SERIES_DISP_ROWS, conclusion=("disp", "y", "x")),
     "T2": Theorem(
-        fields=_SYSTEMS, grids=_DISP_PARALLEL_GRIDS, check=_DISP_PARALLEL,
-        conclusion=("disp", "y", "x"),
+        fields=_SYSTEMS, grids=_DISP_PARALLEL_GRIDS,
+        sides=partial(_single_baseline_sides, kind=PARALLEL_PRHR),
+        hypothesis=_PARALLEL_DISP_ROWS, conclusion=("disp", "y", "x"),
         sampler=partial(_sample_disp, build=parallel_prhr, gap="rh_gap",
                         order=("a2", "a3", "a1"), reflect=True),
         box={"f_shape": (0.4, 2.0), "scale": (0.5, 2.0), "rh_gap": (0.05, 1.0),
@@ -501,60 +495,63 @@ THEOREMS = {
              "sum_gap": (0.05, 0.8)}),
     "C2": Theorem(
         fields=_OUTLIERS, grids=_DISP_PARALLEL_GRIDS,
-        check=partial(_DISP_PARALLEL, outliers=True), conclusion=("disp", "y", "x")),
+        sides=partial(_single_baseline_sides, kind=PARALLEL_PRHR, outliers=True),
+        hypothesis=_PARALLEL_DISP_ROWS, conclusion=("disp", "y", "x")),
     "T3": Theorem(
-        fields=_SYSTEMS, grids={"hr": "x"}, check=partial(_check_mixed, kind=SERIES_PHR),
-        conclusion=("hr", "x", "y"),
+        fields=_SYSTEMS, grids={"hr": "x"}, sides=partial(_split_sides, kind=SERIES_PHR),
+        hypothesis=_BLOCK_ROWS, conclusion=("hr", "x", "y"),
         sampler=partial(_sample_mixed, build=mixed_series, lomax_front=False),
         box={"rate": (0.5, 2.0), "g_shape": (0.5, 2.5),
              "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
              "gap1": (0.05, 1.0), "gap2": (0.05, 1.0)}),
     "T4": Theorem(
-        fields=_SYSTEMS, grids={"rh": "x"}, check=partial(_check_mixed, kind=PARALLEL_PRHR),
-        conclusion=("rh", "y", "x"),
+        fields=_SYSTEMS, grids={"rh": "x"}, sides=partial(_split_sides, kind=PARALLEL_PRHR),
+        hypothesis=_BLOCK_ROWS, conclusion=("rh", "y", "x"),
         sampler=partial(_sample_mixed, build=mixed_parallel, lomax_front=True),
         box={"rate": (0.5, 2.0), "f_shape": (0.5, 2.5),
              "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
              "gap1": (0.05, 1.0), "gap2": (0.05, 1.0)}),
     "T5": Theorem(
-        fields=_SYSTEMS, grids={"xr": "x", "star": "u"}, check=_check_star,
-        conclusion=("star", "y", "x"), sampler=_sample_star,
+        fields=_SYSTEMS, grids={"xr": "x", "star": "u"}, sides=_common_baseline_sides,
+        hypothesis=_STAR_ROWS, conclusion=("star", "y", "x"), sampler=_sample_star,
         box={"p_shape": (0.5, 3.0), "a1": (0.3, 2.0), "a2": (0.3, 2.0),
              "sum_gap": (0.05, 1.0)}),
     "T6": Theorem(
         fields={"theta": "positive", "alphas": "positive_array",
                 "alphas_star": "positive_array"},
-        grids={"rh": "x"}, check=_check_lomax_maxima, conclusion=("rh", "x", "y"),
-        sampler=_sample_lomax_maxima,
+        grids={"rh": "x"}, sides=_lomax_maxima_sides,
+        hypothesis=(("alpha_supermajorized_by_alpha_star",
+                     lambda s: weak_supermajorizes(s["alphas"], s["alphas_star"])),),
+        conclusion=("rh", "x", "y"), sampler=_sample_lomax_maxima,
         box={"theta": (0.5, 2.0), "b1": (0.5, 3.0), "b2": (0.5, 3.0),
              "b3": (0.5, 3.0), "shift": (0.1, 1.0), "mode": (0.0, 1.0)}),
     "T7": Theorem(
         fields=_DEPENDENT, optional=("branch",), grids=_DEPENDENT_GRIDS,
-        check=partial(_check_dependent, **_MINIMA), conclusion=("st", "y", "x"),
-        sampler=_sample_dependent_minima,
+        sides=partial(_dependent_sides, **_MINIMA), hypothesis=_DEPENDENT_ROWS,
+        conclusion=("st", "y", "x"), sampler=_sample_dependent_minima,
         box={"theta1": (0.5, 3.0), "theta_frac": (0.3, 1.0), "rate_f": (0.5, 2.0),
              "rate_gap": (0.05, 1.0), "m1": (0.2, 1.5), "m2": (0.2, 1.5),
              "shift": (0.05, 0.8)}),
     "T8": Theorem(
         fields=_DEPENDENT, optional=("branch",), grids=_DEPENDENT_GRIDS,
-        check=partial(_check_dependent, **_MAXIMA), conclusion=("st", "y", "x"),
-        sampler=_sample_dependent_maxima,
+        sides=partial(_dependent_sides, **_MAXIMA), hypothesis=_DEPENDENT_ROWS,
+        conclusion=("st", "y", "x"), sampler=_sample_dependent_maxima,
         box={"theta1": (0.5, 2.0), "theta_gap": (0.0, 1.5), "g_shape": (0.6, 2.0),
              "shape_gap": (0.05, 1.0), "scale": (0.5, 2.0),
              "m1": (0.2, 1.5), "m2": (0.2, 1.5), "shift": (0.05, 0.8)}),
     "Ex1": Theorem(
         fields={"shape": "positive", "rates_x": "positive_array",
                 "rates_y": "positive_array"},
-        optional=tuple(DEFAULT_EX1),
-        check=partial(_check_variances, defaults=DEFAULT_EX1,
+        optional=tuple(DEFAULT_EX1), hypothesis=_DEFAULT_ROWS,
+        sides=partial(_variance_sides, defaults=DEFAULT_EX1,
                       vectors=("rates_x", "rates_y"),
                       baseline=lambda k, sc: Weibull(float(sc["shape"]), k),
                       closed_form=lambda ks, sc: weibull_min_variance(ks, float(sc["shape"])),
                       reference=REFERENCE_WEIBULL_VARIANCES, ordering=">")),
     "Ex2": Theorem(
         fields={"alphas_x": "positive_array", "alphas_y": "positive_array"},
-        optional=tuple(DEFAULT_EX2),
-        check=partial(_check_variances, defaults=DEFAULT_EX2,
+        optional=tuple(DEFAULT_EX2), hypothesis=_DEFAULT_ROWS,
+        sides=partial(_variance_sides, defaults=DEFAULT_EX2,
                       vectors=("alphas_x", "alphas_y"),
                       baseline=lambda a, sc: Lomax(a, 1.0),
                       closed_form=lambda alphas, sc: lomax_min_moments(alphas)[1],
@@ -563,7 +560,7 @@ THEOREMS = {
 
 # One distinct callable per id: a tracer that wraps checks by identity can
 # then tell the ids apart.
-CHECKS = {tid: theorem.check for tid, theorem in THEOREMS.items()}
+CHECKS = {tid: partial(_run) for tid in THEOREMS}
 SCAN_IDS = tuple(tid for tid, theorem in THEOREMS.items() if theorem.sampler is not None)
 
 

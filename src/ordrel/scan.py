@@ -2,8 +2,10 @@
 
 A scan draws parameter configurations from the box of scalar knobs in a
 theorem's registry entry (`harness.THEOREMS`), at random with a fixed seed
-or on a deterministic lattice, turns each into a scenario with the entry's
-sampler, runs one TheoremCase per configuration and aggregates consistency
+("random") or as the first points of a Halton sequence ("grid"), which
+gives every knob as many distinct values as there are configurations.  It
+turns each into a scenario with the entry's sampler, runs one TheoremCase
+per configuration through `harness.run_case` and aggregates consistency
 counts.  Samplers deliberately mix hypothesis-violating configurations in
 (about 30%), so the vacuity tracking is exercised while most cases remain
 non-vacuous.
@@ -11,7 +13,6 @@ non-vacuous.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -54,22 +55,39 @@ class ScanResult:
         }
 
 
+def _primes(count: int) -> list[int]:
+    """The first `count` primes, by trial division."""
+    out = []
+    n = 2
+    while len(out) < count:
+        if all(n % p for p in out):
+            out.append(n)
+        n += 1
+    return out
+
+
+def _radical_inverse(i: int, base: int) -> float:
+    """The base-`base` digits of i mirrored about the radix point."""
+    x, scale = 0.0, 1.0
+    while i:
+        i, digit = divmod(i, base)
+        scale /= base
+        x += digit * scale
+    return x
+
+
 def _knob_stream(names, strategy, seed, budget):
     if strategy == "random":
         rng = random.Random(seed)
         for _ in range(budget):
             yield {name: rng.random() for name in names}
     elif strategy == "grid":
-        k = 1
-        while k ** len(names) < budget:
-            k += 1
-        levels = [(i + 0.5) / k for i in range(k)]
-        produced = 0
-        for combo in itertools.product(levels, repeat=len(names)):
-            if produced >= budget:
-                return
-            yield dict(zip(names, combo))
-            produced += 1
+        # Halton points 1..budget (Halton 1960): knob j is the radical
+        # inverse of the point's index in the j-th prime base, so every knob
+        # takes `budget` distinct values in (0, 1).
+        bases = _primes(len(names))
+        for i in range(1, budget + 1):
+            yield {name: _radical_inverse(i, base) for name, base in zip(names, bases)}
     else:
         raise ParameterDomainError(f"unknown strategy {strategy!r}")
 

@@ -155,6 +155,30 @@ class TestTheorem:
         assert "error:" in captured.err and "outside the support" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tid,kind,inner,lo,hi", [
+        ("T1", "series_phr", False, 0.0, 5.0),
+        ("T2", "parallel_prhr", True, -5.0, 0.0),
+    ], ids=["lower-edge", "upper-edge"])
+    def test_ageing_grid_at_a_support_edge_runs(self, spec_file, capsys, tid, kind,
+                                                inner, lo, hi):
+        # one rate of the baseline is undefined at the edge; the theorem
+        # reads only the other
+        def baseline(shape):
+            lomax = {"family": "lomax", "params": {"shape": shape}}
+            return {"family": "reflected_dfr", "params": {"inner": lomax}} if inner else lomax
+
+        def system(shape, props):
+            return {"kind": kind, "components": [{"baseline": baseline(shape), "prop": p}
+                                                 for p in props]}
+
+        path = spec_file("c.json", {"id": tid, "scenario": {
+            "system_x": system(1.0, [1.0, 2.0]), "system_y": system(2.0, [1.5, 2.0])},
+            "grids": {"ageing": {"kind": "x", "lo": lo, "hi": hi, "n": 64}}})
+        assert main(["theorem", "-s", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hypothesis"]["satisfied"] is True
+        assert all(report["hypothesis"]["conditions"].values())
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{oops")

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ordrel import (
     Exponential,
+    GridSpec,
     Lomax,
     ParameterDomainError,
     ParetoI,
@@ -176,3 +177,12 @@ class TestAgeing:
     def test_reflected_dfr_is_irhr(self):
         ag = classify_ageing(ReflectedDFR(Lomax(2.0, 1.0)))
         assert "IRHR" in ag and "DRHR" not in ag
+
+    @pytest.mark.parametrize("d,lo,hi,flag", [
+        (Lomax(2.0, 1.0), 0.0, 5.0, "DFR"),  # reversed hazard undefined at 0
+        (ReflectedDFR(Lomax(2.0, 1.0)), -5.0, 0.0, "IRHR"),  # hazard undefined at 0
+    ], ids=["lower-edge", "upper-edge"])
+    def test_rate_undefined_at_a_support_edge(self, d, lo, hi, flag):
+        # the undefined rate carries neither flag; the other is judged as usual
+        ag = classify_ageing(d, GridSpec(kind="x", lo=lo, hi=hi, n=64))
+        assert ag.flags == {flag}

@@ -332,6 +332,24 @@ class TestRegistry:
         assert grids.read == set(THEOREMS[case.id].grids)  # the declared grid keys
 
     @pytest.mark.parametrize("label", sorted(REPORT_FORMAT))
+    def test_each_row_feeds_the_verdict(self, label, monkeypatch):
+        # forcing one hypothesis row to False changes that condition only,
+        # and the case turns vacuous
+        case = load_case(REPORT_FORMAT[label][0])
+        theorem = THEOREMS[case.id]
+        unforced = run_case(case).conditions
+        for i, (name, _) in enumerate(theorem.hypothesis):
+            rows = list(theorem.hypothesis)
+            rows[i] = (name, lambda sides: False)
+            monkeypatch.setitem(THEOREMS, case.id,
+                                dataclasses.replace(theorem, hypothesis=tuple(rows)))
+            rep = run_case(case)
+            forced = list(unforced)[i]
+            assert rep.conditions == {**unforced, forced: False}
+            assert tuple(rep.conditions) == tuple(unforced)
+            assert not rep.hypothesis_satisfied and rep.consistent
+
+    @pytest.mark.parametrize("label", sorted(REPORT_FORMAT))
     def test_declared_grid_kinds_run(self, label):
         # every declared key, set in a spec with its declared kind, loads
         # and runs: a u-grid where a check needs an x-grid would raise

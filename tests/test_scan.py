@@ -37,6 +37,23 @@ class TestScan:
         assert a.counts["total"] == 12
         assert [r.to_json() for r in a.reports] == [r.to_json() for r in b.reports]
 
+    @pytest.mark.parametrize("tid", SCAN_IDS)
+    def test_grid_strategy_spreads_every_knob(self, tid):
+        names = sorted(THEOREMS[tid].box)
+        stream = importlib.import_module("ordrel.scan")._knob_stream(names, "grid", 0, 150)
+        points = list(stream)
+        assert len(points) == 150
+        for name in names:
+            values = {p[name] for p in points}
+            assert len(values) == 150, name
+            assert all(0.0 < v < 1.0 for v in values), name
+
+    @pytest.mark.parametrize("tid", SCAN_IDS)
+    def test_grid_scan_is_clean(self, tid):
+        c = scan(tid, budget=150, strategy="grid").counts
+        assert c["inconsistent"] == 0
+        assert 0 < c["vacuous"] < c["satisfied_holds"]
+
     def test_box_override(self):
         r = scan("T1", budget=5, seed=0, box={"f_shape": (1.0, 1.0)})
         for rep in r.reports:

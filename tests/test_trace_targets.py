@@ -2,8 +2,9 @@
 
 `perfbench/tracing.py` wraps package functions by module and attribute
 name; a refactor that renames or inlines one of them would silently drop
-its layer from a traced run.  The tracer uses only the standard library,
-so it is loaded here by path.
+its layer from a traced run.  The same holds for a hypothesis row that
+binds a checker at import time instead of looking it up when called.  The
+tracer uses only the standard library, so it is loaded here by path.
 """
 
 import importlib
@@ -12,6 +13,10 @@ import os
 import sys
 
 import pytest
+
+from ordrel.harness import run_case
+from ordrel.serialize import load_case
+from test_harness import REPORT_FORMAT
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -41,3 +46,22 @@ def test_install_then_restore_leaves_nothing_wrapped(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     assert tracer.restore() == []
+
+
+@pytest.mark.parametrize("label,spans", [
+    ("T1", {"harness.T1", "distributions.classify_ageing", "orders.hr"}),
+    ("T7", {"harness.T7", "majorization", "copulas.log_curvature",
+            "copulas.super_additive_check", "orders.st"}),
+])
+def test_tracer_sees_the_hypothesis_rows(tracing, label, spans):
+    # a row that bound a checker where the tracer cannot patch it would
+    # drop that layer from a traced run
+    case = load_case(REPORT_FORMAT[label][0])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_case(case)
+    finally:
+        left = tracer.restore()
+    assert left == []
+    assert spans <= {span[0] for span in tracer.spans}
