@@ -3,7 +3,10 @@
 Each family exposes the full functional surface used by the order checkers:
 cdf, sf, pdf, quantile, hazard and reversed hazard, plus a numeric ageing
 classifier (IFR/DFR/IRHR/DRHR).  All objects are immutable and every method
-is a pure function of its arguments.
+is a pure function of its arguments.  `Distribution.rate_sweep` evaluates
+a rate and its sf or cdf over a whole grid in one call, equal bit for bit
+to the per-point methods; where the rate is the base-class formula
+pdf/value it divides by the column already in hand.
 
 Densities that diverge at a support edge (Weibull shape < 1 at the origin)
 evaluate to ``math.inf`` there, which doubles as the "unbounded" flag.
@@ -55,12 +58,41 @@ class Distribution:
             raise SupportError(f"cdf({x}) = 0: reversed hazard undefined in the left tail")
         return self.pdf(x) / c
 
+    def rate_sweep(self, rate: str, xs) -> tuple[list[float], list[float | None]]:
+        """The columns (sf, hazard) for `rate` "hazard", or (cdf,
+        rev_hazard) for "rev_hazard", at every point of ``xs``, with None
+        where the per-point rate raises SupportError.  A class whose rate
+        is the base-class formula (looked up by name, so wrappers installed
+        on the classes keep the test valid) gets it as pdf/value from the
+        value column; any other rate is called point by point."""
+        value = self.sf if rate == "hazard" else self.cdf
+        values = [value(x) for x in xs]
+        formula = getattr(type(self), rate) is getattr(Distribution, rate)
+        fn = self.pdf if formula else getattr(self, rate)
+        try:  # one pass where no point raises
+            column = [fn(x) for x in xs]
+        except SupportError:
+            column = list(defined(fn, xs))
+        if formula:
+            column = [None if v <= 0.0 or d is None else d / v for v, d in zip(values, column)]
+        return values, column
+
     def tail_exponent(self) -> float:
         """Power-law decay exponent of the right tail; inf for light tails."""
         return math.inf
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+def defined(fn, xs):
+    """``fn`` at each point of ``xs``, lazily, with None where it raises
+    SupportError (a value undefined at that point)."""
+    for x in xs:
+        try:
+            yield fn(x)
+        except SupportError:
+            yield None
 
 
 def _check_prob(u: float):
@@ -154,10 +186,10 @@ class Weibull(Distribution):
         return (-math.log1p(-u) / self.rate) ** (1.0 / self.shape)
 
     def hazard(self, x):
-        if x <= 0.0:
-            if x == 0.0 and self.shape < 1.0:
-                return math.inf
-            raise SupportError("hazard needs x in the support interior")
+        if x < 0.0:
+            raise SupportError("hazard needs x >= 0")
+        if x == 0.0:
+            return self.pdf(0.0)  # the limit at the origin, as sf(0) = 1
         return self.shape * self.rate * x ** (self.shape - 1.0)
 
     def to_json(self):

@@ -2,10 +2,13 @@
 
 Each checker works on any pair of objects exposing the distribution surface
 (baseline distributions, order-statistic distributions, or the dependent
-min/max wrappers).  Verdicts are three-valued: a tail or degeneracy guard can
-make a check inconclusive, so numerical trouble never masquerades as a
-mathematical violation.  Ties at the tolerance resolve toward "holds" since
-all six orders are non-strict.
+min/max wrappers).  hr and rh read it through `rate_sweep`, which gives the
+sf or cdf column and the rate column of a side on a whole grid (in parts of
+`_SWEEP_POINTS` points on a large grid).
+Verdicts are three-valued: a tail or degeneracy guard can make a check
+inconclusive, so numerical trouble never masquerades as a mathematical
+violation.  Ties at the tolerance resolve toward "holds" since all six
+orders are non-strict.
 
 Three bodies carry the six checks.  One pointwise rule (`_pointwise`,
 within ``tau_pt``) judges st and the rate form of hr/rh.  One monotone rule
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .distributions import defined
 from .errors import SupportError
 from .grids import GridSpec, first_decrease
 
@@ -31,6 +35,9 @@ INCONCLUSIVE = "inconclusive"
 ST, HR, RH, LR, DISP, STAR = "st", "hr", "rh", "lr", "disp", "star"
 
 _TINY = 1e-300
+# Grid points per sweep in the hr/rh checks: a large grid is swept in parts,
+# so the columns held at once stay small.
+_SWEEP_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -63,18 +70,16 @@ def _x_grid(A, B, grid: GridSpec | None) -> tuple[GridSpec, list[float]]:
     return grid, grid.x_points((A, B))
 
 
-def _pointwise(xs, fa, fb, tau: float, a_larger: bool = False):
+def _pointwise(xs, fas, fbs, tau: float, a_larger: bool = False):
     """The one pointwise rule: fa(x) <= fb(x), or >= with `a_larger`,
-    within tau*(1 + |larger side|), skipping points where fa or fb (called
-    in that order) raises SupportError or is not finite.  Returns the number
-    of usable points and the first violation (x, fa(x), fb(x)), or None."""
+    within tau*(1 + |larger side|), over the paired values ``fas`` and
+    ``fbs`` (read lazily, in step with ``xs``), skipping points where either
+    is None (undefined) or not finite.  Returns the number of usable points
+    and the first violation (x, fa(x), fb(x)), or None."""
     usable = 0
-    for x in xs:
-        try:
-            va, vb = fa(x), fb(x)
-        except SupportError:
-            continue
-        if not (math.isfinite(va) and math.isfinite(vb)):
+    isfinite = math.isfinite
+    for x, va, vb in zip(xs, fas, fbs):
+        if va is None or vb is None or not (isfinite(va) and isfinite(vb)):
             continue
         usable += 1
         small, large = (vb, va) if a_larger else (va, vb)
@@ -86,30 +91,45 @@ def _pointwise(xs, fa, fb, tau: float, a_larger: bool = False):
 def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_st B: sf_A(x) <= sf_B(x) everywhere."""
     grid, xs = _x_grid(A, B, grid)
-    usable, viol = _pointwise(xs, A.sf, B.sf, grid.tau_pt)
+    try:  # `map` is lazy too, and faster where no sf raises
+        usable, viol = _pointwise(xs, map(A.sf, xs), map(B.sf, xs), grid.tau_pt)
+    except SupportError:
+        usable, viol = _pointwise(xs, defined(A.sf, xs), defined(B.sf, xs), grid.tau_pt)
     outcome = FAILS if viol else (HOLDS if usable else INCONCLUSIVE)
     return OrderVerdict(ST, outcome, viol, grid)
 
 
-def _ratio_and_rate_check(relation, A, B, grid, num_fn, den_fn, rate_a, rate_b,
-                          a_larger: bool) -> OrderVerdict:
-    """Shared body of the hr and rh checks.
+def _ratio_and_rate_check(relation, A, B, grid, rate, a_larger: bool) -> OrderVerdict:
+    """Shared body of the hr and rh checks, on `rate_sweep`s of A and B:
+    the value columns sf (hr) or cdf (rh) and the rate columns, swept
+    `_SWEEP_POINTS` grid points at a time until both formulations fail.
 
     Runs both equivalent formulations: monotonicity of the ratio
-    num(x)/den(x) and the pointwise rate comparison, where A's rate is the
-    larger side when `a_larger`.  Disagreement between the two is reported
-    as inconclusive rather than silently choosing one.
+    value_B(x)/value_A(x) and the pointwise rate comparison, where A's rate
+    is the larger side when `a_larger`.  Disagreement between the two is
+    reported as inconclusive rather than silently choosing one.
     """
     grid, xs = _x_grid(A, B, grid)
     ratio_xs, ratios = [], []
-    for x in xs:
-        den = den_fn(x)
-        if den < _TINY:
-            continue
-        ratio_xs.append(x)
-        ratios.append(num_fn(x) / den)
-    ratio_viol = first_decrease(ratio_xs, ratios, grid.tau_mono)
-    rate_usable, rate_viol = _pointwise(xs, rate_a, rate_b, grid.tau_pt, a_larger)
+    ratio_viol = rate_viol = None
+    rate_usable = 0
+    for i in range(0, len(xs), _SWEEP_POINTS):
+        part = xs[i:i + _SWEEP_POINTS]
+        dens, rate_a = A.rate_sweep(rate, part)
+        nums, rate_b = B.rate_sweep(rate, part)
+        seen = max(len(ratios) - 1, 0)  # the new adjacent pairs start here
+        for x, den, num in zip(part, dens, nums):
+            if den < _TINY:
+                continue
+            ratio_xs.append(x)
+            ratios.append(num / den)
+        if ratio_viol is None:
+            ratio_viol = first_decrease(ratio_xs[seen:], ratios[seen:], grid.tau_mono)
+        if rate_viol is None:
+            usable, rate_viol = _pointwise(part, rate_a, rate_b, grid.tau_pt, a_larger)
+            rate_usable += usable
+        if ratio_viol is not None and rate_viol is not None:
+            break  # both formulations have failed: the rest cannot change the verdict
 
     ratio_ok = ratio_viol is None and len(ratios) >= 2
     rate_ok = rate_viol is None and rate_usable >= 2
@@ -122,15 +142,13 @@ def _ratio_and_rate_check(relation, A, B, grid, num_fn, den_fn, rate_a, rate_b,
 
 def check_hr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_hr B: sf_B/sf_A increasing, equivalently hazard_A >= hazard_B."""
-    return _ratio_and_rate_check(HR, A, B, grid, B.sf, A.sf,
-                                 A.hazard, B.hazard, a_larger=True)
+    return _ratio_and_rate_check(HR, A, B, grid, "hazard", a_larger=True)
 
 
 def check_rh(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_rh B: cdf_B/cdf_A increasing, equivalently
     rev_hazard_A <= rev_hazard_B."""
-    return _ratio_and_rate_check(RH, A, B, grid, B.cdf, A.cdf,
-                                 A.rev_hazard, B.rev_hazard, a_larger=False)
+    return _ratio_and_rate_check(RH, A, B, grid, "rev_hazard", a_larger=False)
 
 
 def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:

@@ -7,13 +7,17 @@ gives closed-form quantiles.  Mixed-baseline systems invert the cumulative
 hazard -log sf (series) or log cdf (parallel) by safeguarded Newton steps,
 whose derivative is the system's rate sum.  ``quantiles`` sweeps a u-grid in
 one call: a shared-baseline system computes its exponent once and applies
-the closed form to each u, a mixed-baseline one starts each solve from the
-previous root.  ``quantile`` is the one-point sweep.
+the closed form to each u; a mixed-baseline one seeds its first solve from
+its components' quantiles, which bracket the root, and starts each later
+solve from the previous root.  ``quantile`` is the one-point sweep.
+``rate_sweep`` gives a system's sf or cdf and its rate on a whole grid,
+sweeping each baseline once, for the hr and rh checkers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -208,21 +212,60 @@ class OrderStatDist(Distribution):
             return self._max_rate(x)
         return super().rev_hazard(x)
 
+    def rate_sweep(self, rate, xs):
+        """`Distribution.rate_sweep`, component by component.  Each distinct
+        baseline sweeps its own rate (hazard for series, rev_hazard for
+        parallel) once.  The product and the rate sum then follow
+        `_min_sf`/`_max_cdf` and `_min_rate`/`_max_rate` in their
+        arithmetic order: the product multiplies from 1.0 in component
+        order (a zero factor keeps it at 0.0, as their early return does)
+        and each point's rate is one builtin `sum` of p * rate in component
+        order.  The other rate is the base-class formula pdf/value with the
+        pdf of `pdf`."""
+        own = "hazard" if self.spec.kind == SERIES_PHR else "rev_hazard"
+        columns = {}
+        for b, _ in self.spec.components:
+            if b not in columns:
+                columns[b] = b.rate_sweep(own, xs)
+        product = [1.0] * len(xs)
+        for b, p in self.spec.components:
+            product = [v * s ** p for v, s in zip(product, columns[b][0])]
+        props = self.spec.props
+        totals = [None if None in rs else sum(map(operator.mul, props, rs))
+                  for rs in zip(*(columns[b][1] for b, _ in self.spec.components))]
+        if rate == own:
+            return product, [None if v <= 0.0 else t for v, t in zip(product, totals)]
+        lo, hi = self.support
+        values, rates = [], []
+        for x, v, t in zip(xs, product, totals):
+            w = 1.0 - v
+            values.append(w)
+            if w <= 0.0:
+                rates.append(None)
+            elif not (lo < x < hi and v > 0.0):
+                rates.append(0.0 / w)
+            else:
+                rates.append(None if t is None else v * t / w)
+        return values, rates
+
     def quantile(self, u):
         return self.quantiles((u,))[0]
 
     def quantiles(self, us):
-        """Quantiles in one sweep.  A shared-baseline system inverts its
-        single power in closed form: sf0(x)**total = 1-u (series) or
-        cdf0(x)**total = u (parallel).  A mixed-baseline system solves the
+        """Quantiles in one sweep.  Each u maps to the component level
+        t = 1-(1-u)**(1/sum p) (series) or u**(1/sum p) (parallel).  A
+        shared-baseline system inverts its single power in closed form: its
+        quantile is the baseline's at t.  A mixed-baseline system solves the
         cumulative hazard (series) or log cdf (parallel) for each u, with
-        the rate sum as derivative, starting from the previous root.  That
-        root is only a guess, so the order of ``us`` does not matter beyond
-        the solver tolerances."""
+        the rate sum as derivative.  The first solve starts inside
+        [min_i Q_i(t), max_i Q_i(t)] over the component quantiles Q_i,
+        which holds the root (`_seed`); each later one starts from the
+        previous root.  A start is only a guess, so neither it nor the order
+        of ``us`` matters beyond the solver tolerances."""
         series = self.spec.kind == SERIES_PHR
+        p = 1.0 / self.spec.prop_sum()
         base = self._shared
         if base is not None:
-            p = 1.0 / self.spec.prop_sum()
             out = []
             for u in us:
                 _check_prob(u)
@@ -233,14 +276,35 @@ class OrderStatDist(Distribution):
         else:
             fn, rate = self._log_cdf, self._max_rate
         lo, hi = self.support
-        guess = 0.5 * (max(lo, -1.0) + min(hi, 1.0))
         out = []
         for u in us:
             _check_prob(u)
+            guess = out[-1] if out else self._seed(1.0 - (1.0 - u) ** p if series else u ** p)
             target = -math.log1p(-u) if series else math.log(u)
-            guess = bisect_increasing(fn, target, guess, lo_bound=lo, hi_bound=hi, dfn=rate)
-            out.append(guess)
+            out.append(bisect_increasing(fn, target, guess, lo_bound=lo, hi_bound=hi,
+                                         dfn=rate))
         return out
+
+    def _seed(self, t):
+        """The middle of [min_i Q_i(t), max_i Q_i(t)].  At the low end every
+        component has sf_i >= 1-t (cdf_i <= t), so the system has
+        sf >= (1-t)**sum p = 1-u (cdf <= u); the high end gives the reverse,
+        so the root lies in between.  Where t rounds to 0 or 1, or no
+        component quantile is finite, it is the middle of the support
+        clipped to [-1, 1]."""
+        qs = []
+        if 0.0 < t < 1.0:
+            for b in dict.fromkeys(b for b, _ in self.spec.components):
+                try:
+                    q = b.quantile(t)
+                except OverflowError:
+                    continue
+                if math.isfinite(q):
+                    qs.append(q)
+        if not qs:
+            lo, hi = self.support
+            return 0.5 * (max(lo, -1.0) + min(hi, 1.0))
+        return 0.5 * (min(qs) + max(qs))
 
     def tail_exponent(self):
         exps = []

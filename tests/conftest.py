@@ -3,8 +3,8 @@
 CORPUS_PAIRS is the pool of comparable (A, B) pairs used by the
 implication-chain meta-test and various checker tests; SHIFTED_SYSTEMS is
 the pool of dependent systems exercised by the copula invariants.
-BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID and T6_WRONG_GRID_KIND are malformed
-theorem cases that the loader and the CLI must both reject;
+BAD_SCALAR_FIELDS, BAD_LENGTH_FIELDS, T6_UNKNOWN_GRID and T6_WRONG_GRID_KIND
+are malformed theorem cases that the loader and the CLI must both reject;
 T5_XR_OUTSIDE_SUPPORT loads but must fail before any check runs.
 """
 
@@ -85,6 +85,25 @@ BAD_SCALAR_FIELDS = {
         "baseline_x": {"family": "exponential", "params": {"rate": 1.0}},
         "baseline_y": {"family": "exponential", "params": {"rate": 1.5}},
         "shifts_x": [0.2, "q"], "shifts_y": [0.5, 0.8]}},
+}
+
+def _t7_t8(tid, shifts_x, shifts_y):
+    return {"id": tid, "scenario": {
+        "generator_x": {"family": "clayton", "theta": 2.0},
+        "generator_y": {"family": "clayton", "theta": 1.0},
+        "baseline_x": {"family": "exponential", "params": {"rate": 1.0}},
+        "baseline_y": {"family": "exponential", "params": {"rate": 1.5}},
+        "shifts_x": shifts_x, "shifts_y": shifts_y}}
+
+
+# Array fields of a length the theorem cannot use: a T6 shape vector needs
+# two entries, and a T7/T8 shift vector one per dimension of its generator.
+BAD_LENGTH_FIELDS = {
+    "alphas": {"id": "T6", "scenario": {"theta": 1.0, "alphas": [1.0], "alphas_star": [2.0]}},
+    "alphas_star": {"id": "T6", "scenario": {
+        "theta": 1.0, "alphas": [1.0, 2.0], "alphas_star": [2.0]}},
+    "shifts_x": _t7_t8("T8", [0.2, 0.5, 0.7], [0.5, 0.8]),
+    "shifts_y": _t7_t8("T7", [0.2, 0.5], [0.5]),
 }
 
 T6_UNKNOWN_GRID = {"id": "T6", "scenario": {

@@ -9,8 +9,8 @@ import pytest
 
 import ordrel
 from ordrel.cli import main
-from conftest import (BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT, T6_UNKNOWN_GRID,
-                      T6_WRONG_GRID_KIND)
+from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT,
+                      T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND)
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
@@ -131,6 +131,14 @@ class TestTheorem:
         assert main(["theorem", "-s", path]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and repr(field) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field,obj", list(BAD_LENGTH_FIELDS.items()))
+    def test_bad_length_field_exit_two(self, spec_file, capsys, field, obj):
+        path = spec_file("c.json", obj)
+        assert main(["theorem", "-s", path]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {obj['id']} scenario field {field!r} needs " in captured.err
         assert captured.out == ""
 
     def test_unknown_grid_key_exit_two(self, spec_file, capsys):

@@ -121,6 +121,13 @@ class TestSurface:
         with pytest.raises(SupportError):
             Exponential(1.0).rev_hazard(-1.0)
 
+    @pytest.mark.parametrize("shape,limit", [(0.7, math.inf), (1.0, 2.5), (1.4, 0.0)])
+    def test_weibull_hazard_at_the_origin_is_its_limit(self, shape, limit):
+        d = Weibull(shape, 2.5)
+        assert d.hazard(0.0) == limit == d.pdf(0.0)
+        with pytest.raises(SupportError):
+            d.hazard(-1e-300)
+
     @given(prob, pos)
     def test_exponential_quantile_identity(self, u, rate):
         d = Exponential(rate)

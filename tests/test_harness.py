@@ -389,6 +389,27 @@ class TestAgeingPoints:
         with pytest.raises(SupportError, match="outside the support"):
             run_case(load_case(T5_XR_OUTSIDE_SUPPORT))
 
+    def test_weibull_ageing_grid_from_the_origin(self):
+        # the hazard at 0 is its limit, so a grid from 0 judges the ageing
+        obj = {"id": "T7", "scenario": {
+            "generator_x": {"family": "clayton", "theta": 2.0},
+            "generator_y": {"family": "clayton", "theta": 1.0},
+            "baseline_x": {"family": "weibull", "params": {"shape": 1.4, "rate": 1.0}},
+            "baseline_y": {"family": "exponential", "params": {"rate": 1.5}},
+            "shifts_x": [0.2, 0.5], "shifts_y": [0.5, 0.8]},
+            "grids": {"ageing": {"kind": "x", "lo": 0.0, "hi": 5.0, "n": 64}}}
+        assert run_case(load_case(obj)).conditions["baseline_x_ifr"] is True
+
+    def test_weibull_xr_grid_from_the_origin_runs(self):
+        weibull = {"family": "weibull", "params": {"shape": 1.4, "rate": 1.0}}
+        obj = {"id": "T5", "scenario": {
+            f"system_{s}": {"kind": "series_phr", "components": [
+                {"baseline": weibull, "prop": p} for p in props]}
+            for s, props in (("x", (0.5, 0.5)), ("y", (1.0, 1.5)))},
+            "grids": {"xr": {"kind": "x", "lo": 0.0, "hi": 5.0, "n": 64}}}
+        # x*r(x) = 1.4*x**1.4 rises from 0
+        assert run_case(load_case(obj)).conditions["x_hazard_decreasing"] is False
+
     def test_xr_grid_inside_support_runs(self):
         obj = {**T5_PARETO, "grids": {"xr": {"kind": "x", "lo": 1.0, "hi": 50.0, "n": 64}}}
         assert run_case(load_case(obj)).conditions["x_hazard_decreasing"]

@@ -8,7 +8,7 @@ import pytest
 
 from ordrel import ConfigError, Exponential, GridSpec, Lomax
 from ordrel.harness import THEOREMS
-from conftest import BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND
+from conftest import BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND
 from ordrel.serialize import (
     _LOADERS,
     _RULES,
@@ -151,6 +151,23 @@ class TestCaseLoading:
     def test_bad_scalar_field_rejected(self, field, obj):
         with pytest.raises(ConfigError, match=f"{obj['id']} scenario field '{field}'"):
             load_case(obj)
+
+    @pytest.mark.parametrize("field,obj", list(BAD_LENGTH_FIELDS.items()))
+    def test_bad_length_field_rejected(self, field, obj):
+        with pytest.raises(ConfigError, match=f"{obj['id']} scenario field '{field}' needs "):
+            load_case(obj)
+
+    def test_length_rules_name_the_need(self):
+        with pytest.raises(ConfigError, match="needs at least 2 entries, got 1"):
+            load_case(BAD_LENGTH_FIELDS["alphas"])
+        with pytest.raises(ConfigError, match="needs 2 entries, one per dimension of "
+                                              "generator_x, got 3"):
+            load_case(BAD_LENGTH_FIELDS["shifts_x"])
+
+    def test_shifts_of_a_higher_dimension_load(self):
+        obj = copy.deepcopy(BAD_LENGTH_FIELDS["shifts_x"])
+        obj["scenario"]["generator_x"]["dim"] = 3
+        assert len(load_case(obj).scenario["shifts_x"]) == 3
 
     def test_unknown_grid_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys: \\['rh_grid'\\]"):

@@ -65,3 +65,28 @@ def test_tracer_sees_the_hypothesis_rows(tracing, label, spans):
         left = tracer.restore()
     assert left == []
     assert spans <= {span[0] for span in tracer.spans}
+
+
+def test_sweeps_keep_the_base_class_formula_under_the_tracer(tracing):
+    # the tracer wraps the surface methods on the classes; a sweep must
+    # still recognise the base-class rev_hazard and give the same columns
+    import json
+
+    from ordrel import Lomax, OrderStatDist, check_rh, mixed_parallel
+
+    d = Lomax(2.0, 1.0)
+    xs = [0.25 * i for i in range(64)]
+    a = OrderStatDist(mixed_parallel(Lomax(1.5, 1.0), (0.5,), Lomax(3.0, 1.0), (1.0, 2.0)))
+    b = OrderStatDist(mixed_parallel(Lomax(1.5, 1.0), (1.5,), Lomax(3.0, 1.0), (0.5, 0.5)))
+    plain = d.rate_sweep("rev_hazard", xs), check_rh(b, a).to_json()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = d.rate_sweep("rev_hazard", xs)
+        evals = tracer.counts["distributions.surface_evals"]
+        traced = traced, check_rh(b, a).to_json()
+    finally:
+        left = tracer.restore()
+    assert left == []
+    assert json.dumps(traced) == json.dumps(plain)
+    assert evals == 2 * len(xs)  # one cdf and one pdf a point, no rev_hazard call
