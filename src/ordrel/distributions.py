@@ -69,10 +69,7 @@ class Distribution:
         values = [value(x) for x in xs]
         formula = getattr(type(self), rate) is getattr(Distribution, rate)
         fn = self.pdf if formula else getattr(self, rate)
-        try:  # one pass where no point raises
-            column = [fn(x) for x in xs]
-        except SupportError:
-            column = list(defined(fn, xs))
+        column = list(defined(fn, xs))
         if formula:
             column = [None if v <= 0.0 or d is None else d / v for v, d in zip(values, column)]
         return values, column

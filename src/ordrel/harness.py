@@ -449,9 +449,8 @@ class Theorem:
     grids: dict = field(default_factory=dict)  # key the rows/conclusion read -> grid kind
     optional: tuple = ()  # scenario fields a case may leave out
     conclusion: tuple | None = None  # (relation, A, B), A and B "x" or "y"
-    # array field -> the entries it needs: at least an int, or one per
-    # dimension of the generator field named
-    lengths: dict = field(default_factory=dict)
+    min_entries: dict = field(default_factory=dict)  # array field -> least length
+    dims: dict = field(default_factory=dict)  # array field -> generator whose .dim it matches
     sampler: Callable | None = None  # (knob values, violate) -> scenario
     box: dict | None = None  # knob -> (lo, hi); sorted(box) fixes the random stream
 
@@ -462,7 +461,7 @@ _SYSTEMS = {"system_x": "system", "system_y": "system"}
 _DISP_SERIES_GRIDS = {"ageing": "x", "hr": "x", "disp": "u"}
 _DISP_PARALLEL_GRIDS = {"ageing": "x", "rh": "x", "disp": "u"}
 _DEPENDENT_GRIDS = {"ageing": "x", "st": "x", "dep": "x"}
-_DEPENDENT_LENGTHS = {"shifts_x": "generator_x", "shifts_y": "generator_y"}
+_DEPENDENT_DIMS = {"shifts_x": "generator_x", "shifts_y": "generator_y"}
 _OUTLIERS = {"baseline_x": "dist", "baseline_y": "dist",
              "outlier_x": "outlier_block", "outlier_y": "outlier_block"}
 _DEPENDENT = {"generator_x": "generator", "generator_y": "generator",
@@ -527,13 +526,13 @@ THEOREMS = {
         hypothesis=(("alpha_supermajorized_by_alpha_star",
                      lambda s: weak_supermajorizes(s["alphas"], s["alphas_star"])),),
         conclusion=("rh", "x", "y"), sampler=_sample_lomax_maxima,
-        lengths={"alphas": 2, "alphas_star": 2},
+        min_entries={"alphas": 2, "alphas_star": 2},
         box={"theta": (0.5, 2.0), "b1": (0.5, 3.0), "b2": (0.5, 3.0),
              "b3": (0.5, 3.0), "shift": (0.1, 1.0), "mode": (0.0, 1.0)}),
     "T7": Theorem(
         fields=_DEPENDENT, optional=("branch",), grids=_DEPENDENT_GRIDS,
         sides=partial(_dependent_sides, **_MINIMA), hypothesis=_DEPENDENT_ROWS,
-        lengths=_DEPENDENT_LENGTHS,
+        dims=_DEPENDENT_DIMS,
         conclusion=("st", "y", "x"), sampler=_sample_dependent_minima,
         box={"theta1": (0.5, 3.0), "theta_frac": (0.3, 1.0), "rate_f": (0.5, 2.0),
              "rate_gap": (0.05, 1.0), "m1": (0.2, 1.5), "m2": (0.2, 1.5),
@@ -541,7 +540,7 @@ THEOREMS = {
     "T8": Theorem(
         fields=_DEPENDENT, optional=("branch",), grids=_DEPENDENT_GRIDS,
         sides=partial(_dependent_sides, **_MAXIMA), hypothesis=_DEPENDENT_ROWS,
-        lengths=_DEPENDENT_LENGTHS,
+        dims=_DEPENDENT_DIMS,
         conclusion=("st", "y", "x"), sampler=_sample_dependent_maxima,
         box={"theta1": (0.5, 2.0), "theta_gap": (0.0, 1.5), "g_shape": (0.6, 2.0),
              "shape_gap": (0.05, 1.0), "scale": (0.5, 2.0),

@@ -36,7 +36,7 @@ ST, HR, RH, LR, DISP, STAR = "st", "hr", "rh", "lr", "disp", "star"
 
 _TINY = 1e-300
 # Grid points per sweep in the hr/rh checks: a large grid is swept in parts,
-# so the columns held at once stay small.
+# so that a check stops sweeping once both formulations have failed.
 _SWEEP_POINTS = 256
 
 
@@ -91,10 +91,7 @@ def _pointwise(xs, fas, fbs, tau: float, a_larger: bool = False):
 def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_st B: sf_A(x) <= sf_B(x) everywhere."""
     grid, xs = _x_grid(A, B, grid)
-    try:  # `map` is lazy too, and faster where no sf raises
-        usable, viol = _pointwise(xs, map(A.sf, xs), map(B.sf, xs), grid.tau_pt)
-    except SupportError:
-        usable, viol = _pointwise(xs, defined(A.sf, xs), defined(B.sf, xs), grid.tau_pt)
+    usable, viol = _pointwise(xs, defined(A.sf, xs), defined(B.sf, xs), grid.tau_pt)
     outcome = FAILS if viol else (HOLDS if usable else INCONCLUSIVE)
     return OrderVerdict(ST, outcome, viol, grid)
 

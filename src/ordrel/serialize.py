@@ -5,9 +5,9 @@ Everything entering from a file is checked against the bundled JSON Schema
 is constructed.  A theorem case gets a second pass here, because its shape
 depends on its id: the id must be in the registry (`harness.THEOREMS`),
 whose entry names the scenario fields, the `$def` that each field is
-validated against and loaded by (`_LOADERS`), the length each array field
-needs given the rest of the scenario, and the grid keys a case may set with
-the kind of grid each must be.
+validated against and loaded by (`_LOADERS`), the least length of some
+array fields and the generator whose dimension others must match, and the
+grid keys a case may set with the kind of grid each must be.
 
 The check is a small recursive interpreter of the keywords the schema
 uses (`_RULES`); a test walks the schema file so that it cannot use one the
@@ -218,14 +218,14 @@ def load_case(obj: dict) -> TheoremCase:
             scenario[key] = _LOADERS[theorem.fields[key]](value)
         except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
             raise ConfigError(f"{tid} scenario field {key!r}: {exc}") from exc
-    for key, need in theorem.lengths.items():
-        n = len(scenario[key])
-        if isinstance(need, int) and n < need:
-            raise ConfigError(f"{tid} scenario field {key!r} needs at least {need} "
-                              f"entries, got {n}")
-        if isinstance(need, str) and n != scenario[need].dim:
-            raise ConfigError(f"{tid} scenario field {key!r} needs {scenario[need].dim} "
-                              f"entries, one per dimension of {need}, got {n}")
+    for key, least in theorem.min_entries.items():
+        if len(scenario[key]) < least:
+            raise ConfigError(f"{tid} scenario field {key!r} needs at least {least} "
+                              f"entries, got {len(scenario[key])}")
+    for key, gen in theorem.dims.items():
+        if len(scenario[key]) != scenario[gen].dim:
+            raise ConfigError(f"{tid} scenario field {key!r} needs {scenario[gen].dim} "
+                              f"entries, one per dimension of {gen}, got {len(scenario[key])}")
     grids = {k: load_grid(v) for k, v in obj.get("grids", {}).items()}
     for key, grid in grids.items():
         if grid.kind != theorem.grids[key]:
