@@ -3,10 +3,12 @@
 Each family exposes the full functional surface used by the order checkers:
 cdf, sf, pdf, quantile, hazard and reversed hazard, plus a numeric ageing
 classifier (IFR/DFR/IRHR/DRHR).  All objects are immutable and every method
-is a pure function of its arguments.  `Distribution.rate_sweep` evaluates
-a rate and its sf or cdf over a whole grid in one call, equal bit for bit
-to the per-point methods; where the rate is the base-class formula
-pdf/value it divides by the column already in hand.
+is a pure function of its arguments.  `Distribution.column` evaluates one
+of them over a whole grid: each family has a kernel, one comprehension
+per method it has in closed form, equal bit for bit to the per-point
+method.  `rate_sweep` gives a rate and its sf or cdf on a grid; where the
+rate is the base-class formula pdf/value it divides by the column already
+in hand.
 
 Densities that diverge at a support edge (Weibull shape < 1 at the origin)
 evaluate to ``math.inf`` there, which doubles as the "unbounded" flag.
@@ -58,21 +60,25 @@ class Distribution:
             raise SupportError(f"cdf({x}) = 0: reversed hazard undefined in the left tail")
         return self.pdf(x) / c
 
+    def column(self, name: str, points) -> list:
+        """The per-point method `name` ("sf", "cdf", "pdf", "hazard",
+        "rev_hazard" or "quantile") at every point of ``points``, with None
+        where it raises SupportError.  A family overrides this with a
+        kernel for each method it has in closed form."""
+        return list(defined(getattr(self, name), points))
+
     def rate_sweep(self, rate: str, xs) -> tuple[list[float], list[float | None]]:
         """The columns (sf, hazard) for `rate` "hazard", or (cdf,
         rev_hazard) for "rev_hazard", at every point of ``xs``, with None
         where the per-point rate raises SupportError.  A class whose rate
         is the base-class formula (looked up by name, so wrappers installed
         on the classes keep the test valid) gets it as pdf/value from the
-        value column; any other rate is called point by point."""
-        value = self.sf if rate == "hazard" else self.cdf
-        values = [value(x) for x in xs]
-        formula = getattr(type(self), rate) is getattr(Distribution, rate)
-        fn = self.pdf if formula else getattr(self, rate)
-        column = list(defined(fn, xs))
-        if formula:
-            column = [None if v <= 0.0 or d is None else d / v for v, d in zip(values, column)]
-        return values, column
+        value column; any other rate is its own column."""
+        values = self.column("sf" if rate == "hazard" else "cdf", xs)
+        if getattr(type(self), rate) is not getattr(Distribution, rate):
+            return values, self.column(rate, xs)
+        return values, [None if v <= 0.0 or d is None else d / v
+                        for v, d in zip(values, self.column("pdf", xs))]
 
     def tail_exponent(self) -> float:
         """Power-law decay exponent of the right tail; inf for light tails."""
@@ -92,9 +98,23 @@ def defined(fn, xs):
             yield None
 
 
+def strict_column(d: Distribution, name: str, points) -> list[float]:
+    """``d.column(name, points)`` for a caller that needs every value: the
+    per-point method is called again where the column is None, so its
+    SupportError is raised."""
+    out = d.column(name, points)
+    if None in out:
+        getattr(d, name)(points[out.index(None)])
+    return out
+
+
+def _bad_prob(u: float):
+    raise ParameterDomainError(f"probability must lie in (0,1), got {u}")
+
+
 def _check_prob(u: float):
     if not (0.0 < u < 1.0):
-        raise ParameterDomainError(f"probability must lie in (0,1), got {u}")
+        _bad_prob(u)
 
 
 def _check_pos(name: str, v: float):
@@ -137,6 +157,22 @@ class Exponential(Distribution):
         if self.sf(x) <= 0.0:
             raise SupportError("right tail")
         return self.rate
+
+    def column(self, name, points):
+        rate, exp = self.rate, math.exp
+        if name == "sf":
+            return [1.0 if x <= 0.0 else exp(-rate * x) for x in points]
+        if name == "cdf":
+            expm1 = math.expm1
+            return [0.0 if x <= 0.0 else -expm1(-rate * x) for x in points]
+        if name == "pdf":
+            return [0.0 if x < 0.0 else rate * exp(-rate * x) for x in points]
+        if name == "hazard":  # sf(x) <= 0 only where exp underflows
+            return [None if x > 0.0 and exp(-rate * x) <= 0.0 else rate for x in points]
+        if name == "quantile":
+            log1p = math.log1p
+            return [-log1p(-u) / rate if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
+        return super().column(name, points)
 
     def to_json(self):
         return {"family": "exponential", "params": {"rate": self.rate}}
@@ -189,6 +225,26 @@ class Weibull(Distribution):
             return self.pdf(0.0)  # the limit at the origin, as sf(0) = 1
         return self.shape * self.rate * x ** (self.shape - 1.0)
 
+    def column(self, name, points):
+        shape, rate, exp = self.shape, self.rate, math.exp
+        if name == "sf":
+            return [1.0 if x <= 0.0 else exp(-rate * x ** shape) for x in points]
+        if name == "cdf":
+            expm1 = math.expm1
+            return [0.0 if x <= 0.0 else -expm1(-rate * x ** shape) for x in points]
+        at0, k, power = self.pdf(0.0), shape * rate, shape - 1.0
+        if name == "pdf":
+            return [0.0 if x < 0.0 else at0 if x == 0.0
+                    else k * x ** power * exp(-rate * x ** shape) for x in points]
+        if name == "hazard":
+            return [None if x < 0.0 else at0 if x == 0.0 else k * x ** power
+                    for x in points]
+        if name == "quantile":
+            log1p, power = math.log1p, 1.0 / shape
+            return [(-log1p(-u) / rate) ** power if 0.0 < u < 1.0 else _bad_prob(u)
+                    for u in points]
+        return super().column(name, points)
+
     def to_json(self):
         return {"family": "weibull", "params": {"shape": self.shape, "rate": self.rate}}
 
@@ -232,6 +288,23 @@ class Lomax(Distribution):
         if x < 0.0:
             raise SupportError("hazard needs x >= 0")
         return self.shape / (self.scale + x)
+
+    def column(self, name, points):
+        shape, scale = self.shape, self.scale
+        if name == "sf":
+            return [1.0 if x <= 0.0 else (1.0 + x / scale) ** -shape for x in points]
+        if name == "cdf":
+            return [0.0 if x <= 0.0 else 1.0 - (1.0 + x / scale) ** -shape for x in points]
+        if name == "pdf":
+            k, power = shape / scale, -shape - 1.0
+            return [0.0 if x < 0.0 else k * (1.0 + x / scale) ** power for x in points]
+        if name == "hazard":
+            return [None if x < 0.0 else shape / (scale + x) for x in points]
+        if name == "quantile":
+            power = -1.0 / shape
+            return [scale * ((1.0 - u) ** power - 1.0) if 0.0 < u < 1.0 else _bad_prob(u)
+                    for u in points]
+        return super().column(name, points)
 
     def tail_exponent(self):
         return self.shape
@@ -277,6 +350,22 @@ class ParetoI(Distribution):
         if x < 1.0:
             raise SupportError("hazard needs x >= 1")
         return self.shape / x
+
+    def column(self, name, points):
+        shape = self.shape
+        if name == "sf":
+            return [1.0 if x <= 1.0 else x ** -shape for x in points]
+        if name == "cdf":
+            return [0.0 if x <= 1.0 else 1.0 - x ** -shape for x in points]
+        if name == "pdf":
+            power = -shape - 1.0
+            return [0.0 if x < 1.0 else shape * x ** power for x in points]
+        if name == "hazard":
+            return [None if x < 1.0 else shape / x for x in points]
+        if name == "quantile":
+            power = -1.0 / shape
+            return [(1.0 - u) ** power if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
+        return super().column(name, points)
 
     def tail_exponent(self):
         return self.shape
@@ -327,6 +416,17 @@ class ReflectedDFR(Distribution):
     def rev_hazard(self, x):
         return self.inner.hazard(-x)
 
+    _REFLECTED = {"sf": "cdf", "cdf": "sf", "pdf": "pdf",
+                  "hazard": "rev_hazard", "rev_hazard": "hazard"}
+
+    def column(self, name, points):
+        """The inner column of the mirrored method at the negated points;
+        a quantile column calls the inner quantile per point."""
+        if name == "quantile":
+            q = self.inner.quantile
+            return [-q(1.0 - u) if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
+        return self.inner.column(self._REFLECTED[name], [-x for x in points])
+
     def to_json(self):
         return {"family": "reflected_dfr", "params": {"inner": self.inner.to_json()}}
 
@@ -373,28 +473,39 @@ def ageing_points(d: Distribution, grid: GridSpec) -> list[float]:
             raise SupportError("ageing grid extends outside the support")
         return grid.x_points()
     eps, n = grid.eps, grid.n
-    return [d.quantile(eps + i * (1.0 - 2 * eps) / (n - 1)) for i in range(n)]
+    return strict_column(d, "quantile", [eps + i * (1.0 - 2 * eps) / (n - 1)
+                                         for i in range(n)])
 
 
-def classify_ageing(d: Distribution, grid: GridSpec | None = None) -> AgeingClass:
+# ageing class -> (the rate it reads, whether the rate is negated)
+_CLASS_RATES = {"IFR": ("hazard", False), "DFR": ("hazard", True),
+                "IRHR": ("rev_hazard", False), "DRHR": ("rev_hazard", True)}
+
+
+def classify_ageing(d: Distribution, grid: GridSpec | None = None,
+                    *classes: str) -> AgeingClass:
     """Classify IFR/DFR (hazard) and IRHR/DRHR (reversed hazard) at the
-    grid's `ageing_points`: a class holds when `grids.first_decrease` finds
-    no drop beyond ``tau_mono`` in the rate (for DFR/DRHR, in the negated
-    rate), so a constant hazard carries both flags.  A rate undefined at
-    some point (a bounded grid that starts or ends at a support edge)
-    carries neither of its two flags."""
+    grid's `ageing_points`, or only the ``classes`` named: a class holds
+    when `grids.first_decrease` finds no drop beyond ``tau_mono`` in the
+    rate (for DFR/DRHR, in the negated rate), so a constant hazard carries
+    both flags.  A rate undefined at some point (a bounded grid that starts
+    or ends at a support edge) carries neither of its two flags.  Each rate
+    the named classes need is evaluated once, as a `Distribution.column`."""
     if grid is None:
         grid = GridSpec(kind="x", n=128)
     xs = ageing_points(d, grid)
+    columns = {}
     flags = set()
-    for rate, up_flag, down_flag in ((d.hazard, "IFR", "DFR"),
-                                     (d.rev_hazard, "IRHR", "DRHR")):
-        try:
-            values = [rate(x) for x in xs]
-        except SupportError:
+    for cls in classes or _CLASS_RATES:
+        if cls not in _CLASS_RATES:
+            raise ParameterDomainError(f"unknown ageing class {cls!r}")
+        rate, negate = _CLASS_RATES[cls]
+        if rate not in columns:
+            columns[rate] = d.column(rate, xs)
+        values = columns[rate]
+        if None in values:
             continue
-        if first_decrease(xs, values, grid.tau_mono) is None:
-            flags.add(up_flag)
-        if first_decrease(xs, [-v for v in values], grid.tau_mono) is None:
-            flags.add(down_flag)
+        if first_decrease(xs, [-v for v in values] if negate else values,
+                          grid.tau_mono) is None:
+            flags.add(cls)
     return AgeingClass(flags=frozenset(flags), grid=tuple(xs))

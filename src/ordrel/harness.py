@@ -31,7 +31,8 @@ from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       compose_phi_psi, is_log_concave, is_log_convex,
                       super_additive_check)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
-                            ReflectedDFR, Weibull, ageing_points, classify_ageing)
+                            ReflectedDFR, Weibull, ageing_points, classify_ageing,
+                            strict_column)
 from .errors import ParameterDomainError
 from .grids import GridSpec, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
@@ -149,7 +150,7 @@ def _single_baseline_sides(case: TheoremCase, **kwargs) -> dict:
 def _common_baseline_sides(case: TheoremCase) -> dict:
     sides = _system_sides(case, kind=SERIES_PHR)
     f, g = sides["system_x"].same_baseline(), sides["system_y"].same_baseline()
-    if f is None or g is None or str(f) != str(g):
+    if f is None or g is None or f != g:
         raise ParameterDomainError(f"{case.id} needs one common baseline")
     return {**sides, "baseline_x": f, "baseline_y": g}
 
@@ -259,10 +260,13 @@ def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
 # a tracer that patches those names sees each call.
 
 def _ageing_row(cls: str) -> tuple:
-    """baseline_x is of ageing class `cls` ("{ageing}" for T7/T8)."""
-    return (f"baseline_x_{cls.lower()}",
-            lambda s: cls.format_map(s).upper() in classify_ageing(
-                s["baseline_x"], s["case"].grid("ageing", n=128)))
+    """baseline_x is of ageing class `cls` ("{ageing}" for T7/T8); only
+    that class is classified."""
+    def holds(s):
+        flag = cls.format_map(s).upper()
+        return flag in classify_ageing(s["baseline_x"], s["case"].grid("ageing", n=128), flag)
+
+    return (f"baseline_x_{cls.lower()}", holds)
 
 
 def _order_row(rel: str, lo: str, hi: str) -> tuple:
@@ -277,7 +281,8 @@ def _order_row(rel: str, lo: str, hi: str) -> tuple:
 def _xr_decreasing(baseline: Distribution, grid: GridSpec) -> bool:
     """x*r(x) non-increasing on the baseline's `ageing_points`."""
     xs = ageing_points(baseline, grid)
-    return first_decrease(xs, [-x * baseline.hazard(x) for x in xs], grid.tau_mono) is None
+    rates = strict_column(baseline, "hazard", xs)
+    return first_decrease(xs, [-x * r for x, r in zip(xs, rates)], grid.tau_mono) is None
 
 
 _SUMS = ("sum_beta_ge_sum_alpha",

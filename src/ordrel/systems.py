@@ -54,9 +54,8 @@ class SystemSpec:
         if self.split is not None:
             if not (0 < self.split < len(self.components)):
                 raise ParameterDomainError("split must partition the component list")
-            fkeys = {str(b) for b, _ in self.components[: self.split]}
-            bkeys = {str(b) for b, _ in self.components[self.split:]}
-            if len(fkeys) > 1 or len(bkeys) > 1:
+            blocks = (self.components[: self.split], self.components[self.split:])
+            if any(len({b for b, _ in block}) > 1 for block in blocks):
                 raise ParameterDomainError("each split block must share one baseline")
 
     @property
@@ -78,7 +77,7 @@ class SystemSpec:
 
     def same_baseline(self) -> Distribution | None:
         first = self.components[0][0]
-        if all(str(b) == str(first) for b, _ in self.components[1:]):
+        if all(b == first for b, _ in self.components[1:]):
             return first
         return None
 

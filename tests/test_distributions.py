@@ -17,6 +17,7 @@ from ordrel import (
     classify_ageing,
 )
 from ordrel.distributions import dist_from_json
+from conftest import CORPUS_PAIRS
 
 ALL_DISTS = [
     Exponential(1.3),
@@ -193,3 +194,28 @@ class TestAgeing:
         # the undefined rate carries neither flag; the other is judged as usual
         ag = classify_ageing(d, GridSpec(kind="x", lo=lo, hi=hi, n=64))
         assert ag.flags == {flag}
+
+    @pytest.mark.parametrize("grid", [None, GridSpec(kind="x", n=64, tau_mono=1e-3),
+                                      GridSpec(kind="u", n=96, eps=0.01)],
+                             ids=["default", "loose", "u-grid"])
+    def test_one_class_agrees_with_the_full_classification(self, grid):
+        # a caller that names its classes gets exactly those of the full four
+        baselines = {d for pair in CORPUS_PAIRS for d in pair}
+        for d in baselines:
+            full = classify_ageing(d, grid)
+            for flag in ("IFR", "DFR", "IRHR", "DRHR"):
+                one = classify_ageing(d, grid, flag)
+                assert one.flags == full.flags & {flag}, (d, flag)
+                assert one.grid == full.grid
+            assert classify_ageing(d, grid, "DFR", "IRHR").flags == full.flags & {"DFR", "IRHR"}
+
+    def test_every_class_occurs_in_the_corpus(self):
+        flags = set()
+        for pair in CORPUS_PAIRS:
+            for d in pair:
+                flags |= classify_ageing(d).flags
+        assert flags == {"IFR", "DFR", "IRHR", "DRHR"}
+
+    def test_unknown_class_rejected(self):
+        with pytest.raises(ParameterDomainError, match="unknown ageing class"):
+            classify_ageing(Exponential(1.0), None, "IHR")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ordrel import ConfigError, Exponential, GridSpec, Lomax
-from ordrel.harness import THEOREMS
+from ordrel.harness import THEOREMS, run_case
 from conftest import BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND
 from ordrel.serialize import (
     _LOADERS,
@@ -168,6 +168,27 @@ class TestCaseLoading:
         obj = copy.deepcopy(BAD_LENGTH_FIELDS["shifts_x"])
         obj["scenario"]["generator_x"]["dim"] = 3
         assert len(load_case(obj).scenario["shifts_x"]) == 3
+
+    @pytest.mark.parametrize("shapes", [(3, 3.0), (3.0, 3)])
+    def test_equal_baselines_compare_by_value(self, shapes):
+        # "shape": 3 and "shape": 3.0 name one Pareto baseline
+        obj = {"id": "T5", "scenario": {
+            f"system_{s}": {"kind": "series_phr", "components": [
+                {"baseline": {"family": "pareto1", "params": {"shape": shape}}, "prop": p}
+                for p in props]}
+            for s, shape, props in (("x", shapes[0], (0.5, 0.5)), ("y", shapes[1], (1.0, 1.5)))}}
+        rep = run_case(load_case(obj))
+        assert rep.hypothesis_satisfied and rep.conclusion_outcome == "holds"
+
+    def test_a_split_block_of_equal_baselines_loads(self):
+        lomax = [{"family": "lomax", "params": {"shape": v, "scale": 1}} for v in (2, 2.0)]
+        s = load_system({"kind": "series_phr", "split": 2, "components": [
+            {"baseline": b, "prop": 1.0} for b in (*lomax, {"family": "exponential",
+                                                           "params": {"rate": 1.0}})]})
+        assert s.split == 2
+        mixed = load_system({"kind": "series_phr", "components": [
+            {"baseline": b, "prop": p} for b, p in zip(lomax, (1.0, 2.0))]})
+        assert mixed.same_baseline() == Lomax(2.0, 1.0)
 
     def test_unknown_grid_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys: \\['rh_grid'\\]"):

@@ -1,7 +1,9 @@
-"""Whole-grid rate sweeps and the seeded mixed-system quantile solves.
+"""Whole-grid columns and rate sweeps, and the seeded mixed-system
+quantile solves.
 
-`rate_sweep` must give the per-point surface bit for bit, with None exactly
-where the per-point rate raises SupportError; the hr/rh checks read it and
+`column` and `rate_sweep` must give the per-point surface bit for bit, with
+None exactly where the per-point method raises SupportError, and raise
+what it raises otherwise; the hr/rh checks read the sweeps and
 must keep the verdicts and witnesses of the per-point body they replaced
 (`_two_loop_check`, a copy of that body).  A mixed-baseline system's first
 quantile solve starts inside the bracket of its components' quantiles.
@@ -20,6 +22,7 @@ from ordrel import (
     GridSpec,
     Lomax,
     OrderStatDist,
+    ParameterDomainError,
     ParetoI,
     ReflectedDFR,
     SupportError,
@@ -98,6 +101,98 @@ def test_sweep_equals_the_per_point_surface(name, rate):
     for x, v, r in zip(XS, values, rates):
         assert _same(v, value_fn(x)), (x, v, value_fn(x))
         assert _same(r, _rate_or_none(rate_fn, x)), (x, r, _rate_or_none(rate_fn, x))
+
+
+# Every family with a kernel, with float and integer parameters, and the
+# reflection of every inner family.
+FAMILIES = {
+    **{name: d for name, d in SURFACES.items() if not isinstance(d, OrderStatDist)},
+    "weibull-int": Weibull(2, 1),
+    "lomax-int": Lomax(2, 1),
+    "pareto-int": ParetoI(3),
+    "reflected-exponential": ReflectedDFR(Exponential(0.9)),
+    "reflected-weibull-ifr": ReflectedDFR(Weibull(1.6, 0.8)),
+    "reflected-pareto": ReflectedDFR(ParetoI(2.0)),
+}
+# XS holds x < 0, 0 and 1 from both sides and tails where exp and pow
+# underflow to 0; these add the infinities and a NaN.
+COLUMN_XS = XS + [math.inf, -math.inf, math.nan]
+COLUMN_US = [5e-324, 1e-300, 1e-17, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-3,
+             1.0 - 2 ** -52, 1.0 - 2 ** -53]
+BAD_US = [[0.5, 0.0], [0.5, 1.0], [-0.25], [1.5, 0.5], [math.nan], [0.5, math.inf],
+          [1e-17, 0.0]]  # the last raises at 1e-17 in a reflection, as 1-u rounds to 1
+SURFACE_NAMES = ("sf", "cdf", "pdf", "hazard", "rev_hazard")
+
+
+def _per_point(fn, points):
+    """(values, None) with None where ``fn`` raises SupportError, or
+    (None, error) for the first other error it raises."""
+    try:
+        return [_rate_or_none(fn, x) for x in points], None
+    except Exception as exc:  # noqa: BLE001 -- any error must be mirrored
+        return None, exc
+
+
+def _assert_column(d, name, points):
+    values, error = _per_point(getattr(d, name), points)
+    if error is not None:
+        with pytest.raises(type(error)) as info:
+            d.column(name, points)
+        assert str(info.value) == str(error)
+        return error
+    column = d.column(name, points)
+    assert len(column) == len(points)
+    for x, got, want in zip(points, column, values):
+        assert _same(got, want), (x, got, want)
+    return None
+
+
+@pytest.mark.parametrize("method", SURFACE_NAMES)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_column_equals_the_per_point_method(name, method):
+    assert _assert_column(FAMILIES[name], method, COLUMN_XS) is None
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_quantile_column_equals_the_per_point_method(name):
+    d = FAMILIES[name]
+    if isinstance(d, ReflectedDFR):  # 1 - u rounds to 1 for the inner below 2**-53
+        assert isinstance(_assert_column(d, "quantile", COLUMN_US), ParameterDomainError)
+        us = [u for u in COLUMN_US if 1.0 - u < 1.0]
+        assert len(us) == len(COLUMN_US) - 3
+        assert _assert_column(d, "quantile", us) is None
+    else:
+        assert _assert_column(d, "quantile", COLUMN_US) is None
+
+
+@pytest.mark.parametrize("us", BAD_US, ids=repr)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_bad_probability_raises_as_per_point(name, us):
+    assert isinstance(_assert_column(FAMILIES[name], "quantile", us), ParameterDomainError)
+
+
+def test_an_overflow_raises_as_per_point():
+    # a float power that overflows raises OverflowError at the same point
+    assert isinstance(_assert_column(ParetoI(0.01), "quantile", [0.5, 1.0 - 1e-9]), OverflowError)
+    assert isinstance(_assert_column(Weibull(1.6, 0.8), "pdf", [1.0, 1e300]), OverflowError)
+
+
+def test_the_columns_reach_every_kind_of_value():
+    # underflow to 0 and 1, infinite and undefined values all occur
+    seen = set()
+    for d in FAMILIES.values():
+        for method in SURFACE_NAMES:
+            for v in d.column(method, COLUMN_XS):
+                seen.add("none" if v is None else "nan" if math.isnan(v)
+                         else "inf" if math.isinf(v) else "zero" if v == 0.0
+                         else "one" if v == 1.0 else "finite")
+    assert seen == {"none", "nan", "inf", "zero", "one", "finite"}
+
+
+def test_a_class_without_a_kernel_is_called_per_point():
+    d = OrderStatDist(series_phr(ParetoI(2.0), (0.5, 1.5)))
+    assert _assert_column(d, "hazard", COLUMN_XS) is None
+    assert None in d.column("hazard", COLUMN_XS)
 
 
 def test_the_sweeps_cover_undefined_and_infinite_rates():
