@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, ge
 
 from .distributions import Distribution
 from .errors import ParameterDomainError
@@ -183,20 +181,11 @@ def super_additive_check(h, x_max: float = 10.0, n: int = 48,
     over n grid points k*step in [0, x_max/2], so x+y is again a multiple
     of step and h is evaluated once at each of the 2n-1 points k*step.
 
-    Each row i is first screened in one pass for h(x_i+y) >= h(x_i)+h(y)
-    over its whole row; only a row that fails the screen is checked point
-    by point against the tolerance.
-
     Returns (ok, witness); witness is (x, y, h(x+y), h(x)+h(y)) on failure.
     """
     xs = [k * x_max / (2 * (n - 1)) for k in range(2 * n - 1)]
     hs = [h(x) for x in xs]
-    screen = tau >= 0.0
     for i in range(n):
-        # lhs >= rhs on the whole row rules out a violation for tau >= 0;
-        # any other row (a NaN in it included) takes the exact loop
-        if screen and all(map(ge, hs[2 * i:i + n], map(add, repeat(hs[i]), hs[i:n]))):
-            continue
         for j in range(i, n):
             lhs = hs[i + j]
             rhs = hs[i] + hs[j]
@@ -226,13 +215,25 @@ class ShiftedSystem:
 def j1(s: ShiftedSystem, x: float) -> float:
     """Survival function of min(Y_1, ..., Y_n):
     psi(sum_k phi(sf(x + mu_k)))."""
-    return copula_value(s.generator, [s.baseline.sf(x + mu) for mu in s.shifts])
+    total = 0.0
+    for mu in s.shifts:
+        p = s.generator.phi(s.baseline.sf(x + mu))
+        if math.isinf(p):
+            return 0.0
+        total += p
+    return s.generator.psi(total)
 
 
 def j2(s: ShiftedSystem, x: float) -> float:
     """Survival function of max(Y_1, ..., Y_n):
     1 - psi(sum_k phi(cdf(x + mu_k)))."""
-    return 1.0 - copula_value(s.generator, [s.baseline.cdf(x + mu) for mu in s.shifts])
+    total = 0.0
+    for mu in s.shifts:
+        p = s.generator.phi(s.baseline.cdf(x + mu))
+        if math.isinf(p):
+            return 1.0
+        total += p
+    return 1.0 - s.generator.psi(total)
 
 
 class _DependentExtreme:

@@ -161,19 +161,6 @@ class TestSuperAdditivity:
             lambda x: math.nan if x == 0.0 else x * x,
         ]
 
-    @staticmethod
-    def _lattice(h, x_max, n, tau):
-        """The lattice check without its row screen: every pair of the
-        lattice tested against the tolerance."""
-        xs = [k * x_max / (2 * (n - 1)) for k in range(2 * n - 1)]
-        hs = [h(x) for x in xs]
-        for i in range(n):
-            for j in range(i, n):
-                lhs, rhs = hs[i + j], hs[i] + hs[j]
-                if lhs < rhs - tau * (1.0 + abs(rhs)):
-                    return False, (xs[i], xs[j], lhs, rhs)
-        return True, None
-
     def test_lattice_agrees_with_pairwise_check(self):
         rng = random.Random(2024)
         outcomes = {True: 0, False: 0}
@@ -182,19 +169,13 @@ class TestSuperAdditivity:
         pairs += [(b, a) for a, b in pairs]  # Clayton x Clayton in both orders
         pairs += [(self._draw_generator(rng), self._draw_generator(rng))
                   for _ in range(160)]
-        pairs += [(g, g) for g in GENERATORS]  # rows that can fail the screen
+        pairs += [(g, g) for g in GENERATORS]  # phi(psi(x)) = x up to rounding
         functions = [compose_phi_psi(outer, inner) for outer, inner in pairs]
         functions += self._edge_functions()
         for h in functions:
             n = rng.choice((48, 48, 17, 64))
             x_max = 10.0 if n == 48 else rng.uniform(1.0, 20.0)
-            # the row screen keeps the answer of the unscreened loop exactly (a
-            # negative tau turns it off); at tau = 0 an h(x+y) evaluated afresh
-            # may differ by rounding, so the first-written check reads tau = 1e-9
-            for tau in (0.0, -1e-9, 1e-9):
-                got = super_additive_check(h, x_max=x_max, n=n, tau=tau)
-                assert repr(got) == repr(self._lattice(h, x_max, n, tau)), (h, n, x_max, tau)
-            ok, witness = got
+            ok, witness = super_additive_check(h, x_max=x_max, n=n)
             ok_ref, witness_ref = self._pairwise(h, x_max=x_max, n=n)
             assert ok == ok_ref, (h, n, x_max)
             outcomes[ok] += 1
@@ -209,16 +190,6 @@ class TestSuperAdditivity:
                 assert lhs == h(k * x_max / (2 * (n - 1)))
         assert len(pairs) >= 300
         assert min(outcomes.values()) >= 50, outcomes
-
-    def test_identity_rows_fail_the_screen_and_pass_within_tau(self):
-        # phi(psi(x)) is x up to rounding, so some lattice rows fail the
-        # exact screen h(x+y) >= h(x) + h(y); the tolerance passes them
-        n = 48
-        for g in GENERATORS:
-            h = compose_phi_psi(g, g)
-            hs = [h(k * 10.0 / (2 * (n - 1))) for k in range(2 * n - 1)]
-            assert any(not hs[i + j] >= hs[i] + hs[j] for i in range(n) for j in range(i, n)), g
-            assert super_additive_check(h) == (True, None), g
 
     @pytest.mark.parametrize("n", [48, 64, 5])
     @pytest.mark.parametrize("thetas", [(2.0, 1.0), (1.0, 2.0)], ids=["passes", "fails"])
