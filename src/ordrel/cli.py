@@ -172,10 +172,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn_impl(args)
-    except OrdrelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (OrdrelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .grids import GridSpec
 from .harness import SCAN_IDS, THEOREMS, TheoremCase
 from .scan import scan
-from .systems import SystemSpec
+from .systems import OrderStatDist, SystemSpec
 
 
 @lru_cache(maxsize=1)
@@ -153,8 +153,6 @@ def load_dist_or_system(obj: dict):
     if not isinstance(obj, dict):
         raise ConfigError("spec must be a JSON object")
     if "kind" in obj:
-        from .systems import OrderStatDist
-
         return OrderStatDist(load_system(obj))
     return load_dist(obj)
 

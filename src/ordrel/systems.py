@@ -1,17 +1,21 @@
 """Minima and maxima of heterogeneous independent PHR/PRHR components.
 
 A series system of PHR components has survival prod_i sf_i(x)**a_i; a
-parallel system of PRHR components has cdf prod_i cdf_i(x)**a_i.  When all
-components share one baseline the product collapses to a single power, which
-gives closed-form quantiles.  Mixed-baseline systems invert the cumulative
-hazard -log sf (series) or log cdf (parallel) by safeguarded Newton steps,
-whose derivative is the system's rate sum.  ``quantiles`` sweeps a u-grid in
-one call: a shared-baseline system computes its exponent once and applies
-the closed form to each u; a mixed-baseline one seeds its first solve from
-its components' quantiles, which bracket the root, and starts each later
-solve from the previous root.  ``quantile`` is the one-point sweep.
-``rate_sweep`` gives a system's sf or cdf and its rate on a whole grid,
-sweeping each baseline once, for the hr and rh checkers.
+parallel system of PRHR components has cdf prod_i cdf_i(x)**a_i.  The two
+sides share one body per quantity; what differs (sf or cdf, hazard or
+rev_hazard, the tail and the support end) is data in the ``_SIDES`` table.
+When all components share one baseline the product collapses to a single
+power, which gives closed-form quantiles.  Mixed-baseline systems invert
+the cumulative hazard -log sf (series) or log cdf (parallel) by safeguarded
+Newton steps, whose derivative is the system's rate sum.  ``quantiles``
+sweeps a u-grid in one call: a shared-baseline system computes its exponent
+once and applies the closed form to each u; a mixed-baseline one seeds its
+first solve from its components' quantiles, which bracket the root, and
+starts each later solve from the previous root.  ``quantile`` is the
+one-point sweep.  ``rate_sweep`` gives a system's sf or cdf and its own rate
+(hazard for series, rev_hazard for parallel) on a whole grid, sweeping each
+baseline once, for the hr and rh checkers; the other rate is swept point by
+point.
 """
 
 from __future__ import annotations
@@ -119,133 +123,110 @@ mixed_series = partial(_mixed, SERIES_PHR)
 mixed_parallel = partial(_mixed, PARALLEL_PRHR)
 
 
+# What differs between the two sides, by kind: the baseline value the
+# system multiplies, the rate it sums, the tail where that rate is
+# undefined, and the end of the component support ends it takes.
+_SIDES = {
+    SERIES_PHR: ("sf", "hazard", "right tail", min),
+    PARALLEL_PRHR: ("cdf", "rev_hazard", "left tail", max),
+}
+
+
 class OrderStatDist(Distribution):
     """Distribution of the min (series) or max (parallel) of a SystemSpec.
 
     Exposes the same functional surface as a baseline distribution, so the
     order checkers treat systems and plain distributions interchangeably.
+    Both sides share one body per quantity, with the side's row of `_SIDES`
+    as data: `_product` multiplies the baselines' sf (series) or cdf
+    (parallel), `_rate_sum` sums their hazard or rev_hazard, and
+    `_log_value` is -log sf or log cdf, the increasing function a mixed
+    quantile solve inverts.
     """
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
+        self.family = f"orderstat[{spec.kind}]"
+        value, self._rate, self._tail, self._end = _SIDES[spec.kind]
+        self._series = value == "sf"
+        self._comps = spec.components
         self._shared = spec.same_baseline()
 
     @property
-    def family(self):  # type: ignore[override]
-        return f"orderstat[{self.spec.kind}]"
-
-    @property
     def support(self):
-        los = [b.support[0] for b, _ in self.spec.components]
-        his = [b.support[1] for b, _ in self.spec.components]
-        if self.spec.kind == SERIES_PHR:
-            return (min(los), min(his))
-        return (max(los), max(his))
+        comps = self._comps
+        return (self._end([b.support[0] for b, _ in comps]),
+                self._end([b.support[1] for b, _ in comps]))
 
-    # -- series (minimum) ------------------------------------------------
-    def _min_sf(self, x):
+    def _product(self, x):
+        series = self._series
         out = 1.0
-        for b, p in self.spec.components:
-            s = b.sf(x)
-            if s == 0.0:
+        for b, p in self._comps:
+            v = b.sf(x) if series else b.cdf(x)
+            if v == 0.0:
                 return 0.0
-            out *= s ** p
+            out *= v ** p
         return out
 
-    def _min_rate(self, x):
-        return sum(p * b.hazard(x) for b, p in self.spec.components)
+    def _rate_sum(self, x):
+        series = self._series
+        return sum([p * (b.hazard(x) if series else b.rev_hazard(x))
+                    for b, p in self._comps])
 
-    def _cum_hazard(self, x):
-        s = self._min_sf(x)
-        return -math.log(s) if s > 0.0 else math.inf
+    def _log_value(self, x):
+        v = self._product(x)
+        if self._series:
+            return -math.log(v) if v > 0.0 else math.inf
+        return math.log(v) if v > 0.0 else -math.inf
 
-    # -- parallel (maximum) ----------------------------------------------
-    def _max_cdf(self, x):
-        out = 1.0
-        for b, p in self.spec.components:
-            c = b.cdf(x)
-            if c == 0.0:
-                return 0.0
-            out *= c ** p
-        return out
+    def _own_rate(self, x):
+        if self._product(x) <= 0.0:
+            raise SupportError(self._tail)
+        return self._rate_sum(x)
 
-    def _max_rate(self, x):
-        return sum(p * b.rev_hazard(x) for b, p in self.spec.components)
-
-    def _log_cdf(self, x):
-        c = self._max_cdf(x)
-        return math.log(c) if c > 0.0 else -math.inf
-
-    # -- common surface ---------------------------------------------------
     def sf(self, x):
-        if self.spec.kind == SERIES_PHR:
-            return self._min_sf(x)
-        return 1.0 - self._max_cdf(x)
+        v = self._product(x)
+        return v if self._series else 1.0 - v
 
     def cdf(self, x):
-        if self.spec.kind == SERIES_PHR:
-            return 1.0 - self._min_sf(x)
-        return self._max_cdf(x)
+        v = self._product(x)
+        return 1.0 - v if self._series else v
 
     def pdf(self, x):
         lo, hi = self.support
         if not (lo < x < hi):
             return 0.0
-        if self.spec.kind == SERIES_PHR:
-            s = self._min_sf(x)
-            return s * self._min_rate(x) if s > 0.0 else 0.0
-        c = self._max_cdf(x)
-        return c * self._max_rate(x) if c > 0.0 else 0.0
+        v = self._product(x)
+        return v * self._rate_sum(x) if v > 0.0 else 0.0
 
     def hazard(self, x):
-        if self.spec.kind == SERIES_PHR:
-            if self._min_sf(x) <= 0.0:
-                raise SupportError("right tail")
-            return self._min_rate(x)
-        return super().hazard(x)
+        return self._own_rate(x) if self._series else super().hazard(x)
 
     def rev_hazard(self, x):
-        if self.spec.kind == PARALLEL_PRHR:
-            if self._max_cdf(x) <= 0.0:
-                raise SupportError("left tail")
-            return self._max_rate(x)
-        return super().rev_hazard(x)
+        return super().rev_hazard(x) if self._series else self._own_rate(x)
 
     def rate_sweep(self, rate, xs):
-        """`Distribution.rate_sweep`, component by component.  Each distinct
-        baseline sweeps its own rate (hazard for series, rev_hazard for
-        parallel) once.  The product and the rate sum then follow
-        `_min_sf`/`_max_cdf` and `_min_rate`/`_max_rate` in their
-        arithmetic order: the product multiplies from 1.0 in component
-        order (a zero factor keeps it at 0.0, as their early return does)
-        and each point's rate is one builtin `sum` of p * rate in component
-        order.  The other rate is the base-class formula pdf/value with the
-        pdf of `pdf`."""
-        own = "hazard" if self.spec.kind == SERIES_PHR else "rev_hazard"
+        """`Distribution.rate_sweep`.  A system sweeps only its own rate
+        (hazard for series, rev_hazard for parallel) component by component:
+        each distinct baseline sweeps that rate once, and the product and
+        the rate sum follow `_product` and `_rate_sum` in their arithmetic
+        order.  The product multiplies from 1.0 in component order (a zero
+        factor keeps it at 0.0, as the early return of `_product` does) and
+        each point's rate is one builtin `sum` of p * rate in component
+        order.  The other rate is the base-class per-point sweep."""
+        if rate != self._rate:
+            return super().rate_sweep(rate, xs)
         columns = {}
-        for b, _ in self.spec.components:
+        for b, _ in self._comps:
             if b not in columns:
-                columns[b] = b.rate_sweep(own, xs)
+                columns[b] = b.rate_sweep(rate, xs)
         product = [1.0] * len(xs)
-        for b, p in self.spec.components:
+        for b, p in self._comps:
             product = [v * s ** p for v, s in zip(product, columns[b][0])]
         props = self.spec.props
         totals = [None if None in rs else sum(map(operator.mul, props, rs))
-                  for rs in zip(*(columns[b][1] for b, _ in self.spec.components))]
-        if rate == own:
-            return product, [None if v <= 0.0 else t for v, t in zip(product, totals)]
-        lo, hi = self.support
-        values, rates = [], []
-        for x, v, t in zip(xs, product, totals):
-            w = 1.0 - v
-            values.append(w)
-            if w <= 0.0:
-                rates.append(None)
-            elif not (lo < x < hi and v > 0.0):
-                rates.append(0.0 / w)
-            else:
-                rates.append(None if t is None else v * t / w)
-        return values, rates
+                  for rs in zip(*(columns[b][1] for b, _ in self._comps))]
+        return product, [None if v <= 0.0 else t for v, t in zip(product, totals)]
 
     def quantile(self, u):
         return self.quantiles((u,))[0]
@@ -261,7 +242,7 @@ class OrderStatDist(Distribution):
         which holds the root (`_seed`); each later one starts from the
         previous root.  A start is only a guess, so neither it nor the order
         of ``us`` matters beyond the solver tolerances."""
-        series = self.spec.kind == SERIES_PHR
+        series = self._series
         p = 1.0 / self.spec.prop_sum()
         base = self._shared
         if base is not None:
@@ -270,18 +251,14 @@ class OrderStatDist(Distribution):
                 _check_prob(u)
                 out.append(base.quantile(1.0 - (1.0 - u) ** p if series else u ** p))
             return out
-        if series:
-            fn, rate = self._cum_hazard, self._min_rate
-        else:
-            fn, rate = self._log_cdf, self._max_rate
         lo, hi = self.support
         out = []
         for u in us:
             _check_prob(u)
             guess = out[-1] if out else self._seed(1.0 - (1.0 - u) ** p if series else u ** p)
             target = -math.log1p(-u) if series else math.log(u)
-            out.append(bisect_increasing(fn, target, guess, lo_bound=lo, hi_bound=hi,
-                                         dfn=rate))
+            out.append(bisect_increasing(self._log_value, target, guess, lo_bound=lo,
+                                         hi_bound=hi, dfn=self._rate_sum))
         return out
 
     def _seed(self, t):
@@ -293,7 +270,7 @@ class OrderStatDist(Distribution):
         clipped to [-1, 1]."""
         qs = []
         if 0.0 < t < 1.0:
-            for b in dict.fromkeys(b for b, _ in self.spec.components):
+            for b in dict.fromkeys(b for b, _ in self._comps):
                 try:
                     q = b.quantile(t)
                 except OverflowError:
@@ -306,13 +283,11 @@ class OrderStatDist(Distribution):
         return 0.5 * (min(qs) + max(qs))
 
     def tail_exponent(self):
-        exps = []
-        for b, p in self.spec.components:
-            t = b.tail_exponent()
-            exps.append(p * t if self.spec.kind == SERIES_PHR else t)
-        if self.spec.kind == SERIES_PHR:
-            return sum(exps)  # survival product multiplies the decay rates
-        return min(exps)  # the heaviest component tail dominates the max
+        # the survival product multiplies the decay rates; the heaviest
+        # component tail dominates the max
+        if self._series:
+            return sum([p * b.tail_exponent() for b, p in self._comps])
+        return min([b.tail_exponent() for b, _ in self._comps])
 
 
 # -- module-level operations ----------------------------------------------

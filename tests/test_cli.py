@@ -73,6 +73,14 @@ class TestDist:
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("x,value")
 
+    def test_unwritable_out_is_usage_error(self, spec_file, tmp_path, capsys):
+        path = spec_file("d.json", EXP1)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["dist", "-s", path, "--fn", "sf", "--x", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestOrder:
     def test_holds_exit_zero(self, spec_file, capsys):

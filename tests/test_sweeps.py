@@ -206,6 +206,7 @@ def test_the_sweeps_cover_undefined_and_infinite_rates():
 
 
 def test_a_shared_baseline_is_swept_once():
+    # a system sweeps its own rate component by component
     calls = []
 
     class Counted(Lomax):
@@ -213,8 +214,61 @@ def test_a_shared_baseline_is_swept_once():
             calls.append(rate)
             return super().rate_sweep(rate, xs)
 
-    OrderStatDist(parallel_prhr(Counted(2.0, 1.0), (0.5, 1.0, 2.0))).rate_sweep("hazard", XS)
-    assert calls == ["rev_hazard"]
+    for build, rate in ((series_phr, "hazard"), (parallel_prhr, "rev_hazard")):
+        OrderStatDist(build(Counted(2.0, 1.0), (0.5, 1.0, 2.0))).rate_sweep(rate, XS)
+        assert calls == [rate]
+        calls.clear()
+
+
+# -- the series/parallel mirror --------------------------------------------
+
+# The maximum of X_i is minus the minimum of -X_i: a parallel system on
+# baselines B_i is the series system on ReflectedDFR(B_i) at -x, with the
+# two sides' values and rates swapped.
+_MIRROR_BASELINES = {
+    "lomax": Lomax(1.5, 2.0),
+    "exponential": Exponential(1.3),
+    "weibull-dfr": Weibull(0.7, 1.2),
+    "weibull-ifr": Weibull(1.6, 0.8),
+}
+MIRRORS = {
+    **{f"shared-{name}": ((b, (0.5, 1.5, 2.0)),)
+       for name, b in _MIRROR_BASELINES.items()},
+    "mixed-lomax-exponential": ((Lomax(0.9, 1.0), (0.3,)), (Exponential(0.7), (1.3, 0.8))),
+    "mixed-weibull-dfr-ifr": ((Weibull(0.7, 1.2), (0.6, 1.1)), (Weibull(1.6, 0.8), (1.4,))),
+    "mixed-exponential-weibull-ifr": ((Exponential(1.1), (0.4,)), (Weibull(1.6, 0.8), (2.0,))),
+    "mixed-lomax-weibull-dfr": ((Lomax(2.0, 1.0), (1.2, 0.5)), (Weibull(0.7, 1.2), (0.9,))),
+    # supports that differ, so that each side must take its own support end
+    "mixed-lomax-pareto": ((Lomax(1.5, 2.0), (0.7,)), (ParetoI(2.5), (1.2,))),
+}
+MIRROR_OF = {"sf": "cdf", "cdf": "sf", "pdf": "pdf",
+             "hazard": "rev_hazard", "rev_hazard": "hazard"}
+MIRROR_US = [1e-9, 1e-4, 0.01, 0.25, 0.5, 0.75, 0.99, 1 - 1e-4, 1 - 1e-9]
+
+
+def _mirror_pair(blocks):
+    def system(kind, reflect):
+        return OrderStatDist(SystemSpec(kind, tuple(
+            (ReflectedDFR(b) if reflect else b, p) for b, props in blocks for p in props)))
+
+    return system(PARALLEL_PRHR, False), system(SERIES_PHR, True)
+
+
+@pytest.mark.parametrize("name", sorted(MIRRORS))
+def test_parallel_is_the_mirrored_series(name):
+    par, ser = _mirror_pair(MIRRORS[name])
+    assert all(map(_same, par.support, [-e for e in reversed(ser.support)]))
+    for method, mirrored in MIRROR_OF.items():
+        for x in XS:
+            got = _rate_or_none(getattr(par, method), x)
+            want = _rate_or_none(getattr(ser, mirrored), -x)
+            assert _same(got, want), (method, x, got, want)
+    for rate in VALUE_OF:
+        got = par.rate_sweep(rate, XS)
+        want = ser.rate_sweep(MIRROR_OF[rate], [-x for x in XS])
+        assert all(map(_same, got[0] + got[1], want[0] + want[1])), rate
+    for q, mq in zip(par.quantiles(MIRROR_US), ser.quantiles([1 - u for u in MIRROR_US])):
+        assert abs(q + mq) <= 1e-9 * (1.0 + abs(q)), (q, mq)
 
 
 # -- hr/rh against the per-point body they replaced ------------------------
@@ -433,7 +487,7 @@ def test_seeded_first_solve(u, monkeypatch):
             return fn(x)
 
         bisect_increasing(counted, target, 0.5 * (max(lo, -1.0) + min(hi, 1.0)),
-                          lo_bound=lo, hi_bound=hi, dfn=d._min_rate if series else d._max_rate)
+                          lo_bound=lo, hi_bound=hi, dfn=d._rate_sum)
         unseeded_total += unseeded[0]
     for series in (True, False):
         assert worst[series] <= EVALUATIONS[(series, u)], worst
