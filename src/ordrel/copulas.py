@@ -143,27 +143,30 @@ def copula_value(g: Generator, u) -> float:
     return g.psi(total)
 
 
-def _log_curvature_holds(g: Generator, grid, tol: float, sign: float) -> bool:
-    """sign * (second difference of ln psi) >= -tol*(1 + |ln psi|) at every
-    interior point of the grid (default: 256 points on [1e-3, 20])."""
-    if grid is None:
-        grid = [1e-3 + i * (20.0 - 1e-3) / 255 for i in range(256)]
-    logs = [math.log(g.psi(x)) for x in grid]
+LOG_CURVATURE_GRID = tuple(1e-3 + i * (20.0 - 1e-3) / 255 for i in range(256))
+LOG_CURVATURE_TOL = 1e-9
+SUPER_ADDITIVE_TAU = 1e-9
+
+
+def _log_curvature_holds(g: Generator, sign: float) -> bool:
+    """sign * (second difference of ln psi) >= -``LOG_CURVATURE_TOL`` *
+    (1 + |ln psi|) at every interior point of ``LOG_CURVATURE_GRID``."""
+    logs = [math.log(g.psi(x)) for x in LOG_CURVATURE_GRID]
     for i in range(1, len(logs) - 1):
         d2 = sign * (logs[i - 1] - 2.0 * logs[i] + logs[i + 1])
-        if d2 < -tol * (1.0 + abs(logs[i])):
+        if d2 < -LOG_CURVATURE_TOL * (1.0 + abs(logs[i])):
             return False
     return True
 
 
-def is_log_convex(g: Generator, grid=None, tol: float = 1e-9) -> bool:
+def is_log_convex(g: Generator) -> bool:
     """Numeric convexity of ln psi via second differences on a grid."""
-    return _log_curvature_holds(g, grid, tol, 1.0)
+    return _log_curvature_holds(g, 1.0)
 
 
-def is_log_concave(g: Generator, grid=None, tol: float = 1e-9) -> bool:
+def is_log_concave(g: Generator) -> bool:
     """Numeric concavity of ln psi: the convexity test with the sign flipped."""
-    return _log_curvature_holds(g, grid, tol, -1.0)
+    return _log_curvature_holds(g, -1.0)
 
 
 def compose_phi_psi(outer: Generator, inner: Generator):
@@ -175,16 +178,17 @@ def compose_phi_psi(outer: Generator, inner: Generator):
     return h
 
 
-def super_additive_check(h, x_max: float = 10.0, n: int = 48,
-                         tau: float = 1e-9) -> tuple[bool, tuple | None]:
-    """Check h(x+y) >= h(x) + h(y) - tau on the sum lattice: x and y run
-    over n grid points k*step in [0, x_max/2], so x+y is again a multiple
-    of step and h is evaluated once at each of the 2n-1 points k*step.
+def super_additive_check(h, x_max: float = 10.0, n: int = 48) -> tuple[bool, tuple | None]:
+    """Check h(x+y) >= h(x) + h(y) within ``SUPER_ADDITIVE_TAU`` on the sum
+    lattice: x and y run over n grid points k*step in [0, x_max/2], so x+y is
+    again a multiple of step and h is evaluated once at each of the 2n-1
+    points k*step.  The tolerance is relative to 1 + |h(x) + h(y)|.
 
     Returns (ok, witness); witness is (x, y, h(x+y), h(x)+h(y)) on failure.
     """
     xs = [k * x_max / (2 * (n - 1)) for k in range(2 * n - 1)]
     hs = [h(x) for x in xs]
+    tau = SUPER_ADDITIVE_TAU  # a local: the pair loop reads it ~1,000 times
     for i in range(n):
         for j in range(i, n):
             lhs = hs[i + j]

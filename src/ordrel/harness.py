@@ -398,43 +398,19 @@ def _sample_lomax_maxima(v, violate):
     return {"theta": v["theta"], "alphas": alphas, "alphas_star": tuple(star)}
 
 
-def _dependent_scenario(v, violate, generators, baselines):
+def _sample_dependent(v, violate, *, theta_y, baselines):
+    """Clayton generators and shifts for X and Y; `theta_y` and `baselines`
+    are the side's data (`_MINIMA_DRAW`, `_MAXIMA_DRAW`)."""
     mu = (v["m1"], v["m2"])
     if violate:
         mu_star = tuple(m - 0.9 * min(mu) for m in mu)  # breaks submajorization
     else:
         mu_star = tuple(m + v["shift"] for m in mu)
-    return {
-        "generator_x": generators[0],
-        "generator_y": generators[1],
-        "baseline_x": baselines[0],
-        "baseline_y": baselines[1],
-        "shifts_x": mu,
-        "shifts_y": mu_star,
-        "branch": "log_convex",
-    }
-
-
-def _sample_dependent_minima(v, violate):
-    theta1 = v["theta1"]
-    theta2 = theta1 * v["theta_frac"]  # theta1 >= theta2 keeps phi1 o psi2 super-additive
-    rate_f = v["rate_f"]
-    rate_g = rate_f * (1.0 + v["rate_gap"])  # baseline_y <=_st baseline_x
-    return _dependent_scenario(v, violate,
-                               (Clayton(theta1, dim=2), Clayton(theta2, dim=2)),
-                               (Exponential(rate_f), Exponential(rate_g)))
-
-
-def _sample_dependent_maxima(v, violate):
-    theta1 = v["theta1"]
-    theta2 = theta1 * (1.0 + v["theta_gap"])  # theta2 >= theta1: phi2 o psi1 super-additive
-    a_g = v["g_shape"]
-    a_f = a_g * (1.0 + v["shape_gap"])  # baseline_y <=_st baseline_x
-    scale = v["scale"]
-    return _dependent_scenario(v, violate,
-                               (Clayton(theta1, dim=2), Clayton(theta2, dim=2)),
-                               (ReflectedDFR(Lomax(a_f, scale)),
-                                ReflectedDFR(Lomax(a_g, scale))))
+    baseline_x, baseline_y = baselines(v)
+    return {"generator_x": Clayton(v["theta1"], dim=2),
+            "generator_y": Clayton(theta_y(v), dim=2),
+            "baseline_x": baseline_x, "baseline_y": baseline_y,
+            "shifts_x": mu, "shifts_y": mu_star, "branch": "log_convex"}
 
 
 # -- the registry ----------------------------------------------------------
@@ -465,18 +441,34 @@ _SYSTEMS = {"system_x": "system", "system_y": "system"}
 # grid is an x-grid.
 _DISP_SERIES_GRIDS = {"ageing": "x", "hr": "x", "disp": "u"}
 _DISP_PARALLEL_GRIDS = {"ageing": "x", "rh": "x", "disp": "u"}
-_DEPENDENT_GRIDS = {"ageing": "x", "st": "x", "dep": "x"}
-_DEPENDENT_DIMS = {"shifts_x": "generator_x", "shifts_y": "generator_y"}
 _OUTLIERS = {"baseline_x": "dist", "baseline_y": "dist",
              "outlier_x": "outlier_block", "outlier_y": "outlier_block"}
-_DEPENDENT = {"generator_x": "generator", "generator_y": "generator",
-              "baseline_x": "dist", "baseline_y": "dist",
-              "shifts_x": "number_array", "shifts_y": "number_array",
-              "branch": "branch"}
+# What T7 and T8 share: all but their side and their box.
+_DEPENDENT = dict(
+    fields={"generator_x": "generator", "generator_y": "generator",
+            "baseline_x": "dist", "baseline_y": "dist",
+            "shifts_x": "number_array", "shifts_y": "number_array", "branch": "branch"},
+    optional=("branch",), grids={"ageing": "x", "st": "x", "dep": "x"},
+    dims={"shifts_x": "generator_x", "shifts_y": "generator_y"},
+    hypothesis=_DEPENDENT_ROWS, conclusion=("st", "y", "x"))
 _MINIMA = {"extreme": DependentMin, "compose_low_first": False,
            "ageing": {"log_convex": "IFR", "log_concave": "DFR"}}
 _MAXIMA = {"extreme": DependentMax, "compose_low_first": True,
            "ageing": {"log_convex": "IRHR", "log_concave": "DRHR"}}
+# The sampler's side: theta_y, which keeps the composition super-additive
+# (theta1 >= theta_y for minima, theta_y >= theta1 for maxima), and the
+# baselines (X, Y), with baseline_y <=_st baseline_x.
+_MINIMA_DRAW = {
+    "theta_y": lambda v: v["theta1"] * v["theta_frac"],
+    "baselines": lambda v: (Exponential(v["rate_f"]),
+                            Exponential(v["rate_f"] * (1.0 + v["rate_gap"]))),
+}
+_MAXIMA_DRAW = {
+    "theta_y": lambda v: v["theta1"] * (1.0 + v["theta_gap"]),
+    "baselines": lambda v: (
+        ReflectedDFR(Lomax(v["g_shape"] * (1.0 + v["shape_gap"]), v["scale"])),
+        ReflectedDFR(Lomax(v["g_shape"], v["scale"]))),
+}
 
 THEOREMS = {
     "T1": Theorem(
@@ -535,18 +527,14 @@ THEOREMS = {
         box={"theta": (0.5, 2.0), "b1": (0.5, 3.0), "b2": (0.5, 3.0),
              "b3": (0.5, 3.0), "shift": (0.1, 1.0), "mode": (0.0, 1.0)}),
     "T7": Theorem(
-        fields=_DEPENDENT, optional=("branch",), grids=_DEPENDENT_GRIDS,
-        sides=partial(_dependent_sides, **_MINIMA), hypothesis=_DEPENDENT_ROWS,
-        dims=_DEPENDENT_DIMS,
-        conclusion=("st", "y", "x"), sampler=_sample_dependent_minima,
+        **_DEPENDENT, sides=partial(_dependent_sides, **_MINIMA),
+        sampler=partial(_sample_dependent, **_MINIMA_DRAW),
         box={"theta1": (0.5, 3.0), "theta_frac": (0.3, 1.0), "rate_f": (0.5, 2.0),
              "rate_gap": (0.05, 1.0), "m1": (0.2, 1.5), "m2": (0.2, 1.5),
              "shift": (0.05, 0.8)}),
     "T8": Theorem(
-        fields=_DEPENDENT, optional=("branch",), grids=_DEPENDENT_GRIDS,
-        sides=partial(_dependent_sides, **_MAXIMA), hypothesis=_DEPENDENT_ROWS,
-        dims=_DEPENDENT_DIMS,
-        conclusion=("st", "y", "x"), sampler=_sample_dependent_maxima,
+        **_DEPENDENT, sides=partial(_dependent_sides, **_MAXIMA),
+        sampler=partial(_sample_dependent, **_MAXIMA_DRAW),
         box={"theta1": (0.5, 2.0), "theta_gap": (0.0, 1.5), "g_shape": (0.6, 2.0),
              "shape_gap": (0.05, 1.0), "scale": (0.5, 2.0),
              "m1": (0.2, 1.5), "m2": (0.2, 1.5), "shift": (0.05, 0.8)}),

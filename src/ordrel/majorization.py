@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from .errors import ParameterDomainError
 
 _REL_TOL = 1e-12
+SCHUR_DELTA_TOL = 1e-7  # slack on the sign of a sampled Delta
+SCHUR_SYMMETRY_TOL = 1e-8  # relative slack of the symmetry spot check
 
 
 def _prep(a, b):
@@ -111,12 +113,13 @@ def _partial(f, a, i, h):
 
 
 def schur_certify(f, region, mode: str = "convex", samples: int = 200,
-                  seed: int = 0, delta_tol: float = 1e-7,
-                  symmetry_tol: float = 1e-8) -> SchurCertificate:
+                  seed: int = 0) -> SchurCertificate:
     """Sample the Schur criterion for f over a box region [(lo, hi), ...].
 
-    Symmetry of f is the caller's responsibility but is spot-checked on a
-    few sampled permutations; an asymmetric f raises immediately.
+    A Delta below -``SCHUR_DELTA_TOL`` (convex) or above it (concave)
+    refutes.  Symmetry of f is the caller's responsibility but is
+    spot-checked on a few sampled permutations, within relative
+    ``SCHUR_SYMMETRY_TOL``; an asymmetric f raises immediately.
     """
     if mode not in ("convex", "concave"):
         raise ParameterDomainError(f"unknown mode {mode!r}")
@@ -134,7 +137,7 @@ def schur_certify(f, region, mode: str = "convex", samples: int = 200,
             # symmetry spot check on a random permutation
             perm = a[:]
             rng.shuffle(perm)
-            if abs(f(a) - f(perm)) > symmetry_tol * (1.0 + abs(f(a))):
+            if abs(f(a) - f(perm)) > SCHUR_SYMMETRY_TOL * (1.0 + abs(f(a))):
                 raise ParameterDomainError("function is not symmetric on the region")
         for i, j in itertools.combinations(range(n), 2):
             hi_ = 1e-5 * (1.0 + abs(a[i]))
@@ -147,7 +150,7 @@ def schur_certify(f, region, mode: str = "convex", samples: int = 200,
             evaluated += 1
             min_d = min(min_d, delta)
             max_d = max(max_d, delta)
-            bad = delta < -delta_tol if mode == "convex" else delta > delta_tol
+            bad = delta < -SCHUR_DELTA_TOL if mode == "convex" else delta > SCHUR_DELTA_TOL
             if bad and witness is None:
                 witness = (tuple(a), i, j, delta)
     if evaluated == 0:

@@ -9,6 +9,8 @@ import math
 
 from .errors import OrdrelError
 
+ATOL = 1e-12  # absolute error target, for integrals near 0
+
 # Kronrod-15 abscissae (non-negative half) and weights
 _XK = (
     0.991455371120813,
@@ -68,15 +70,15 @@ def adaptive_quad(
     a: float,
     b: float,
     rtol: float = 1e-9,
-    atol: float = 1e-12,
     max_panels: int = 2000,
 ) -> float:
-    """Integrate f over (a, b); either endpoint may be infinite."""
+    """Integrate f over (a, b), either endpoint may be infinite, to an
+    error estimate of at most max(``ATOL``, rtol * |total|)."""
     g, a, b = _transform(f, a, b)
     total, err = _gk15(g, a, b)
     stack = [(a, b, total, err)]
     n_panels = 1
-    while err > max(atol, rtol * abs(total)) and stack:
+    while err > max(ATOL, rtol * abs(total)) and stack:
         if n_panels >= max_panels:
             raise QuadratureError(
                 f"no convergence after {n_panels} panels (err={err:.3e}); "

@@ -7,6 +7,10 @@ takes safeguarded Newton steps; without one it grows a bracket and bisects.
 
 import math
 
+YTOL = 1e-12  # stop once |fn(x) - target| is below this
+XTOL = 1e-10  # stop once the bracket or step is below XTOL * (1 + |x|)
+MAX_ITER = 400  # the most evaluations of fn in one solve
+
 
 def bisect_increasing(
     fn,
@@ -14,9 +18,6 @@ def bisect_increasing(
     guess: float,
     lo_bound: float = -math.inf,
     hi_bound: float = math.inf,
-    ytol: float = 1e-12,
-    xtol: float = 1e-10,
-    max_iter: int = 400,
     dfn=None,
 ) -> float:
     """Solve fn(x) = target for a non-decreasing fn on [lo_bound, hi_bound].
@@ -29,18 +30,18 @@ def bisect_increasing(
     ``fn`` value and a point on a bound also fall back to bracketing, so the
     guess and ``dfn`` only affect the speed.
 
-    It stops when |fn(x) - target| < ytol, or when the bracket or the
-    Newton step is narrower than xtol * (1 + |x|), after at most
-    ``max_iter`` evaluations of ``fn``.  If fn stays above the target at
+    It stops when |fn(x) - target| < ``YTOL``, or when the bracket or the
+    Newton step is narrower than ``XTOL`` * (1 + |x|), after at most
+    ``MAX_ITER`` evaluations of ``fn``.  If fn stays above the target at
     lo_bound (below it at hi_bound), that bound is returned.
     """
     lo, hi = lo_bound, hi_bound
     has_lo = has_hi = False
     step = max(abs(guess), 1.0)
     x = guess
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         y = fn(x)
-        if abs(y - target) < ytol:
+        if abs(y - target) < YTOL:
             return x
         if y < target:
             if x >= hi_bound:
@@ -50,14 +51,14 @@ def bisect_increasing(
             if x <= lo_bound:
                 return lo_bound
             hi, has_hi = x, True
-        if has_lo and has_hi and hi - lo < xtol * (1.0 + abs(x)):
+        if has_lo and has_hi and hi - lo < XTOL * (1.0 + abs(x)):
             return x
         if dfn is not None and math.isfinite(y) and lo_bound < x < hi_bound:
             d = dfn(x)
             if 0.0 < d < math.inf:
                 nx = x - (y - target) / d
                 if lo < nx < hi:
-                    if abs(nx - x) < xtol * (1.0 + abs(nx)):
+                    if abs(nx - x) < XTOL * (1.0 + abs(nx)):
                         return nx
                     x = nx
                     continue

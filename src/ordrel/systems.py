@@ -151,12 +151,12 @@ class OrderStatDist(Distribution):
         self._series = value == "sf"
         self._comps = spec.components
         self._shared = spec.same_baseline()
+        self._support = (self._end([b.support[0] for b, _ in self._comps]),
+                         self._end([b.support[1] for b, _ in self._comps]))
 
     @property
     def support(self):
-        comps = self._comps
-        return (self._end([b.support[0] for b, _ in comps]),
-                self._end([b.support[1] for b, _ in comps]))
+        return self._support
 
     def _product(self, x):
         series = self._series
@@ -340,7 +340,7 @@ def lomax_min_moments(alphas) -> tuple[float, float]:
     return mean, var
 
 
-def numeric_moment(o: OrderStatDist, order: int, rtol: float = 1e-9) -> float:
+def numeric_moment(o: OrderStatDist, order: int) -> float:
     """Raw moment E[X**order] by adaptive quadrature of x**order dF."""
     if order not in (1, 2):
         raise ParameterDomainError("only first and second moments supported")
@@ -349,7 +349,7 @@ def numeric_moment(o: OrderStatDist, order: int, rtol: float = 1e-9) -> float:
             f"moment of order {order} diverges (tail exponent "
             f"{o.tail_exponent():g})", threshold=float(order))
     lo, hi = o.support
-    return adaptive_quad(lambda x: x ** order * o.pdf(x), lo, hi, rtol=rtol)
+    return adaptive_quad(lambda x: x ** order * o.pdf(x), lo, hi)
 
 
 def numeric_mean_variance(o: OrderStatDist) -> tuple[float, float]:

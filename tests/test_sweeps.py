@@ -473,7 +473,7 @@ def test_seeded_first_solve(u, monkeypatch):
         fn, target, root, evaluations = solves.pop()
         assert root == q and not solves
         assert min(bracket) * (1 - 1e-9) <= q <= max(bracket) * (1 + 1e-9)
-        step = 2e-10 * (1.0 + abs(q))  # twice the solver's xtol
+        step = 2e-10 * (1.0 + abs(q))  # twice special.XTOL
         assert abs(fn(q) - target) < 1e-12 or fn(q - step) <= target <= fn(q + step)
         worst[series] = max(worst[series], evaluations)
         within += evaluations <= 8
