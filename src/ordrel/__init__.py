@@ -22,7 +22,6 @@ from .copulas import (
     super_additive_check,
 )
 from .distributions import (
-    AgeingClass,
     Distribution,
     Exponential,
     Lomax,
@@ -78,7 +77,6 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeingClass",
     "CHECKERS",
     "Clayton",
     "ConfigError",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import serialize
@@ -51,9 +50,6 @@ def _json_dumps(obj) -> str:
 def _default_grid(args) -> GridSpec | None:
     if getattr(args, "grid", None):
         return serialize.load_grid(serialize.read_json_file(args.grid))
-    env = os.environ.get("ORDREL_DEFAULT_GRID")
-    if env:
-        return serialize.load_grid(serialize.read_json_file(env))
     return None
 
 

@@ -12,7 +12,7 @@ psi(inf) = 0, so a vanished survival term never poisons the generator sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .distributions import Distribution
 from .errors import ParameterDomainError
@@ -31,7 +31,8 @@ class Generator:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """{"family": ..., **fields}, the form `generator_from_json` reads."""
+        return {"family": self.family, **self.__dict__}
 
 
 def _check_psi_arg(x: float):
@@ -59,13 +60,10 @@ class Independence(Generator):
             return math.inf
         return -math.log(u)
 
-    def to_json(self):
-        return {"family": "independence", "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class Clayton(Generator):
-    theta: float = 1.0
+    theta: float
     dim: int = 2
     family = "clayton"
 
@@ -85,13 +83,10 @@ class Clayton(Generator):
             return math.inf
         return (u ** (-self.theta) - 1.0) / self.theta
 
-    def to_json(self):
-        return {"family": "clayton", "theta": self.theta, "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class Frank(Generator):
-    theta: float = 1.0
+    theta: float
     dim: int = 2
     family = "frank"
 
@@ -114,20 +109,16 @@ class Frank(Generator):
         t = self.theta
         return -math.log(math.expm1(-t * u) / math.expm1(-t))
 
-    def to_json(self):
-        return {"family": "frank", "theta": self.theta, "dim": self.dim}
 
-
-_GEN_FAMILIES = {
-    "independence": lambda o: Independence(dim=o.get("dim", 2)),
-    "clayton": lambda o: Clayton(theta=o["theta"], dim=o.get("dim", 2)),
-    "frank": lambda o: Frank(theta=o["theta"], dim=o.get("dim", 2)),
-}
+_GEN_FAMILIES = {cls.family: cls for cls in (Independence, Clayton, Frank)}
 
 
 def generator_from_json(obj: dict) -> Generator:
+    """Build a generator from {"family": ..., **fields}; keys that are not
+    fields of the family are ignored."""
     try:
-        return _GEN_FAMILIES[obj["family"]](obj)
+        cls = _GEN_FAMILIES[obj["family"]]
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
     except (KeyError, TypeError) as exc:
         raise ParameterDomainError(f"bad generator spec: {obj!r}") from exc
 

@@ -2,13 +2,15 @@
 
 Each family exposes the full functional surface used by the order checkers:
 cdf, sf, pdf, quantile, hazard and reversed hazard, plus a numeric ageing
-classifier (IFR/DFR/IRHR/DRHR).  All objects are immutable and every method
-is a pure function of its arguments.  `Distribution.column` evaluates one
-of them over a whole grid: each family has a kernel, one comprehension
-per method it has in closed form, equal bit for bit to the per-point
-method.  `rate_sweep` gives a rate and its sf or cdf on a grid; where the
-rate is the base-class formula pdf/value it divides by the column already
-in hand.
+classifier (IFR/DFR/IRHR/DRHR) that returns the set of flags that hold.
+All objects are immutable and every method is a pure function of its
+arguments.  `Distribution.column` is the one way to evaluate a method over
+a whole grid, quantiles included: each family has a kernel, one
+comprehension per method it has in closed form, equal bit for bit to the
+per-point method.  `rate_sweep` gives a rate and its sf or cdf on a grid;
+where the rate is the base-class formula pdf/value it divides by the column
+already in hand.  A family's JSON form is its ``family`` and its dataclass
+fields, and `dist_from_json` builds it back from its family table.
 
 Densities that diverge at a support edge (Weibull shape < 1 at the origin)
 evaluate to ``math.inf`` there, which doubles as the "unbounded" flag.
@@ -43,10 +45,6 @@ class Distribution:
 
     def quantile(self, u: float) -> float:
         raise NotImplementedError
-
-    def quantiles(self, us) -> list[float]:
-        """Quantiles at each probability in ``us``, in the same order."""
-        return [self.quantile(u) for u in us]
 
     def hazard(self, x: float) -> float:
         s = self.sf(x)
@@ -85,7 +83,9 @@ class Distribution:
         return math.inf
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """{"family": ..., "params": {...}}, with the family's dataclass
+        fields as params; `dist_from_json` reads it back."""
+        return {"family": self.family, "params": self.__dict__.copy()}
 
 
 def defined(fn, xs):
@@ -174,9 +174,6 @@ class Exponential(Distribution):
             return [-log1p(-u) / rate if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
         return super().column(name, points)
 
-    def to_json(self):
-        return {"family": "exponential", "params": {"rate": self.rate}}
-
 
 @dataclass(frozen=True)
 class Weibull(Distribution):
@@ -245,9 +242,6 @@ class Weibull(Distribution):
                     for u in points]
         return super().column(name, points)
 
-    def to_json(self):
-        return {"family": "weibull", "params": {"shape": self.shape, "rate": self.rate}}
-
 
 @dataclass(frozen=True)
 class Lomax(Distribution):
@@ -309,9 +303,6 @@ class Lomax(Distribution):
     def tail_exponent(self):
         return self.shape
 
-    def to_json(self):
-        return {"family": "lomax", "params": {"shape": self.shape, "scale": self.scale}}
-
 
 @dataclass(frozen=True)
 class ParetoI(Distribution):
@@ -370,9 +361,6 @@ class ParetoI(Distribution):
     def tail_exponent(self):
         return self.shape
 
-    def to_json(self):
-        return {"family": "pareto1", "params": {"shape": self.shape}}
-
 
 @dataclass(frozen=True)
 class ReflectedDFR(Distribution):
@@ -428,38 +416,22 @@ class ReflectedDFR(Distribution):
         return self.inner.column(self._REFLECTED[name], [-x for x in points])
 
     def to_json(self):
-        return {"family": "reflected_dfr", "params": {"inner": self.inner.to_json()}}
+        return {"family": self.family, "params": {"inner": self.inner.to_json()}}
 
 
-_FAMILIES = {
-    "exponential": lambda p: Exponential(rate=p["rate"]),
-    "weibull": lambda p: Weibull(shape=p["shape"], rate=p["rate"]),
-    "lomax": lambda p: Lomax(shape=p["shape"], scale=p.get("scale", 1.0)),
-    "pareto1": lambda p: ParetoI(shape=p["shape"]),
-    "reflected_dfr": lambda p: ReflectedDFR(inner=dist_from_json(p["inner"])),
-}
+_FAMILIES = {cls.family: cls for cls in (Exponential, Weibull, Lomax, ParetoI, ReflectedDFR)}
 
 
 def dist_from_json(obj: dict) -> Distribution:
-    """Build a distribution from {"family": ..., "params": {...}}."""
+    """Build a distribution from {"family": ..., "params": {...}}, the form
+    `Distribution.to_json` writes: the params are the family's constructor
+    arguments, and a dict param is a nested spec."""
     try:
-        family = obj["family"]
-        params = obj.get("params", {})
-        builder = _FAMILIES[family]
-    except (KeyError, TypeError) as exc:
+        cls = _FAMILIES[obj["family"]]
+        return cls(**{k: dist_from_json(v) if isinstance(v, dict) else v
+                      for k, v in obj.get("params", {}).items()})
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ParameterDomainError(f"bad distribution spec: {obj!r}") from exc
-    return builder(params)
-
-
-@dataclass(frozen=True)
-class AgeingClass:
-    """Numeric ageing classification over an evaluation grid."""
-
-    flags: frozenset[str]  # subset of {"IFR", "DFR", "IRHR", "DRHR"}
-    grid: tuple[float, ...]
-
-    def __contains__(self, flag: str) -> bool:
-        return flag in self.flags
 
 
 def ageing_points(d: Distribution, grid: GridSpec) -> list[float]:
@@ -483,14 +455,15 @@ _CLASS_RATES = {"IFR": ("hazard", False), "DFR": ("hazard", True),
 
 
 def classify_ageing(d: Distribution, grid: GridSpec | None = None,
-                    *classes: str) -> AgeingClass:
-    """Classify IFR/DFR (hazard) and IRHR/DRHR (reversed hazard) at the
-    grid's `ageing_points`, or only the ``classes`` named: a class holds
-    when `grids.first_decrease` finds no drop beyond ``tau_mono`` in the
-    rate (for DFR/DRHR, in the negated rate), so a constant hazard carries
-    both flags.  A rate undefined at some point (a bounded grid that starts
-    or ends at a support edge) carries neither of its two flags.  Each rate
-    the named classes need is evaluated once, as a `Distribution.column`."""
+                    *classes: str) -> frozenset[str]:
+    """The flags among IFR/DFR (hazard) and IRHR/DRHR (reversed hazard), or
+    among the ``classes`` named, that hold at the grid's `ageing_points`: a
+    class holds when `grids.first_decrease` finds no drop beyond
+    ``tau_mono`` in the rate (for DFR/DRHR, in the negated rate), so a
+    constant hazard carries both flags.  A rate undefined at some point (a
+    bounded grid that starts or ends at a support edge) carries neither of
+    its two flags.  Each rate the named classes need is evaluated once, as a
+    `Distribution.column`."""
     if grid is None:
         grid = GridSpec(kind="x", n=128)
     xs = ageing_points(d, grid)
@@ -508,4 +481,4 @@ def classify_ageing(d: Distribution, grid: GridSpec | None = None,
         if first_decrease(xs, [-v for v in values] if negate else values,
                           grid.tau_mono) is None:
             flags.add(cls)
-    return AgeingClass(flags=frozenset(flags), grid=tuple(xs))
+    return frozenset(flags)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from typing import Callable
 
 from . import orders
@@ -339,17 +339,22 @@ def _run(case: TheoremCase) -> TheoremReport:
 # A sampler maps knob values (already rescaled into the box) to a scenario.
 # With `violate` set it builds a configuration that breaks the hypothesis.
 
+# A left-to-right float sum: from Python 3.12 on, builtin sum() of floats is
+# compensated, and the samplers' inputs must be the same on every version.
+_sum = partial(reduce, operator.add)
+
+
 def _sample_disp(v, violate, *, build, gap, order, reflect=False):
     f_shape, scale = v["f_shape"], v["scale"]
     # A larger shape on the same scale: G0 <=_hr F0, and after reflection
     # onto (-inf, 0], F0 <=_rh G0.
     g_shape = f_shape * (1.0 + v[gap])
     alphas = (v["a1"], v["a2"], v["a3"])
-    target = sum(alphas) * (1.0 + v["sum_gap"])
+    target = _sum(alphas) * (1.0 + v["sum_gap"])
     if violate:
-        target = sum(alphas) * (1.0 - 0.4 * v["sum_gap"] - 0.05)
+        target = _sum(alphas) * (1.0 - 0.4 * v["sum_gap"] - 0.05)
     raw = tuple(v[k] for k in order)
-    betas = tuple(b * target / sum(raw) for b in raw)
+    betas = tuple(b * target / _sum(raw) for b in raw)
     f, g = Lomax(f_shape, scale), Lomax(g_shape, scale)
     if reflect:
         f, g = ReflectedDFR(f), ReflectedDFR(g)
@@ -365,8 +370,8 @@ def _sample_mixed(v, violate, *, build, lomax_front):
     gap1, gap2 = 1.0 + v["gap1"], 1.0 + v["gap2"]
     if violate:
         gap1 = 1.0 / (1.0 + v["gap1"]) * 0.9  # front sum drops below beta's
-    fsum = sum(front_y) * gap1
-    bsum = sum(back_y) * gap2
+    fsum = _sum(front_y) * gap1
+    bsum = _sum(back_y) * gap2
     return {
         "system_x": build(f, (0.4 * fsum, 0.6 * fsum), g, (bsum,)),
         "system_y": build(f, front_y, g, back_y),
@@ -378,7 +383,7 @@ def _sample_star(v, violate):
     # violates the decreasing-x*r(x) hypothesis instead.
     baseline = ParetoI(v["p_shape"]) if not violate else Weibull(1.4, 1.0)
     alphas = (v["a1"], v["a2"])
-    target = sum(alphas) * (1.0 + v["sum_gap"])
+    target = _sum(alphas) * (1.0 + v["sum_gap"])
     betas = (0.45 * target, 0.55 * target)
     return {
         "system_x": series_phr(baseline, alphas),
@@ -391,7 +396,7 @@ def _sample_lomax_maxima(v, violate):
     if violate:
         alphas = tuple(b - 0.25 * v["shift"] for b in star)
     elif v["mode"] < 0.5:
-        mean = sum(star) / len(star)
+        mean = _sum(star) / len(star)
         alphas = (mean,) * len(star)  # mean vector is majorized by star
     else:
         alphas = tuple(b + v["shift"] for b in star)

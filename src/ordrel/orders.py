@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import defined
+from .distributions import defined, strict_column
 from .errors import SupportError
 from .grids import GridSpec, first_decrease
 
@@ -177,13 +177,14 @@ def _positive_ratios(qas, qbs) -> list[float]:
 
 def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
     """The one quantile-order body: spread(quantiles_A, quantiles_B) must
-    be non-decreasing on the u-grid.  A quantile that overflows, raises
-    SupportError or is not finite makes the check inconclusive."""
+    be non-decreasing on the u-grid, whose quantiles each side gives as one
+    `Distribution.column`.  A quantile that overflows, raises SupportError
+    or is not finite makes the check inconclusive."""
     if grid is None:
         grid = GridSpec(kind="u")
     us = grid.u_points()
     try:
-        qas, qbs = A.quantiles(us), B.quantiles(us)
+        qas, qbs = strict_column(A, "quantile", us), strict_column(B, "quantile", us)
     except (SupportError, OverflowError):
         return OrderVerdict(relation, INCONCLUSIVE, None, grid)
     spreads = spread(qas, qbs)

@@ -18,7 +18,6 @@ bound.
 
 from __future__ import annotations
 
-import inspect
 import json
 import operator
 from functools import lru_cache
@@ -29,7 +28,6 @@ from .distributions import Distribution, dist_from_json
 from .errors import ConfigError
 from .grids import GridSpec
 from .harness import SCAN_IDS, THEOREMS, TheoremCase
-from .scan import scan
 from .systems import OrderStatDist, SystemSpec
 
 
@@ -232,20 +230,16 @@ def load_case(obj: dict) -> TheoremCase:
     return TheoremCase(tid, scenario, grids=grids, n=obj.get("n", TheoremCase.n))
 
 
-# What a scan config leaves out takes scan()'s own default.
-_SCAN_DEFAULTS = {name: param.default for name, param in
-                  inspect.signature(scan).parameters.items()
-                  if name in ("strategy", "seed", "grid_n")}
-
-
 def load_scan_config(obj: dict) -> dict:
+    """The `scan` keyword arguments a scan config sets; `scan` applies its
+    own defaults to the rest."""
     validate(obj, "scan_config")
     _check_id(obj, "scan_config", SCAN_IDS)
-    box = None
+    cfg = {"theorem_id": obj["id"], "budget": obj["budget"]}
+    cfg.update((k, obj[k]) for k in ("strategy", "seed", "grid_n") if k in obj)
     if "box" in obj:
-        box = {k: (float(v[0]), float(v[1])) for k, v in obj["box"].items()}
-    return {"theorem_id": obj["id"], "budget": obj["budget"], "box": box,
-            **{k: obj.get(k, default) for k, default in _SCAN_DEFAULTS.items()}}
+        cfg["box"] = {k: (float(v[0]), float(v[1])) for k, v in obj["box"].items()}
+    return cfg
 
 
 def read_json_file(path) -> dict:

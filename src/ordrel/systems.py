@@ -7,15 +7,15 @@ rev_hazard, the tail and the support end) is data in the ``_SIDES`` table.
 When all components share one baseline the product collapses to a single
 power, which gives closed-form quantiles.  Mixed-baseline systems invert
 the cumulative hazard -log sf (series) or log cdf (parallel) by safeguarded
-Newton steps, whose derivative is the system's rate sum.  ``quantiles``
-sweeps a u-grid in one call: a shared-baseline system computes its exponent
-once and applies the closed form to each u; a mixed-baseline one seeds its
-first solve from its components' quantiles, which bracket the root, and
-starts each later solve from the previous root.  ``quantile`` is the
-one-point sweep.  ``rate_sweep`` gives a system's sf or cdf and its own rate
-(hazard for series, rev_hazard for parallel) on a whole grid, sweeping each
-baseline once, for the hr and rh checkers; the other rate is swept point by
-point.
+Newton steps, whose derivative is the system's rate sum.  The quantile
+``column`` sweeps a u-grid in one call: a shared-baseline system computes
+its exponent once and applies the closed form to each u; a mixed-baseline
+one seeds its first solve from its components' quantiles, which bracket the
+root, and starts each later solve from the previous root.  ``quantile`` is
+the one-point sweep; every other column is the base class's per-point one.
+``rate_sweep`` gives a system's sf or cdf and its own rate (hazard for
+series, rev_hazard for parallel) on a whole grid, sweeping each baseline
+once, for the hr and rh checkers; the other rate is swept point by point.
 """
 
 from __future__ import annotations
@@ -146,7 +146,6 @@ class OrderStatDist(Distribution):
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
-        self.family = f"orderstat[{spec.kind}]"
         value, self._rate, self._tail, self._end = _SIDES[spec.kind]
         self._series = value == "sf"
         self._comps = spec.components
@@ -229,10 +228,11 @@ class OrderStatDist(Distribution):
         return product, [None if v <= 0.0 else t for v, t in zip(product, totals)]
 
     def quantile(self, u):
-        return self.quantiles((u,))[0]
+        return self.column("quantile", (u,))[0]
 
-    def quantiles(self, us):
-        """Quantiles in one sweep.  Each u maps to the component level
+    def column(self, name, us):
+        """`Distribution.column`; the quantile column is one sweep, which
+        raises what a solve raises.  Each u maps to the component level
         t = 1-(1-u)**(1/sum p) (series) or u**(1/sum p) (parallel).  A
         shared-baseline system inverts its single power in closed form: its
         quantile is the baseline's at t.  A mixed-baseline system solves the
@@ -242,6 +242,8 @@ class OrderStatDist(Distribution):
         which holds the root (`_seed`); each later one starts from the
         previous root.  A start is only a guess, so neither it nor the order
         of ``us`` matters beyond the solver tolerances."""
+        if name != "quantile":
+            return super().column(name, us)
         series = self._series
         p = 1.0 / self.spec.prop_sum()
         base = self._shared
@@ -281,6 +283,9 @@ class OrderStatDist(Distribution):
             lo, hi = self.support
             return 0.5 * (max(lo, -1.0) + min(hi, 1.0))
         return 0.5 * (min(qs) + max(qs))
+
+    def to_json(self):
+        return self.spec.to_json()
 
     def tail_exponent(self):
         # the survival product multiplies the decay rates; the heaviest

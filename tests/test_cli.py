@@ -54,15 +54,7 @@ class TestDist:
         assert main(["dist", "-s", dpath, "--fn", "sf", "--grid", gpath]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 65
 
-    def test_env_default_grid(self, spec_file, capsys, monkeypatch):
-        dpath = spec_file("d.json", EXP1)
-        gpath = spec_file("g.json", {"kind": "x", "lo": 0.0, "hi": 2.0, "n": 64})
-        monkeypatch.setenv("ORDREL_DEFAULT_GRID", gpath)
-        assert main(["dist", "-s", dpath, "--fn", "sf"]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 65
-
-    def test_no_points_is_usage_error(self, spec_file, capsys, monkeypatch):
-        monkeypatch.delenv("ORDREL_DEFAULT_GRID", raising=False)
+    def test_no_points_is_usage_error(self, spec_file, capsys):
         path = spec_file("d.json", EXP1)
         assert main(["dist", "-s", path, "--fn", "sf"]) == 2
 

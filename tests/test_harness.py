@@ -14,7 +14,6 @@ from ordrel import (
     ReflectedDFR,
     SupportError,
     TheoremCase,
-    classify_ageing,
     mixed_parallel,
     mixed_series,
     parallel_prhr,
@@ -369,7 +368,6 @@ class TestAgeingPoints:
         assert len(xs) == 64
         assert xs[0] == d.quantile(0.3)
         assert xs[-1] == pytest.approx(d.quantile(0.7), rel=1e-12)
-        assert classify_ageing(d, GridSpec(kind="x", eps=0.3, n=64)).grid == tuple(xs)
 
     def test_default_grid_points_unchanged(self):
         from ordrel.distributions import ageing_points

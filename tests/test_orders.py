@@ -216,11 +216,20 @@ def test_failing_witness_is_unchanged(checker, a, b, witness):
     assert json.dumps(v.to_json()["witness"]) == witness
 
 
+class _Quantiles(Distribution):
+    """Stub whose quantile column on a 64-point u-grid is the values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def column(self, name, points):
+        return list(self.values)
+
+
 class _Sequence(Distribution):
     """Stub whose grid point i sits at x = 2**i on the default 64-point
     quantile grid, with rev_hazard(x) = values[i] and hazard(x) =
-    values[i]/x, so that x*hazard(x) is values[i] exactly; its quantiles
-    on a 64-point u-grid are the values themselves."""
+    values[i]/x, so that x*hazard(x) is values[i] exactly."""
 
     def __init__(self, values):
         self.values = values
@@ -229,9 +238,6 @@ class _Sequence(Distribution):
 
     def quantile(self, u):
         return 2.0 ** round((u - 1e-3) * 63 / (1.0 - 2e-3))
-
-    def quantiles(self, us):
-        return list(self.values)
 
     def rev_hazard(self, x):
         return self.values[int(math.log2(x))]
@@ -269,7 +275,7 @@ def test_one_monotone_rule(values, up, down):
     assert (first_decrease(xs, list(values), TAU) is None) == up
     assert (first_decrease(xs, [-v for v in values], TAU) is None) == down
     u_grid = GridSpec(kind="u", n=64, tau_mono=TAU)
-    disp = check_disp(_Sequence((0.0,) * 64), _Sequence(values), u_grid)
+    disp = check_disp(_Quantiles((0.0,) * 64), _Quantiles(values), u_grid)
     assert disp.outcome == (HOLDS if up else FAILS)
     x_grid = GridSpec(kind="x", n=64, tau_mono=TAU)
     flags = classify_ageing(_Sequence(values), x_grid)

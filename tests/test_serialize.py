@@ -1,12 +1,16 @@
 """JSON schema validation and object loading."""
 
 import copy
+import json
 import math
 import random
 
 import pytest
 
-from ordrel import ConfigError, Exponential, GridSpec, Lomax
+from ordrel import (ConfigError, Clayton, Exponential, Frank, GridSpec, Independence,
+                    Lomax, ParameterDomainError, ParetoI, ReflectedDFR, Weibull)
+from ordrel.copulas import generator_from_json
+from ordrel.distributions import dist_from_json
 from ordrel.harness import THEOREMS, run_case
 from conftest import BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND
 from ordrel.serialize import (
@@ -91,6 +95,58 @@ class TestGeneratorLoading:
     def test_dim(self):
         g = load_generator({"family": "frank", "theta": 2.0, "dim": 3})
         assert g.dim == 3
+
+
+# Every family and generator with the JSON it writes, key order included;
+# integer params stay integers.
+TO_JSON = [
+    (Exponential(2.0), '{"family": "exponential", "params": {"rate": 2.0}}'),
+    (Exponential(3), '{"family": "exponential", "params": {"rate": 3}}'),
+    (Weibull(0.7, 2), '{"family": "weibull", "params": {"shape": 0.7, "rate": 2}}'),
+    (Lomax(1.5), '{"family": "lomax", "params": {"shape": 1.5, "scale": 1.0}}'),
+    (Lomax(2, 3.5), '{"family": "lomax", "params": {"shape": 2, "scale": 3.5}}'),
+    (ParetoI(2), '{"family": "pareto1", "params": {"shape": 2}}'),
+    (ReflectedDFR(Lomax(0.8, 2)),
+     '{"family": "reflected_dfr", "params": {"inner": '
+     '{"family": "lomax", "params": {"shape": 0.8, "scale": 2}}}}'),
+    (ReflectedDFR(Weibull(0.5, 1)),
+     '{"family": "reflected_dfr", "params": {"inner": '
+     '{"family": "weibull", "params": {"shape": 0.5, "rate": 1}}}}'),
+    (Independence(), '{"family": "independence", "dim": 2}'),
+    (Independence(dim=3), '{"family": "independence", "dim": 3}'),
+    (Clayton(2.0), '{"family": "clayton", "theta": 2.0, "dim": 2}'),
+    (Clayton(1.5, dim=3), '{"family": "clayton", "theta": 1.5, "dim": 3}'),
+    (Frank(-2.0), '{"family": "frank", "theta": -2.0, "dim": 2}'),
+    (Frank(3, dim=4), '{"family": "frank", "theta": 3, "dim": 4}'),
+]
+
+
+@pytest.mark.parametrize("obj,text", TO_JSON, ids=[repr(o) for o, _ in TO_JSON])
+def test_to_json_is_pinned_and_round_trips(obj, text):
+    assert json.dumps(obj.to_json()) == text
+    from_json = dist_from_json if "params" in obj.to_json() else generator_from_json
+    assert from_json(json.loads(text)) == obj
+
+
+MALFORMED = [
+    (dist_from_json, {"family": "exponential", "params": {}}),
+    (dist_from_json, {"family": "reflected_dfr",
+                      "params": {"inner": {"family": "lomax", "params": {}}}}),
+    (dist_from_json, {"family": "reflected_dfr", "params": {"inner": 5}}),
+    (dist_from_json, {"family": "exponential", "params": {"rate": 1.0, "scale": 2.0}}),
+    (dist_from_json, {"family": "exponential", "params": [2.0]}),
+    (generator_from_json, {"family": "clayton"}),
+    (generator_from_json, {"family": "frank", "dim": 3}),
+]
+
+
+@pytest.mark.parametrize("from_json,spec", MALFORMED,
+                         ids=["missing-param", "missing-nested-param", "inner-not-a-spec",
+                              "extra-param", "params-not-an-object", "clayton-without-theta",
+                              "frank-without-theta"])
+def test_malformed_spec_is_a_domain_error(from_json, spec):
+    with pytest.raises(ParameterDomainError, match="bad (distribution|generator) spec"):
+        from_json(spec)
 
 
 class TestGridLoading:
@@ -235,8 +291,7 @@ class TestCaseLoading:
 class TestScanConfig:
     def test_defaults(self):
         cfg = load_scan_config({"id": "T1", "budget": 10})
-        assert cfg == {"theorem_id": "T1", "budget": 10, "strategy": "random",
-                       "seed": 0, "grid_n": 96, "box": None}
+        assert cfg == {"theorem_id": "T1", "budget": 10}
 
     def test_box(self):
         cfg = load_scan_config({"id": "T1", "budget": 5,

@@ -267,7 +267,8 @@ def test_parallel_is_the_mirrored_series(name):
         got = par.rate_sweep(rate, XS)
         want = ser.rate_sweep(MIRROR_OF[rate], [-x for x in XS])
         assert all(map(_same, got[0] + got[1], want[0] + want[1])), rate
-    for q, mq in zip(par.quantiles(MIRROR_US), ser.quantiles([1 - u for u in MIRROR_US])):
+    for q, mq in zip(par.column("quantile", MIRROR_US),
+                     ser.column("quantile", [1 - u for u in MIRROR_US])):
         assert abs(q + mq) <= 1e-9 * (1.0 + abs(q)), (q, mq)
 
 

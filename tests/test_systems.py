@@ -60,6 +60,7 @@ class TestSystemSpec:
         s2 = SystemSpec.from_json(s.to_json())
         assert s2.kind == s.kind and s2.split == s.split
         assert s2.props == s.props
+        assert OrderStatDist(s).to_json() == s.to_json()
 
 
 class TestOrderStatSurface:
@@ -135,23 +136,23 @@ class TestQuantileSweep:
 
     @pytest.mark.parametrize("o", MIXED_SYSTEMS, ids=["series", "parallel"])
     def test_sweep_matches_pointwise_quantiles(self, o):
-        qs = o.quantiles(self.US)
+        qs = o.column("quantile", self.US)
         for u, q in zip(self.US, qs):
             assert q == pytest.approx(o.quantile(u), rel=1e-9)
             assert abs(o.cdf(q) - u) <= 1e-12
 
     @pytest.mark.parametrize("o", MIXED_SYSTEMS, ids=["series", "parallel"])
     def test_sweep_does_not_depend_on_order(self, o):
-        qs = dict(zip(self.US, o.quantiles(self.US)))
+        qs = dict(zip(self.US, o.column("quantile", self.US)))
         shuffled = list(self.US)
         random.Random(3).shuffle(shuffled)
         for us in (self.US[::-1], shuffled):
-            for u, q in zip(us, o.quantiles(us)):
+            for u, q in zip(us, o.column("quantile", us)):
                 assert q == pytest.approx(qs[u], rel=1e-9)
 
     def test_sweep_validates_probabilities(self):
         with pytest.raises(ParameterDomainError):
-            MIXED_SYSTEMS[0].quantiles([0.5, 1.0])
+            MIXED_SYSTEMS[0].column("quantile", [0.5, 1.0])
 
 
 SHARED_BASELINES = [Weibull(0.7, 1.3), Lomax(1.5, 2.0), ParetoI(2.5),
@@ -175,21 +176,21 @@ class TestSharedBaselineSweep:
 
     @pytest.mark.parametrize("o", SHARED_SYSTEMS, ids=SHARED_IDS)
     def test_sweep_is_bitwise_pointwise(self, o):
-        qs = o.quantiles(self.US)
+        qs = o.column("quantile", self.US)
         assert qs == [o.quantile(u) for u in self.US]
         assert qs == [_closed_form_quantile(o, u) for u in self.US]
-        assert o.quantiles(self.US[::-1]) == qs[::-1]
+        assert o.column("quantile", self.US[::-1]) == qs[::-1]
 
     @pytest.mark.parametrize("o", SHARED_SYSTEMS, ids=SHARED_IDS)
     def test_sweep_inverts_the_cdf(self, o):
-        for u, q in zip(self.US[:-3], o.quantiles(self.US[:-3])):
+        for u, q in zip(self.US[:-3], o.column("quantile", self.US[:-3])):
             assert o.cdf(q) == pytest.approx(u, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
     @pytest.mark.parametrize("o", SHARED_SYSTEMS[::4], ids=["series", "parallel"])
     def test_sweep_validates_probabilities(self, o, bad):
         with pytest.raises(ParameterDomainError):
-            o.quantiles([0.5, bad])
+            o.column("quantile", [0.5, bad])
         with pytest.raises(ParameterDomainError):
             o.quantile(bad)
 
