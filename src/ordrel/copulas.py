@@ -7,12 +7,15 @@ serve as guards rather than a symbolic n-monotonicity proof.
 
 phi(0) is represented by the saturating sentinel ``math.inf`` with
 psi(inf) = 0, so a vanished survival term never poisons the generator sum.
+
+J1 and J2, the survival functions of the dependent minimum and maximum,
+are one generator sum over the baseline's sf or cdf, and share the rest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .distributions import Distribution
 from .errors import ParameterDomainError
@@ -114,11 +117,12 @@ _GEN_FAMILIES = {cls.family: cls for cls in (Independence, Clayton, Frank)}
 
 
 def generator_from_json(obj: dict) -> Generator:
-    """Build a generator from {"family": ..., **fields}; keys that are not
-    fields of the family are ignored."""
+    """Build a generator from {"family": ..., **fields}, the form
+    `Generator.to_json` writes: every other key is a constructor argument,
+    so a key the family does not take is an error."""
     try:
         cls = _GEN_FAMILIES[obj["family"]]
-        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+        return cls(**{k: v for k, v in obj.items() if k != "family"})
     except (KeyError, TypeError) as exc:
         raise ParameterDomainError(f"bad generator spec: {obj!r}") from exc
 
@@ -207,33 +211,34 @@ class ShiftedSystem:
             raise ParameterDomainError("need at least two components")
 
 
-def j1(s: ShiftedSystem, x: float) -> float:
-    """Survival function of min(Y_1, ..., Y_n):
-    psi(sum_k phi(sf(x + mu_k)))."""
+def _generator_sum(s: ShiftedSystem, x: float, value: str) -> float:
+    """psi(sum_k phi(v(x + mu_k))), with v the baseline's `value` ("sf" or
+    "cdf"); 0.0 at the first phi that is inf."""
+    g, v = s.generator, getattr(s.baseline, value)
     total = 0.0
     for mu in s.shifts:
-        p = s.generator.phi(s.baseline.sf(x + mu))
+        p = g.phi(v(x + mu))  # g.phi per term: binding it costs more than it saves
         if math.isinf(p):
             return 0.0
         total += p
-    return s.generator.psi(total)
+    return g.psi(total)
+
+
+def j1(s: ShiftedSystem, x: float) -> float:
+    """Survival function of min(Y_1, ..., Y_n):
+    psi(sum_k phi(sf(x + mu_k)))."""
+    return _generator_sum(s, x, "sf")
 
 
 def j2(s: ShiftedSystem, x: float) -> float:
     """Survival function of max(Y_1, ..., Y_n):
     1 - psi(sum_k phi(cdf(x + mu_k)))."""
-    total = 0.0
-    for mu in s.shifts:
-        p = s.generator.phi(s.baseline.cdf(x + mu))
-        if math.isinf(p):
-            return 1.0
-        total += p
-    return 1.0 - s.generator.psi(total)
+    return 1.0 - _generator_sum(s, x, "cdf")
 
 
 class _DependentExtreme:
-    """Support shared by the dependent minimum and maximum of a
-    ShiftedSystem; each subclass supplies sf and cdf."""
+    """Support and cdf = 1 - sf of the dependent minimum and maximum of a
+    ShiftedSystem; each subclass's sf calls `j1` or `j2` by name."""
 
     def __init__(self, system: ShiftedSystem):
         self.system = system
@@ -244,6 +249,9 @@ class _DependentExtreme:
         mn, mx = min(self.system.shifts), max(self.system.shifts)
         return (lo - mx, hi - mn)
 
+    def cdf(self, x):
+        return 1.0 - self.sf(x)
+
 
 class DependentMin(_DependentExtreme):
     """Minimal distribution surface (sf/cdf/support) for J1, so the order
@@ -252,15 +260,9 @@ class DependentMin(_DependentExtreme):
     def sf(self, x):
         return j1(self.system, x)
 
-    def cdf(self, x):
-        return 1.0 - j1(self.system, x)
-
 
 class DependentMax(_DependentExtreme):
     """Distribution surface for J2 (survival of the dependent maximum)."""
 
     def sf(self, x):
         return j2(self.system, x)
-
-    def cdf(self, x):
-        return 1.0 - j2(self.system, x)

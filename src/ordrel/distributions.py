@@ -98,16 +98,6 @@ def defined(fn, xs):
             yield None
 
 
-def strict_column(d: Distribution, name: str, points) -> list[float]:
-    """``d.column(name, points)`` for a caller that needs every value: the
-    per-point method is called again where the column is None, so its
-    SupportError is raised."""
-    out = d.column(name, points)
-    if None in out:
-        getattr(d, name)(points[out.index(None)])
-    return out
-
-
 def _bad_prob(u: float):
     raise ParameterDomainError(f"probability must lie in (0,1), got {u}")
 
@@ -126,13 +116,10 @@ def _check_pos(name: str, v: float):
 class Exponential(Distribution):
     rate: float
     family = "exponential"
+    support = (0.0, math.inf)
 
     def __post_init__(self):
         _check_pos("rate", self.rate)
-
-    @property
-    def support(self):
-        return (0.0, math.inf)
 
     def cdf(self, x):
         if x <= 0.0:
@@ -182,14 +169,11 @@ class Weibull(Distribution):
     shape: float
     rate: float
     family = "weibull"
+    support = (0.0, math.inf)
 
     def __post_init__(self):
         _check_pos("shape", self.shape)
         _check_pos("rate", self.rate)
-
-    @property
-    def support(self):
-        return (0.0, math.inf)
 
     def cdf(self, x):
         if x <= 0.0:
@@ -250,14 +234,11 @@ class Lomax(Distribution):
     shape: float
     scale: float = 1.0
     family = "lomax"
+    support = (0.0, math.inf)
 
     def __post_init__(self):
         _check_pos("shape", self.shape)
         _check_pos("scale", self.scale)
-
-    @property
-    def support(self):
-        return (0.0, math.inf)
 
     def cdf(self, x):
         if x <= 0.0:
@@ -310,13 +291,10 @@ class ParetoI(Distribution):
 
     shape: float
     family = "pareto1"
+    support = (1.0, math.inf)
 
     def __post_init__(self):
         _check_pos("shape", self.shape)
-
-    @property
-    def support(self):
-        return (1.0, math.inf)
 
     def cdf(self, x):
         if x <= 1.0:
@@ -445,8 +423,7 @@ def ageing_points(d: Distribution, grid: GridSpec) -> list[float]:
             raise SupportError("ageing grid extends outside the support")
         return grid.x_points()
     eps, n = grid.eps, grid.n
-    return strict_column(d, "quantile", [eps + i * (1.0 - 2 * eps) / (n - 1)
-                                         for i in range(n)])
+    return d.column("quantile", [eps + i * (1.0 - 2 * eps) / (n - 1) for i in range(n)])
 
 
 # ageing class -> (the rate it reads, whether the rate is negated)

@@ -31,8 +31,7 @@ from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       compose_phi_psi, is_log_concave, is_log_convex,
                       super_additive_check)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
-                            ReflectedDFR, Weibull, ageing_points, classify_ageing,
-                            strict_column)
+                            ReflectedDFR, Weibull, ageing_points, classify_ageing)
 from .errors import ParameterDomainError
 from .grids import GridSpec, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
@@ -204,8 +203,8 @@ def _dependent_sides(case: TheoremCase, *, extreme: type, ageing: dict,
     the Y extreme <=_st the X extreme.  The log-concave branch mirrors it:
     supermajorized, log-concave, `ageing["log_concave"]`, and X and Y trade
     places in the baseline order and the conclusion.  Write (low, high) for
-    the baseline order's (A, B): the composition is phi_high o psi_low for
-    minima and phi_low o psi_high for maxima (`compose_low_first`)."""
+    the (A, B) of both: the composition is phi_high o psi_low for minima
+    and phi_low o psi_high for maxima (`compose_low_first`)."""
     sc = case.scenario
     mu = tuple(float(v) for v in sc["shifts_x"])
     mu_star = tuple(float(v) for v in sc["shifts_y"])
@@ -217,7 +216,7 @@ def _dependent_sides(case: TheoremCase, *, extreme: type, ageing: dict,
                ShiftedSystem(sc["baseline_y"], mu_star, sc["generator_y"]))
     low, high = ("y", "x") if convex else ("x", "y")
     outer, inner = (low, high) if compose_low_first else (high, low)
-    return {"case": case, "branch": branch, "convex": convex, "swap": not convex,
+    return {"case": case, "branch": branch, "convex": convex,
             "majorization": "sub" if convex else "super",
             "ageing": ageing[branch].lower(), "low": low, "high": high,
             "mu": mu, "mu_star": mu_star, "generator_x": sc["generator_x"],
@@ -279,9 +278,12 @@ def _order_row(rel: str, lo: str, hi: str) -> tuple:
 
 
 def _xr_decreasing(baseline: Distribution, grid: GridSpec) -> bool:
-    """x*r(x) non-increasing on the baseline's `ageing_points`."""
+    """x*r(x) non-increasing on the baseline's `ageing_points`; false where
+    the hazard is undefined at some point, as for an ageing class."""
     xs = ageing_points(baseline, grid)
-    rates = strict_column(baseline, "hazard", xs)
+    rates = baseline.column("hazard", xs)
+    if None in rates:
+        return False
     return first_decrease(xs, [-x * r for x, r in zip(xs, rates)], grid.tau_mono) is None
 
 
@@ -325,10 +327,9 @@ def _run(case: TheoremCase) -> TheoremReport:
         conclusion, outcome = sides["conclusion"], sides["outcome"]
     else:
         rel, a, b = theorem.conclusion
-        if sides.get("swap"):
-            a, b = b, a
         grid = sides["grid"] if "grid" in sides else case.grid(rel)
-        verdict = orders.CHECKERS[rel](sides[a], sides[b], grid)
+        verdict = orders.CHECKERS[rel](sides[a.format_map(sides)],
+                                       sides[b.format_map(sides)], grid)
         conclusion, outcome = verdict.to_json(), verdict.outcome
     hyp = all(bool(v) for v in conditions.values())
     return TheoremReport(case.id, conditions, hyp, conclusion, outcome,
@@ -424,8 +425,9 @@ def _sample_dependent(v, violate, *, theta_y, baselines):
 class Theorem:
     """Everything the package knows about one theorem id.
 
-    The sides map "x" and "y" to the objects the conclusion compares; with
-    "swap" true, A and B trade places, and a "grid" replaces the case's
+    The sides map "x" and "y" to the objects the conclusion compares; the
+    conclusion's A and B are "x", "y" or templates on the sides (T7/T8's
+    "{low}" and "{high}"), and a "grid" in the sides replaces the case's
     grid for the relation.  Without a conclusion (the worked examples) the
     sides carry the report's "conclusion" and "outcome"."""
 
@@ -434,7 +436,7 @@ class Theorem:
     hypothesis: tuple  # (name, predicate(sides)) rows in report order
     grids: dict = field(default_factory=dict)  # key the rows/conclusion read -> grid kind
     optional: tuple = ()  # scenario fields a case may leave out
-    conclusion: tuple | None = None  # (relation, A, B), A and B "x" or "y"
+    conclusion: tuple | None = None  # (relation, A, B), A and B "x", "y" or templates
     min_entries: dict = field(default_factory=dict)  # array field -> least length
     dims: dict = field(default_factory=dict)  # array field -> generator whose .dim it matches
     sampler: Callable | None = None  # (knob values, violate) -> scenario
@@ -455,7 +457,7 @@ _DEPENDENT = dict(
             "shifts_x": "number_array", "shifts_y": "number_array", "branch": "branch"},
     optional=("branch",), grids={"ageing": "x", "st": "x", "dep": "x"},
     dims={"shifts_x": "generator_x", "shifts_y": "generator_y"},
-    hypothesis=_DEPENDENT_ROWS, conclusion=("st", "y", "x"))
+    hypothesis=_DEPENDENT_ROWS, conclusion=("st", "{low}", "{high}"))
 _MINIMA = {"extreme": DependentMin, "compose_low_first": False,
            "ageing": {"log_convex": "IFR", "log_concave": "DFR"}}
 _MAXIMA = {"extreme": DependentMax, "compose_low_first": True,

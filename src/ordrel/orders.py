@@ -16,7 +16,9 @@ within ``tau_pt``) judges st and the rate form of hr/rh.  One monotone rule
 hr/rh, lr and the quantile spreads.  One quantile-order body
 (`_check_quantile_spread`) serves disp and star, which differ only in the
 spread passed in: the difference of the quantiles for disp, their ratio for
-star.
+star.  Each side's quantiles are one `Distribution.column`, read in one
+pass: an undefined (None) or non-finite quantile makes the check
+inconclusive.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import defined, strict_column
+from .distributions import defined
 from .errors import SupportError
 from .grids import GridSpec, first_decrease
 
@@ -178,19 +180,20 @@ def _positive_ratios(qas, qbs) -> list[float]:
 def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
     """The one quantile-order body: spread(quantiles_A, quantiles_B) must
     be non-decreasing on the u-grid, whose quantiles each side gives as one
-    `Distribution.column`.  A quantile that overflows, raises SupportError
-    or is not finite makes the check inconclusive."""
+    `Distribution.column`.  A quantile that overflows, is undefined (None,
+    on which `math.isfinite` raises TypeError) or is not finite makes the
+    check inconclusive."""
     if grid is None:
         grid = GridSpec(kind="u")
     us = grid.u_points()
     try:
-        qas, qbs = strict_column(A, "quantile", us), strict_column(B, "quantile", us)
-    except (SupportError, OverflowError):
+        qas, qbs = A.column("quantile", us), B.column("quantile", us)
+        finite = all(map(math.isfinite, qas)) and all(map(math.isfinite, qbs))
+    except (SupportError, OverflowError, TypeError):
+        finite = False
+    if not finite:
         return OrderVerdict(relation, INCONCLUSIVE, None, grid)
-    spreads = spread(qas, qbs)
-    if not (all(map(math.isfinite, qas)) and all(map(math.isfinite, qbs))):
-        return OrderVerdict(relation, INCONCLUSIVE, None, grid)
-    viol = first_decrease(us, spreads, grid.tau_mono)
+    viol = first_decrease(us, spread(qas, qbs), grid.tau_mono)
     return OrderVerdict(relation, FAILS if viol else HOLDS, viol, grid)
 
 

@@ -157,8 +157,9 @@ def load_dist_or_system(obj: dict):
 
 def load_generator(obj: dict) -> Generator:
     validate(obj, "generator")
-    if obj["family"] != "independence" and "theta" not in obj:
-        raise ConfigError(f"generator family {obj['family']!r} needs theta")
+    if (obj["family"] == "independence") == ("theta" in obj):
+        rule = "takes no" if "theta" in obj else "needs"
+        raise ConfigError(f"generator family {obj['family']!r} {rule} theta")
     return generator_from_json(obj)
 
 

@@ -411,3 +411,16 @@ class TestAgeingPoints:
     def test_xr_grid_inside_support_runs(self):
         obj = {**T5_PARETO, "grids": {"xr": {"kind": "x", "lo": 1.0, "hi": 50.0, "n": 64}}}
         assert run_case(load_case(obj)).conditions["x_hazard_decreasing"]
+
+    def test_xr_grid_past_the_hazard_tail_is_false(self):
+        # exp(-x) underflows beyond x ~ 745, where the hazard is undefined:
+        # the row is false and the case vacuous, as for an ageing class
+        expo = {"family": "exponential", "params": {"rate": 1.0}}
+        obj = {"id": "T5", "scenario": {
+            f"system_{s}": {"kind": "series_phr", "components": [
+                {"baseline": expo, "prop": p} for p in props]}
+            for s, props in (("x", (0.5, 0.5)), ("y", (1.0, 1.5)))},
+            "grids": {"xr": {"kind": "x", "lo": 1.0, "hi": 800.0, "n": 64}}}
+        rep = run_case(load_case(obj))
+        assert rep.conditions["x_hazard_decreasing"] is False
+        assert not rep.hypothesis_satisfied and rep.consistent

@@ -177,13 +177,27 @@ class TestVerdictShape:
         assert set(obj["witness"]) == {"x", "lhs", "rhs"}
 
 
+class _UndefinedAbove(Distribution):
+    """Stub with the base-class column: quantile(u) = u, undefined (a
+    SupportError, so None in the column) above u = 0.9."""
+
+    support = (0.0, 1.0)
+
+    def quantile(self, u):
+        if u > 0.9:
+            raise SupportError("quantile undefined")
+        return u
+
+
 class TestStarOverflow:
-    # Pareto-I quantiles (1-u)**(-1/shape) overflow a float for tiny shapes
+    # Pareto-I quantiles (1-u)**(-1/shape) overflow a float for tiny shapes;
+    # a quantile column with None in it is undefined there
     def test_overflowing_quantile_is_inconclusive(self):
         g = GridSpec(kind="u", n=64)
-        a, b = ParetoI(0.005), ParetoI(0.004)
-        assert check_star(a, b, g).outcome == INCONCLUSIVE
-        assert check_disp(a, b, g).outcome == INCONCLUSIVE
+        for a, b in ((ParetoI(0.005), ParetoI(0.004)), (_UndefinedAbove(), Exponential(1.0))):
+            assert check_star(a, b, g).outcome == INCONCLUSIVE
+            assert check_disp(a, b, g).outcome == INCONCLUSIVE
+            assert check_disp(b, a, g).outcome == INCONCLUSIVE
 
 
 # Witnesses of failing checks on a 64-point x-grid, recorded before the

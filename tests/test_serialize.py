@@ -96,6 +96,16 @@ class TestGeneratorLoading:
         g = load_generator({"family": "frank", "theta": 2.0, "dim": 3})
         assert g.dim == 3
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"family": "frank"}, "'frank' needs theta"),
+        ({"family": "independence", "theta": -1.0}, "'independence' takes no theta"),
+        ({"family": "independence", "theta": 2.0, "dim": 3}, "'independence' takes no theta"),
+    ], ids=["frank-without-theta", "independence-with-theta",
+            "independence-with-theta-and-dim"])
+    def test_theta_rule_is_a_config_error(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            load_generator(spec)
+
 
 # Every family and generator with the JSON it writes, key order included;
 # integer params stay integers.
@@ -137,13 +147,16 @@ MALFORMED = [
     (dist_from_json, {"family": "exponential", "params": [2.0]}),
     (generator_from_json, {"family": "clayton"}),
     (generator_from_json, {"family": "frank", "dim": 3}),
+    (generator_from_json, {"family": "independence", "theta": -1.0}),
+    (generator_from_json, {"family": "clayton", "theta": 2.0, "scale": 1.0}),
 ]
 
 
 @pytest.mark.parametrize("from_json,spec", MALFORMED,
                          ids=["missing-param", "missing-nested-param", "inner-not-a-spec",
                               "extra-param", "params-not-an-object", "clayton-without-theta",
-                              "frank-without-theta"])
+                              "frank-without-theta", "independence-with-theta",
+                              "generator-extra-key"])
 def test_malformed_spec_is_a_domain_error(from_json, spec):
     with pytest.raises(ParameterDomainError, match="bad (distribution|generator) spec"):
         from_json(spec)

@@ -17,6 +17,8 @@ import sys
 import pytest
 
 from ordrel import (
+    DependentMax,
+    DependentMin,
     Distribution,
     Exponential,
     GridSpec,
@@ -25,6 +27,7 @@ from ordrel import (
     ParameterDomainError,
     ParetoI,
     ReflectedDFR,
+    ShiftedSystem,
     SupportError,
     SystemSpec,
     Weibull,
@@ -39,6 +42,7 @@ from ordrel.grids import first_decrease
 from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE, OrderVerdict
 from ordrel.special import bisect_increasing
 from ordrel.systems import PARALLEL_PRHR, SERIES_PHR
+from conftest import SHIFTED_SYSTEMS
 
 _POSITIVE = [5e-324, 1e-300, 1e-8, 0.25, 0.5, 1.0, 1.0 + 2 ** -52, 1.5, 2.0, 5.0,
              10.0, 50.0, 300.0, 745.0, 800.0, 1e4, 1e6]
@@ -270,6 +274,22 @@ def test_parallel_is_the_mirrored_series(name):
     for q, mq in zip(par.column("quantile", MIRROR_US),
                      ser.column("quantile", [1 - u for u in MIRROR_US])):
         assert abs(q + mq) <= 1e-9 * (1.0 + abs(q)), (q, mq)
+
+
+# The same mirror for the dependent extremes: the maximum of X - mu_i is
+# minus the minimum of -X + mu_i, so J2 on B with shifts mu is one minus J1
+# on ReflectedDFR(B) with shifts -mu, at -x.
+DEPENDENT_XS = sorted({*XS, *(-3.0 + 0.01 * i for i in range(1000))})
+
+
+@pytest.mark.parametrize("s", SHIFTED_SYSTEMS, ids=lambda s: type(s.generator).__name__)
+def test_dependent_max_is_the_mirrored_dependent_min(s):
+    mx = DependentMax(s)
+    mn = DependentMin(ShiftedSystem(ReflectedDFR(s.baseline),
+                                    tuple(-mu for mu in s.shifts), s.generator))
+    assert all(map(_same, mx.support, [-e for e in reversed(mn.support)]))
+    for x in DEPENDENT_XS:
+        assert _same(mx.sf(x), mn.cdf(-x)), x
 
 
 # -- hr/rh against the per-point body they replaced ------------------------
