@@ -1,9 +1,14 @@
 """Archimedean generators and the dependent-model survival functions.
 
 Shipped generators: independence (psi = exp(-x)), Clayton (theta > 0) and
-Frank (theta != 0).  All three are completely monotone on their stated
-parameter ranges; the numeric convexity and round-trip checks in the tests
-serve as guards rather than a symbolic n-monotonicity proof.
+Frank (theta != 0; theta < 0 is only 2-monotone, so only in dimension 2).
+The T7/T8 generator rows read closed forms where they apply: independence,
+Clayton and Frank with theta > 0 are completely monotone, so psi is a
+Laplace transform (Bernstein) and ln psi is convex (Hoelder); Frank with
+theta < 0 is log-concave, independence (ln psi = -x) both.  Within one
+family, and with independence as theta = 0 against either, phi_a o psi_b
+is super-additive exactly when theta_a >= theta_b.  Clayton x Frank pairs
+and generators that state neither go to the numeric checks.
 
 phi(0) is represented by the saturating sentinel ``math.inf`` with
 psi(inf) = 0, so a vanished survival term never poisons the generator sum.
@@ -22,10 +27,14 @@ from .errors import ParameterDomainError
 
 
 class Generator:
-    """Archimedean generator psi with inverse phi."""
+    """Archimedean generator psi with inverse phi.  `log_curvature` holds the
+    branches ln psi satisfies, `theta_kin` the families whose phi o psi with
+    it is super-additive iff theta_outer >= theta_inner; unset: numeric checks."""
 
     family = "abstract"
     dim: int
+    log_curvature: frozenset | None = None
+    theta_kin: frozenset = frozenset()
 
     def psi(self, x: float) -> float:
         raise NotImplementedError
@@ -52,6 +61,9 @@ def _check_phi_arg(u: float):
 class Independence(Generator):
     dim: int = 2
     family = "independence"
+    theta = 0.0  # the theta -> 0 limit of Clayton and Frank
+    log_curvature = frozenset({"log_convex", "log_concave"})
+    theta_kin = frozenset({"independence", "clayton", "frank"})
 
     def psi(self, x):
         _check_psi_arg(x)
@@ -69,6 +81,8 @@ class Clayton(Generator):
     theta: float
     dim: int = 2
     family = "clayton"
+    log_curvature = frozenset({"log_convex"})
+    theta_kin = frozenset({"clayton", "independence"})
 
     def __post_init__(self):
         if not (self.theta > 0.0):
@@ -76,9 +90,7 @@ class Clayton(Generator):
 
     def psi(self, x):
         _check_psi_arg(x)
-        if math.isinf(x):
-            return 0.0
-        return (1.0 + self.theta * x) ** (-1.0 / self.theta)
+        return (1.0 + self.theta * x) ** (-1.0 / self.theta)  # 0.0 at inf
 
     def phi(self, u):
         _check_phi_arg(u)
@@ -92,17 +104,21 @@ class Frank(Generator):
     theta: float
     dim: int = 2
     family = "frank"
+    theta_kin = frozenset({"frank", "independence"})
 
     def __post_init__(self):
         if self.theta == 0.0 or not math.isfinite(self.theta):
             raise ParameterDomainError("Frank needs finite theta != 0")
+        if self.theta < 0.0 and self.dim > 2:
+            raise ParameterDomainError("Frank with theta < 0 is only 2-monotone: dim 2")
+
+    log_curvature = property(
+        lambda self: frozenset({"log_convex" if self.theta > 0.0 else "log_concave"}))
 
     def psi(self, x):
         _check_psi_arg(x)
-        if math.isinf(x):
-            return 0.0
         t = self.theta
-        # psi >= 0 by construction; rounding can lift psi(0) a hair above 1
+        # psi(inf) = 0 and psi >= 0; rounding can lift psi(0) a hair above 1
         return min(1.0, -math.log1p(-(1.0 - math.exp(-t)) * math.exp(-x)) / t)
 
     def phi(self, u):
@@ -162,6 +178,22 @@ def is_log_convex(g: Generator) -> bool:
 def is_log_concave(g: Generator) -> bool:
     """Numeric concavity of ln psi: the convexity test with the sign flipped."""
     return _log_curvature_holds(g, -1.0)
+
+
+def has_log_curvature(g: Generator, branch: str) -> bool:
+    """ln psi is convex (`branch` "log_convex") or concave ("log_concave"):
+    the generator's stated curvature, else the numeric check."""
+    if g.log_curvature is not None:
+        return branch in g.log_curvature
+    return (is_log_convex if branch == "log_convex" else is_log_concave)(g)
+
+
+def composition_super_additive(outer: Generator, inner: Generator) -> bool:
+    """phi_outer o psi_inner super-additive: theta_outer >= theta_inner where
+    each has the other's family in its `theta_kin`, else the numeric check."""
+    if outer.family in inner.theta_kin and inner.family in outer.theta_kin:
+        return outer.theta >= inner.theta
+    return super_additive_check(compose_phi_psi(outer, inner))[0]
 
 
 def compose_phi_psi(outer: Generator, inner: Generator):

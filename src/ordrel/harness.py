@@ -28,8 +28,7 @@ from typing import Callable
 
 from . import orders
 from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
-                      compose_phi_psi, is_log_concave, is_log_convex,
-                      super_additive_check)
+                      composition_super_additive, has_log_curvature)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
                             ReflectedDFR, Weibull, ageing_points, classify_ageing)
 from .errors import ParameterDomainError
@@ -306,12 +305,11 @@ _DEPENDENT_ROWS = (
     ("mu_{majorization}majorized_by_mu_star",
      lambda s: (weak_submajorizes if s["convex"] else weak_supermajorizes)(
          s["mu"], s["mu_star"])),
-    ("generator_x_{branch}",
-     lambda s: (is_log_convex if s["convex"] else is_log_concave)(s["generator_x"])),
+    ("generator_x_{branch}", lambda s: has_log_curvature(s["generator_x"], s["branch"])),
     _ageing_row("{ageing}"),
     _order_row("st", "{low}", "{high}"),
     ("composition_super_additive",
-     lambda s: super_additive_check(compose_phi_psi(s["outer"], s["inner"]))[0]),
+     lambda s: composition_super_additive(s["outer"], s["inner"])),
 )
 _DEFAULT_ROWS = (("default_configuration", lambda s: True),)
 

@@ -3,9 +3,11 @@
 CORPUS_PAIRS is the pool of comparable (A, B) pairs used by the
 implication-chain meta-test and various checker tests; SHIFTED_SYSTEMS is
 the pool of dependent systems exercised by the copula invariants.
-BAD_SCALAR_FIELDS, BAD_LENGTH_FIELDS, T6_UNKNOWN_GRID and T6_WRONG_GRID_KIND
-are malformed theorem cases that the loader and the CLI must both reject;
+BAD_SCALAR_FIELDS, BAD_LENGTH_FIELDS, T7_NEGATIVE_FRANK_DIM_3, T6_UNKNOWN_GRID
+and T6_WRONG_GRID_KIND are malformed theorem cases that the loader and the
+CLI must both reject; T7_CLAYTON_FRANK loads and runs;
 T5_XR_OUTSIDE_SUPPORT loads but must fail before any check runs.
+UnstatedClayton is a generator that states no closed form.
 """
 
 import pytest
@@ -64,6 +66,14 @@ SHIFTED_SYSTEMS = [
     ShiftedSystem(Weibull(1.3, 1.0), (0.3, 0.3, 0.6), Clayton(0.5, dim=3)),
 ]
 
+class UnstatedClayton(Clayton):
+    """Clayton's psi and phi with no closed form stated, so the T7/T8
+    generator rows take the numeric checks."""
+
+    log_curvature = None
+    theta_kin = frozenset()
+
+
 GENERATORS = [
     Independence(),
     Clayton(0.5),
@@ -105,6 +115,17 @@ BAD_LENGTH_FIELDS = {
     "shifts_x": _t7_t8("T8", [0.2, 0.5, 0.7], [0.5, 0.8]),
     "shifts_y": _t7_t8("T7", [0.2, 0.5], [0.5]),
 }
+
+# Negative-theta Frank is 2-monotone only, so this case must not load.
+_NEGATIVE_FRANK_3 = {"family": "frank", "theta": -2.0, "dim": 3}
+T7_NEGATIVE_FRANK_DIM_3 = {"id": "T7", "scenario": {
+    **_t7_t8("T7", [0.2, 0.5, 0.6], [0.5, 0.8, 0.9])["scenario"],
+    "generator_x": _NEGATIVE_FRANK_3, "generator_y": _NEGATIVE_FRANK_3}}
+
+# A Clayton x Frank composition: no closed form, the numeric checks decide.
+T7_CLAYTON_FRANK = {"id": "T7", "scenario": {
+    **_t7_t8("T7", [0.2, 0.5], [0.5, 0.8])["scenario"],
+    "generator_y": {"family": "frank", "theta": 1.0}}}
 
 T6_UNKNOWN_GRID = {"id": "T6", "scenario": {
     "theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.5]},

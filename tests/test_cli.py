@@ -10,7 +10,8 @@ import pytest
 import ordrel
 from ordrel.cli import main
 from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT,
-                      T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND)
+                      T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND, T7_CLAYTON_FRANK,
+                      T7_NEGATIVE_FRANK_DIM_3)
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
@@ -119,6 +120,15 @@ class TestTheorem:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("id,hypothesis_satisfied")
         assert lines[1].startswith("Ex2,True")
+
+    def test_clayton_frank_composition_runs(self, spec_file, capsys):
+        assert main(["theorem", "-s", spec_file("c.json", T7_CLAYTON_FRANK)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hypothesis"]["conditions"]["composition_super_additive"] is True
+
+    def test_negative_frank_above_dimension_2_exit_two(self, spec_file, capsys):
+        assert main(["theorem", "-s", spec_file("c.json", T7_NEGATIVE_FRANK_DIM_3)]) == 2
+        assert "2-monotone" in capsys.readouterr().err
 
     def test_schema_violation_exit_two(self, spec_file, capsys):
         path = spec_file("c.json", {"id": "T6", "scenario": {"theta": 1.0}})

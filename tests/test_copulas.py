@@ -24,8 +24,10 @@ from ordrel import (
     j2,
     super_additive_check,
 )
-from ordrel.copulas import generator_from_json
-from conftest import GENERATORS, SHIFTED_SYSTEMS
+from ordrel import copulas
+from ordrel.copulas import (Generator, composition_super_additive, generator_from_json,
+                            has_log_curvature)
+from conftest import GENERATORS, SHIFTED_SYSTEMS, UnstatedClayton
 
 prob = st.floats(min_value=1e-6, max_value=1.0 - 1e-9)
 
@@ -62,6 +64,15 @@ class TestGenerators:
         with pytest.raises(ParameterDomainError):
             Independence().psi(-0.1)
 
+    def test_negative_frank_is_a_generator_only_in_dimension_2(self):
+        # theta < 0 makes psi 2-monotone, not 3-monotone
+        assert Frank(-2.0).dim == 2 and Frank(2.0, dim=3).dim == 3
+        for dim in (3, 4):
+            with pytest.raises(ParameterDomainError, match="2-monotone"):
+                Frank(-2.0, dim=dim)
+            with pytest.raises(ParameterDomainError):
+                generator_from_json({"family": "frank", "theta": -0.5, "dim": dim})
+
     @pytest.mark.parametrize("g", GENERATORS, ids=lambda g: repr(g))
     def test_json_roundtrip(self, g):
         g2 = generator_from_json(g.to_json())
@@ -87,6 +98,125 @@ class TestLogCurvature:
         assert is_log_convex(Frank(2.0))
         assert is_log_concave(Frank(-2.0))
         assert not is_log_convex(Frank(-2.0))
+
+
+@pytest.fixture
+def numeric_only(monkeypatch):
+    """The numeric checks, while the module names the exact rows could fall
+    back to raise; a row that calls them then fails."""
+    checks = (is_log_convex, is_log_concave, super_additive_check)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closed form went to a numeric check")
+
+    for name in ("is_log_convex", "is_log_concave", "super_additive_check"):
+        monkeypatch.setattr(copulas, name, forbidden)
+    return checks
+
+
+class TestClosedForms:
+    """The exact generator rows against the numeric checks, which stay the
+    oracle.  At the numeric checks' tolerance the two differ only on
+    inputs that the tolerance decides."""
+
+    DRAW = {
+        "clayton": lambda rng: Clayton(rng.uniform(0.1, 6.0)),
+        "frank": lambda rng: Frank(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 6.0)),
+    }
+
+    @classmethod
+    def _pairs(cls, family, count=1000):
+        """(outer, inner) pairs: same-family pairs with every sixth one at
+        theta_a = theta_b, and theta_a = theta_b(1 +- 1e-8), or independence
+        against the family in both orders."""
+        rng = random.Random(f"closed-form-{family}")
+        if family == "independence":
+            return [pair for i in range(count // 2) for pair in (
+                (Independence(), cls.DRAW["clayton" if i % 2 else "frank"](rng)),
+                (cls.DRAW["frank" if i % 2 else "clayton"](rng), Independence()))
+            ] + [(Independence(), Independence())]
+        pairs = []
+        for i in range(count):
+            a, b = cls.DRAW[family](rng), cls.DRAW[family](rng)
+            scale = {1: 1.0, 2: 1.0 + 1e-8, 3: 1.0 - 1e-8}.get(i % 6)
+            pairs.append((type(a)(b.theta * scale) if scale else a, b))
+        return pairs
+
+    @pytest.mark.parametrize("family", ["clayton", "frank", "independence"])
+    def test_super_additivity_is_the_theta_order(self, numeric_only, monkeypatch, family):
+        check = numeric_only[2]
+        pairs = self._pairs(family)
+        outcomes = {True: 0, False: 0}
+        forgiven = 0
+        for outer, inner in pairs:
+            exact = composition_super_additive(outer, inner)
+            assert exact == (outer.theta >= inner.theta)
+            outcomes[exact] += 1
+            h = compose_phi_psi(outer, inner)
+            numeric = check(h)[0]
+            if numeric != exact:
+                # only a theta gap the tolerance hides, and the check forgives it
+                assert numeric and 0 < inner.theta - outer.theta <= 2e-8 * abs(inner.theta)
+                forgiven += 1
+            with monkeypatch.context() as m:  # rounding alone is still forgiven
+                m.setattr(copulas, "SUPER_ADDITIVE_TAU", 1e-13)
+                assert check(h)[0] == exact, (outer, inner)
+        assert len(pairs) >= 1000 and min(outcomes.values()) >= 300, outcomes
+        assert forgiven <= len(pairs) // 20
+
+    @pytest.mark.parametrize("family", ["clayton", "frank"])
+    def test_log_curvature_is_stated(self, numeric_only, family):
+        convex, concave, _ = numeric_only
+        rng = random.Random(f"curvature-{family}")
+        generators = [self.DRAW[family](rng) for _ in range(1000)] + [Independence()]
+        for g in generators:
+            assert has_log_curvature(g, "log_convex") == convex(g)
+            assert has_log_curvature(g, "log_concave") == concave(g)
+
+    def test_scan_box_is_covered(self):
+        # T7/T8 scan Clayton theta up to 5.0
+        thetas = [g.theta for pair in self._pairs("clayton") for g in pair]
+        assert min(thetas) < 0.2 and max(thetas) > 5.5
+
+    @pytest.mark.parametrize("g,convex,concave", [
+        (Clayton(1e-8), (True, False), (False, False)),
+        (Frank(1e-7), (True, False), (True, True)),
+        (Frank(-1e-7), (False, True), (True, True)),
+    ], ids=repr)
+    def test_tolerance_limited_curvature_is_exact(self, g, convex, concave):
+        # (convex, concave): the closed form, then what the numeric checks read
+        assert (has_log_curvature(g, "log_convex"), has_log_curvature(g, "log_concave")) == convex
+        assert (is_log_convex(g), is_log_concave(g)) == concave
+
+    @pytest.mark.parametrize("outer,inner", [
+        (Frank(0.5), Frank(0.5 * (1.0 + 1e-8))),
+        (Frank(-0.5 * (1.0 + 1e-8)), Frank(-0.5)),
+    ], ids=repr)
+    def test_tolerance_limited_super_additivity_is_exact(self, outer, inner):
+        # theta_outer < theta_inner by 5e-9: fails, which the check forgives
+        assert not composition_super_additive(outer, inner)
+        assert super_additive_check(compose_phi_psi(outer, inner))[0]
+
+    def test_pairs_without_a_closed_form_take_the_numeric_check(self, monkeypatch):
+        calls = []
+
+        def recording(name):
+            original = getattr(copulas, name)
+            monkeypatch.setattr(copulas, name, lambda *a: calls.append(name) or original(*a))
+
+        for name in ("is_log_convex", "is_log_concave", "super_additive_check"):
+            recording(name)
+        for outer, inner in ((Clayton(2.0), Frank(1.0)), (Frank(-1.0), Clayton(0.5)),
+                             (UnstatedClayton(2.0), Clayton(1.0)), (Clayton(2.0), UnstatedClayton(1.0))):
+            expect = super_additive_check(compose_phi_psi(outer, inner))[0]
+            calls.clear()
+            assert composition_super_additive(outer, inner) == expect
+            assert calls == ["super_additive_check"]
+        for branch, name in (("log_convex", "is_log_convex"), ("log_concave", "is_log_concave")):
+            calls.clear()
+            assert has_log_curvature(UnstatedClayton(2.0), branch) == (branch == "log_convex")
+            assert calls == [name]
+        assert Generator.log_curvature is None and Generator.theta_kin == frozenset()
 
 
 class TestCopulaValues:

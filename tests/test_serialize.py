@@ -12,7 +12,8 @@ from ordrel import (ConfigError, Clayton, Exponential, Frank, GridSpec, Independ
 from ordrel.copulas import generator_from_json
 from ordrel.distributions import dist_from_json
 from ordrel.harness import THEOREMS, run_case
-from conftest import BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND
+from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND,
+                      T7_NEGATIVE_FRANK_DIM_3)
 from ordrel.serialize import (
     _LOADERS,
     _RULES,
@@ -232,6 +233,13 @@ class TestCaseLoading:
         with pytest.raises(ConfigError, match="needs 2 entries, one per dimension of "
                                               "generator_x, got 3"):
             load_case(BAD_LENGTH_FIELDS["shifts_x"])
+
+    def test_negative_frank_above_dimension_2_is_refused(self):
+        # as a Clayton generator with theta <= 0 is
+        with pytest.raises(ConfigError, match="generator_x': Frank with theta < 0"):
+            load_case(T7_NEGATIVE_FRANK_DIM_3)
+        with pytest.raises(ParameterDomainError, match="2-monotone"):
+            load_generator(T7_NEGATIVE_FRANK_DIM_3["scenario"]["generator_y"])
 
     def test_shifts_of_a_higher_dimension_load(self):
         obj = copy.deepcopy(BAD_LENGTH_FIELDS["shifts_x"])
