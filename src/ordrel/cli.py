@@ -3,7 +3,7 @@
 Subcommands: dist, order, theorem, scan.  Non-trivial objects always come
 in as JSON files (the nesting does not flatten sanely into flags).  Exit
 codes: 0 success/holds, 1 order fails or inconsistency found, 2 usage or
-schema error, 3 inconclusive.
+schema error, or a run that overflows a float, 3 inconclusive.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn_impl(args)
-    except (OrdrelError, OSError) as exc:
+    except (OrdrelError, OSError, OverflowError) as exc:  # overflow: an extreme theta
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

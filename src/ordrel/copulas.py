@@ -85,8 +85,8 @@ class Clayton(Generator):
     theta_kin = frozenset({"clayton", "independence"})
 
     def __post_init__(self):
-        if not (self.theta > 0.0):
-            raise ParameterDomainError("Clayton needs theta > 0")
+        if not (self.theta > 0.0 and math.isfinite(self.theta)):
+            raise ParameterDomainError("Clayton needs finite theta > 0")
 
     def psi(self, x):
         _check_psi_arg(x)

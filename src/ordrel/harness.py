@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 from typing import Callable
 
 from . import orders
@@ -35,6 +35,7 @@ from .errors import ParameterDomainError
 from .grids import GridSpec, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
 from .orders import FAILS, HOLDS
+from .special import left_sum
 from .systems import (PARALLEL_PRHR, SERIES_PHR, OrderStatDist, SystemSpec,
                       lomax_min_moments, mixed_parallel, mixed_series,
                       numeric_mean_variance, parallel_prhr, series_phr,
@@ -338,22 +339,17 @@ def _run(case: TheoremCase) -> TheoremReport:
 # A sampler maps knob values (already rescaled into the box) to a scenario.
 # With `violate` set it builds a configuration that breaks the hypothesis.
 
-# A left-to-right float sum: from Python 3.12 on, builtin sum() of floats is
-# compensated, and the samplers' inputs must be the same on every version.
-_sum = partial(reduce, operator.add)
-
-
 def _sample_disp(v, violate, *, build, gap, order, reflect=False):
     f_shape, scale = v["f_shape"], v["scale"]
     # A larger shape on the same scale: G0 <=_hr F0, and after reflection
     # onto (-inf, 0], F0 <=_rh G0.
     g_shape = f_shape * (1.0 + v[gap])
     alphas = (v["a1"], v["a2"], v["a3"])
-    target = _sum(alphas) * (1.0 + v["sum_gap"])
+    target = left_sum(alphas) * (1.0 + v["sum_gap"])
     if violate:
-        target = _sum(alphas) * (1.0 - 0.4 * v["sum_gap"] - 0.05)
+        target = left_sum(alphas) * (1.0 - 0.4 * v["sum_gap"] - 0.05)
     raw = tuple(v[k] for k in order)
-    betas = tuple(b * target / _sum(raw) for b in raw)
+    betas = tuple(b * target / left_sum(raw) for b in raw)
     f, g = Lomax(f_shape, scale), Lomax(g_shape, scale)
     if reflect:
         f, g = ReflectedDFR(f), ReflectedDFR(g)
@@ -369,8 +365,8 @@ def _sample_mixed(v, violate, *, build, lomax_front):
     gap1, gap2 = 1.0 + v["gap1"], 1.0 + v["gap2"]
     if violate:
         gap1 = 1.0 / (1.0 + v["gap1"]) * 0.9  # front sum drops below beta's
-    fsum = _sum(front_y) * gap1
-    bsum = _sum(back_y) * gap2
+    fsum = left_sum(front_y) * gap1
+    bsum = left_sum(back_y) * gap2
     return {
         "system_x": build(f, (0.4 * fsum, 0.6 * fsum), g, (bsum,)),
         "system_y": build(f, front_y, g, back_y),
@@ -382,7 +378,7 @@ def _sample_star(v, violate):
     # violates the decreasing-x*r(x) hypothesis instead.
     baseline = ParetoI(v["p_shape"]) if not violate else Weibull(1.4, 1.0)
     alphas = (v["a1"], v["a2"])
-    target = _sum(alphas) * (1.0 + v["sum_gap"])
+    target = left_sum(alphas) * (1.0 + v["sum_gap"])
     betas = (0.45 * target, 0.55 * target)
     return {
         "system_x": series_phr(baseline, alphas),
@@ -395,7 +391,7 @@ def _sample_lomax_maxima(v, violate):
     if violate:
         alphas = tuple(b - 0.25 * v["shift"] for b in star)
     elif v["mode"] < 0.5:
-        mean = _sum(star) / len(star)
+        mean = left_sum(star) / len(star)
         alphas = (mean,) * len(star)  # mean vector is majorized by star
     else:
         alphas = tuple(b + v["shift"] for b in star)

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
+from .special import left_sum
 
 _REL_TOL = 1e-12
 SCHUR_DELTA_TOL = 1e-7  # slack on the sign of a sampled Delta
@@ -62,7 +63,7 @@ def majorizes(a, b) -> bool:
     """a majorized by b (a < b in the majorization pre-order): equal sums and
     every ascending prefix sum of a at least that of b."""
     a, b = _prep(a, b)
-    if abs(sum(a) - sum(b)) > _tol(a, b):
+    if abs(left_sum(a) - left_sum(b)) > _tol(a, b):
         return False
     return _ascending_prefixes_dominate(a, b)
 

@@ -1,4 +1,4 @@
-"""Scalar root finding.
+"""Float summation and scalar root finding.
 
 ``bisect_increasing`` inverts monotone functions that lack a closed-form
 inverse, such as the cdf of a mixed-baseline system.  Given a derivative it
@@ -10,6 +10,14 @@ import math
 YTOL = 1e-12  # stop once |fn(x) - target| is below this
 XTOL = 1e-10  # stop once the bracket or step is below XTOL * (1 + |x|)
 MAX_ITER = 400  # the most evaluations of fn in one solve
+
+
+def left_sum(values) -> float:
+    """``values`` added left to right from 0.0; builtin ``sum`` compensates on Python 3.12+."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def bisect_increasing(

@@ -21,14 +21,13 @@ once, for the hr and rh checkers; the other rate is swept point by point.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 
 from .distributions import Distribution, _check_prob, dist_from_json
 from .errors import MomentUndefinedError, ParameterDomainError, SupportError
 from .quadrature import adaptive_quad
-from .special import bisect_increasing
+from .special import bisect_increasing, left_sum
 
 SERIES_PHR = "series_phr"
 PARALLEL_PRHR = "parallel_prhr"
@@ -39,8 +38,8 @@ class SystemSpec:
     """A series (PHR) or parallel (PRHR) system.
 
     ``split`` optionally partitions the components into a front block on one
-    baseline and a back block on another, which keeps blockwise parameter
-    sums O(1) for the mixed-baseline hypothesis checks.
+    baseline and a back block on another; `front_sum` and `back_sum` add the
+    parameters of a split system's blocks for the mixed-baseline hypotheses.
     """
 
     kind: str
@@ -67,17 +66,13 @@ class SystemSpec:
         return tuple(p for _, p in self.components)
 
     def prop_sum(self) -> float:
-        return sum(self.props)
+        return left_sum(self.props)
 
     def front_sum(self) -> float:
-        if self.split is None:
-            return self.prop_sum()
-        return sum(p for _, p in self.components[: self.split])
+        return left_sum(self.props[: self.split])
 
     def back_sum(self) -> float:
-        if self.split is None:
-            return 0.0
-        return sum(p for _, p in self.components[self.split:])
+        return left_sum(self.props[self.split:])
 
     def same_baseline(self) -> Distribution | None:
         first = self.components[0][0]
@@ -139,9 +134,9 @@ class OrderStatDist(Distribution):
     order checkers treat systems and plain distributions interchangeably.
     Both sides share one body per quantity, with the side's row of `_SIDES`
     as data: `_product` multiplies the baselines' sf (series) or cdf
-    (parallel), `_rate_sum` sums their hazard or rev_hazard, and
-    `_log_value` is -log sf or log cdf, the increasing function a mixed
-    quantile solve inverts.
+    (parallel), `_rate_sum` adds p * hazard or rev_hazard left to right
+    (`left_sum` inlined, as it runs at every point), and `_log_value` is
+    -log sf or log cdf, the increasing function a mixed solve inverts.
     """
 
     def __init__(self, spec: SystemSpec):
@@ -169,8 +164,10 @@ class OrderStatDist(Distribution):
 
     def _rate_sum(self, x):
         series = self._series
-        return sum([p * (b.hazard(x) if series else b.rev_hazard(x))
-                    for b, p in self._comps])
+        total = 0.0
+        for b, p in self._comps:
+            total += p * (b.hazard(x) if series else b.rev_hazard(x))
+        return total
 
     def _log_value(self, x):
         v = self._product(x)
@@ -211,20 +208,20 @@ class OrderStatDist(Distribution):
         the rate sum follow `_product` and `_rate_sum` in their arithmetic
         order.  The product multiplies from 1.0 in component order (a zero
         factor keeps it at 0.0, as the early return of `_product` does) and
-        each point's rate is one builtin `sum` of p * rate in component
-        order.  The other rate is the base-class per-point sweep."""
+        each point's rate adds p * rate left to right, as `_rate_sum` does.
+        The other rate is the base-class per-point sweep."""
         if rate != self._rate:
             return super().rate_sweep(rate, xs)
         columns = {}
         for b, _ in self._comps:
             if b not in columns:
                 columns[b] = b.rate_sweep(rate, xs)
-        product = [1.0] * len(xs)
+        product, totals = [1.0] * len(xs), [0.0] * len(xs)
         for b, p in self._comps:
-            product = [v * s ** p for v, s in zip(product, columns[b][0])]
-        props = self.spec.props
-        totals = [None if None in rs else sum(map(operator.mul, props, rs))
-                  for rs in zip(*(columns[b][1] for b, _ in self._comps))]
+            values, rates = columns[b]
+            product = [v * s ** p for v, s in zip(product, values)]
+            totals = [None if t is None or r is None else t + p * r
+                      for t, r in zip(totals, rates)]
         return product, [None if v <= 0.0 else t for v, t in zip(product, totals)]
 
     def quantile(self, u):
@@ -234,30 +231,28 @@ class OrderStatDist(Distribution):
         """`Distribution.column`; the quantile column is one sweep, which
         raises what a solve raises.  Each u maps to the component level
         t = 1-(1-u)**(1/sum p) (series) or u**(1/sum p) (parallel).  A
-        shared-baseline system inverts its single power in closed form: its
-        quantile is the baseline's at t.  A mixed-baseline system solves the
-        cumulative hazard (series) or log cdf (parallel) for each u, with
-        the rate sum as derivative.  The first solve starts inside
-        [min_i Q_i(t), max_i Q_i(t)] over the component quantiles Q_i,
-        which holds the root (`_seed`); each later one starts from the
-        previous root.  A start is only a guess, so neither it nor the order
-        of ``us`` matters beyond the solver tolerances."""
+        shared-baseline system reads its baseline's quantile column at the
+        levels t.  A mixed-baseline system solves the cumulative hazard
+        (series) or log cdf (parallel) for each u, with the rate sum as
+        derivative.  The first solve starts inside [min_i Q_i(t), max_i
+        Q_i(t)] over the component quantiles Q_i, which holds the root
+        (`_seed`); each later one starts from the previous root.  A start is
+        only a guess, so neither it nor the order of ``us`` matters beyond
+        the solver tolerances."""
         if name != "quantile":
             return super().column(name, us)
         series = self._series
         p = 1.0 / self.spec.prop_sum()
-        base = self._shared
-        if base is not None:
-            out = []
-            for u in us:
-                _check_prob(u)
-                out.append(base.quantile(1.0 - (1.0 - u) ** p if series else u ** p))
-            return out
-        lo, hi = self.support
-        out = []
+        levels = []
         for u in us:
             _check_prob(u)
-            guess = out[-1] if out else self._seed(1.0 - (1.0 - u) ** p if series else u ** p)
+            levels.append(1.0 - (1.0 - u) ** p if series else u ** p)
+        if self._shared is not None:
+            return self._shared.column("quantile", levels)
+        lo, hi = self.support
+        out = []
+        for u, t in zip(us, levels):
+            guess = out[-1] if out else self._seed(t)
             target = -math.log1p(-u) if series else math.log(u)
             out.append(bisect_increasing(self._log_value, target, guess, lo_bound=lo,
                                          hi_bound=hi, dfn=self._rate_sum))
@@ -291,7 +286,7 @@ class OrderStatDist(Distribution):
         # the survival product multiplies the decay rates; the heaviest
         # component tail dominates the max
         if self._series:
-            return sum([p * b.tail_exponent() for b, p in self._comps])
+            return left_sum([p * b.tail_exponent() for b, p in self._comps])
         return min([b.tail_exponent() for b, _ in self._comps])
 
 
@@ -312,7 +307,7 @@ def lomax_parallel_rev_hazard(alphas, theta: float, x: float) -> float:
     if theta <= 0.0:
         raise ParameterDomainError("theta must be positive")
     u = x / theta + 1.0
-    return sum(lomax_g(a, u) for a in alphas) / (x + theta)
+    return left_sum(lomax_g(a, u) for a in alphas) / (x + theta)
 
 
 def weibull_min_variance(ks, a: float) -> float:
@@ -321,7 +316,7 @@ def weibull_min_variance(ks, a: float) -> float:
     ks = list(ks)
     if a <= 0.0 or any(k <= 0.0 for k in ks):
         raise ParameterDomainError("shape and rates must be positive")
-    total = sum(ks)
+    total = left_sum(ks)
     g2 = math.gamma(2.0 / a + 1.0)
     g1 = math.gamma(1.0 / a + 1.0)
     return (1.0 / total) ** (2.0 / a) * (g2 - g1 * g1)
@@ -333,7 +328,7 @@ def lomax_min_moments(alphas) -> tuple[float, float]:
     alphas = list(alphas)
     if any(a <= 0.0 for a in alphas):
         raise ParameterDomainError("shapes must be positive")
-    total = sum(alphas)
+    total = left_sum(alphas)
     if total <= 1.0:
         raise MomentUndefinedError(
             f"mean needs sum(alphas) > 1, got {total}", threshold=1.0)

@@ -6,9 +6,13 @@ the pool of dependent systems exercised by the copula invariants.
 BAD_SCALAR_FIELDS, BAD_LENGTH_FIELDS, T7_NEGATIVE_FRANK_DIM_3, T6_UNKNOWN_GRID
 and T6_WRONG_GRID_KIND are malformed theorem cases that the loader and the
 CLI must both reject; T7_CLAYTON_FRANK loads and runs;
-T5_XR_OUTSIDE_SUPPORT loads but must fail before any check runs.
+T7_OUT_OF_FLOAT_RANGE holds cases the CLI must refuse because a generator
+theta leaves the float range; T5_XR_OUTSIDE_SUPPORT loads but must fail
+before any check runs.
 UnstatedClayton is a generator that states no closed form.
 """
+
+import math
 
 import pytest
 
@@ -126,6 +130,19 @@ T7_NEGATIVE_FRANK_DIM_3 = {"id": "T7", "scenario": {
 T7_CLAYTON_FRANK = {"id": "T7", "scenario": {
     **_t7_t8("T7", [0.2, 0.5], [0.5, 0.8])["scenario"],
     "generator_y": {"family": "frank", "theta": 1.0}}}
+
+# T7 cases whose generator theta leaves the float range, which the CLI
+# must refuse with exit 2: Frank(-800)'s exp(-theta) overflows, so does
+# Clayton(2000)'s u**-theta against Frank(1) (for u < 0.7), and
+# Clayton(inf), which JSON's Infinity spells, is no generator.
+T7_OUT_OF_FLOAT_RANGE = {
+    "frank_-800": {"id": "T7", "scenario": {
+        **T7_CLAYTON_FRANK["scenario"], "generator_y": {"family": "frank", "theta": -800.0}}},
+    "clayton_2000": {"id": "T7", "scenario": {
+        **T7_CLAYTON_FRANK["scenario"], "generator_x": {"family": "clayton", "theta": 2000.0}}},
+    "clayton_inf": {"id": "T7", "scenario": {
+        **T7_CLAYTON_FRANK["scenario"], "generator_x": {"family": "clayton", "theta": math.inf}}},
+}
 
 T6_UNKNOWN_GRID = {"id": "T6", "scenario": {
     "theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.5]},

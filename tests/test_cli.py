@@ -11,7 +11,7 @@ import ordrel
 from ordrel.cli import main
 from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT,
                       T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND, T7_CLAYTON_FRANK,
-                      T7_NEGATIVE_FRANK_DIM_3)
+                      T7_NEGATIVE_FRANK_DIM_3, T7_OUT_OF_FLOAT_RANGE)
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
@@ -129,6 +129,13 @@ class TestTheorem:
     def test_negative_frank_above_dimension_2_exit_two(self, spec_file, capsys):
         assert main(["theorem", "-s", spec_file("c.json", T7_NEGATIVE_FRANK_DIM_3)]) == 2
         assert "2-monotone" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(T7_OUT_OF_FLOAT_RANGE))
+    def test_generator_theta_out_of_float_range_exit_two(self, spec_file, capsys, name):
+        assert main(["theorem", "-s", spec_file("c.json", T7_OUT_OF_FLOAT_RANGE[name])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_schema_violation_exit_two(self, spec_file, capsys):
         path = spec_file("c.json", {"id": "T6", "scenario": {"theta": 1.0}})

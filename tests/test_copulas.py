@@ -58,6 +58,8 @@ class TestGenerators:
         with pytest.raises(ParameterDomainError):
             Clayton(-1.0)
         with pytest.raises(ParameterDomainError):
+            Clayton(math.inf)
+        with pytest.raises(ParameterDomainError):
             Frank(0.0)
         with pytest.raises(ParameterDomainError):
             Independence().phi(1.5)
@@ -77,6 +79,12 @@ class TestGenerators:
     def test_json_roundtrip(self, g):
         g2 = generator_from_json(g.to_json())
         assert g2 == g
+
+    def test_clayton_phi_overflow_raises(self):
+        # psi(phi(0.7)) is 0.7 at theta = 2000, so a phi saturated to inf,
+        # with psi(inf) = 0, would give a wrong answer instead of none
+        with pytest.raises(OverflowError):
+            Clayton(2000.0).phi(0.7)
 
     @given(prob, st.floats(min_value=0.1, max_value=5.0))
     def test_clayton_roundtrip_property(self, u, theta):

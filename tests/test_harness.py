@@ -1,6 +1,8 @@
 """Theorem harness: hypothesis predicates, conclusions, consistency."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -187,6 +189,11 @@ class TestDependent:
             run_case(TheoremCase("T7", sc))
 
 
+# sha256 of the Ex1 and Ex2 report JSON at their default scenarios.  Every
+# float sum adds left to right, so it is the same on every Python version.
+EXAMPLE_REPORTS = "6a27e73c9127356686c09c2a391927372910f68e3876aac0f234c1611119563e"
+
+
 class TestWorkedExamples:
     def test_ex1(self):
         rep = run_case(TheoremCase("Ex1", {}))
@@ -197,6 +204,13 @@ class TestWorkedExamples:
         rep = run_case(TheoremCase("Ex2", {}))
         assert rep.consistent and rep.conclusion_outcome == "holds"
         assert rep.conclusion["variance_x"] < rep.conclusion["variance_y"]
+
+    def test_reports_are_pinned(self):
+        digest = hashlib.sha256()
+        for tid in ("Ex1", "Ex2"):
+            report = run_case(TheoremCase(tid, {})).to_json()
+            digest.update(json.dumps(report, sort_keys=True).encode())
+        assert digest.hexdigest() == EXAMPLE_REPORTS
 
 
 class TestCaseObject:

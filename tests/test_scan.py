@@ -115,16 +115,34 @@ class TestScan:
 SCAN_VERDICTS_SEED_7 = "1e6f3bc5e801aa2c132882a49ab1c6c7abe0ea35d5438c10927707542e7a3efb"
 
 
-def test_scan_verdicts_are_pinned():
+# sha256 of the whole report JSON of the same scans.  Every float sum adds
+# left to right, so it is the same on every Python version.
+SCAN_REPORTS_SEED_7 = "71a96f93b108a638a0c3e461a9808fc0909e3d2057b0af740e9bfea7500d1f2a"
+
+
+@pytest.fixture(scope="module")
+def acceptance_scans():
+    """The T1-T8 scans at budget 150, seed 7."""
+    return [scan(tid, budget=150, seed=7) for tid in SCAN_IDS]
+
+
+def test_scan_verdicts_are_pinned(acceptance_scans):
     """Every report's id, hypothesis, outcome and conditions, and the
     counts, of the acceptance scans."""
     digest = hashlib.sha256()
-    for tid in SCAN_IDS:
-        r = scan(tid, budget=150, seed=7)
+    for r in acceptance_scans:
         rows = [(rep.id, rep.hypothesis_satisfied, rep.conclusion_outcome, rep.conditions)
                 for rep in r.reports]
         digest.update(json.dumps([rows, r.counts], sort_keys=True).encode())
     assert digest.hexdigest() == SCAN_VERDICTS_SEED_7
+
+
+def test_scan_reports_are_pinned(acceptance_scans):
+    """Every float the acceptance scans report, not only the verdicts."""
+    digest = hashlib.sha256()
+    for r in acceptance_scans:
+        digest.update(json.dumps(r.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == SCAN_REPORTS_SEED_7
 
 
 @pytest.mark.parametrize("strategy,seed", [("random", 1), ("random", 13), ("grid", 1)])

@@ -49,6 +49,16 @@ class TestSystemSpec:
         assert mixed.front_sum() == pytest.approx(1.0)
         assert mixed.back_sum() == pytest.approx(1.0)
 
+    def test_sums_add_left_to_right(self):
+        # a compensated sum gives 1e16 + 2; left to right, each + 1.0 rounds
+        # back to 1e16 (ties to even), on every Python version
+        s = series_phr(Exponential(1.0), (1e16, 1.0, 1.0))
+        assert s.prop_sum() == 1e16
+        mixed = mixed_series(Exponential(1.0), (1e16, 1.0, 1.0), Lomax(2.0), (1.0,))
+        assert (mixed.front_sum(), mixed.back_sum()) == (1e16, 1.0)
+        o, xs = OrderStatDist(s), [0.0, 1e-17, 1e-16]
+        assert o.rate_sweep("hazard", xs)[1] == [o._rate_sum(x) for x in xs] == [1e16] * 3
+
     def test_same_baseline_detection(self):
         s = series_phr(Exponential(1.0), (1.0, 2.0))
         assert s.same_baseline() == Exponential(1.0)
