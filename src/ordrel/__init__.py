@@ -14,7 +14,6 @@ from .copulas import (
     Independence,
     ShiftedSystem,
     compose_phi_psi,
-    copula_value,
     is_log_concave,
     is_log_convex,
     j1,
@@ -40,9 +39,7 @@ from .errors import (
 from .grids import GridSpec
 from .harness import TheoremCase, TheoremReport, run_case
 from .majorization import (
-    SchurCertificate,
     majorizes,
-    schur_certify,
     weak_submajorizes,
     weak_supermajorizes,
 )
@@ -64,7 +61,6 @@ from .systems import (
     OrderStatDist,
     SystemSpec,
     lomax_min_moments,
-    lomax_parallel_rev_hazard,
     mixed_parallel,
     mixed_series,
     numeric_mean_variance,
@@ -99,7 +95,6 @@ __all__ = [
     "ParetoI",
     "ReflectedDFR",
     "ScanResult",
-    "SchurCertificate",
     "ShiftedSystem",
     "SupportError",
     "SystemSpec",
@@ -114,13 +109,11 @@ __all__ = [
     "check_star",
     "classify_ageing",
     "compose_phi_psi",
-    "copula_value",
     "is_log_concave",
     "is_log_convex",
     "j1",
     "j2",
     "lomax_min_moments",
-    "lomax_parallel_rev_hazard",
     "majorizes",
     "mixed_parallel",
     "mixed_series",
@@ -129,7 +122,6 @@ __all__ = [
     "parallel_prhr",
     "run_case",
     "scan",
-    "schur_certify",
     "series_phr",
     "super_additive_check",
     "weak_submajorizes",

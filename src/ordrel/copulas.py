@@ -118,8 +118,13 @@ class Frank(Generator):
     def psi(self, x):
         _check_psi_arg(x)
         t = self.theta
-        # psi(inf) = 0 and psi >= 0; rounding can lift psi(0) a hair above 1
-        return min(1.0, -math.log1p(-(1.0 - math.exp(-t)) * math.exp(-x)) / t)
+        w = (1.0 - math.exp(-t)) * math.exp(-x)
+        if w <= 0.5:
+            # psi(inf) = 0 and psi >= 0; rounding can lift psi(0) a hair above 1
+            return min(1.0, -math.log1p(-w) / t)
+        # theta > 0 and 1 - w would cancel: it is (1 - e^-x) + e^(-x-theta),
+        # a sum of two positive terms; psi(0) = 1 even where e^-theta underflows
+        return 1.0 if x == 0.0 else min(1.0, -math.log(-math.expm1(-x) + math.exp(-x - t)) / t)
 
     def phi(self, u):
         _check_phi_arg(u)
@@ -141,17 +146,6 @@ def generator_from_json(obj: dict) -> Generator:
         return cls(**{k: v for k, v in obj.items() if k != "family"})
     except (KeyError, TypeError) as exc:
         raise ParameterDomainError(f"bad generator spec: {obj!r}") from exc
-
-
-def copula_value(g: Generator, u) -> float:
-    """C(u_1, ..., u_n) = psi(sum_k phi(u_k))."""
-    total = 0.0
-    for uk in u:
-        p = g.phi(uk)
-        if math.isinf(p):
-            return 0.0
-        total += p
-    return g.psi(total)
 
 
 LOG_CURVATURE_GRID = tuple(1e-3 + i * (20.0 - 1e-3) / 255 for i in range(256))

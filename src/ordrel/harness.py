@@ -165,7 +165,7 @@ def _lomax_maxima_sides(case: TheoremCase) -> dict:
     """Parallel Lomax maxima on the shape vectors alpha (X) and alpha* (Y).
     The proof of T6 rests on g(a) = a/(u**a - 1) being convex and
     decreasing in a for u > 1; those properties hold for every case and are
-    certified once, by the acceptance suite's Schur criterion."""
+    checked once, by differences, in the acceptance suite."""
     theta = float(case.scenario["theta"])
     alphas = [float(v) for v in case.scenario["alphas"]]
     alphas_star = [float(v) for v in case.scenario["alphas_star"]]

@@ -292,24 +292,6 @@ class OrderStatDist(Distribution):
 
 # -- module-level operations ----------------------------------------------
 
-def lomax_g(alpha: float, u: float) -> float:
-    """g(alpha) = alpha / (u**alpha - 1) for u = x/theta + 1 > 1."""
-    if u <= 1.0:
-        raise ParameterDomainError(f"lomax_g needs u > 1, got {u}")
-    return alpha / (u ** alpha - 1.0)
-
-
-def lomax_parallel_rev_hazard(alphas, theta: float, x: float) -> float:
-    """Closed-form reversed hazard of the max of Lomax(alpha_i, theta)
-    components: (1/(x+theta)) * sum_i g(alpha_i)."""
-    if x <= 0.0:
-        raise ParameterDomainError("closed form needs x > 0 (u > 1)")
-    if theta <= 0.0:
-        raise ParameterDomainError("theta must be positive")
-    u = x / theta + 1.0
-    return left_sum(lomax_g(a, u) for a in alphas) / (x + theta)
-
-
 def weibull_min_variance(ks, a: float) -> float:
     """Variance of the minimum of independent Weibull lifetimes with common
     shape a and rates ks: (1/sum k)**(2/a) * (G(2/a+1) - G(1/a+1)**2)."""

@@ -5,11 +5,12 @@ implication-chain meta-test and various checker tests; SHIFTED_SYSTEMS is
 the pool of dependent systems exercised by the copula invariants.
 BAD_SCALAR_FIELDS, BAD_LENGTH_FIELDS, T7_NEGATIVE_FRANK_DIM_3, T6_UNKNOWN_GRID
 and T6_WRONG_GRID_KIND are malformed theorem cases that the loader and the
-CLI must both reject; T7_CLAYTON_FRANK loads and runs;
+CLI must both reject; T7_CLAYTON_FRANK and T7_LARGE_FRANK load and run;
 T7_OUT_OF_FLOAT_RANGE holds cases the CLI must refuse because a generator
 theta leaves the float range; T5_XR_OUTSIDE_SUPPORT loads but must fail
 before any check runs.
 UnstatedClayton is a generator that states no closed form.
+copula_value is the reference copula C the copula tests compare against.
 """
 
 import math
@@ -78,6 +79,12 @@ class UnstatedClayton(Clayton):
     theta_kin = frozenset()
 
 
+def copula_value(g, u) -> float:
+    """C(u_1, ..., u_n) = psi(sum_k phi(u_k)); a zero argument gives 0."""
+    phis = [g.phi(uk) for uk in u]
+    return 0.0 if math.inf in phis else g.psi(sum(phis))
+
+
 GENERATORS = [
     Independence(),
     Clayton(0.5),
@@ -130,6 +137,10 @@ T7_NEGATIVE_FRANK_DIM_3 = {"id": "T7", "scenario": {
 T7_CLAYTON_FRANK = {"id": "T7", "scenario": {
     **_t7_t8("T7", [0.2, 0.5], [0.5, 0.8])["scenario"],
     "generator_y": {"family": "frank", "theta": 1.0}}}
+
+# A Frank theta large enough that 1 - e^-theta rounds to 1: loads and runs.
+T7_LARGE_FRANK = {"id": "T7", "scenario": {
+    **T7_CLAYTON_FRANK["scenario"], "generator_y": {"family": "frank", "theta": 40.0}}}
 
 # T7 cases whose generator theta leaves the float range, which the CLI
 # must refuse with exit 2: Frank(-800)'s exp(-theta) overflows, so does

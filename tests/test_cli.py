@@ -11,7 +11,7 @@ import ordrel
 from ordrel.cli import main
 from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT,
                       T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND, T7_CLAYTON_FRANK,
-                      T7_NEGATIVE_FRANK_DIM_3, T7_OUT_OF_FLOAT_RANGE)
+                      T7_LARGE_FRANK, T7_NEGATIVE_FRANK_DIM_3, T7_OUT_OF_FLOAT_RANGE)
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
@@ -125,6 +125,11 @@ class TestTheorem:
         assert main(["theorem", "-s", spec_file("c.json", T7_CLAYTON_FRANK)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["hypothesis"]["conditions"]["composition_super_additive"] is True
+
+    def test_large_frank_theta_runs(self, spec_file, capsys):
+        # psi(0) = 1 although 1 - e^-40 rounds to 1
+        assert main(["theorem", "-s", spec_file("c.json", T7_LARGE_FRANK)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_negative_frank_above_dimension_2_exit_two(self, spec_file, capsys):
         assert main(["theorem", "-s", spec_file("c.json", T7_NEGATIVE_FRANK_DIM_3)]) == 2

@@ -17,7 +17,6 @@ from ordrel import (
     ParameterDomainError,
     ShiftedSystem,
     compose_phi_psi,
-    copula_value,
     is_log_concave,
     is_log_convex,
     j1,
@@ -27,7 +26,7 @@ from ordrel import (
 from ordrel import copulas
 from ordrel.copulas import (Generator, composition_super_additive, generator_from_json,
                             has_log_curvature)
-from conftest import GENERATORS, SHIFTED_SYSTEMS, UnstatedClayton
+from conftest import GENERATORS, SHIFTED_SYSTEMS, UnstatedClayton, copula_value
 
 prob = st.floats(min_value=1e-6, max_value=1.0 - 1e-9)
 
@@ -359,6 +358,20 @@ class TestFrankNegativeTheta:
     def test_super_additive_check_runs(self, thetas):
         ok, witness = super_additive_check(compose_phi_psi(*map(Frank, thetas)))
         assert ok or witness is not None
+
+
+class TestFrankLargeTheta:
+    # 1 - (1 - e^-theta) e^-x cancels near x = 0 for large theta, and
+    # rounds to 0 there from theta ~ 37
+    XS = [0.0] + [10.0 ** -k for k in range(20, 1, -1)] + [0.05 * i for i in range(1, 400)]
+
+    @pytest.mark.parametrize("theta", [30.0, 37.0, 40.0, 100.0, 700.0])
+    def test_psi_starts_at_one_and_decreases(self, theta):
+        g = Frank(theta)
+        assert g.psi(0.0) == 1.0
+        ps = [g.psi(x) for x in self.XS]
+        assert all(0.0 <= p <= 1.0 for p in ps)
+        assert all(b <= a for a, b in zip(ps, ps[1:]))
 
 
 class TestShiftedSystems:

@@ -1,4 +1,4 @@
-"""Majorization relations and Schur-convexity certification."""
+"""Majorization relations."""
 
 import math
 import random
@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from ordrel import (
     ParameterDomainError,
     majorizes,
-    schur_certify,
     weak_submajorizes,
     weak_supermajorizes,
 )
@@ -168,43 +167,6 @@ def test_relations_agree_with_the_prefix_loops():
             assert verdict == old(a, b), (rel.__name__, a, b)
             seen[rel.__name__].add(verdict)
     assert all(v == {True, False} for v in seen.values()), seen
-
-
-class TestSchurCertify:
-    def test_sum_of_squares_convex(self):
-        cert = schur_certify(lambda a: sum(x * x for x in a),
-                             [(0.0, 3.0)] * 3, mode="convex", samples=100, seed=1)
-        assert cert.certified
-        assert cert.min_delta >= -1e-7
-
-    def test_product_concave_on_positives(self):
-        cert = schur_certify(lambda a: a[0] * a[1] * a[2],
-                             [(0.5, 3.0)] * 3, mode="concave", samples=100, seed=2)
-        assert cert.certified
-
-    def test_refutation(self):
-        cert = schur_certify(lambda a: sum(x * x for x in a),
-                             [(0.5, 3.0)] * 2, mode="concave", samples=50, seed=3)
-        assert cert.verdict == "refuted"
-        assert cert.witness is not None
-
-    def test_asymmetric_function_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            schur_certify(lambda a: a[0] + 2.0 * a[1], [(0.0, 1.0)] * 2,
-                          samples=10, seed=4)
-
-    def test_seed_reproducible(self):
-        f = lambda a: sum(x * x for x in a)
-        c1 = schur_certify(f, [(0.0, 2.0)] * 2, samples=30, seed=9)
-        c2 = schur_certify(f, [(0.0, 2.0)] * 2, samples=30, seed=9)
-        assert c1 == c2
-
-    def test_json(self):
-        cert = schur_certify(lambda a: sum(a), [(0.0, 1.0)] * 2, samples=20, seed=0)
-        obj = cert.to_json()
-        assert obj["verdict"] == "certified"
-        assert obj["samples"] == 20
-
 
 
 def _implication(f, a, b, monotonicity, tol=1e-9):

@@ -18,7 +18,6 @@ from ordrel import (
     SystemSpec,
     Weibull,
     lomax_min_moments,
-    lomax_parallel_rev_hazard,
     mixed_parallel,
     mixed_series,
     numeric_mean_variance,
@@ -207,18 +206,15 @@ class TestSharedBaselineSweep:
 
 class TestLomaxClosedForms:
     def test_rev_hazard_matches_numeric(self):
+        # the max of Lomax(alpha_i, theta) has reversed hazard
+        # sum_i g(alpha_i) / (x + theta), g(a) = a/(u**a - 1), u = x/theta + 1
         alphas, theta = (1.0, 2.0, 3.0), 1.5
         spec = SystemSpec(PARALLEL_PRHR, tuple((Lomax(a, theta), 1.0) for a in alphas))
         o = OrderStatDist(spec)
         for x in (0.3, 1.0, 4.0):
-            assert lomax_parallel_rev_hazard(alphas, theta, x) == pytest.approx(
-                o.rev_hazard(x), rel=1e-10)
-
-    def test_domain_guards(self):
-        with pytest.raises(ParameterDomainError):
-            lomax_parallel_rev_hazard((1.0,), 1.0, 0.0)
-        with pytest.raises(ParameterDomainError):
-            lomax_parallel_rev_hazard((1.0,), -1.0, 1.0)
+            u = x / theta + 1.0
+            closed = sum(a / (u ** a - 1.0) for a in alphas) / (x + theta)
+            assert closed == pytest.approx(o.rev_hazard(x), rel=1e-10)
 
 
 class TestMoments:
