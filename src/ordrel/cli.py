@@ -15,9 +15,7 @@ import sys
 from . import serialize
 from .errors import OrdrelError
 from .grids import GridSpec
-from .harness import run_case
 from .orders import CHECKERS, FAILS, INCONCLUSIVE
-from .scan import scan
 
 _FNS = ("cdf", "sf", "pdf", "quantile", "hazard", "rev_hazard")
 
@@ -98,6 +96,8 @@ def _report_csv(reports) -> str:
 
 
 def _cmd_theorem(args) -> int:
+    from .harness import run_case
+
     case = serialize.load_case(serialize.read_json_file(args.spec))
     report = run_case(case)
     if args.format == "csv":
@@ -108,6 +108,8 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .scan import scan
+
     cfg = serialize.load_scan_config(serialize.read_json_file(args.spec))
     if args.seed is not None:
         cfg["seed"] = args.seed

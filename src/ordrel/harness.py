@@ -26,11 +26,11 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
-from . import orders
+from . import distributions, orders
 from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       composition_super_additive, has_log_curvature)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
-                            ReflectedDFR, Weibull, ageing_points, classify_ageing)
+                            ReflectedDFR, Weibull, ageing_points)
 from .errors import ParameterDomainError
 from .grids import GridSpec, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
@@ -263,7 +263,8 @@ def _ageing_row(cls: str) -> tuple:
     that class is classified."""
     def holds(s):
         flag = cls.format_map(s).upper()
-        return flag in classify_ageing(s["baseline_x"], s["case"].grid("ageing", n=128), flag)
+        return flag in distributions.classify_ageing(
+            s["baseline_x"], s["case"].grid("ageing", n=128), flag)
 
     return (f"baseline_x_{cls.lower()}", holds)
 

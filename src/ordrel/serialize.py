@@ -23,12 +23,9 @@ import operator
 from functools import lru_cache
 from importlib import resources
 
-from .copulas import Generator, generator_from_json
 from .distributions import Distribution, dist_from_json
 from .errors import ConfigError
 from .grids import GridSpec
-from .harness import SCAN_IDS, THEOREMS, TheoremCase
-from .systems import OrderStatDist, SystemSpec
 
 
 @lru_cache(maxsize=1)
@@ -141,7 +138,9 @@ def load_dist(obj: dict) -> Distribution:
     return dist_from_json(obj)
 
 
-def load_system(obj: dict) -> SystemSpec:
+def load_system(obj: dict):
+    from .systems import SystemSpec
+
     validate(obj, "system")
     return SystemSpec.from_json(obj)
 
@@ -151,11 +150,15 @@ def load_dist_or_system(obj: dict):
     if not isinstance(obj, dict):
         raise ConfigError("spec must be a JSON object")
     if "kind" in obj:
+        from .systems import OrderStatDist
+
         return OrderStatDist(load_system(obj))
     return load_dist(obj)
 
 
-def load_generator(obj: dict) -> Generator:
+def load_generator(obj: dict):
+    from .copulas import generator_from_json
+
     validate(obj, "generator")
     if (obj["family"] == "independence") == ("theta" in obj):
         rule = "takes no" if "theta" in obj else "needs"
@@ -194,7 +197,9 @@ def _check_id(obj: dict, def_name: str, ids) -> str:
     return obj["id"]
 
 
-def load_case(obj: dict) -> TheoremCase:
+def load_case(obj: dict):
+    from .harness import THEOREMS, TheoremCase
+
     validate(obj, "theorem_case")
     tid = _check_id(obj, "theorem_case", THEOREMS)
     theorem = THEOREMS[tid]
@@ -234,6 +239,8 @@ def load_case(obj: dict) -> TheoremCase:
 def load_scan_config(obj: dict) -> dict:
     """The `scan` keyword arguments a scan config sets; `scan` applies its
     own defaults to the rest."""
+    from .harness import SCAN_IDS
+
     validate(obj, "scan_config")
     _check_id(obj, "scan_config", SCAN_IDS)
     cfg = {"theorem_id": obj["id"], "budget": obj["budget"]}

@@ -11,12 +11,18 @@ theta leaves the float range; T5_XR_OUTSIDE_SUPPORT loads but must fail
 before any check runs.
 UnstatedClayton is a generator that states no closed form.
 copula_value is the reference copula C the copula tests compare against.
+run_python runs code in a fresh interpreter, for what only a new process
+shows: which modules an import loads and the order they load in.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordrel
 from ordrel import (
     Clayton,
     Exponential,
@@ -174,6 +180,16 @@ T5_PARETO = {"id": "T5", "scenario": {
 # Its x*r(x) grid lies wholly left of the support.
 T5_XR_OUTSIDE_SUPPORT = {**T5_PARETO, "grids": {
     "xr": {"kind": "x", "lo": -5.0, "hi": -1.0, "n": 64}}}
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a fresh interpreter that imports this
+    checkout's ordrel; its stdout and stderr are captured as text."""
+    package_root = os.path.dirname(os.path.dirname(ordrel.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.fixture

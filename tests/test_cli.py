@@ -11,10 +11,12 @@ import ordrel
 from ordrel.cli import main
 from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT,
                       T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND, T7_CLAYTON_FRANK,
-                      T7_LARGE_FRANK, T7_NEGATIVE_FRANK_DIM_3, T7_OUT_OF_FLOAT_RANGE)
+                      T7_LARGE_FRANK, T7_NEGATIVE_FRANK_DIM_3, T7_OUT_OF_FLOAT_RANGE,
+                      run_python)
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
+T6 = {"id": "T6", "scenario": {"theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.5]}}
 
 
 @pytest.fixture
@@ -255,6 +257,49 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+# Modules a dist or order call has no use for: the theorem harness and what
+# only it, a system spec or a scan needs, and the optional heavy libraries.
+_UNUSED_BY_DIST_AND_ORDER = {
+    "ordrel.harness", "ordrel.copulas", "ordrel.systems", "ordrel.scan",
+    "ordrel.majorization", "ordrel.quadrature", "ordrel.special", "jsonschema", "numpy"}
+
+_LOADED_BY = """
+import json, sys
+from ordrel.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps([rc, sorted(sys.modules)]))
+"""
+
+
+class TestLoadedModules:
+    """Which modules a one-shot CLI process loads, each in a fresh interpreter."""
+
+    def _loaded(self, tmp_path, *argv):
+        proc = run_python(_LOADED_BY, *argv, "--out", str(tmp_path / "out.txt"))
+        assert proc.returncode == 0, proc.stderr
+        rc, modules = json.loads(proc.stdout)
+        return rc, set(modules)
+
+    @pytest.mark.parametrize("argv", [["dist", "-s", "{a}", "--fn", "sf", "--x", "0.5"],
+                                      ["order", "--relation", "hr", "-s", "{a}", "-s", "{b}"]],
+                             ids=["dist", "order"])
+    def test_dist_and_order_load_no_harness(self, spec_file, tmp_path, argv):
+        paths = {"a": spec_file("a.json", EXP1), "b": spec_file("b.json", EXP2)}
+        rc, loaded = self._loaded(tmp_path, *(arg.format_map(paths) for arg in argv))
+        assert rc == 0 and "ordrel.orders" in loaded
+        assert loaded & _UNUSED_BY_DIST_AND_ORDER == set()
+
+    def test_theorem_loads_no_scan(self, spec_file, tmp_path):
+        rc, loaded = self._loaded(tmp_path, "theorem", "-s", spec_file("t6.json", T6))
+        assert rc == 0 and "ordrel.harness" in loaded
+        assert "ordrel.scan" not in loaded
+
+    def test_import_ordrel_loads_no_submodule(self):
+        proc = run_python("import json, sys, ordrel; print(json.dumps(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert [m for m in json.loads(proc.stdout) if m.startswith("ordrel.")] == []
 
 
 class TestUsage:

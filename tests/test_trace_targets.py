@@ -9,6 +9,7 @@ tracer uses only the standard library, so it is loaded here by path.
 
 import importlib
 import importlib.util
+import json
 import os
 import sys
 from dataclasses import replace
@@ -17,7 +18,7 @@ import pytest
 
 from ordrel.harness import run_case
 from ordrel.serialize import load_case
-from conftest import UnstatedClayton
+from conftest import UnstatedClayton, run_python
 from test_harness import REPORT_FORMAT
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -115,3 +116,39 @@ def test_sweeps_keep_the_base_class_formula_under_the_tracer(tracing):
     assert left == []
     assert json.dumps(traced) == json.dumps(plain)
     assert evals == 0  # no per-point call, rev_hazard included
+
+
+# perfbench/cli_child.py's order: the tracer goes on right after `import
+# ordrel.cli`, so what a subcommand loads later is imported under it.
+_TRACED_CLI = """
+import importlib.util, json, sys
+import ordrel.cli
+spec = importlib.util.spec_from_file_location("_perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    codes = [ordrel.cli.main(argv) for argv in json.loads(sys.argv[2])]
+finally:
+    left = tracer.restore()
+print(json.dumps([codes, left, sorted({span[0] for span in tracer.spans})]))
+"""
+
+
+def test_traced_cli_calls_leave_no_wrapper(tmp_path):
+    # a module the CLI loads after the tracer is on must look a traced
+    # function up where the tracer patched it, not bind it by name at import
+    calls = []
+    for name, obj in [("t1", REPORT_FORMAT["T1"][0]), ("t6", REPORT_FORMAT["T6"][0]),
+                      ("scan", {"id": "T7", "budget": 10, "seed": 7})]:
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(obj))
+        command = "scan" if name == "scan" else "theorem"
+        calls.append([command, "-s", str(spec), "--out", str(tmp_path / f"{name}.out")])
+    proc = run_python(_TRACED_CLI, TRACING, json.dumps(calls))
+    assert proc.returncode == 0, proc.stderr
+    codes, left, spans = json.loads(proc.stdout)
+    assert codes == [0, 0, 0]
+    assert left == []
+    assert {"distributions.classify_ageing", "orders.disp"} <= set(spans)
