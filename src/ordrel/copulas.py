@@ -99,6 +99,16 @@ class Clayton(Generator):
         return (u ** (-self.theta) - 1.0) / self.theta
 
 
+_LN2 = math.log(2.0)
+
+
+def _log_one_minus_exp(a):
+    """log|1 - e^-a|, without cancellation on either side of a = ln 2."""
+    if a > _LN2:
+        return math.log1p(-math.exp(-a))
+    return math.log(abs(math.expm1(-a)))
+
+
 @dataclass(frozen=True)
 class Frank(Generator):
     theta: float
@@ -118,7 +128,7 @@ class Frank(Generator):
     def psi(self, x):
         _check_psi_arg(x)
         t = self.theta
-        w = (1.0 - math.exp(-t)) * math.exp(-x)
+        w = -math.expm1(-t) * math.exp(-x)
         if w <= 0.5:
             # psi(inf) = 0 and psi >= 0; rounding can lift psi(0) a hair above 1
             return min(1.0, -math.log1p(-w) / t)
@@ -131,7 +141,9 @@ class Frank(Generator):
         if u == 0.0:
             return math.inf
         t = self.theta
-        return -math.log(math.expm1(-t * u) / math.expm1(-t))
+        # -log(expm1(-t*u) / expm1(-t)) as a difference of logs: the ratio
+        # rounds near 1 for large t
+        return _log_one_minus_exp(t) - _log_one_minus_exp(t * u)
 
 
 _GEN_FAMILIES = {cls.family: cls for cls in (Independence, Clayton, Frank)}

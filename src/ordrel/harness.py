@@ -318,19 +318,30 @@ _DEFAULT_ROWS = (("default_configuration", lambda s: True),)
 
 def _run(case: TheoremCase) -> TheoremReport:
     """Evaluate the case's hypothesis rows on its sides, then check its
-    conclusion on them (see `Theorem`) and report."""
+    conclusion on them (see `Theorem`) and report.  An `OverflowError` in
+    a row or in the conclusion is raised again with the case id and the
+    row's name (or "conclusion") in front of its message."""
     theorem = THEOREMS[case.id]
     sides = theorem.sides(case)
-    conditions = {name.format_map(sides): holds(sides)
-                  for name, holds in theorem.hypothesis}
-    if theorem.conclusion is None:
-        conclusion, outcome = sides["conclusion"], sides["outcome"]
-    else:
-        rel, a, b = theorem.conclusion
-        grid = sides["grid"] if "grid" in sides else case.grid(rel)
-        verdict = orders.CHECKERS[rel](sides[a.format_map(sides)],
-                                       sides[b.format_map(sides)], grid)
-        conclusion, outcome = verdict.to_json(), verdict.outcome
+    conditions = {}
+    try:
+        for name, holds in theorem.hypothesis:
+            where = name.format_map(sides)
+            conditions[where] = holds(sides)
+        where = "conclusion"
+        if theorem.conclusion is None:
+            conclusion, outcome = sides["conclusion"], sides["outcome"]
+        else:
+            rel, a, b = theorem.conclusion
+            grid = sides["grid"] if "grid" in sides else case.grid(rel)
+            verdict = orders.CHECKERS[rel](sides[a.format_map(sides)],
+                                           sides[b.format_map(sides)], grid)
+            conclusion, outcome = verdict.to_json(), verdict.outcome
+    except OverflowError as exc:
+        # a math overflow carries its message last: ("math range error",)
+        # or (34, "Numerical result out of range")
+        message = exc.args[-1] if exc.args else "overflow"
+        raise OverflowError(f"{case.id} {where}: {message}") from exc
     hyp = all(bool(v) for v in conditions.values())
     return TheoremReport(case.id, conditions, hyp, conclusion, outcome,
                          (not hyp) or outcome != FAILS, case.to_json())

@@ -11,8 +11,12 @@ Newton steps, whose derivative is the system's rate sum.  The quantile
 ``column`` sweeps a u-grid in one call: a shared-baseline system computes
 its exponent once and applies the closed form to each u; a mixed-baseline
 one seeds its first solve from its components' quantiles, which bracket the
-root, and starts each later solve from the previous root.  ``quantile`` is
-the one-point sweep; every other column is the base class's per-point one.
+root, and starts each later solve from a root predicted by the last (up to
+three) solves: their targets and roots extrapolated to the new target by
+Newton divided differences (`_predict`), or the previous root where that
+prediction is undefined or leaves the support.  ``quantile`` is the
+one-point sweep, so no prediction reaches it; every other column is the
+base class's per-point one.
 ``rate_sweep`` gives a system's sf or cdf and its own rate (hazard for
 series, rev_hazard for parallel) on a whole grid, sweeping each baseline
 once, for the hr and rh checkers; the other rate is swept point by point.
@@ -127,6 +131,24 @@ _SIDES = {
 }
 
 
+def _predict(ys, xs, y):
+    """The root at target y extrapolated from the last (up to three) solved
+    targets ys and roots xs: Newton's divided-difference polynomial through
+    them, of degree <= 2, so one solve predicts its own root.  nan where two
+    of those targets repeat."""
+    x2, y2 = xs[-1], ys[-1]
+    if len(ys) == 1:
+        return x2
+    try:
+        d12 = (x2 - xs[-2]) / (y2 - ys[-2])
+        if len(ys) == 2:
+            return x2 + d12 * (y - y2)
+        d012 = (d12 - (xs[-2] - xs[-3]) / (ys[-2] - ys[-3])) / (y2 - ys[-3])
+    except ZeroDivisionError:
+        return math.nan
+    return x2 + (y - y2) * (d12 + d012 * (y - ys[-2]))
+
+
 class OrderStatDist(Distribution):
     """Distribution of the min (series) or max (parallel) of a SystemSpec.
 
@@ -236,24 +258,32 @@ class OrderStatDist(Distribution):
         (series) or log cdf (parallel) for each u, with the rate sum as
         derivative.  The first solve starts inside [min_i Q_i(t), max_i
         Q_i(t)] over the component quantiles Q_i, which holds the root
-        (`_seed`); each later one starts from the previous root.  A start is
-        only a guess, so neither it nor the order of ``us`` matters beyond
-        the solver tolerances."""
+        (`_seed`), so only its level t is computed.  Each later solve starts
+        where `_predict` extrapolates the last (up to three) targets and
+        roots to its own target, or from the previous root where that
+        prediction is undefined or leaves the support.  A start is only a
+        guess, so neither it nor the order of ``us`` matters beyond the
+        solver tolerances."""
         if name != "quantile":
             return super().column(name, us)
-        series = self._series
-        p = 1.0 / self.spec.prop_sum()
-        levels = []
         for u in us:
             _check_prob(u)
-            levels.append(1.0 - (1.0 - u) ** p if series else u ** p)
+        series = self._series
+        p = 1.0 / self.spec.prop_sum()
         if self._shared is not None:
-            return self._shared.column("quantile", levels)
+            return self._shared.column(
+                "quantile", [1.0 - (1.0 - u) ** p if series else u ** p for u in us])
         lo, hi = self.support
-        out = []
-        for u, t in zip(us, levels):
-            guess = out[-1] if out else self._seed(t)
+        out, targets = [], []
+        for u in us:
             target = -math.log1p(-u) if series else math.log(u)
+            if out:
+                guess = _predict(targets, out, target)
+                if not lo < guess < hi:  # also a nan prediction
+                    guess = out[-1]
+            else:
+                guess = self._seed(1.0 - (1.0 - u) ** p if series else u ** p)
+            targets.append(target)
             out.append(bisect_increasing(self._log_value, target, guess, lo_bound=lo,
                                          hi_bound=hi, dfn=self._rate_sum))
         return out

@@ -144,6 +144,11 @@ class TestTheorem:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["frank_-800", "clayton_2000"])
+    def test_an_overflow_names_its_row(self, spec_file, capsys, name):
+        assert main(["theorem", "-s", spec_file("c.json", T7_OUT_OF_FLOAT_RANGE[name])]) == 2
+        assert capsys.readouterr().err.startswith("error: T7 composition_super_additive: ")
+
     def test_schema_violation_exit_two(self, spec_file, capsys):
         path = spec_file("c.json", {"id": "T6", "scenario": {"theta": 1.0}})
         assert main(["theorem", "-s", path]) == 2

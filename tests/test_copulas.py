@@ -374,6 +374,26 @@ class TestFrankLargeTheta:
         assert all(b <= a for a, b in zip(ps, ps[1:]))
 
 
+class TestFrankPrecision:
+    def test_tiny_theta_keeps_psi(self):
+        # 1 - e^-theta rounds to 0 below theta ~ 1e-16; near 0 Frank is the
+        # independence generator e^-x
+        assert Frank(1e-17).psi(0.0) == 1.0
+        g = Frank(1e-12)
+        for i in range(400):
+            x = 0.05 * i
+            assert abs(g.psi(x) - math.exp(-x)) <= 1e-9
+
+    @pytest.mark.parametrize("theta", [1e-12, 1.0, 40.0, 700.0, -2.0, -30.0])
+    def test_phi_inverts_psi(self, theta):
+        # the log of the ratio expm1(-theta u) / expm1(-theta) lost ~6e-4
+        # of u at theta = 40
+        g = Frank(theta)
+        for i in range(1, 1001):
+            u = i / 1001
+            assert abs(g.psi(g.phi(u)) - u) <= 1e-12 * u, u
+
+
 class TestShiftedSystems:
     def test_dimension_must_match(self):
         with pytest.raises(ParameterDomainError):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from ordrel import (
     run_case,
     series_phr,
 )
+from ordrel import orders
 from ordrel.harness import THEOREMS
 from ordrel.serialize import load_case
 from conftest import T5_PARETO, T5_XR_OUTSIDE_SUPPORT
@@ -361,6 +363,25 @@ class TestRegistry:
             assert rep.conditions == {**unforced, forced: False}
             assert tuple(rep.conditions) == tuple(unforced)
             assert not rep.hypothesis_satisfied and rep.consistent
+
+    def test_an_overflow_names_its_row(self, monkeypatch):
+        # the case id and the row (or "conclusion") go in front of the
+        # message that the overflow carries last
+        theorem = THEOREMS["T1"]
+
+        def overflow(*args):
+            raise OverflowError(34, "Numerical result out of range")
+
+        name = theorem.hypothesis[1][0]
+        rows = (theorem.hypothesis[0], (name, overflow), *theorem.hypothesis[2:])
+        monkeypatch.setitem(THEOREMS, "T1", dataclasses.replace(theorem, hypothesis=rows))
+        with pytest.raises(OverflowError,
+                           match=f"^T1 {re.escape(name)}: Numerical result out of range$"):
+            run_case(_t1_case())
+        monkeypatch.setitem(THEOREMS, "T1", theorem)
+        monkeypatch.setitem(orders.CHECKERS, theorem.conclusion[0], overflow)
+        with pytest.raises(OverflowError, match="^T1 conclusion: Numerical result out of range$"):
+            run_case(_t1_case())
 
     @pytest.mark.parametrize("label", sorted(REPORT_FORMAT))
     def test_declared_grid_kinds_run(self, label):
