@@ -86,25 +86,26 @@ def _cmd_order(args) -> int:
     return EXIT_OK
 
 
-def _report_csv(reports) -> str:
-    lines = ["id,hypothesis_satisfied,conditions,outcome,consistent"]
-    for r in reports:
-        conds = ";".join(f"{k}={v}" for k, v in r.conditions.items())
-        lines.append(f"{r.id},{r.hypothesis_satisfied},{conds},"
-                     f"{r.conclusion_outcome},{r.consistent}")
-    return "\n".join(lines) + "\n"
+def _emit_reports(args, reports, result) -> int:
+    """The reports as CSV, or ``result`` as JSON; exit 1 if any report is
+    inconsistent."""
+    if args.format == "csv":
+        lines = ["id,hypothesis_satisfied,conditions,outcome,consistent"]
+        for r in reports:
+            conds = ";".join(f"{k}={v}" for k, v in r.conditions.items())
+            lines.append(f"{r.id},{r.hypothesis_satisfied},{conds},"
+                         f"{r.conclusion_outcome},{r.consistent}")
+        _emit("\n".join(lines) + "\n", args.out)
+    else:
+        _emit(_json_dumps(result.to_json()), args.out)
+    return EXIT_OK if all(r.consistent for r in reports) else EXIT_FAILS
 
 
 def _cmd_theorem(args) -> int:
     from .harness import run_case
 
-    case = serialize.load_case(serialize.read_json_file(args.spec))
-    report = run_case(case)
-    if args.format == "csv":
-        _emit(_report_csv([report]), args.out)
-    else:
-        _emit(_json_dumps(report.to_json()), args.out)
-    return EXIT_OK if report.consistent else EXIT_FAILS
+    report = run_case(serialize.load_case(serialize.read_json_file(args.spec)))
+    return _emit_reports(args, [report], report)
 
 
 def _cmd_scan(args) -> int:
@@ -114,11 +115,7 @@ def _cmd_scan(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     result = scan(**cfg)
-    if args.format == "csv":
-        _emit(_report_csv(result.reports), args.out)
-    else:
-        _emit(_json_dumps(result.to_json()), args.out)
-    return EXIT_OK if not result.inconsistent else EXIT_FAILS
+    return _emit_reports(args, result.reports, result)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,10 +20,11 @@ are one generator sum over the baseline's sf or cdf, and share the rest.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .distributions import Distribution
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, check_positive
 
 
 class Generator:
@@ -67,7 +68,7 @@ class Independence(Generator):
 
     def psi(self, x):
         _check_psi_arg(x)
-        return math.exp(-x) if not math.isinf(x) else 0.0
+        return math.exp(-x)
 
     def phi(self, u):
         _check_phi_arg(u)
@@ -85,8 +86,7 @@ class Clayton(Generator):
     theta_kin = frozenset({"clayton", "independence"})
 
     def __post_init__(self):
-        if not (self.theta > 0.0 and math.isfinite(self.theta)):
-            raise ParameterDomainError("Clayton needs finite theta > 0")
+        check_positive("Clayton theta", self.theta)
 
     def psi(self, x):
         _check_psi_arg(x)
@@ -117,8 +117,9 @@ class Frank(Generator):
     theta_kin = frozenset({"frank", "independence"})
 
     def __post_init__(self):
-        if self.theta == 0.0 or not math.isfinite(self.theta):
-            raise ParameterDomainError("Frank needs finite theta != 0")
+        # a subnormal theta loses psi and phi to underflow (t * u rounds to 0)
+        if not sys.float_info.min <= abs(self.theta) < math.inf:
+            raise ParameterDomainError(f"Frank needs a finite normal theta, got {self.theta}")
         if self.theta < 0.0 and self.dim > 2:
             raise ParameterDomainError("Frank with theta < 0 is only 2-monotone: dim 2")
 
@@ -163,6 +164,8 @@ def generator_from_json(obj: dict) -> Generator:
 LOG_CURVATURE_GRID = tuple(1e-3 + i * (20.0 - 1e-3) / 255 for i in range(256))
 LOG_CURVATURE_TOL = 1e-9
 SUPER_ADDITIVE_TAU = 1e-9
+SUPER_ADDITIVE_X_MAX = 10.0
+SUPER_ADDITIVE_N = 48
 
 
 def _log_curvature_holds(g: Generator, sign: float) -> bool:
@@ -211,14 +214,16 @@ def compose_phi_psi(outer: Generator, inner: Generator):
     return h
 
 
-def super_additive_check(h, x_max: float = 10.0, n: int = 48) -> tuple[bool, tuple | None]:
+def super_additive_check(h) -> tuple[bool, tuple | None]:
     """Check h(x+y) >= h(x) + h(y) within ``SUPER_ADDITIVE_TAU`` on the sum
-    lattice: x and y run over n grid points k*step in [0, x_max/2], so x+y is
-    again a multiple of step and h is evaluated once at each of the 2n-1
-    points k*step.  The tolerance is relative to 1 + |h(x) + h(y)|.
+    lattice: x and y run over n = ``SUPER_ADDITIVE_N`` points k*step in [0,
+    ``SUPER_ADDITIVE_X_MAX``/2], so x+y is again a multiple of step and h is
+    evaluated once at each of the 2n-1 points k*step.  The tolerance is
+    relative to 1 + |h(x) + h(y)|.
 
     Returns (ok, witness); witness is (x, y, h(x+y), h(x)+h(y)) on failure.
     """
+    x_max, n = SUPER_ADDITIVE_X_MAX, SUPER_ADDITIVE_N
     xs = [k * x_max / (2 * (n - 1)) for k in range(2 * n - 1)]
     hs = [h(x) for x in xs]
     tau = SUPER_ADDITIVE_TAU  # a local: the pair loop reads it ~1,000 times

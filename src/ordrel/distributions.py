@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, SupportError
+from .errors import ParameterDomainError, SupportError, check_positive
 from .grids import GridSpec, first_decrease
 
 
@@ -84,8 +84,10 @@ class Distribution:
 
     def to_json(self) -> dict:
         """{"family": ..., "params": {...}}, with the family's dataclass
-        fields as params; `dist_from_json` reads it back."""
-        return {"family": self.family, "params": self.__dict__.copy()}
+        fields as params (a distribution as its JSON); `dist_from_json` reads it."""
+        return {"family": self.family, "params": {
+            k: v.to_json() if isinstance(v, Distribution) else v
+            for k, v in self.__dict__.items()}}
 
 
 def defined(fn, xs):
@@ -107,11 +109,6 @@ def _check_prob(u: float):
         _bad_prob(u)
 
 
-def _check_pos(name: str, v: float):
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ParameterDomainError(f"{name} must be strictly positive, got {v}")
-
-
 @dataclass(frozen=True)
 class Exponential(Distribution):
     rate: float
@@ -119,7 +116,7 @@ class Exponential(Distribution):
     support = (0.0, math.inf)
 
     def __post_init__(self):
-        _check_pos("rate", self.rate)
+        check_positive("rate", self.rate)
 
     def cdf(self, x):
         if x <= 0.0:
@@ -172,8 +169,8 @@ class Weibull(Distribution):
     support = (0.0, math.inf)
 
     def __post_init__(self):
-        _check_pos("shape", self.shape)
-        _check_pos("rate", self.rate)
+        check_positive("shape", self.shape)
+        check_positive("rate", self.rate)
 
     def cdf(self, x):
         if x <= 0.0:
@@ -237,8 +234,8 @@ class Lomax(Distribution):
     support = (0.0, math.inf)
 
     def __post_init__(self):
-        _check_pos("shape", self.shape)
-        _check_pos("scale", self.scale)
+        check_positive("shape", self.shape)
+        check_positive("scale", self.scale)
 
     def cdf(self, x):
         if x <= 0.0:
@@ -294,7 +291,7 @@ class ParetoI(Distribution):
     support = (1.0, math.inf)
 
     def __post_init__(self):
-        _check_pos("shape", self.shape)
+        check_positive("shape", self.shape)
 
     def cdf(self, x):
         if x <= 1.0:
@@ -392,9 +389,6 @@ class ReflectedDFR(Distribution):
             q = self.inner.quantile
             return [-q(1.0 - u) if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
         return self.inner.column(self._REFLECTED[name], [-x for x in points])
-
-    def to_json(self):
-        return {"family": self.family, "params": {"inner": self.inner.to_json()}}
 
 
 _FAMILIES = {cls.family: cls for cls in (Exponential, Weibull, Lomax, ParetoI, ReflectedDFR)}

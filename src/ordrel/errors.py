@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the positive-parameter rule."""
+
+import math
 
 
 class OrdrelError(Exception):
@@ -24,3 +26,9 @@ class MomentUndefinedError(OrdrelError, ValueError):
 
 class ConfigError(OrdrelError, ValueError):
     """Malformed or schema-violating configuration input."""
+
+
+def check_positive(name: str, v: float):
+    """Refuse (ParameterDomainError) any v outside (0, inf), NaN included."""
+    if not 0.0 < v < math.inf:
+        raise ParameterDomainError(f"{name} must be strictly positive, got {v}")

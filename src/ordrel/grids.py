@@ -4,9 +4,9 @@ the one monotone rule they all judge by (`first_decrease`)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, check_positive
 
 DEFAULT_TAU_MONO = 1e-9
 DEFAULT_TAU_PT = 1e-9
@@ -47,15 +47,17 @@ class GridSpec:
             raise ParameterDomainError("grid needs at least 64 points")
         if not (0.0 < self.eps < 0.5):
             raise ParameterDomainError("eps must lie in (0, 0.5)")
-        if self.tau_mono <= 0 or self.tau_pt <= 0:
-            raise ParameterDomainError("tolerances must be positive")
+        check_positive("tau_mono", self.tau_mono)
+        check_positive("tau_pt", self.tau_pt)
+
+    def _points(self, lo: float, hi: float) -> list[float]:
+        step = (hi - lo) / (self.n - 1)
+        return [lo + i * step for i in range(self.n)]
 
     def u_points(self) -> list[float]:
         if self.kind != "u":
             raise ParameterDomainError("u_points requires a u-grid")
-        lo, hi = self.eps, 1.0 - self.eps
-        step = (hi - lo) / (self.n - 1)
-        return [lo + i * step for i in range(self.n)]
+        return self._points(self.eps, 1.0 - self.eps)
 
     def x_points(self, dists=()) -> list[float]:
         """Grid points; bounds fall back to the pointwise quantile envelope
@@ -72,8 +74,7 @@ class GridSpec:
             hi = qhi if hi is None else hi
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
             raise ParameterDomainError(f"bad grid bounds [{lo}, {hi}]")
-        step = (hi - lo) / (self.n - 1)
-        return [lo + i * step for i in range(self.n)]
+        return self._points(lo, hi)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "n": self.n,
@@ -84,8 +85,3 @@ class GridSpec:
         else:
             out["eps"] = self.eps
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridSpec":
-        return cls(**obj)
-

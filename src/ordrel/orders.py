@@ -90,12 +90,17 @@ def _pointwise(xs, fas, fbs, tau: float, a_larger: bool = False):
     return usable, None
 
 
+def _verdict(relation, grid, viol, decided: bool) -> OrderVerdict:
+    """Fails at ``viol``, else holds if the rule had its points, else inconclusive."""
+    outcome = FAILS if viol else HOLDS if decided else INCONCLUSIVE
+    return OrderVerdict(relation, outcome, viol, grid)
+
+
 def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_st B: sf_A(x) <= sf_B(x) everywhere."""
     grid, xs = _x_grid(A, B, grid)
     usable, viol = _pointwise(xs, defined(A.sf, xs), defined(B.sf, xs), grid.tau_pt)
-    outcome = FAILS if viol else (HOLDS if usable else INCONCLUSIVE)
-    return OrderVerdict(ST, outcome, viol, grid)
+    return _verdict(ST, grid, viol, usable >= 1)
 
 
 def _ratio_and_rate_check(relation, A, B, grid, rate, a_larger: bool) -> OrderVerdict:
@@ -160,10 +165,7 @@ def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
             continue
         rxs.append(x)
         ratios.append(fb / fa)
-    if len(ratios) < 2:
-        return OrderVerdict(LR, INCONCLUSIVE, None, grid)
-    viol = first_decrease(rxs, ratios, grid.tau_mono)
-    return OrderVerdict(LR, FAILS if viol else HOLDS, viol, grid)
+    return _verdict(LR, grid, first_decrease(rxs, ratios, grid.tau_mono), len(ratios) >= 2)
 
 
 def _differences(qas, qbs) -> list[float]:
@@ -191,10 +193,8 @@ def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
         finite = all(map(math.isfinite, qas)) and all(map(math.isfinite, qbs))
     except (SupportError, OverflowError, TypeError):
         finite = False
-    if not finite:
-        return OrderVerdict(relation, INCONCLUSIVE, None, grid)
-    viol = first_decrease(us, spread(qas, qbs), grid.tau_mono)
-    return OrderVerdict(relation, FAILS if viol else HOLDS, viol, grid)
+    viol = first_decrease(us, spread(qas, qbs), grid.tau_mono) if finite else None
+    return _verdict(relation, grid, viol, finite)
 
 
 def check_disp(A, B, grid: GridSpec | None = None) -> OrderVerdict:

@@ -1,8 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature.
 
-A G7/K15 rule with interval bisection.  Infinite endpoints are mapped to the
-unit interval with x = a + t/(1-t) (or the mirrored form), which keeps the
-heavy Lomax-type tails integrable on a finite computational domain.
+A G7/K15 rule with interval bisection, on a bounded interval or a half-line.
+[a, inf) is mapped to the unit interval with x = a + t/(1-t), and (-inf, b]
+as its mirror image, which keeps the heavy Lomax-type tails integrable on a
+finite computational domain.
 """
 
 import math
@@ -10,6 +11,8 @@ import math
 from .errors import OrdrelError
 
 ATOL = 1e-12  # absolute error target, for integrals near 0
+RTOL = 1e-9  # relative error target
+MAX_PANELS = 2000  # panels before the integral is taken to diverge
 
 # Kronrod-15 abscissae (non-negative half) and weights
 _XK = (
@@ -65,21 +68,15 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return resk * h, abs(resk - resg) * h
 
 
-def adaptive_quad(
-    f,
-    a: float,
-    b: float,
-    rtol: float = 1e-9,
-    max_panels: int = 2000,
-) -> float:
-    """Integrate f over (a, b), either endpoint may be infinite, to an
-    error estimate of at most max(``ATOL``, rtol * |total|)."""
+def adaptive_quad(f, a: float, b: float) -> float:
+    """Integrate f over (a, b), either endpoint but not both infinite, to an
+    error estimate of at most max(``ATOL``, ``RTOL`` * |total|)."""
     g, a, b = _transform(f, a, b)
     total, err = _gk15(g, a, b)
     stack = [(a, b, total, err)]
     n_panels = 1
-    while err > max(ATOL, rtol * abs(total)) and stack:
-        if n_panels >= max_panels:
+    while err > max(ATOL, RTOL * abs(total)) and stack:
+        if n_panels >= MAX_PANELS:
             raise QuadratureError(
                 f"no convergence after {n_panels} panels (err={err:.3e}); "
                 "integrand may diverge"
@@ -99,24 +96,17 @@ def adaptive_quad(
 
 
 def _transform(f, a: float, b: float):
-    """Map an infinite integration range onto a finite one."""
-    if math.isinf(a) and math.isinf(b):
-        # x = t/(1-t^2) covers the whole line
-        def g(t):
-            d = 1.0 - t * t
-            return f(t / d) * (1.0 + t * t) / (d * d)
-
-        return g, -1.0 + 1e-14, 1.0 - 1e-14
+    """Map a half-line onto [0, 1); a bounded interval stays.  (-inf, b] is
+    the mirror of [-b, inf) through f(-x), bit for bit: negation is exact
+    and rounding is symmetric in sign."""
+    if math.isinf(a):
+        if math.isinf(b):
+            raise OrdrelError("adaptive_quad needs a finite endpoint")
+        return _transform(lambda x: f(-x), -b, math.inf)
     if math.isinf(b):
         def g(t):
             d = 1.0 - t
             return f(a + t / d) / (d * d)
-
-        return g, 0.0, 1.0 - 1e-14
-    if math.isinf(a):
-        def g(t):
-            d = 1.0 - t
-            return f(b - t / d) / (d * d)
 
         return g, 0.0, 1.0 - 1e-14
     return f, a, b

@@ -14,11 +14,11 @@ non-vacuous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterDomainError
 from .harness import SCAN_IDS, THEOREMS, TheoremCase, TheoremReport, run_case
-from .orders import FAILS, INCONCLUSIVE
+from .orders import FAILS, HOLDS, INCONCLUSIVE
 
 SCAN_GRID_N = 96  # per-check grid resolution during scans
 
@@ -32,6 +32,8 @@ def _rescale(knobs, box):
 
 _VIOLATE_PERIOD = 10
 _VIOLATE_COUNT = 3  # 3 of every 10 configurations break the hypothesis
+_OUTCOME_CLASSES = {HOLDS: "satisfied_holds", FAILS: "inconsistent",
+                    INCONCLUSIVE: "inconclusive"}
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,17 @@ class ScanResult:
     seed: int
     budget: int
     reports: tuple[TheoremReport, ...]
-    counts: dict = field(default_factory=dict)
+
+    @property
+    def counts(self) -> dict:
+        """The reports by class: vacuous (hypothesis not satisfied), else the
+        class `_OUTCOME_CLASSES` gives their conclusion outcome."""
+        counts = {"total": len(self.reports), "satisfied_holds": 0, "vacuous": 0,
+                  "inconsistent": 0, "inconclusive": 0}
+        for rep in self.reports:
+            counts["vacuous" if not rep.hypothesis_satisfied
+                   else _OUTCOME_CLASSES[rep.conclusion_outcome]] += 1
+        return counts
 
     @property
     def inconsistent(self) -> tuple[TheoremReport, ...]:
@@ -116,21 +128,8 @@ def scan(theorem_id: str, box: dict | None = None, strategy: str = "random",
             raise ConfigError(f"{theorem_id} box {name!r} has lo {lo!r} above hi {hi!r}")
     box = {**default_box, **box}
     reports = []
-    counts = {"total": 0, "satisfied_holds": 0, "vacuous": 0,
-              "inconsistent": 0, "inconclusive": 0}
     for idx, knobs in enumerate(_knob_stream(sorted(box), strategy, seed, budget)):
         violate = (idx % _VIOLATE_PERIOD) >= (_VIOLATE_PERIOD - _VIOLATE_COUNT)
         scenario = sampler(_rescale(knobs, box), violate)
-        case = TheoremCase(theorem_id, scenario, n=grid_n)
-        rep = run_case(case)
-        reports.append(rep)
-        counts["total"] += 1
-        if not rep.hypothesis_satisfied:
-            counts["vacuous"] += 1
-        elif rep.conclusion_outcome == INCONCLUSIVE:
-            counts["inconclusive"] += 1
-        elif rep.conclusion_outcome == FAILS:
-            counts["inconsistent"] += 1
-        else:
-            counts["satisfied_holds"] += 1
-    return ScanResult(theorem_id, strategy, seed, budget, tuple(reports), counts)
+        reports.append(run_case(TheoremCase(theorem_id, scenario, n=grid_n)))
+    return ScanResult(theorem_id, strategy, seed, budget, tuple(reports))

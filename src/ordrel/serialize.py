@@ -168,7 +168,7 @@ def load_generator(obj: dict):
 
 def load_grid(obj: dict) -> GridSpec:
     validate(obj, "grid")
-    return GridSpec.from_json(obj)
+    return GridSpec(**obj)
 
 
 def _load_json(def_name: str):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .distributions import Distribution, _check_prob, dist_from_json
-from .errors import MomentUndefinedError, ParameterDomainError, SupportError
+from .errors import MomentUndefinedError, ParameterDomainError, SupportError, check_positive
 from .quadrature import adaptive_quad
 from .special import bisect_increasing, left_sum
 
@@ -56,8 +56,7 @@ class SystemSpec:
         if not self.components:
             raise ParameterDomainError("system needs at least one component")
         for _, prop in self.components:
-            if not (prop > 0.0 and math.isfinite(prop)):
-                raise ParameterDomainError("proportionality parameters must be positive")
+            check_positive("prop", prop)
         if self.split is not None:
             if not (0 < self.split < len(self.components)):
                 raise ParameterDomainError("split must partition the component list")
@@ -326,8 +325,8 @@ def weibull_min_variance(ks, a: float) -> float:
     """Variance of the minimum of independent Weibull lifetimes with common
     shape a and rates ks: (1/sum k)**(2/a) * (G(2/a+1) - G(1/a+1)**2)."""
     ks = list(ks)
-    if a <= 0.0 or any(k <= 0.0 for k in ks):
-        raise ParameterDomainError("shape and rates must be positive")
+    for v in (a, *ks):
+        check_positive("shape and rates", v)
     total = left_sum(ks)
     g2 = math.gamma(2.0 / a + 1.0)
     g1 = math.gamma(1.0 / a + 1.0)
@@ -338,8 +337,8 @@ def lomax_min_moments(alphas) -> tuple[float, float]:
     """Mean and variance of the minimum of independent Lomax lifetimes with
     scale 1 and shapes alphas (exists for sum > 1 resp. sum > 2)."""
     alphas = list(alphas)
-    if any(a <= 0.0 for a in alphas):
-        raise ParameterDomainError("shapes must be positive")
+    for a in alphas:
+        check_positive("shape", a)
     total = left_sum(alphas)
     if total <= 1.0:
         raise MomentUndefinedError(

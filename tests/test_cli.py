@@ -103,6 +103,15 @@ class TestOrder:
         assert main(["order", "--relation", relation, "-s", a, "-s", b, "--grid", g]) == 3
         assert json.loads(capsys.readouterr().out)["outcome"] == "inconclusive"
 
+    def test_infinite_tolerance_is_usage_error(self, spec_file, capsys):
+        # Exp(1) <=_st Exp(2) fails; an infinite tau_pt would forgive it
+        a, b = spec_file("a.json", EXP2), spec_file("b.json", EXP1)
+        g = spec_file("g.json", {"kind": "x", "n": 64, "tau_pt": float("inf")})
+        assert main(["order", "--relation", "st", "-s", a, "-s", b, "--grid", g]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tau_pt must be strictly positive, got inf\n"
+
     def test_one_spec_is_usage_error(self, spec_file):
         a = spec_file("a.json", EXP1)
         assert main(["order", "--relation", "st", "-s", a]) == 2

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +59,8 @@ class TestGenerators:
             Clayton(-1.0)
         with pytest.raises(ParameterDomainError):
             Clayton(math.inf)
+        with pytest.raises(ParameterDomainError):
+            Clayton(math.nan)
         with pytest.raises(ParameterDomainError):
             Frank(0.0)
         with pytest.raises(ParameterDomainError):
@@ -298,7 +301,7 @@ class TestSuperAdditivity:
             lambda x: math.nan if x == 0.0 else x * x,
         ]
 
-    def test_lattice_agrees_with_pairwise_check(self):
+    def test_lattice_agrees_with_pairwise_check(self, monkeypatch):
         rng = random.Random(2024)
         outcomes = {True: 0, False: 0}
         pairs = [(Clayton(t1), Clayton(t2)) for t1, t2 in
@@ -312,7 +315,9 @@ class TestSuperAdditivity:
         for h in functions:
             n = rng.choice((48, 48, 17, 64))
             x_max = 10.0 if n == 48 else rng.uniform(1.0, 20.0)
-            ok, witness = super_additive_check(h, x_max=x_max, n=n)
+            monkeypatch.setattr(copulas, "SUPER_ADDITIVE_X_MAX", x_max)
+            monkeypatch.setattr(copulas, "SUPER_ADDITIVE_N", n)
+            ok, witness = super_additive_check(h)
             ok_ref, witness_ref = self._pairwise(h, x_max=x_max, n=n)
             assert ok == ok_ref, (h, n, x_max)
             outcomes[ok] += 1
@@ -330,7 +335,8 @@ class TestSuperAdditivity:
 
     @pytest.mark.parametrize("n", [48, 64, 5])
     @pytest.mark.parametrize("thetas", [(2.0, 1.0), (1.0, 2.0)], ids=["passes", "fails"])
-    def test_h_evaluated_once_per_lattice_point(self, n, thetas):
+    def test_h_evaluated_once_per_lattice_point(self, n, thetas, monkeypatch):
+        monkeypatch.setattr(copulas, "SUPER_ADDITIVE_N", n)
         h = compose_phi_psi(Clayton(thetas[0]), Clayton(thetas[1]))
         seen = []
 
@@ -338,7 +344,7 @@ class TestSuperAdditivity:
             seen.append(x)
             return h(x)
 
-        ok, _ = super_additive_check(counting, n=n)
+        ok, _ = super_additive_check(counting)
         assert ok == (thetas[0] >= thetas[1])
         assert len(seen) == len(set(seen)) == 2 * n - 1
 
@@ -383,6 +389,18 @@ class TestFrankPrecision:
         for i in range(400):
             x = 0.05 * i
             assert abs(g.psi(x) - math.exp(-x)) <= 1e-9
+
+    @pytest.mark.parametrize("theta", [5e-324, -1e-310])
+    def test_subnormal_theta_is_refused(self, theta):
+        # t * u underflows to 0 in phi (a log of 0) and psi reads 1.0
+        with pytest.raises(ParameterDomainError, match="normal theta"):
+            Frank(theta)
+
+    def test_smallest_normal_theta_round_trips(self):
+        g = Frank(sys.float_info.min)
+        for i in range(1, 1001):
+            u = i / 1001
+            assert abs(g.psi(g.phi(u)) - u) <= 1e-12, u
 
     @pytest.mark.parametrize("theta", [1e-12, 1.0, 40.0, 700.0, -2.0, -30.0])
     def test_phi_inverts_psi(self, theta):

@@ -181,6 +181,20 @@ class TestGridLoading:
         with pytest.raises(ConfigError, match="at n:"):
             load_grid({"n": n})
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("x", "tau_pt", math.inf), ("u", "tau_mono", math.inf), ("u", "tau_mono", math.nan),
+        ("x", "tau_pt", 0.0)])
+    def test_tolerance_must_be_finite_and_positive(self, kind, key, value):
+        # an infinite tau_pt lets every pointwise violation through, and a NaN
+        # tau_mono every monotone one: the order checks would read "holds"
+        with pytest.raises(ParameterDomainError, match=f"{key} must be strictly positive"):
+            GridSpec(kind=kind, **{key: value})
+
+    def test_infinite_tolerance_in_a_file_is_refused(self):
+        # JSON's Infinity passes the schema's exclusiveMinimum of 0
+        with pytest.raises(ParameterDomainError, match="tau_pt"):
+            load_grid(json.loads('{"kind": "x", "n": 64, "tau_pt": Infinity}'))
+
 
 class TestCaseLoading:
     def test_t6(self):
@@ -279,19 +293,26 @@ class TestCaseLoading:
         with pytest.raises(ConfigError, match="T6 grid 'rh' needs kind 'x', got 'u'"):
             load_case(T6_WRONG_GRID_KIND)
 
+    T1 = {"id": "T1", "scenario": {
+        "system_x": {"kind": "series_phr", "components": [
+            {"baseline": {"family": "lomax", "params": {"shape": 1.0, "scale": 1.0}},
+             "prop": 1.0}]},
+        "system_y": {"kind": "series_phr", "components": [
+            {"baseline": {"family": "lomax", "params": {"shape": 2.0, "scale": 1.0}},
+             "prop": 1.5}]}}}
+
     def test_grid_kinds_follow_the_relation(self):
-        t1 = {"id": "T1", "scenario": {
-            "system_x": {"kind": "series_phr", "components": [
-                {"baseline": {"family": "lomax", "params": {"shape": 1.0, "scale": 1.0}},
-                 "prop": 1.0}]},
-            "system_y": {"kind": "series_phr", "components": [
-                {"baseline": {"family": "lomax", "params": {"shape": 2.0, "scale": 1.0}},
-                 "prop": 1.5}]}}}
+        t1 = self.T1
         case = load_case({**t1, "grids": {"disp": {"kind": "u", "n": 64},
                                           "hr": {"kind": "x", "n": 64}}})
         assert case.grids["disp"].kind == "u"
         with pytest.raises(ConfigError, match="T1 grid 'disp' needs kind 'u', got 'x'"):
             load_case({**t1, "grids": {"disp": {"n": 64}}})
+
+    def test_infinite_grid_tolerance_rejected(self):
+        grids = {"disp": {"kind": "u", "n": 64, "tau_mono": math.inf}}
+        with pytest.raises(ParameterDomainError, match="tau_mono must be strictly positive"):
+            load_case({**self.T1, "grids": grids})
 
     @pytest.mark.parametrize("loader,def_name,obj", [
         (load_case, "theorem_case", {"id": "T99", "scenario": {}}),

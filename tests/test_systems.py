@@ -37,6 +37,9 @@ class TestSystemSpec:
             SystemSpec("triangle", ((Exponential(1.0), 1.0),))
         with pytest.raises(ParameterDomainError):
             series_phr(Exponential(1.0), (1.0, -2.0))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterDomainError):
+                series_phr(Exponential(1.0), (1.0, bad))
         with pytest.raises(ParameterDomainError):
             SystemSpec(SERIES_PHR, ())
 
@@ -117,7 +120,7 @@ class TestOrderStatSurface:
 
         o = OrderStatDist(parallel_prhr(Lomax(3.0, 1.0), (1.0, 1.0)))
         lo, hi = o.support
-        assert adaptive_quad(o.pdf, lo, hi, rtol=1e-8) == pytest.approx(1.0, rel=1e-7)
+        assert adaptive_quad(o.pdf, lo, hi) == pytest.approx(1.0, rel=1e-7)
 
     def test_tail_exponent_series_sums(self):
         o = OrderStatDist(series_phr(Lomax(1.5, 1.0), (1.0, 2.0)))
@@ -266,6 +269,19 @@ class TestMoments:
         with pytest.raises(MomentUndefinedError):
             numeric_moment(o2, 2)
         assert numeric_moment(o2, 1) == pytest.approx(1.0 / 0.6, rel=1e-6)
+
+    @pytest.mark.parametrize("spec,expected", [
+        (parallel_prhr(ReflectedDFR(Lomax(3.0)), (1.0, 2.0)),
+         (-0.12499999999999947, 0.020089285714285733)),
+        (mixed_parallel(ReflectedDFR(Weibull(0.5, 1.0)), (1.0,), ReflectedDFR(Lomax(4.0)), (2.0,)),
+         (-0.1021810796259363, 0.017022938662268023)),
+        (series_phr(ReflectedDFR(Weibull(0.7, 2.0)), (0.5, 1.5)),
+         (-0.7658054431266879, 0.7059079419211168)),
+    ], ids=["parallel", "mixed-parallel", "series"])
+    def test_left_half_line_moments_are_pinned(self, spec, expected):
+        # recorded when (-inf, b] had its own quadrature map; the mirror of
+        # [-b, inf) must give the same bits
+        assert numeric_mean_variance(OrderStatDist(spec)) == expected
 
     def test_weibull_numeric_cross_check(self):
         ks, a = (1.7, 2.0, 0.9), 0.7
