@@ -90,13 +90,14 @@ class Clayton(Generator):
 
     def psi(self, x):
         _check_psi_arg(x)
-        return (1.0 + self.theta * x) ** (-1.0 / self.theta)  # 0.0 at inf
+        # log1p (expm1 in phi) keeps a tiny theta, where 1 + theta*x rounds to 1
+        return math.exp(-math.log1p(self.theta * x) / self.theta)  # 0.0 at inf
 
     def phi(self, u):
         _check_phi_arg(u)
         if u == 0.0:
             return math.inf
-        return (u ** (-self.theta) - 1.0) / self.theta
+        return math.expm1(-self.theta * math.log(u)) / self.theta
 
 
 _LN2 = math.log(2.0)

@@ -5,9 +5,10 @@ cdf, sf, pdf, quantile, hazard and reversed hazard, plus a numeric ageing
 classifier (IFR/DFR/IRHR/DRHR) that returns the set of flags that hold.
 All objects are immutable and every method is a pure function of its
 arguments.  `Distribution.column` is the one way to evaluate a method over
-a whole grid, quantiles included: each family has a kernel, one
-comprehension per method it has in closed form, equal bit for bit to the
-per-point method.  `rate_sweep` gives a rate and its sf or cdf on a grid;
+a whole grid: each family has a kernel, one comprehension per method it
+has in closed form, equal bit for bit to the per-point method.  The
+quantile has no other formula: `quantile(u)` is the one-point column for
+every class.  `rate_sweep` gives a rate and its sf or cdf on a grid;
 where the rate is the base-class formula pdf/value it divides by the column
 already in hand.  A family's JSON form is its ``family`` and its dataclass
 fields, and `dist_from_json` builds it back from its family table.
@@ -44,7 +45,8 @@ class Distribution:
         raise NotImplementedError
 
     def quantile(self, u: float) -> float:
-        raise NotImplementedError
+        """The one-point quantile column."""
+        return self.column("quantile", (u,))[0]
 
     def hazard(self, x: float) -> float:
         s = self.sf(x)
@@ -62,7 +64,10 @@ class Distribution:
         """The per-point method `name` ("sf", "cdf", "pdf", "hazard",
         "rev_hazard" or "quantile") at every point of ``points``, with None
         where it raises SupportError.  A family overrides this with a
-        kernel for each method it has in closed form."""
+        kernel for each method it has in closed form; a class with neither
+        a quantile kernel nor a per-point quantile has no quantile."""
+        if name == "quantile" and type(self).quantile is Distribution.quantile:
+            raise NotImplementedError(f"{type(self).__name__} has no quantile")
         return list(defined(getattr(self, name), points))
 
     def rate_sweep(self, rate: str, xs) -> tuple[list[float], list[float | None]]:
@@ -104,11 +109,6 @@ def _bad_prob(u: float):
     raise ParameterDomainError(f"probability must lie in (0,1), got {u}")
 
 
-def _check_prob(u: float):
-    if not (0.0 < u < 1.0):
-        _bad_prob(u)
-
-
 @dataclass(frozen=True)
 class Exponential(Distribution):
     rate: float
@@ -132,10 +132,6 @@ class Exponential(Distribution):
         if x < 0.0:
             return 0.0
         return self.rate * math.exp(-self.rate * x)
-
-    def quantile(self, u):
-        _check_prob(u)
-        return -math.log1p(-u) / self.rate
 
     def hazard(self, x):
         if self.sf(x) <= 0.0:
@@ -191,10 +187,6 @@ class Weibull(Distribution):
             return self.rate if self.shape == 1.0 else 0.0
         return (self.shape * self.rate * x ** (self.shape - 1.0)
                 * math.exp(-self.rate * x ** self.shape))
-
-    def quantile(self, u):
-        _check_prob(u)
-        return (-math.log1p(-u) / self.rate) ** (1.0 / self.shape)
 
     def hazard(self, x):
         if x < 0.0:
@@ -252,10 +244,6 @@ class Lomax(Distribution):
             return 0.0
         return (self.shape / self.scale) * (1.0 + x / self.scale) ** (-self.shape - 1.0)
 
-    def quantile(self, u):
-        _check_prob(u)
-        return self.scale * ((1.0 - u) ** (-1.0 / self.shape) - 1.0)
-
     def hazard(self, x):
         if x < 0.0:
             raise SupportError("hazard needs x >= 0")
@@ -307,10 +295,6 @@ class ParetoI(Distribution):
         if x < 1.0:
             return 0.0
         return self.shape * x ** (-self.shape - 1.0)
-
-    def quantile(self, u):
-        _check_prob(u)
-        return (1.0 - u) ** (-1.0 / self.shape)
 
     def hazard(self, x):
         if x < 1.0:
@@ -369,10 +353,6 @@ class ReflectedDFR(Distribution):
     def pdf(self, x):
         return self.inner.pdf(-x)
 
-    def quantile(self, u):
-        _check_prob(u)
-        return -self.inner.quantile(1.0 - u)
-
     def hazard(self, x):
         return self.inner.rev_hazard(-x)
 
@@ -383,12 +363,18 @@ class ReflectedDFR(Distribution):
                   "hazard": "rev_hazard", "rev_hazard": "hazard"}
 
     def column(self, name, points):
-        """The inner column of the mirrored method at the negated points;
-        a quantile column calls the inner quantile per point."""
-        if name == "quantile":
-            q = self.inner.quantile
-            return [-q(1.0 - u) if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
-        return self.inner.column(self._REFLECTED[name], [-x for x in points])
+        """The inner column of the mirrored method at the negated points, or
+        minus the inner quantiles at 1-u; the inner checks of the levels
+        before a bad u come first, as 1-u rounds to 1 for u < 2**-53."""
+        if name != "quantile":
+            return self.inner.column(self._REFLECTED[name], [-x for x in points])
+        levels = []
+        for u in points:
+            if not 0.0 < u < 1.0:
+                self.inner.column("quantile", levels)
+                _bad_prob(u)
+            levels.append(1.0 - u)
+        return [None if q is None else -q for q in self.inner.column("quantile", levels)]
 
 
 _FAMILIES = {cls.family: cls for cls in (Exponential, Weibull, Lomax, ParetoI, ReflectedDFR)}

@@ -31,7 +31,7 @@ from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       composition_super_additive, has_log_curvature)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
                             ReflectedDFR, Weibull, ageing_points)
-from .errors import ParameterDomainError
+from .errors import ConfigError, ParameterDomainError
 from .grids import GridSpec, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
 from .orders import FAILS, HOLDS
@@ -59,6 +59,7 @@ class TheoremCase:
     def __post_init__(self):
         if self.id not in THEOREMS:
             raise ParameterDomainError(f"unknown theorem id {self.id!r}")
+        check_case(self.id, self.scenario, self.grids)
 
     def grid(self, key: str, **defaults) -> GridSpec:
         """The case's grid `key`, or one of the kind the registry declares
@@ -71,6 +72,35 @@ class TheoremCase:
     def to_json(self) -> dict:
         return {"id": self.id, "scenario": _scenario_to_json(self.scenario),
                 "n": self.n}
+
+
+def check_case(tid: str, scenario, grids) -> None:
+    """The registry's case rules, which every `TheoremCase` obeys: theorem
+    `tid`'s fields, no other, of the lengths `min_entries` and `dims` ask,
+    and grids under the keys it reads, of the kind each key reads."""
+    theorem = THEOREMS[tid]
+    unknown = set(scenario) - set(theorem.fields)
+    if unknown:
+        raise ConfigError(f"{tid} scenario has unknown fields: {sorted(unknown)}")
+    missing = set(theorem.fields) - set(scenario) - set(theorem.optional)
+    if missing:
+        raise ConfigError(f"{tid} scenario missing fields: {sorted(missing)}")
+    for key, least in theorem.min_entries.items():
+        if len(scenario[key]) < least:
+            raise ConfigError(f"{tid} scenario field {key!r} needs at least {least} "
+                              f"entries, got {len(scenario[key])}")
+    for key, gen in theorem.dims.items():
+        if len(scenario[key]) != scenario[gen].dim:
+            raise ConfigError(f"{tid} scenario field {key!r} needs {scenario[gen].dim} "
+                              f"entries, one per dimension of {gen}, got {len(scenario[key])}")
+    unknown = set(grids) - set(theorem.grids)
+    if unknown:
+        raise ConfigError(f"{tid} grids has unknown keys: {sorted(unknown)}; "
+                          f"{tid} reads {list(theorem.grids)}")
+    for key, grid in grids.items():
+        if grid.kind != theorem.grids[key]:
+            raise ConfigError(f"{tid} grid {key!r} needs kind {theorem.grids[key]!r}, "
+                              f"got {grid.kind!r}")
 
 
 def _scenario_to_json(scenario: dict) -> dict:
@@ -232,7 +262,8 @@ def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
     """Variances of two series minima on per-component baselines
     `baseline(param, scenario)`: closed form vs reference values vs the
     quadrature oracle, plus the variance-ordering sign.  A worked example
-    has no order conclusion; this comparison is its conclusion."""
+    has no order conclusion; this comparison is its conclusion, which holds
+    for the `defaults` only ("default": the values as floats are those)."""
     sc = {**defaults, **case.scenario}
     params = [[float(v) for v in sc[key]] for key in vectors]
     var_x, var_y = (closed_form(p, sc) for p in params)
@@ -250,7 +281,12 @@ def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
         "reference_x": ref_x, "reference_y": ref_y,
         "ordering": f"var_x {ordering} var_y",
     }
-    return {"conclusion": conclusion, "outcome": HOLDS if ok else FAILS}
+    return {"conclusion": conclusion, "outcome": HOLDS if ok else FAILS,
+            "default": all(_floats(sc[k]) == _floats(v) for k, v in defaults.items())}
+
+
+def _floats(v):
+    return [float(x) for x in v] if isinstance(v, (list, tuple)) else float(v)
 
 
 # -- hypothesis rows -------------------------------------------------------
@@ -313,7 +349,7 @@ _DEPENDENT_ROWS = (
     ("composition_super_additive",
      lambda s: composition_super_additive(s["outer"], s["inner"])),
 )
-_DEFAULT_ROWS = (("default_configuration", lambda s: True),)
+_DEFAULT_ROWS = (("default_configuration", lambda s: s["default"]),)
 
 
 def _run(case: TheoremCase) -> TheoremReport:

@@ -14,9 +14,9 @@ one seeds its first solve from its components' quantiles, which bracket the
 root, and starts each later solve from a root predicted by the last (up to
 three) solves: their targets and roots extrapolated to the new target by
 Newton divided differences (`_predict`), or the previous root where that
-prediction is undefined or leaves the support.  ``quantile`` is the
-one-point sweep, so no prediction reaches it; every other column is the
-base class's per-point one.
+prediction is undefined or leaves the support; a one-point column, which
+is ``quantile``, predicts nothing.  Every other column is the base class's
+per-point one.
 ``rate_sweep`` gives a system's sf or cdf and its own rate (hazard for
 series, rev_hazard for parallel) on a whole grid, sweeping each baseline
 once, for the hr and rh checkers; the other rate is swept point by point.
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .distributions import Distribution, _check_prob, dist_from_json
+from .distributions import Distribution, _bad_prob, dist_from_json
 from .errors import MomentUndefinedError, ParameterDomainError, SupportError, check_positive
 from .quadrature import adaptive_quad
 from .special import bisect_increasing, left_sum
@@ -245,9 +245,6 @@ class OrderStatDist(Distribution):
                       for t, r in zip(totals, rates)]
         return product, [None if v <= 0.0 else t for v, t in zip(product, totals)]
 
-    def quantile(self, u):
-        return self.column("quantile", (u,))[0]
-
     def column(self, name, us):
         """`Distribution.column`; the quantile column is one sweep, which
         raises what a solve raises.  Each u maps to the component level
@@ -266,7 +263,8 @@ class OrderStatDist(Distribution):
         if name != "quantile":
             return super().column(name, us)
         for u in us:
-            _check_prob(u)
+            if not 0.0 < u < 1.0:
+                _bad_prob(u)
         series = self._series
         p = 1.0 / self.spec.prop_sum()
         if self._shared is not None:

@@ -189,7 +189,7 @@ class TestClosedForms:
         assert min(thetas) < 0.2 and max(thetas) > 5.5
 
     @pytest.mark.parametrize("g,convex,concave", [
-        (Clayton(1e-8), (True, False), (False, False)),
+        (Clayton(1e-8), (True, False), (True, True)),
         (Frank(1e-7), (True, False), (True, True)),
         (Frank(-1e-7), (False, True), (True, True)),
     ], ids=repr)
@@ -410,6 +410,21 @@ class TestFrankPrecision:
         for i in range(1, 1001):
             u = i / 1001
             assert abs(g.psi(g.phi(u)) - u) <= 1e-12 * u, u
+
+
+class TestClaytonPrecision:
+    @pytest.mark.parametrize("theta", [1e-15, 1e-17])
+    def test_tiny_theta_keeps_psi_and_phi(self, theta):
+        # 1 + theta*x and u**-theta round to 1 near theta = 0, where
+        # Clayton is the independence generator e^-x
+        g = Clayton(theta)
+        assert abs(g.psi(0.5) - math.exp(-0.5)) <= 1e-12
+        assert abs(g.psi(g.phi(0.3)) - 0.3) <= 1e-12
+
+    def test_phi_out_of_float_range_overflows(self):
+        # expm1(-theta log u) leaves the float range for u < 0.7
+        with pytest.raises(OverflowError, match="math range error"):
+            Clayton(2000.0).phi(0.7)
 
 
 class TestShiftedSystems:

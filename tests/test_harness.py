@@ -9,6 +9,7 @@ import pytest
 
 from ordrel import (
     Clayton,
+    ConfigError,
     Exponential,
     GridSpec,
     Lomax,
@@ -207,6 +208,28 @@ class TestWorkedExamples:
         assert rep.consistent and rep.conclusion_outcome == "holds"
         assert rep.conclusion["variance_x"] < rep.conclusion["variance_y"]
 
+    @pytest.mark.parametrize("tid,scenario", [
+        ("Ex1", {"shape": 0.7, "rates_x": [2.0, 2.0, 0.9], "rates_y": [1.0, 3.0, 2.3]}),
+        ("Ex2", {"alphas_x": [1.0, 4.0, 7.5]}),
+    ])
+    def test_another_configuration_is_vacuous(self, tid, scenario):
+        # the reference variances hold for the defaults only
+        rep = run_case(TheoremCase(tid, scenario))
+        assert rep.conditions == {"default_configuration": False}
+        assert rep.consistent and rep.conclusion_outcome == "fails"
+        c = rep.conclusion
+        assert c["numeric_variance_x"] == pytest.approx(c["variance_x"], rel=1e-3)
+        assert (c["variance_x"] > c["variance_y"]) == (tid == "Ex1")
+
+    @pytest.mark.parametrize("tid,scenario", [
+        ("Ex1", {"shape": 0.7, "rates_x": (1.7, 2, 0.9), "rates_y": [1, 3, 2.3]}),
+        ("Ex2", {"alphas_x": [1, 4, 7], "alphas_y": [1.2, 3.5, 7.2]}),
+    ])
+    def test_a_restated_default_is_the_default(self, tid, scenario):
+        rep = run_case(TheoremCase(tid, scenario))
+        assert rep.conditions == {"default_configuration": True}
+        assert rep.consistent and rep.conclusion_outcome == "holds"
+
     def test_reports_are_pinned(self):
         digest = hashlib.sha256()
         for tid in ("Ex1", "Ex2"):
@@ -219,6 +242,32 @@ class TestCaseObject:
     def test_unknown_id_rejected(self):
         with pytest.raises(ParameterDomainError):
             TheoremCase("T99", {})
+
+    # the registry's case rules hold for a case built in Python as for a
+    # file case: the case is refused before any row runs
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"scenario": {"system_x": series_phr(Lomax(1.0, 1.0), (1.0,))}},
+         "T1 scenario missing fields: ['system_y']"),
+        ({"scenario": {**_t1_case().scenario, "gamma": 2.0}},
+         "T1 scenario has unknown fields: ['gamma']"),
+        ({"scenario": _t1_case().scenario, "grids": {"disp_grid": GridSpec(kind="u")}},
+         "T1 grids has unknown keys: ['disp_grid']; T1 reads ['ageing', 'hr', 'disp']"),
+        ({"scenario": _t1_case().scenario, "grids": {"disp": GridSpec(kind="x")}},
+         "T1 grid 'disp' needs kind 'u', got 'x'"),
+    ], ids=["missing", "unknown", "grid-key", "grid-kind"])
+    def test_a_python_case_obeys_the_case_rules(self, kwargs, message, monkeypatch):
+        monkeypatch.setitem(THEOREMS, "T1", dataclasses.replace(
+            THEOREMS["T1"], sides=lambda case: pytest.fail("a row ran")))
+        with pytest.raises(ConfigError) as info:
+            run_case(TheoremCase("T1", **kwargs))
+        assert str(info.value) == message
+
+    def test_a_python_case_obeys_the_length_rules(self):
+        with pytest.raises(ConfigError, match="'alphas' needs at least 2 entries, got 1"):
+            TheoremCase("T6", {"theta": 1.0, "alphas": (1.0,), "alphas_star": (2.0,)})
+        sc = TestDependent()._t7_scenario()
+        with pytest.raises(ConfigError, match="'shifts_y' needs 2 entries, one per dimension"):
+            TheoremCase("T7", {**sc, "shifts_y": (0.5, 0.8, 0.9)})
 
     def test_report_json_shape(self):
         rep = run_case(_t1_case())

@@ -176,6 +176,37 @@ def test_a_bad_probability_raises_as_per_point(name, us):
     assert isinstance(_assert_column(FAMILIES[name], "quantile", us), ParameterDomainError)
 
 
+@pytest.mark.parametrize("cls", [Exponential, Weibull, Lomax, ParetoI, ReflectedDFR,
+                                 OrderStatDist], ids=lambda c: c.__name__)
+def test_the_quantile_column_is_the_only_quantile_formula(cls):
+    # quantile(u) is the base class's one-point column
+    assert "quantile" not in vars(cls)
+    assert cls.quantile is Distribution.quantile
+
+
+def test_a_class_without_a_quantile_has_none():
+    class NoQuantile(Distribution):
+        support = (0.0, 1.0)
+
+    for call in (lambda d: d.quantile(0.5), lambda d: d.column("quantile", [0.5])):
+        with pytest.raises(NotImplementedError):
+            call(NoQuantile())
+
+
+def test_a_reflected_system_column_is_its_one_point_quantiles():
+    # a mixed-system inner reads its points twice and predicts its starts,
+    # so its column agrees with the one-point columns within the solver
+    # tolerance
+    inner = OrderStatDist(mixed_series(Exponential(1.1), (0.4, 0.6), Lomax(1.7, 1.0), (1.2,)))
+    d = ReflectedDFR(inner)
+    us = [u for u in COLUMN_US if 1.0 - u < 1.0]
+    for u, q in zip(us, d.column("quantile", us)):
+        assert q == pytest.approx(d.quantile(u), rel=1e-9)
+        assert q == pytest.approx(-inner.quantile(1.0 - u), rel=1e-9)
+    for bad in BAD_US:
+        assert isinstance(_assert_column(d, "quantile", bad), ParameterDomainError)
+
+
 def test_an_overflow_raises_as_per_point():
     # a float power that overflows raises OverflowError at the same point
     assert isinstance(_assert_column(ParetoI(0.01), "quantile", [0.5, 1.0 - 1e-9]), OverflowError)

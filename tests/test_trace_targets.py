@@ -118,6 +118,27 @@ def test_sweeps_keep_the_base_class_formula_under_the_tracer(tracing):
     assert evals == 0  # no per-point call, rev_hazard included
 
 
+@pytest.mark.parametrize("inner", ["lomax", "exponential"])
+def test_a_reflected_quantile_column_reads_the_inner_kernel(tracing, inner):
+    # the column is the negated inner column at 1-u, not one inner
+    # quantile call per point
+    from ordrel import Exponential, Lomax, ReflectedDFR
+
+    d = ReflectedDFR(Lomax(2.0, 1.0) if inner == "lomax" else Exponential(0.9))
+    us = [0.01 * i for i in range(1, 100)]
+    plain = d.column("quantile", us)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = d.column("quantile", us)
+        evals = tracer.counts["distributions.surface_evals"]
+    finally:
+        left = tracer.restore()
+    assert left == []
+    assert traced == plain
+    assert evals == 0
+
+
 # perfbench/cli_child.py's order: the tracer goes on right after `import
 # ordrel.cli`, so what a subcommand loads later is imported under it.
 _TRACED_CLI = """
