@@ -58,6 +58,14 @@ def _check_phi_arg(u: float):
         raise ParameterDomainError(f"phi needs u in [0,1], got {u}")
 
 
+def _check_normal_theta(family: str, theta: float):
+    """Refuse a theta that is not a finite normal float: with a subnormal
+    theta, theta*x and theta*ln(u) round to 0 or to a subnormal, and psi
+    and phi read 1.0 or raise."""
+    if not sys.float_info.min <= abs(theta) < math.inf:
+        raise ParameterDomainError(f"{family} needs a finite normal theta, got {theta}")
+
+
 @dataclass(frozen=True)
 class Independence(Generator):
     dim: int = 2
@@ -87,6 +95,7 @@ class Clayton(Generator):
 
     def __post_init__(self):
         check_positive("Clayton theta", self.theta)
+        _check_normal_theta("Clayton", self.theta)
 
     def psi(self, x):
         _check_psi_arg(x)
@@ -118,9 +127,7 @@ class Frank(Generator):
     theta_kin = frozenset({"frank", "independence"})
 
     def __post_init__(self):
-        # a subnormal theta loses psi and phi to underflow (t * u rounds to 0)
-        if not sys.float_info.min <= abs(self.theta) < math.inf:
-            raise ParameterDomainError(f"Frank needs a finite normal theta, got {self.theta}")
+        _check_normal_theta("Frank", self.theta)
         if self.theta < 0.0 and self.dim > 2:
             raise ParameterDomainError("Frank with theta < 0 is only 2-monotone: dim 2")
 

@@ -12,6 +12,15 @@ DEFAULT_TAU_MONO = 1e-9
 DEFAULT_TAU_PT = 1e-9
 
 
+def check_grid_size(n):
+    """Refuse (ParameterDomainError) a grid size that is not an int of at
+    least 64: a float or a bool is no size, even where it equals one."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParameterDomainError(f"grid size n must be an integer, got {n!r}")
+    if n < 64:
+        raise ParameterDomainError("grid needs at least 64 points")
+
+
 def first_decrease(xs, values, tau: float) -> tuple[float, float, float] | None:
     """The one monotone rule: the first adjacent pair (a, b) of ``values``
     with b < a - tau*(1 + max(|a|, |b|)), as (x at b, b, a), or None.  The
@@ -43,8 +52,7 @@ class GridSpec:
     def __post_init__(self):
         if self.kind not in ("x", "u"):
             raise ParameterDomainError(f"unknown grid kind {self.kind!r}")
-        if self.n < 64:
-            raise ParameterDomainError("grid needs at least 64 points")
+        check_grid_size(self.n)
         if not (0.0 < self.eps < 0.5):
             raise ParameterDomainError("eps must lie in (0, 0.5)")
         check_positive("tau_mono", self.tau_mono)

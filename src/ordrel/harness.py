@@ -32,7 +32,7 @@ from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
                             ReflectedDFR, Weibull, ageing_points)
 from .errors import ConfigError, ParameterDomainError
-from .grids import GridSpec, first_decrease
+from .grids import GridSpec, check_grid_size, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
 from .orders import FAILS, HOLDS
 from .special import left_sum
@@ -59,6 +59,7 @@ class TheoremCase:
     def __post_init__(self):
         if self.id not in THEOREMS:
             raise ParameterDomainError(f"unknown theorem id {self.id!r}")
+        check_grid_size(self.n)
         check_case(self.id, self.scenario, self.grids)
 
     def grid(self, key: str, **defaults) -> GridSpec:

@@ -10,8 +10,8 @@ inconclusive, so numerical trouble never masquerades as a mathematical
 violation.  Ties at the tolerance resolve toward "holds" since all six
 orders are non-strict.
 
-Three bodies carry the six checks.  One pointwise rule (`_pointwise`,
-within ``tau_pt``) judges st and the rate form of hr/rh.  One monotone rule
+Three bodies carry the six checks.  One pointwise rule (`_exceeds`, within
+``tau_pt``) judges st and the rate form of hr/rh.  One monotone rule
 (`grids.first_decrease`, within ``tau_mono``) judges the ratio form of
 hr/rh, lr and the quantile spreads.  One quantile-order body
 (`_check_quantile_spread`) serves disp and star, which differ only in the
@@ -19,6 +19,16 @@ spread passed in: the difference of the quantiles for disp, their ratio for
 star.  Each side's quantiles are one `Distribution.column`, read in one
 pass: an undefined (None) or non-finite quantile makes the check
 inconclusive.
+
+st reads only the grid points it needs.  Both survival functions are
+non-increasing, so sf_A(x_i) <= sf_B(x_j) (within ``tau_pt``) with i < j
+means the rule holds at every grid point between x_i and x_j.  `check_st`
+reads both ends of the grid and bisects, left first, every interval that
+bracket leaves open, down to neighbouring points.  It stops at the first
+point in grid order that violates the rule or where A.sf or B.sf raised.
+Its verdict and witness are those of the rule read at every point left to
+right, except that an error at a point inside a bracketed interval is
+never raised, as that point is never read.
 """
 
 from __future__ import annotations
@@ -26,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import defined
 from .errors import SupportError
 from .grids import GridSpec, first_decrease
 
@@ -72,20 +81,24 @@ def _x_grid(A, B, grid: GridSpec | None) -> tuple[GridSpec, list[float]]:
     return grid, grid.x_points((A, B))
 
 
+def _exceeds(small: float, large: float, tau: float) -> bool:
+    """The one pointwise rule: `small` <= `large` within tau*(1 + |large|)
+    fails."""
+    return small > large + tau * (1.0 + abs(large))
+
+
 def _pointwise(xs, fas, fbs, tau: float, a_larger: bool = False):
-    """The one pointwise rule: fa(x) <= fb(x), or >= with `a_larger`,
-    within tau*(1 + |larger side|), over the paired values ``fas`` and
-    ``fbs`` (read lazily, in step with ``xs``), skipping points where either
-    is None (undefined) or not finite.  Returns the number of usable points
-    and the first violation (x, fa(x), fb(x)), or None."""
+    """`_exceeds` over the paired values ``fas`` and ``fbs`` (in step with
+    ``xs``): fa(x) <= fb(x), or >= with `a_larger`, skipping points where
+    either is None (undefined) or not finite.  Returns the number of usable
+    points and the first violation (x, fa(x), fb(x)), or None."""
     usable = 0
     isfinite = math.isfinite
     for x, va, vb in zip(xs, fas, fbs):
         if va is None or vb is None or not (isfinite(va) and isfinite(vb)):
             continue
         usable += 1
-        small, large = (vb, va) if a_larger else (va, vb)
-        if small > large + tau * (1.0 + abs(large)):
+        if _exceeds(vb, va, tau) if a_larger else _exceeds(va, vb, tau):
             return usable, (x, va, vb)
     return usable, None
 
@@ -96,11 +109,59 @@ def _verdict(relation, grid, viol, decided: bool) -> OrderVerdict:
     return OrderVerdict(relation, outcome, viol, grid)
 
 
+def _sf_pair(A, B, x):
+    """(sf_A(x), sf_B(x)), A's read first, each None where it raises
+    SupportError."""
+    try:
+        va = A.sf(x)
+    except SupportError:
+        va = None
+    try:
+        vb = B.sf(x)
+    except SupportError:
+        vb = None
+    return va, vb
+
+
 def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
-    """A <=_st B: sf_A(x) <= sf_B(x) everywhere."""
+    """A <=_st B: sf_A(x) <= sf_B(x) everywhere, by the pointwise rule at
+    the grid points that the sf brackets leave open (module docstring)."""
     grid, xs = _x_grid(A, B, grid)
-    usable, viol = _pointwise(xs, defined(A.sf, xs), defined(B.sf, xs), grid.tau_pt)
-    return _verdict(ST, grid, viol, usable >= 1)
+    tau, n = grid.tau_pt, len(xs)
+    isfinite = math.isfinite
+    fas, fbs = [None] * n, [None] * n  # both sides' sf at the usable points read
+    usable, viol, error = False, None, None
+    # (i, j): the points strictly between i and j are open, leftmost on top;
+    # -1 and n lie outside the grid, so the two ends are read first
+    stack = [(-1, n)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2:
+            continue
+        if i >= 0 and j < n:
+            fa, fb = fas[i], fbs[j]
+            if fa is not None and fb is not None and not _exceeds(fa, fb, tau):
+                continue  # sf_A(x) <= sf_A(x_i) and sf_B(x_j) <= sf_B(x) between them
+        k = 0 if i < 0 else n - 1 if j == n else (i + j) // 2
+        x = xs[k]
+        try:
+            va, vb = _sf_pair(A, B, x)
+        except Exception as exc:  # any error is an event: raised unless an earlier one is found
+            viol, error, stack = None, exc, [(i, k)]
+            continue
+        if va is not None and vb is not None and isfinite(va) and isfinite(vb):
+            usable = True
+            fas[k], fbs[k] = va, vb
+            if _exceeds(va, vb, tau):
+                viol, error, stack = (x, va, vb), None, [(i, k)]
+                continue
+        stack += ((k, j), (i, k))
+    if error is not None:
+        try:
+            raise error
+        finally:
+            error = None  # the traceback holds this frame: no cycle through it
+    return _verdict(ST, grid, viol, usable)
 
 
 def _ratio_and_rate_check(relation, A, B, grid, rate, a_larger: bool) -> OrderVerdict:

@@ -421,6 +421,18 @@ class TestClaytonPrecision:
         assert abs(g.psi(0.5) - math.exp(-0.5)) <= 1e-12
         assert abs(g.psi(g.phi(0.3)) - 0.3) <= 1e-12
 
+    @pytest.mark.parametrize("theta", [5e-324, 1e-310])
+    def test_subnormal_theta_is_refused(self, theta):
+        # theta*x and theta*ln(u) round to 0 or the smallest subnormal:
+        # psi(0.5) and phi(0.5) both read 1.0 at 5e-324
+        with pytest.raises(ParameterDomainError, match="normal theta"):
+            Clayton(theta)
+
+    def test_smallest_normal_theta_round_trips(self):
+        g = Clayton(sys.float_info.min)
+        assert abs(g.psi(g.phi(0.5)) - 0.5) <= 1e-12
+        assert abs(g.psi(0.5) - math.exp(-0.5)) <= 1e-12
+
     def test_phi_out_of_float_range_overflows(self):
         # expm1(-theta log u) leaves the float range for u < 0.7
         with pytest.raises(OverflowError, match="math range error"):

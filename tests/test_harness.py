@@ -269,6 +269,13 @@ class TestCaseObject:
         with pytest.raises(ConfigError, match="'shifts_y' needs 2 entries, one per dimension"):
             TheoremCase("T7", {**sc, "shifts_y": (0.5, 0.8, 0.9)})
 
+    @pytest.mark.parametrize("n", [100.0, 100.5, True, "100", 63])
+    def test_a_case_grid_size_is_an_int_of_at_least_64(self, n):
+        # refused when the case is built, not in the middle of its rows
+        with pytest.raises(ParameterDomainError, match="grid size n must be an integer"
+                           if n != 63 else "at least 64 points"):
+            TheoremCase("T1", _t1_case().scenario, n=n)
+
     def test_report_json_shape(self):
         rep = run_case(_t1_case())
         obj = rep.to_json()

@@ -11,6 +11,7 @@ from ordrel import (
     GridSpec,
     Lomax,
     OrderStatDist,
+    ParameterDomainError,
     ParetoI,
     ReflectedDFR,
     SupportError,
@@ -155,6 +156,12 @@ class TestGuards:
         g = GridSpec(kind="x", lo=0.1, hi=5.0, n=64)
         v = check_st(Exponential(2.0), Exponential(1.0), g)
         assert v.holds and v.grid is g
+
+    @pytest.mark.parametrize("n", [100.0, 100.5, True, 64.0])
+    def test_grid_size_is_an_int(self, n):
+        # a float size once built, and check_st raised TypeError from range
+        with pytest.raises(ParameterDomainError, match="grid size n must be an integer"):
+            GridSpec(kind="x", n=n)
 
     def test_inconclusive_on_degenerate_tail_grid(self):
         # grid entirely in the far right tail: both sfs vanish, the hazard

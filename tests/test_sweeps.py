@@ -5,9 +5,12 @@ quantile solves.
 None exactly where the per-point method raises SupportError, and raise
 what it raises otherwise; the hr/rh checks read the sweeps and
 must keep the verdicts and witnesses of the per-point body they replaced
-(`_two_loop_check`, a copy of that body).  A mixed-baseline system's first
-quantile solve starts inside the bracket of its components' quantiles, and
-each later one from a root predicted by the solves before it.
+(`_two_loop_check`, a copy of that body).  The st check reads only the
+grid points its sf brackets leave open, and must keep the verdicts and
+witnesses of the rule read at every point (`_st_oracle`).  A
+mixed-baseline system's first quantile solve starts inside the bracket of
+its components' quantiles, and each later one from a root predicted by
+the solves before it.
 """
 
 import json
@@ -18,11 +21,14 @@ import sys
 import pytest
 
 from ordrel import (
+    Clayton,
     DependentMax,
     DependentMin,
     Distribution,
     Exponential,
+    Frank,
     GridSpec,
+    Independence,
     Lomax,
     OrderStatDist,
     ParameterDomainError,
@@ -34,13 +40,16 @@ from ordrel import (
     Weibull,
     check_hr,
     check_rh,
+    check_st,
     mixed_parallel,
     mixed_series,
     parallel_prhr,
     series_phr,
 )
+from ordrel.distributions import defined
 from ordrel.grids import first_decrease
-from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE, OrderVerdict
+from ordrel.orders import (FAILS, HOLDS, INCONCLUSIVE, OrderVerdict, _pointwise, _verdict,
+                           _x_grid)
 from ordrel.special import bisect_increasing
 from ordrel.systems import PARALLEL_PRHR, SERIES_PHR, _predict
 from conftest import SHIFTED_SYSTEMS
@@ -459,6 +468,176 @@ def test_a_ratio_drop_between_two_parts_is_found():
     want = _two_loop_check("hr", a, b, grid)
     assert got.outcome == want.outcome == FAILS
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+# -- st: the bracket walk against the full-grid rule ------------------------
+
+def _st_oracle(A, B, grid):
+    """The st body the walk replaced: the pointwise rule at every grid
+    point, left to right."""
+    grid, xs = _x_grid(A, B, grid)
+    usable, viol = _pointwise(xs, defined(A.sf, xs), defined(B.sf, xs), grid.tau_pt)
+    return _verdict("st", grid, viol, usable >= 1)
+
+
+class _Counted:
+    """`dist` for check_st, with an sf that records the points it is read
+    at and, on [lo, hi] of `hole`, raises SupportError (`value` None) or
+    returns the non-finite `value`."""
+
+    def __init__(self, dist, hole=(math.inf, -math.inf), value=None):
+        self.dist, self.support, self.read = dist, dist.support, []
+        self.hole, self.value = hole, value
+
+    def quantile(self, u):
+        return self.dist.quantile(u)
+
+    def sf(self, x):
+        self.read.append(x)
+        if self.hole[0] <= x <= self.hole[1]:
+            if self.value is None:
+                raise SupportError("sf undefined here")
+            return self.value
+        return self.dist.sf(x)
+
+    def __repr__(self):
+        return f"_Counted({self.dist!r}, {self.hole}, {self.value})"
+
+
+def _generator(rng, dim):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Independence(dim=dim)
+    if kind == 1:
+        return Clayton(10.0 ** rng.uniform(-3.0, 3.5), dim=dim)
+    theta = 10.0 ** rng.uniform(-2.0, 1.5)
+    return Frank(-theta if dim == 2 and rng.random() < 0.5 else theta, dim=dim)
+
+
+def _shifted(rng):
+    dim = rng.choice((2, 2, 3))
+    base = rng.choice((Exponential(rng.uniform(0.3, 3.0)),
+                       Weibull(rng.uniform(0.4, 2.5), rng.uniform(0.3, 2.0)),
+                       Lomax(rng.uniform(0.4, 3.0), rng.uniform(0.5, 2.0))))
+    return ShiftedSystem(base, tuple(rng.uniform(0.0, 1.0) for _ in range(dim)),
+                         _generator(rng, dim))
+
+
+def _nudged(s, rng):
+    """`s` with every shift moved by one tiny amount."""
+    d = 10.0 ** rng.uniform(-15.0, -4.0) * rng.choice((-1.0, 1.0))
+    return ShiftedSystem(s.baseline, tuple(m + d for m in s.shifts), s.generator)
+
+
+def _st_grid(rng, bounds):
+    n = rng.choice((64, 96, 257, 64, 96, 257, 2048))
+    tau = rng.choice((1e-300, 1e-12, 1e-9, 1e-3))
+    lo, hi = bounds if bounds is not None else (None, None)
+    return GridSpec(lo=lo, hi=hi, n=n, tau_pt=tau)
+
+
+def _st_case(rng):
+    """Two sides and a grid: families, reflections and systems (derived or
+    explicit bounds), or dependent extremes (bounds from the baseline
+    quantiles, as the T7/T8 grids, or drawn); a quarter of them identical,
+    or dependent extremes with nudged shifts; some with an sf hole."""
+    same = rng.random() < 0.25
+    if rng.random() < 0.5:
+        extreme = rng.choice((DependentMin, DependentMax))
+        sa = _shifted(rng)
+        sb = (sa if rng.random() < 0.5 else _nudged(sa, rng)) if same else _shifted(rng)
+        if rng.random() < 0.7:
+            los, his = zip(*((s.baseline.quantile(0.01) - max(s.shifts),
+                              s.baseline.quantile(0.99) - min(s.shifts)) for s in (sa, sb)))
+            bounds = (min(los), max(his))
+        else:
+            bounds = (rng.uniform(-1.0, 1.0), rng.uniform(2.0, 40.0))
+        return extreme(sa), extreme(sb), _st_grid(rng, bounds)
+    if rng.random() < 0.2:
+        a = ReflectedDFR(Lomax(rng.uniform(0.5, 3.0), 1.0))
+        b = a if same else ReflectedDFR(_lifetime(rng))
+        bounds = (-rng.uniform(1.0, 30.0), 0.0)
+    else:
+        a = _lifetime(rng)
+        b = a if same else _lifetime(rng)
+        bounds = (0.0, rng.uniform(1.0, 30.0))
+    if rng.random() < 0.15:  # a hole over part of the grid, or all of it
+        hole = ((-math.inf, math.inf) if rng.random() < 0.3 else
+                sorted(rng.uniform(-40.0, 40.0) for _ in range(2)))
+        value = rng.choice((None, math.nan, math.inf, -math.inf))
+        if rng.random() < 0.5:
+            a = _Counted(a, hole, value)
+        else:
+            b = _Counted(b, hole, value)
+    return a, b, _st_grid(rng, None if rng.random() < 0.6 else bounds)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def test_st_walk_keeps_the_full_grid_verdicts():
+    rng = random.Random(20261019)
+    outcomes = {HOLDS: 0, FAILS: 0, INCONCLUSIVE: 0, "raises": 0}
+    spared = 0  # oracle raises that the walk, never reading that point, turns into a verdict
+    for _ in range(2000):
+        a, b, grid = _st_case(rng)
+        want = _outcome(_st_oracle, a, b, grid)
+        ca, cb = _Counted(a), _Counted(b)
+        got = _outcome(check_st, ca, cb, grid)
+        assert len(set(ca.read)) == len(ca.read) and len(set(cb.read)) == len(cb.read)
+        if isinstance(got, Exception):
+            assert (type(want), str(want)) == (type(got), str(got)), (a, b, grid)
+            outcomes["raises"] += 1
+        elif isinstance(want, Exception):
+            spared += 1
+        else:
+            assert got == want, (a, b, grid)
+            outcomes[got.outcome] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+    assert spared <= 20, spared
+
+
+def test_st_reads_few_points_where_it_holds_by_far():
+    a, b = _Counted(Exponential(2.0)), _Counted(Exponential(1.0))
+    assert check_st(a, b, GridSpec(n=2048)).holds
+    assert len(a.read) <= 64 and len(b.read) <= 64
+
+
+def test_st_stops_at_a_failing_first_point():
+    a, b = _Counted(Exponential(1.0)), _Counted(Exponential(2.0))
+    v = check_st(a, b, GridSpec(n=2048))
+    assert v.outcome == FAILS and v.witness[0] == a.read[0]
+    assert len(a.read) <= 2 and len(b.read) <= 2
+
+
+def test_st_reads_every_point_of_identical_sides():
+    d = Exponential(1.0)
+    a, b = _Counted(d), _Counted(d)
+    grid = GridSpec(n=257)
+    assert check_st(a, b, grid).holds
+    assert sorted(a.read) == sorted(b.read) == grid.x_points((d,))
+
+
+def test_st_raises_the_first_error_in_grid_order():
+    # on x = 0, 1, ..., 63 B.sf raises at x = 3 and x = 7, and drops below
+    # A's from x = `drop` on: the first of these events in grid order decides
+    grid = GridSpec(lo=0.0, hi=63.0, n=64)
+
+    def sides(drop):
+        def sf_b(x):
+            if x in (3.0, 7.0):
+                raise OverflowError(f"at {x}")
+            return 0.5 if x < drop else 0.25
+        return _Surface(lambda x: 0.5, None), _Surface(sf_b, None)
+
+    with pytest.raises(OverflowError, match="at 3.0"):
+        check_st(*sides(5.0), grid)
+    v = check_st(*sides(2.0), grid)
+    assert v.witness == (2.0, 0.5, 0.25) and v == _st_oracle(*sides(2.0), grid)
 
 
 # -- seeded quantile solves ------------------------------------------------
