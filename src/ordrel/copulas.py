@@ -150,9 +150,13 @@ class Frank(Generator):
         if u == 0.0:
             return math.inf
         t = self.theta
+        tu = t * u
         # -log(expm1(-t*u) / expm1(-t)) as a difference of logs: the ratio
-        # rounds near 1 for large t
-        return _log_one_minus_exp(t) - _log_one_minus_exp(t * u)
+        # rounds near 1 for large t; below the normal floats t*u loses its
+        # bits (or is 0), where log|1 - e^-(t*u)| is log|t| + log u
+        if abs(tu) < sys.float_info.min:
+            return _log_one_minus_exp(t) - (math.log(abs(t)) + math.log(u))
+        return _log_one_minus_exp(t) - _log_one_minus_exp(tu)
 
 
 _GEN_FAMILIES = {cls.family: cls for cls in (Independence, Clayton, Frank)}

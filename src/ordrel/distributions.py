@@ -1,8 +1,12 @@
 """Baseline lifetime distributions.
 
 Each family exposes the full functional surface used by the order checkers:
-cdf, sf, pdf, quantile, hazard and reversed hazard, plus a numeric ageing
+cdf, sf, pdf, quantile, hazard and reversed hazard, plus an ageing
 classifier (IFR/DFR/IRHR/DRHR) that returns the set of flags that hold.
+Each family states its ageing classes on its whole support
+(`ageing_classes`) and whether x*r(x) is non-increasing
+(`xr_decreasing`); `classify_ageing` returns what a distribution states
+and judges a rate column numerically only where it states nothing.
 All objects are immutable and every method is a pure function of its
 arguments.  `Distribution.column` is the one way to evaluate a method over
 a whole grid: each family has a kernel, one comprehension per method it
@@ -30,6 +34,11 @@ class Distribution:
     """Common surface for all lifetime distributions."""
 
     family = "abstract"
+    # Closed forms, where the class knows them: the ageing flags that hold
+    # on the whole support, and whether x*r(x) is non-increasing there.
+    # None: judged numerically (`classify_ageing`, `harness._xr_decreasing`).
+    ageing_classes: frozenset[str] | None = None
+    xr_decreasing: bool | None = None
 
     @property
     def support(self) -> tuple[float, float]:
@@ -114,6 +123,8 @@ class Exponential(Distribution):
     rate: float
     family = "exponential"
     support = (0.0, math.inf)
+    ageing_classes = frozenset({"IFR", "DFR", "DRHR"})  # a constant hazard
+    xr_decreasing = False
 
     def __post_init__(self):
         check_positive("rate", self.rate)
@@ -163,6 +174,15 @@ class Weibull(Distribution):
     rate: float
     family = "weibull"
     support = (0.0, math.inf)
+    xr_decreasing = False  # x*r(x) = shape*rate*x**shape
+
+    @property
+    def ageing_classes(self):
+        """The hazard shape*rate*x**(shape-1) falls for shape < 1 and rises
+        for shape > 1; shape 1 is the exponential."""
+        if self.shape == 1.0:
+            return Exponential.ageing_classes
+        return frozenset({"DFR" if self.shape < 1.0 else "IFR", "DRHR"})
 
     def __post_init__(self):
         check_positive("shape", self.shape)
@@ -224,6 +244,8 @@ class Lomax(Distribution):
     scale: float = 1.0
     family = "lomax"
     support = (0.0, math.inf)
+    ageing_classes = frozenset({"DFR", "DRHR"})  # hazard shape/(scale + x)
+    xr_decreasing = False  # x*r(x) = shape*x/(scale + x)
 
     def __post_init__(self):
         check_positive("shape", self.shape)
@@ -277,6 +299,8 @@ class ParetoI(Distribution):
     shape: float
     family = "pareto1"
     support = (1.0, math.inf)
+    ageing_classes = frozenset({"DFR", "DRHR"})  # hazard shape/x
+    xr_decreasing = True  # x*r(x) = shape
 
     def __post_init__(self):
         check_positive("shape", self.shape)
@@ -361,6 +385,14 @@ class ReflectedDFR(Distribution):
 
     _REFLECTED = {"sf": "cdf", "cdf": "sf", "pdf": "pdf",
                   "hazard": "rev_hazard", "rev_hazard": "hazard"}
+    # each ageing flag of the inner read at -x (a rate that rises in -x
+    # falls in x); x*r(x) states nothing
+    _MIRRORED_CLASS = {"DFR": "IRHR", "IFR": "DRHR", "DRHR": "IFR", "IRHR": "DFR"}
+
+    @property
+    def ageing_classes(self):
+        inner = self.inner.ageing_classes
+        return None if inner is None else frozenset(self._MIRRORED_CLASS[c] for c in inner)
 
     def column(self, name, points):
         """The inner column of the mirrored method at the negated points, or
@@ -392,16 +424,25 @@ def dist_from_json(obj: dict) -> Distribution:
         raise ParameterDomainError(f"bad distribution spec: {obj!r}") from exc
 
 
+def bounded_ageing_points(d: Distribution, grid: GridSpec) -> list[float] | None:
+    """The points of a bounded x-grid, which must lie in the support of
+    ``d`` (SupportError otherwise), or None for any other grid."""
+    if grid.kind != "x" or grid.lo is None or grid.hi is None:
+        return None
+    lo, hi = d.support
+    if grid.lo < lo or grid.hi > hi:
+        raise SupportError("ageing grid extends outside the support")
+    return grid.x_points()
+
+
 def ageing_points(d: Distribution, grid: GridSpec) -> list[float]:
     """The points at which the ageing of ``d`` is judged.  A bounded x-grid
     must lie in the support and is used as is; any other grid gives
     ``grid.n`` quantiles on [eps, 1-eps], which keep clear of both support
     edges."""
-    if grid.kind == "x" and grid.lo is not None and grid.hi is not None:
-        lo, hi = d.support
-        if grid.lo < lo or grid.hi > hi:
-            raise SupportError("ageing grid extends outside the support")
-        return grid.x_points()
+    xs = bounded_ageing_points(d, grid)
+    if xs is not None:
+        return xs
     eps, n = grid.eps, grid.n
     return d.column("quantile", [eps + i * (1.0 - 2 * eps) / (n - 1) for i in range(n)])
 
@@ -414,21 +455,29 @@ _CLASS_RATES = {"IFR": ("hazard", False), "DFR": ("hazard", True),
 def classify_ageing(d: Distribution, grid: GridSpec | None = None,
                     *classes: str) -> frozenset[str]:
     """The flags among IFR/DFR (hazard) and IRHR/DRHR (reversed hazard), or
-    among the ``classes`` named, that hold at the grid's `ageing_points`: a
-    class holds when `grids.first_decrease` finds no drop beyond
-    ``tau_mono`` in the rate (for DFR/DRHR, in the negated rate), so a
-    constant hazard carries both flags.  A rate undefined at some point (a
-    bounded grid that starts or ends at a support edge) carries neither of
-    its two flags.  Each rate the named classes need is evaluated once, as a
-    `Distribution.column`."""
+    among the ``classes`` named, that hold for ``d``.  Where ``d`` states
+    its `ageing_classes` they are the answer, whatever the grid; a bounded
+    grid must still lie in the support.  Otherwise the flags are judged at
+    the grid's `ageing_points`: a class holds when `grids.first_decrease`
+    finds no drop beyond ``tau_mono`` in the rate (for DFR/DRHR, in the
+    negated rate), so a constant hazard carries both flags.  A rate
+    undefined at some point (a bounded grid that starts or ends at a
+    support edge) carries neither of its two flags.  Each rate the named
+    classes need is evaluated once, as a `Distribution.column`."""
+    for cls in classes:
+        if cls not in _CLASS_RATES:
+            raise ParameterDomainError(f"unknown ageing class {cls!r}")
+    classes = classes or _CLASS_RATES
     if grid is None:
         grid = GridSpec(kind="x", n=128)
+    stated = d.ageing_classes
+    if stated is not None:
+        bounded_ageing_points(d, grid)
+        return stated.intersection(classes)
     xs = ageing_points(d, grid)
     columns = {}
     flags = set()
-    for cls in classes or _CLASS_RATES:
-        if cls not in _CLASS_RATES:
-            raise ParameterDomainError(f"unknown ageing class {cls!r}")
+    for cls in classes:
         rate, negate = _CLASS_RATES[cls]
         if rate not in columns:
             columns[rate] = d.column(rate, xs)

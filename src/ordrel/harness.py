@@ -17,6 +17,10 @@ but the conclusion fails outright; an inconclusive conclusion is reported
 separately and never counts as a failure.  The paper proves most results
 twice, for series minima (PHR) and parallel maxima (PRHR): such a pair
 shares its rows, sides builder and sampler, with the side as data.
+
+The ageing rows and T5's x*r(x) row read what a baseline family states in
+closed form (`Distribution.ageing_classes`, `Distribution.xr_decreasing`)
+and judge a grid numerically only for a baseline that states nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from . import distributions, orders
 from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       composition_super_additive, has_log_curvature)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
-                            ReflectedDFR, Weibull, ageing_points)
+                            ReflectedDFR, Weibull, ageing_points,
+                            bounded_ageing_points)
 from .errors import ConfigError, ParameterDomainError
 from .grids import GridSpec, check_grid_size, first_decrease
 from .majorization import weak_submajorizes, weak_supermajorizes
@@ -316,8 +321,13 @@ def _order_row(rel: str, lo: str, hi: str) -> tuple:
 
 
 def _xr_decreasing(baseline: Distribution, grid: GridSpec) -> bool:
-    """x*r(x) non-increasing on the baseline's `ageing_points`; false where
-    the hazard is undefined at some point, as for an ageing class."""
+    """x*r(x) non-increasing: what the baseline states as `xr_decreasing`
+    (a bounded grid must still lie in the support), or else judged on its
+    `ageing_points`, false where the hazard is undefined at some point, as
+    for an ageing class."""
+    if baseline.xr_decreasing is not None:
+        bounded_ageing_points(baseline, grid)
+        return baseline.xr_decreasing
     xs = ageing_points(baseline, grid)
     rates = baseline.column("hazard", xs)
     if None in rates:

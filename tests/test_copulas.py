@@ -402,6 +402,25 @@ class TestFrankPrecision:
             u = i / 1001
             assert abs(g.psi(g.phi(u)) - u) <= 1e-12, u
 
+    @pytest.mark.parametrize("theta,u", [(0.02, 1e-323), (0.3, 5e-324), (-0.5, 5e-324),
+                                         (1.0, 5e-324), (0.02, 1e-310)])
+    def test_phi_at_a_subnormal_u(self, theta, u):
+        # theta*u rounds to 0 or to a subnormal; phi(u) + ln u is the same
+        # log|1 - e^-theta| - ln|theta| there as at u = 1e-300
+        g = Frank(theta)
+        v = g.phi(u)
+        assert math.isfinite(v)
+        assert v + math.log(u) == pytest.approx(g.phi(1e-300) + math.log(1e-300), abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-300, 0.02, -0.5, 1.0, 40.0, -30.0])
+    def test_phi_keeps_its_normal_range_bits(self, theta):
+        # wherever theta*u is a normal float, phi is the difference of logs
+        g, lome = Frank(theta), copulas._log_one_minus_exp
+        us = [10.0 ** -k for k in range(0, 330, 7)] + [i / 97 for i in range(1, 97)]
+        for u in us:
+            if abs(theta * u) >= sys.float_info.min:
+                assert g.phi(u) == lome(theta) - lome(theta * u), u
+
     @pytest.mark.parametrize("theta", [1e-12, 1.0, 40.0, 700.0, -2.0, -30.0])
     def test_phi_inverts_psi(self, theta):
         # the log of the ratio expm1(-theta u) / expm1(-theta) lost ~6e-4

@@ -1,11 +1,13 @@
 """Baseline distribution families and the ageing classifier."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ordrel import (
+    Distribution,
     Exponential,
     GridSpec,
     Lomax,
@@ -17,6 +19,8 @@ from ordrel import (
     classify_ageing,
 )
 from ordrel.distributions import dist_from_json
+from ordrel.harness import _xr_decreasing
+from ordrel.systems import OrderStatDist, parallel_prhr, series_phr
 from conftest import CORPUS_PAIRS
 
 ALL_DISTS = [
@@ -186,14 +190,30 @@ class TestAgeing:
         ag = classify_ageing(ReflectedDFR(Lomax(2.0, 1.0)))
         assert "IRHR" in ag and "DRHR" not in ag
 
+    # one-component systems state no classes, so the numeric rule judges them
     @pytest.mark.parametrize("d,lo,hi,flag", [
-        (Lomax(2.0, 1.0), 0.0, 5.0, "DFR"),  # reversed hazard undefined at 0
-        (ReflectedDFR(Lomax(2.0, 1.0)), -5.0, 0.0, "IRHR"),  # hazard undefined at 0
+        (OrderStatDist(series_phr(Lomax(2.0, 1.0), (1.0,))), 0.0, 5.0,
+         "DFR"),  # reversed hazard undefined at 0
+        (OrderStatDist(parallel_prhr(ReflectedDFR(Lomax(2.0, 1.0)), (1.0,))), -5.0, 0.0,
+         "IRHR"),  # hazard undefined at 0
     ], ids=["lower-edge", "upper-edge"])
     def test_rate_undefined_at_a_support_edge(self, d, lo, hi, flag):
         # the undefined rate carries neither flag; the other is judged as usual
         ag = classify_ageing(d, GridSpec(kind="x", lo=lo, hi=hi, n=64))
         assert ag == {flag}
+
+    @pytest.mark.parametrize("d,lo,hi", [
+        (Lomax(2.0, 1.0), 0.0, 5.0),
+        (ReflectedDFR(Lomax(2.0, 1.0)), -5.0, 0.0),
+    ], ids=["lower-edge", "upper-edge"])
+    def test_stated_classes_hold_up_to_a_support_edge(self, d, lo, hi):
+        # a family's classes hold on its whole support, whatever the grid
+        ag = classify_ageing(d, GridSpec(kind="x", lo=lo, hi=hi, n=64))
+        assert ag == d.ageing_classes and len(ag) == 2
+
+    def test_stated_classes_keep_the_support_check(self):
+        with pytest.raises(SupportError, match="outside the support"):
+            classify_ageing(ParetoI(2.0), GridSpec(kind="x", lo=0.0, hi=5.0, n=64))
 
     @pytest.mark.parametrize("grid", [None, GridSpec(kind="x", n=64, tau_mono=1e-3),
                                       GridSpec(kind="u", n=96, eps=0.01)],
@@ -218,3 +238,93 @@ class TestAgeing:
     def test_unknown_class_rejected(self):
         with pytest.raises(ParameterDomainError, match="unknown ageing class"):
             classify_ageing(Exponential(1.0), None, "IHR")
+
+
+class _Unstated(Distribution):
+    """``d``'s columns and support with nothing stated, so the ageing
+    classifier and the x*r(x) row judge it numerically."""
+
+    def __init__(self, d):
+        self.d = d
+
+    @property
+    def support(self):
+        return self.d.support
+
+    def column(self, name, points):
+        return self.d.column(name, points)
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _weibull_shape(rng, i):
+    """Every tenth shape is 1 exactly and every tenth is 1 +- 10**-U(1, 6);
+    the rest are uniform on [0.2, 5].  |shape - 1| >= 1e-6 but for 1."""
+    if i % 10 == 0:
+        return 1.0
+    if i % 10 == 1:
+        return 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(1.0, 6.0)
+    k = 1.0
+    while abs(k - 1.0) < 1e-6:
+        k = rng.uniform(0.2, 5.0)
+    return k
+
+
+class TestStatedAgeing:
+    """Each family's stated ageing classes and x*r(x) trend against the
+    numeric classifier on its default grid, which stays the oracle."""
+
+    DRAW = {
+        "exponential": lambda rng, i: Exponential(_log_uniform(rng, 1e-3, 1e3)),
+        "weibull": lambda rng, i: Weibull(_weibull_shape(rng, i), _log_uniform(rng, 0.1, 10.0)),
+        "lomax": lambda rng, i: Lomax(_log_uniform(rng, 0.05, 50.0),
+                                      _log_uniform(rng, 0.1, 10.0)),
+        "pareto1": lambda rng, i: ParetoI(_log_uniform(rng, 0.05, 50.0)),
+    }
+
+    @classmethod
+    def _draws(cls, family, count=1000):
+        rng = random.Random(f"stated-ageing-{family}")
+        lifetime = family.removeprefix("reflected_")
+        draws = [cls.DRAW[lifetime](rng, i) for i in range(count)]
+        return [ReflectedDFR(d) for d in draws] if lifetime != family else draws
+
+    @pytest.mark.parametrize("family", [*DRAW, *(f"reflected_{f}" for f in DRAW)])
+    def test_stated_classes_are_the_numeric_ones(self, family):
+        draws = self._draws(family)
+        grid = GridSpec(kind="x", n=128)
+        seen = set()
+        for d in draws:
+            numeric = _Unstated(d)
+            stated = classify_ageing(d)
+            assert stated == d.ageing_classes == classify_ageing(numeric), d
+            for flag in ("IFR", "DFR", "IRHR", "DRHR"):
+                assert classify_ageing(d, None, flag) == classify_ageing(numeric, None, flag)
+            if d.xr_decreasing is not None:
+                assert _xr_decreasing(d, grid) == d.xr_decreasing == _xr_decreasing(numeric, grid)
+            seen.add(stated)
+        assert len(draws) >= 1000
+        if family == "weibull":
+            assert seen == {frozenset({"DFR", "DRHR"}), frozenset({"IFR", "DRHR"}),
+                            frozenset({"IFR", "DFR", "DRHR"})}
+        assert all(d.xr_decreasing is None for d in draws) == family.startswith("reflected")
+
+    def test_weibull_near_one_is_decided_exactly(self):
+        # numerically the hazard's rise is within tau_mono, so both flags hold
+        d = Weibull(1.0 + 1e-12, 1.0)
+        assert classify_ageing(_Unstated(d)) == {"IFR", "DFR", "DRHR"}
+        assert classify_ageing(d) == {"IFR", "DRHR"}
+
+    def test_heavy_lomax_is_classified_without_its_quantiles(self):
+        # the quantile at 1 - 1e-3 is 1e3000, beyond the float range
+        d = Lomax(0.001)
+        with pytest.raises(OverflowError):
+            classify_ageing(_Unstated(d))
+        assert classify_ageing(d) == {"DFR", "DRHR"}
+        assert not _xr_decreasing(d, GridSpec(kind="x", n=128))
+
+    def test_systems_state_nothing(self):
+        assert OrderStatDist(series_phr(Lomax(2.0, 1.0), (1.0, 2.0))).ageing_classes is None
+        assert ReflectedDFR(_Unstated(Lomax(2.0, 1.0))).ageing_classes is None

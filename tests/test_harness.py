@@ -50,6 +50,16 @@ class TestSeriesDispersive:
         assert not rep.conditions["sum_beta_ge_sum_alpha"]
         assert rep.consistent  # vacuous cases are always consistent
 
+    def test_heavy_lomax_passes_its_dfr_row(self):
+        # Lomax states DFR, so the ageing row reads no quantile; the hr
+        # row's x-grid bound (the 1 - 1e-4 quantile) is beyond the float range
+        case = TheoremCase("T1", {
+            "system_x": series_phr(Lomax(0.001), (1.0, 2.0)),
+            "system_y": series_phr(Lomax(0.0015), (1.5, 2.0)),
+        })
+        with pytest.raises(OverflowError, match="^T1 baseline_y_hr_le_baseline_x: "):
+            run_case(case)
+
     def test_needs_series_systems(self):
         case = TheoremCase("T1", {
             "system_x": parallel_prhr(Lomax(1.0, 1.0), (1.0, 1.0)),
@@ -504,8 +514,9 @@ class TestAgeingPoints:
         assert run_case(load_case(obj)).conditions["x_hazard_decreasing"]
 
     def test_xr_grid_past_the_hazard_tail_is_false(self):
-        # exp(-x) underflows beyond x ~ 745, where the hazard is undefined:
-        # the row is false and the case vacuous, as for an ageing class
+        # exp(-x) underflows beyond x ~ 745, where the hazard is undefined;
+        # the exponential states x*r(x) = x increasing, so the row is false
+        # whatever the grid and the case vacuous
         expo = {"family": "exponential", "params": {"rate": 1.0}}
         obj = {"id": "T5", "scenario": {
             f"system_{s}": {"kind": "series_phr", "components": [
