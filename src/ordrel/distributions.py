@@ -1,12 +1,13 @@
 """Baseline lifetime distributions.
 
 Each family exposes the full functional surface used by the order checkers:
-cdf, sf, pdf, quantile, hazard and reversed hazard, plus an ageing
-classifier (IFR/DFR/IRHR/DRHR) that returns the set of flags that hold.
-Each family states its ageing classes on its whole support
-(`ageing_classes`) and whether x*r(x) is non-increasing
-(`xr_decreasing`); `classify_ageing` returns what a distribution states
-and judges a rate column numerically only where it states nothing.
+cdf, sf, pdf, quantile, hazard and reversed hazard.  Every ageing
+condition a theorem row reads is judged here: `classify_ageing` returns
+every flag among IFR/DFR/IRHR/DRHR that holds, and `xr_non_increasing`
+says whether x*r(x) is non-increasing.  Each family states its ageing
+classes on its whole support (`ageing_classes`) and its x*r(x) trend
+(`xr_decreasing`); both functions return what a distribution states and
+judge its rate columns numerically only where it states nothing.
 All objects are immutable and every method is a pure function of its
 arguments.  `Distribution.column` is the one way to evaluate a method over
 a whole grid: each family has a kernel, one comprehension per method it
@@ -36,7 +37,7 @@ class Distribution:
     family = "abstract"
     # Closed forms, where the class knows them: the ageing flags that hold
     # on the whole support, and whether x*r(x) is non-increasing there.
-    # None: judged numerically (`classify_ageing`, `harness._xr_decreasing`).
+    # None: judged numerically (`classify_ageing`, `xr_non_increasing`).
     ageing_classes: frozenset[str] | None = None
     xr_decreasing: bool | None = None
 
@@ -447,44 +448,51 @@ def ageing_points(d: Distribution, grid: GridSpec) -> list[float]:
     return d.column("quantile", [eps + i * (1.0 - 2 * eps) / (n - 1) for i in range(n)])
 
 
-# ageing class -> (the rate it reads, whether the rate is negated)
-_CLASS_RATES = {"IFR": ("hazard", False), "DFR": ("hazard", True),
-                "IRHR": ("rev_hazard", False), "DRHR": ("rev_hazard", True)}
+# each rate the classifier reads, with the flag it gives where the rate has
+# no drop and the flag where its negation has none
+_RATE_FLAGS = (("hazard", "IFR", "DFR"), ("rev_hazard", "IRHR", "DRHR"))
 
 
-def classify_ageing(d: Distribution, grid: GridSpec | None = None,
-                    *classes: str) -> frozenset[str]:
-    """The flags among IFR/DFR (hazard) and IRHR/DRHR (reversed hazard), or
-    among the ``classes`` named, that hold for ``d``.  Where ``d`` states
-    its `ageing_classes` they are the answer, whatever the grid; a bounded
-    grid must still lie in the support.  Otherwise the flags are judged at
-    the grid's `ageing_points`: a class holds when `grids.first_decrease`
-    finds no drop beyond ``tau_mono`` in the rate (for DFR/DRHR, in the
-    negated rate), so a constant hazard carries both flags.  A rate
+def classify_ageing(d: Distribution, grid: GridSpec | None = None) -> frozenset[str]:
+    """The flags among IFR/DFR (hazard) and IRHR/DRHR (reversed hazard)
+    that hold for ``d``.  Where ``d`` states its `ageing_classes` they are
+    the answer, whatever the grid; a bounded grid must still lie in the
+    support.  Otherwise the flags are judged at the grid's `ageing_points`
+    from the hazard column, then the reversed hazard column: an increasing
+    class holds when `grids.first_decrease` finds no drop beyond
+    ``tau_mono`` in the rate, a decreasing one when it finds none in the
+    negated rate, so a constant hazard carries both flags.  A rate
     undefined at some point (a bounded grid that starts or ends at a
-    support edge) carries neither of its two flags.  Each rate the named
-    classes need is evaluated once, as a `Distribution.column`."""
-    for cls in classes:
-        if cls not in _CLASS_RATES:
-            raise ParameterDomainError(f"unknown ageing class {cls!r}")
-    classes = classes or _CLASS_RATES
+    support edge) carries neither of its two flags."""
     if grid is None:
         grid = GridSpec(kind="x", n=128)
     stated = d.ageing_classes
     if stated is not None:
         bounded_ageing_points(d, grid)
-        return stated.intersection(classes)
+        return stated
     xs = ageing_points(d, grid)
-    columns = {}
     flags = set()
-    for cls in classes:
-        rate, negate = _CLASS_RATES[cls]
-        if rate not in columns:
-            columns[rate] = d.column(rate, xs)
-        values = columns[rate]
+    for rate, rising, falling in _RATE_FLAGS:
+        values = d.column(rate, xs)
         if None in values:
             continue
-        if first_decrease(xs, [-v for v in values] if negate else values,
-                          grid.tau_mono) is None:
-            flags.add(cls)
+        if first_decrease(xs, values, grid.tau_mono) is None:
+            flags.add(rising)
+        if first_decrease(xs, [-v for v in values], grid.tau_mono) is None:
+            flags.add(falling)
     return frozenset(flags)
+
+
+def xr_non_increasing(d: Distribution, grid: GridSpec) -> bool:
+    """x*r(x) non-increasing (T5's condition, the generalized failure rate
+    of Lariviere 2006): what ``d`` states as `xr_decreasing` (a bounded
+    grid must still lie in the support), or else judged at its
+    `ageing_points`, false where the hazard is undefined at some point, as
+    for an ageing class."""
+    if d.xr_decreasing is not None:
+        bounded_ageing_points(d, grid)
+        return d.xr_decreasing
+    xs = ageing_points(d, grid)
+    rates = d.column("hazard", xs)
+    return None not in rates and first_decrease(
+        xs, [-x * r for x, r in zip(xs, rates)], grid.tau_mono) is None

@@ -4,12 +4,12 @@ Each paper result is a conjunction of simple conditions on the parameters
 and the ageing class of the baselines, then a stochastic-order conclusion.
 `THEOREMS` is the one list of theorem ids, and each entry states one result
 whole: the scenario fields with the schema `$def` that validates each, the
-grid keys it reads with the kind of grid each must be, a sides builder that
-validates the scenario and builds the named objects the statement reads,
-the hypothesis as (name, predicate(sides)) rows in report order, the
-conclusion as (relation, A, B) and, for scannable theorems, the sampler and
-the box of its knobs.  `CHECKS`, the loader's scenario and grid checks and
-the scan all read it; adding a theorem is adding one entry.
+grid keys it reads (each of the kind `grid_kind` gives), a sides builder
+that validates the scenario and builds the named objects the statement
+reads, the hypothesis as (name, predicate(sides)) rows in report order,
+the conclusion as (relation, A, B) and, for scannable theorems, the
+sampler and the box of its knobs.  `CHECKS`, the loader's scenario and
+grid checks and the scan all read it; adding a theorem is adding one entry.
 
 One runner, `_run`, evaluates the rows and then the conclusion with the
 order checker's verdict.  A report is *inconsistent* when every row holds
@@ -18,15 +18,16 @@ separately and never counts as a failure.  The paper proves most results
 twice, for series minima (PHR) and parallel maxima (PRHR): such a pair
 shares its rows, sides builder and sampler, with the side as data.
 
-The ageing rows and T5's x*r(x) row read what a baseline family states in
-closed form (`Distribution.ageing_classes`, `Distribution.xr_decreasing`)
-and judge a grid numerically only for a baseline that states nothing.
+The ageing rows and T5's x*r(x) row only ask `distributions`, which judges
+every ageing condition (`classify_ageing`, `xr_non_increasing`): the
+harness holds no numeric rule of its own.  A case's report carries the
+case's JSON, grids included, so `serialize.load_case` reruns it as it ran.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -34,10 +35,9 @@ from . import distributions, orders
 from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       composition_super_additive, has_log_curvature)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
-                            ReflectedDFR, Weibull, ageing_points,
-                            bounded_ageing_points)
+                            ReflectedDFR, Weibull)
 from .errors import ConfigError, ParameterDomainError
-from .grids import GridSpec, check_grid_size, first_decrease
+from .grids import GridSpec, check_grid_size
 from .majorization import weak_submajorizes, weak_supermajorizes
 from .orders import FAILS, HOLDS
 from .special import left_sum
@@ -68,16 +68,26 @@ class TheoremCase:
         check_case(self.id, self.scenario, self.grids)
 
     def grid(self, key: str, **defaults) -> GridSpec:
-        """The case's grid `key`, or one of the kind the registry declares
-        for that key, built from `defaults`."""
+        """The case's grid `key`, or one of that key's `grid_kind`, built
+        from `defaults`."""
         if key in self.grids:
             return self.grids[key]
         defaults.setdefault("n", self.n)
-        return GridSpec(kind=THEOREMS[self.id].grids[key], **defaults)
+        return GridSpec(kind=grid_kind(key), **defaults)
 
     def to_json(self) -> dict:
-        return {"id": self.id, "scenario": _scenario_to_json(self.scenario),
-                "n": self.n}
+        """The case as `serialize.load_case` reads it, each grid with all
+        its fields (`GridSpec.to_json` drops an x-grid's eps)."""
+        out = {"id": self.id, "scenario": _scenario_to_json(self.scenario), "n": self.n}
+        if self.grids:
+            out["grids"] = {key: asdict(grid) for key, grid in self.grids.items()}
+        return out
+
+
+def grid_kind(key: str) -> str:
+    """The kind of grid a case's `key` reads: the dispersive and star
+    orders compare quantiles on a u-grid; every other key is an x-grid."""
+    return "u" if key in (orders.DISP, orders.STAR) else "x"
 
 
 def check_case(tid: str, scenario, grids) -> None:
@@ -104,8 +114,8 @@ def check_case(tid: str, scenario, grids) -> None:
         raise ConfigError(f"{tid} grids has unknown keys: {sorted(unknown)}; "
                           f"{tid} reads {list(theorem.grids)}")
     for key, grid in grids.items():
-        if grid.kind != theorem.grids[key]:
-            raise ConfigError(f"{tid} grid {key!r} needs kind {theorem.grids[key]!r}, "
+        if grid.kind != grid_kind(key):
+            raise ConfigError(f"{tid} grid {key!r} needs kind {grid_kind(key)!r}, "
                               f"got {grid.kind!r}")
 
 
@@ -149,13 +159,14 @@ class TheoremReport:
 # A sides builder validates the scenario and returns a dict; rows read the
 # case's grids through its "case".
 
+_BUILD = {SERIES_PHR: series_phr, PARALLEL_PRHR: parallel_prhr}
+
+
 def _expand_outliers(baseline: Distribution, spec: dict, kind: str) -> SystemSpec:
     p, q = int(spec["p"]), int(spec["q"])
     if p < 1 or q < 0:
         raise ParameterDomainError("outlier blocks need p >= 1, q >= 0")
-    props = [float(spec["a1"])] * p + [float(spec["a2"])] * q
-    comps = tuple((baseline, v) for v in props)
-    return SystemSpec(kind, comps)
+    return _BUILD[kind](baseline, [float(spec["a1"])] * p + [float(spec["a2"])] * q)
 
 
 def _system_sides(case: TheoremCase, *, kind: str, outliers: bool = False) -> dict:
@@ -183,11 +194,10 @@ def _single_baseline_sides(case: TheoremCase, **kwargs) -> dict:
 
 
 def _common_baseline_sides(case: TheoremCase) -> dict:
-    sides = _system_sides(case, kind=SERIES_PHR)
-    f, g = sides["system_x"].same_baseline(), sides["system_y"].same_baseline()
-    if f is None or g is None or f != g:
+    sides = _single_baseline_sides(case, kind=SERIES_PHR)
+    if sides["baseline_x"] != sides["baseline_y"]:
         raise ParameterDomainError(f"{case.id} needs one common baseline")
-    return {**sides, "baseline_x": f, "baseline_y": g}
+    return sides
 
 
 def _split_sides(case: TheoremCase, *, kind: str) -> dict:
@@ -301,14 +311,10 @@ def _floats(v):
 # a tracer that patches those names sees each call.
 
 def _ageing_row(cls: str) -> tuple:
-    """baseline_x is of ageing class `cls` ("{ageing}" for T7/T8); only
-    that class is classified."""
-    def holds(s):
-        flag = cls.format_map(s).upper()
-        return flag in distributions.classify_ageing(
-            s["baseline_x"], s["case"].grid("ageing", n=128), flag)
-
-    return (f"baseline_x_{cls.lower()}", holds)
+    """baseline_x is of ageing class `cls` ("{ageing}" for T7/T8)."""
+    return (f"baseline_x_{cls.lower()}",
+            lambda s: cls.format_map(s).upper() in distributions.classify_ageing(
+                s["baseline_x"], s["case"].grid("ageing", n=128)))
 
 
 def _order_row(rel: str, lo: str, hi: str) -> tuple:
@@ -318,21 +324,6 @@ def _order_row(rel: str, lo: str, hi: str) -> tuple:
             lambda s: orders.CHECKERS[rel](s[f"baseline_{lo}".format_map(s)],
                                            s[f"baseline_{hi}".format_map(s)],
                                            s["case"].grid(rel)).holds)
-
-
-def _xr_decreasing(baseline: Distribution, grid: GridSpec) -> bool:
-    """x*r(x) non-increasing: what the baseline states as `xr_decreasing`
-    (a bounded grid must still lie in the support), or else judged on its
-    `ageing_points`, false where the hazard is undefined at some point, as
-    for an ageing class."""
-    if baseline.xr_decreasing is not None:
-        bounded_ageing_points(baseline, grid)
-        return baseline.xr_decreasing
-    xs = ageing_points(baseline, grid)
-    rates = baseline.column("hazard", xs)
-    if None in rates:
-        return False
-    return first_decrease(xs, [-x * r for x, r in zip(xs, rates)], grid.tau_mono) is None
 
 
 _SUMS = ("sum_beta_ge_sum_alpha",
@@ -348,7 +339,7 @@ _BLOCK_ROWS = (
 _STAR_ROWS = (
     ("sum_alpha_le_sum_beta", _SUMS[1]),  # the same comparison
     ("x_hazard_decreasing",
-     lambda s: _xr_decreasing(s["baseline_x"], s["case"].grid("xr", n=128))),
+     lambda s: distributions.xr_non_increasing(s["baseline_x"], s["case"].grid("xr", n=128))),
 )
 _DEPENDENT_ROWS = (
     ("mu_{majorization}majorized_by_mu_star",
@@ -487,7 +478,7 @@ class Theorem:
     fields: dict  # scenario field -> name of the schema $def that validates it
     sides: Callable[[TheoremCase], dict]  # validates the scenario, builds the sides
     hypothesis: tuple  # (name, predicate(sides)) rows in report order
-    grids: dict = field(default_factory=dict)  # key the rows/conclusion read -> grid kind
+    grids: tuple = ()  # the grid keys the rows and conclusion read, each of its `grid_kind`
     optional: tuple = ()  # scenario fields a case may leave out
     conclusion: tuple | None = None  # (relation, A, B), A and B "x", "y" or templates
     min_entries: dict = field(default_factory=dict)  # array field -> least length
@@ -497,10 +488,8 @@ class Theorem:
 
 
 _SYSTEMS = {"system_x": "system", "system_y": "system"}
-# The dispersive and star orders compare quantiles on a u-grid; every other
-# grid is an x-grid.
-_DISP_SERIES_GRIDS = {"ageing": "x", "hr": "x", "disp": "u"}
-_DISP_PARALLEL_GRIDS = {"ageing": "x", "rh": "x", "disp": "u"}
+_DISP_SERIES_GRIDS = ("ageing", "hr", "disp")
+_DISP_PARALLEL_GRIDS = ("ageing", "rh", "disp")
 _OUTLIERS = {"baseline_x": "dist", "baseline_y": "dist",
              "outlier_x": "outlier_block", "outlier_y": "outlier_block"}
 # What T7 and T8 share: all but their side and their box.
@@ -508,7 +497,7 @@ _DEPENDENT = dict(
     fields={"generator_x": "generator", "generator_y": "generator",
             "baseline_x": "dist", "baseline_y": "dist",
             "shifts_x": "number_array", "shifts_y": "number_array", "branch": "branch"},
-    optional=("branch",), grids={"ageing": "x", "st": "x", "dep": "x"},
+    optional=("branch",), grids=("ageing", "st", "dep"),
     dims={"shifts_x": "generator_x", "shifts_y": "generator_y"},
     hypothesis=_DEPENDENT_ROWS, conclusion=("st", "{low}", "{high}"))
 _MINIMA = {"extreme": DependentMin, "compose_low_first": False,
@@ -558,28 +547,28 @@ THEOREMS = {
         sides=partial(_single_baseline_sides, kind=PARALLEL_PRHR, outliers=True),
         hypothesis=_PARALLEL_DISP_ROWS, conclusion=("disp", "y", "x")),
     "T3": Theorem(
-        fields=_SYSTEMS, grids={"hr": "x"}, sides=partial(_split_sides, kind=SERIES_PHR),
+        fields=_SYSTEMS, grids=("hr",), sides=partial(_split_sides, kind=SERIES_PHR),
         hypothesis=_BLOCK_ROWS, conclusion=("hr", "x", "y"),
         sampler=partial(_sample_mixed, build=mixed_series, lomax_front=False),
         box={"rate": (0.5, 2.0), "g_shape": (0.5, 2.5),
              "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
              "gap1": (0.05, 1.0), "gap2": (0.05, 1.0)}),
     "T4": Theorem(
-        fields=_SYSTEMS, grids={"rh": "x"}, sides=partial(_split_sides, kind=PARALLEL_PRHR),
+        fields=_SYSTEMS, grids=("rh",), sides=partial(_split_sides, kind=PARALLEL_PRHR),
         hypothesis=_BLOCK_ROWS, conclusion=("rh", "y", "x"),
         sampler=partial(_sample_mixed, build=mixed_parallel, lomax_front=True),
         box={"rate": (0.5, 2.0), "f_shape": (0.5, 2.5),
              "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
              "gap1": (0.05, 1.0), "gap2": (0.05, 1.0)}),
     "T5": Theorem(
-        fields=_SYSTEMS, grids={"xr": "x", "star": "u"}, sides=_common_baseline_sides,
+        fields=_SYSTEMS, grids=("xr", "star"), sides=_common_baseline_sides,
         hypothesis=_STAR_ROWS, conclusion=("star", "y", "x"), sampler=_sample_star,
         box={"p_shape": (0.5, 3.0), "a1": (0.3, 2.0), "a2": (0.3, 2.0),
              "sum_gap": (0.05, 1.0)}),
     "T6": Theorem(
         fields={"theta": "positive", "alphas": "positive_array",
                 "alphas_star": "positive_array"},
-        grids={"rh": "x"}, sides=_lomax_maxima_sides,
+        grids=("rh",), sides=_lomax_maxima_sides,
         hypothesis=(("alpha_supermajorized_by_alpha_star",
                      lambda s: weak_supermajorizes(s["alphas"], s["alphas_star"])),),
         conclusion=("rh", "x", "y"), sampler=_sample_lomax_maxima,

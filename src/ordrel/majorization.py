@@ -10,6 +10,7 @@ turns descending prefix sums into ascending ones).
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .errors import ParameterDomainError
 from .special import left_sum
@@ -35,15 +36,9 @@ def _tol(a, b):
 
 def _ascending_prefixes_dominate(a, b) -> bool:
     """Every ascending prefix sum of a is at least that of b, within the
-    tolerance."""
+    tolerance; each prefix sum adds left to right."""
     tol = _tol(a, b)
-    ca = cb = 0.0
-    for x, y in zip(sorted(a), sorted(b)):
-        ca += x
-        cb += y
-        if ca < cb - tol:
-            return False
-    return True
+    return all(ca >= cb - tol for ca, cb in zip(accumulate(sorted(a)), accumulate(sorted(b))))
 
 
 def majorizes(a, b) -> bool:

@@ -4,7 +4,7 @@ Each checker works on any pair of objects exposing the distribution surface
 (baseline distributions, order-statistic distributions, or the dependent
 min/max wrappers).  hr and rh read it through `rate_sweep`, which gives the
 sf or cdf column and the rate column of a side on a whole grid (in parts of
-`_SWEEP_POINTS` points on a large grid).
+`_SWEEP_POINTS` points on a large grid); lr reads each side's pdf column.
 Verdicts are three-valued: a tail or degeneracy guard can make a check
 inconclusive, so numerical trouble never masquerades as a mathematical
 violation.  Ties at the tolerance resolve toward "holds" since all six
@@ -217,12 +217,14 @@ def check_rh(A, B, grid: GridSpec | None = None) -> OrderVerdict:
 
 
 def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
-    """A <=_lr B: pdf_B/pdf_A non-decreasing."""
+    """A <=_lr B: pdf_B/pdf_A non-decreasing, on both sides' pdf columns,
+    skipping points where either pdf is undefined or not finite, or A's
+    is below `_TINY`."""
     grid, xs = _x_grid(A, B, grid)
     rxs, ratios = [], []
-    for x in xs:
-        fa, fb = A.pdf(x), B.pdf(x)
-        if fa < _TINY or not (math.isfinite(fa) and math.isfinite(fb)):
+    isfinite = math.isfinite
+    for x, fa, fb in zip(xs, A.column("pdf", xs), B.column("pdf", xs)):
+        if fa is None or fb is None or fa < _TINY or not (isfinite(fa) and isfinite(fb)):
             continue
         rxs.append(x)
         ratios.append(fb / fa)

@@ -12,7 +12,8 @@ before any check runs.
 UnstatedClayton is a generator that states no closed form.
 copula_value is the reference copula C the copula tests compare against.
 run_python runs code in a fresh interpreter, for what only a new process
-shows: which modules an import loads and the order they load in.
+shows: which modules an import loads and the order they load in; run_cli
+runs the CLI as ``python -m ordrel.cli`` does.
 """
 
 import math
@@ -182,14 +183,24 @@ T5_XR_OUTSIDE_SUPPORT = {**T5_PARETO, "grids": {
     "xr": {"kind": "x", "lo": -5.0, "hi": -1.0, "n": 64}}}
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run `code` with `args` in a fresh interpreter that imports this
-    checkout's ordrel; its stdout and stderr are captured as text."""
+def _run(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on `argv` that imports this checkout's ordrel;
+    its stdout and stderr are captured as text."""
     package_root = os.path.dirname(os.path.dirname(ordrel.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a fresh interpreter (`_run`)."""
+    return _run("-c", code, *args)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m ordrel.cli`` with `args` in a fresh interpreter (`_run`)."""
+    return _run("-m", "ordrel.cli", *args)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from ordrel.cli import main
 from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT,
                       T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND, T7_CLAYTON_FRANK,
                       T7_LARGE_FRANK, T7_NEGATIVE_FRANK_DIM_3, T7_OUT_OF_FLOAT_RANGE,
-                      run_python)
+                      run_cli, run_python)
 
 EXP1 = {"family": "exponential", "params": {"rate": 2.0}}
 EXP2 = {"family": "exponential", "params": {"rate": 1.0}}
@@ -230,6 +230,62 @@ class TestTheorem:
         p.write_text("{oops")
         assert main(["theorem", "-s", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _baseline(family, **params):
+    return {"family": family, "params": params}
+
+
+def _series(*components, split=None):
+    out = {"kind": "series_phr",
+           "components": [{"baseline": b, "prop": p} for b, p in components]}
+    return out if split is None else {**out, "split": split}
+
+
+_LOMAX_1, _LOMAX_2 = _baseline("lomax", shape=1.0), _baseline("lomax", shape=2.0)
+_EXP = _baseline("exponential", rate=1.0)
+_PARETO_15, _PARETO_25 = _baseline("pareto1", shape=1.5), _baseline("pareto1", shape=2.5)
+
+# Specs the CLI refuses once loaded, each with the one error line it prints:
+# {"case": theorem case} runs `theorem`, {"grid": grid} an st `order` call.
+REFUSALS = {
+    "t1_mixed_system": ({"case": {"id": "T1", "scenario": {
+        "system_x": _series((_LOMAX_1, 1.0), (_EXP, 2.0)),
+        "system_y": _series((_LOMAX_2, 1.5), (_LOMAX_2, 2.0))}}},
+        "T1 needs single-baseline systems"),
+    "t5_two_baselines": ({"case": {"id": "T5", "scenario": {
+        "system_x": _series((_PARETO_15, 0.5), (_PARETO_15, 0.5)),
+        "system_y": _series((_PARETO_25, 1.0), (_PARETO_25, 1.5))}}},
+        "T5 needs one common baseline"),
+    "t3_unsplit": ({"case": {"id": "T3", "scenario": {
+        "system_x": _series((_EXP, 1.0), (_LOMAX_2, 2.0)),
+        "system_y": _series((_EXP, 1.5), (_LOMAX_2, 2.0))}}},
+        "mixed-baseline theorem needs split systems"),
+    "t6_lengths": ({"case": {"id": "T6", "scenario": {
+        "theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.0, 3.0]}}},
+        "T6 needs equal-length shape vectors"),
+    "split_block_two_baselines": ({"case": {"id": "T3", "scenario": {
+        "system_x": _series((_EXP, 1.0), (_LOMAX_2, 2.0), (_EXP, 1.0), split=1),
+        "system_y": _series((_EXP, 1.5), (_LOMAX_2, 2.0), split=1)}}},
+        "T3 scenario field 'system_x': each split block must share one baseline"),
+    "reversed_grid_bounds": ({"grid": {"kind": "x", "lo": 5.0, "hi": 1.0, "n": 64}},
+                             "bad grid bounds [5.0, 1.0]"),
+}
+
+
+class TestRefusals:
+    """Each spec, run as ``python -m ordrel.cli``, exits 2 with its one line."""
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refused_with_its_message(self, spec_file, name):
+        spec, message = REFUSALS[name]
+        if "case" in spec:
+            argv = ["theorem", "-s", spec_file("case.json", spec["case"])]
+        else:
+            argv = ["order", "--relation", "st", "-s", spec_file("a.json", EXP2),
+                    "-s", spec_file("b.json", EXP1), "--grid", spec_file("g.json", spec["grid"])]
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 class TestScan:

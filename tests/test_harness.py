@@ -25,7 +25,7 @@ from ordrel import (
     series_phr,
 )
 from ordrel import orders
-from ordrel.harness import THEOREMS
+from ordrel.harness import THEOREMS, grid_kind
 from ordrel.serialize import load_case
 from conftest import T5_PARETO, T5_XR_OUTSIDE_SUPPORT
 
@@ -397,6 +397,13 @@ class _RecordingGrids(dict):
         return super().__contains__(key)
 
 
+def _with_declared_grids(obj):
+    """The case `obj` with a 64-point grid, of its kind, under each key its
+    theorem declares."""
+    return {**obj, "grids": {key: {"kind": grid_kind(key), "n": 64}
+                             for key in THEOREMS[obj["id"]].grids}}
+
+
 class TestRegistry:
     def test_report_format_covers_every_id(self):
         assert {obj["id"] for obj, _, _ in REPORT_FORMAT.values()} == set(THEOREMS)
@@ -454,10 +461,15 @@ class TestRegistry:
         # every declared key, set in a spec with its declared kind, loads
         # and runs: a u-grid where a check needs an x-grid would raise
         obj, _, names = REPORT_FORMAT[label]
-        grids = {key: {"kind": kind, "n": 64}
-                 for key, kind in THEOREMS[obj["id"]].grids.items()}
-        rep = run_case(load_case({**obj, "grids": grids}))
+        rep = run_case(load_case(_with_declared_grids(obj)))
         assert tuple(rep.conditions) == names
+
+    @pytest.mark.parametrize("label", sorted(REPORT_FORMAT))
+    def test_report_case_reruns_the_case(self, label):
+        # a report's case, grids included, loads back into the case it ran
+        rep = run_case(load_case(_with_declared_grids(REPORT_FORMAT[label][0])))
+        rerun = run_case(load_case(json.loads(json.dumps(rep.case))))
+        assert rerun.to_json() == rep.to_json()
 
 
 class TestAgeingPoints:

@@ -163,6 +163,25 @@ class TestGuards:
         with pytest.raises(ParameterDomainError, match="grid size n must be an integer"):
             GridSpec(kind="x", n=n)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"kind": "z"}, "unknown grid kind 'z'"),
+        ({"eps": 0.5}, "eps must lie in \\(0, 0.5\\)"),
+    ], ids=["kind", "eps"])
+    def test_bad_grid_refused(self, kwargs, message):
+        with pytest.raises(ParameterDomainError, match=f"^{message}$"):
+            GridSpec(**kwargs)
+
+    def test_points_of_the_other_kind_refused(self):
+        with pytest.raises(ParameterDomainError, match="^u_points requires a u-grid$"):
+            GridSpec(kind="x").u_points()
+        with pytest.raises(ParameterDomainError, match="^x_points requires an x-grid$"):
+            GridSpec(kind="u").x_points()
+
+    def test_unset_bounds_need_distributions(self):
+        with pytest.raises(ParameterDomainError,
+                           match="^grid bounds unset and no distributions given$"):
+            GridSpec(kind="x", lo=0.0).x_points()
+
     def test_inconclusive_on_degenerate_tail_grid(self):
         # grid entirely in the far right tail: both sfs vanish, the hazard
         # ratio degenerates, and the two hr formulations cannot agree
@@ -289,8 +308,8 @@ MONOTONE_TABLE = [
 
 @pytest.mark.parametrize("values,up,down", MONOTONE_TABLE)
 def test_one_monotone_rule(values, up, down):
+    from ordrel.distributions import xr_non_increasing
     from ordrel.grids import first_decrease
-    from ordrel.harness import _xr_decreasing
 
     xs = list(range(64))
     assert (first_decrease(xs, list(values), TAU) is None) == up
@@ -301,4 +320,4 @@ def test_one_monotone_rule(values, up, down):
     x_grid = GridSpec(kind="x", n=64, tau_mono=TAU)
     flags = classify_ageing(_Sequence(values), x_grid)
     assert ("IRHR" in flags, "DRHR" in flags) == (up, down)
-    assert _xr_decreasing(_Sequence(values), x_grid) == down
+    assert xr_non_increasing(_Sequence(values), x_grid) == down

@@ -270,6 +270,12 @@ class TestMoments:
             numeric_moment(o2, 2)
         assert numeric_moment(o2, 1) == pytest.approx(1.0 / 0.6, rel=1e-6)
 
+    def test_numeric_moment_orders(self):
+        o = OrderStatDist(series_phr(Exponential(1.0), (1.0, 2.0)))
+        with pytest.raises(ParameterDomainError,
+                           match="^only first and second moments supported$"):
+            numeric_moment(o, 3)
+
     @pytest.mark.parametrize("spec,expected", [
         (parallel_prhr(ReflectedDFR(Lomax(3.0)), (1.0, 2.0)),
          (-0.12499999999999947, 0.020089285714285733)),
