@@ -1,13 +1,12 @@
 """Baseline lifetime distributions.
 
 Each family exposes the full functional surface used by the order checkers:
-cdf, sf, pdf, quantile, hazard and reversed hazard.  Every ageing
-condition a theorem row reads is judged here: `classify_ageing` returns
-every flag among IFR/DFR/IRHR/DRHR that holds, and `xr_non_increasing`
-says whether x*r(x) is non-increasing.  Each family states its ageing
-classes on its whole support (`ageing_classes`) and its x*r(x) trend
-(`xr_decreasing`); both functions return what a distribution states and
-judge its rate columns numerically only where it states nothing.
+cdf, sf, pdf, quantile, hazard and reversed hazard.  Each family states
+its ageing classes on its whole support (`ageing_classes`) and its x*r(x)
+trend (`xr_decreasing`) in closed form, and every ageing condition a
+theorem row reads is what a distribution states: `classify_ageing`
+returns its IFR/DFR/IRHR/DRHR flags and `xr_non_increasing` its x*r(x)
+trend, and each refuses a distribution that states nothing.
 All objects are immutable and every method is a pure function of its
 arguments.  `Distribution.column` is the one way to evaluate a method over
 a whole grid: each family has a kernel, one comprehension per method it
@@ -28,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError, SupportError, check_positive
-from .grids import GridSpec, first_decrease
 
 
 class Distribution:
@@ -37,7 +35,7 @@ class Distribution:
     family = "abstract"
     # Closed forms, where the class knows them: the ageing flags that hold
     # on the whole support, and whether x*r(x) is non-increasing there.
-    # None: judged numerically (`classify_ageing`, `xr_non_increasing`).
+    # None: unstated, which `classify_ageing` and `xr_non_increasing` refuse.
     ageing_classes: frozenset[str] | None = None
     xr_decreasing: bool | None = None
 
@@ -425,74 +423,21 @@ def dist_from_json(obj: dict) -> Distribution:
         raise ParameterDomainError(f"bad distribution spec: {obj!r}") from exc
 
 
-def bounded_ageing_points(d: Distribution, grid: GridSpec) -> list[float] | None:
-    """The points of a bounded x-grid, which must lie in the support of
-    ``d`` (SupportError otherwise), or None for any other grid."""
-    if grid.kind != "x" or grid.lo is None or grid.hi is None:
-        return None
-    lo, hi = d.support
-    if grid.lo < lo or grid.hi > hi:
-        raise SupportError("ageing grid extends outside the support")
-    return grid.x_points()
-
-
-def ageing_points(d: Distribution, grid: GridSpec) -> list[float]:
-    """The points at which the ageing of ``d`` is judged.  A bounded x-grid
-    must lie in the support and is used as is; any other grid gives
-    ``grid.n`` quantiles on [eps, 1-eps], which keep clear of both support
-    edges."""
-    xs = bounded_ageing_points(d, grid)
-    if xs is not None:
-        return xs
-    eps, n = grid.eps, grid.n
-    return d.column("quantile", [eps + i * (1.0 - 2 * eps) / (n - 1) for i in range(n)])
-
-
-# each rate the classifier reads, with the flag it gives where the rate has
-# no drop and the flag where its negation has none
-_RATE_FLAGS = (("hazard", "IFR", "DFR"), ("rev_hazard", "IRHR", "DRHR"))
-
-
-def classify_ageing(d: Distribution, grid: GridSpec | None = None) -> frozenset[str]:
+def classify_ageing(d: Distribution) -> frozenset[str]:
     """The flags among IFR/DFR (hazard) and IRHR/DRHR (reversed hazard)
-    that hold for ``d``.  Where ``d`` states its `ageing_classes` they are
-    the answer, whatever the grid; a bounded grid must still lie in the
-    support.  Otherwise the flags are judged at the grid's `ageing_points`
-    from the hazard column, then the reversed hazard column: an increasing
-    class holds when `grids.first_decrease` finds no drop beyond
-    ``tau_mono`` in the rate, a decreasing one when it finds none in the
-    negated rate, so a constant hazard carries both flags.  A rate
-    undefined at some point (a bounded grid that starts or ends at a
-    support edge) carries neither of its two flags."""
-    if grid is None:
-        grid = GridSpec(kind="x", n=128)
+    that ``d`` states on its whole support (`ageing_classes`);
+    ParameterDomainError where it states none."""
     stated = d.ageing_classes
-    if stated is not None:
-        bounded_ageing_points(d, grid)
-        return stated
-    xs = ageing_points(d, grid)
-    flags = set()
-    for rate, rising, falling in _RATE_FLAGS:
-        values = d.column(rate, xs)
-        if None in values:
-            continue
-        if first_decrease(xs, values, grid.tau_mono) is None:
-            flags.add(rising)
-        if first_decrease(xs, [-v for v in values], grid.tau_mono) is None:
-            flags.add(falling)
-    return frozenset(flags)
+    if stated is None:
+        raise ParameterDomainError(f"{type(d).__name__} states no ageing classes")
+    return stated
 
 
-def xr_non_increasing(d: Distribution, grid: GridSpec) -> bool:
+def xr_non_increasing(d: Distribution) -> bool:
     """x*r(x) non-increasing (T5's condition, the generalized failure rate
-    of Lariviere 2006): what ``d`` states as `xr_decreasing` (a bounded
-    grid must still lie in the support), or else judged at its
-    `ageing_points`, false where the hazard is undefined at some point, as
-    for an ageing class."""
-    if d.xr_decreasing is not None:
-        bounded_ageing_points(d, grid)
-        return d.xr_decreasing
-    xs = ageing_points(d, grid)
-    rates = d.column("hazard", xs)
-    return None not in rates and first_decrease(
-        xs, [-x * r for x, r in zip(xs, rates)], grid.tau_mono) is None
+    of Lariviere 2006), as ``d`` states it (`xr_decreasing`);
+    ParameterDomainError where it states no trend."""
+    stated = d.xr_decreasing
+    if stated is None:
+        raise ParameterDomainError(f"{type(d).__name__} states no x*r(x) trend")
+    return stated

@@ -1,5 +1,5 @@
-"""Evaluation grids for the numerical order checkers and classifiers, and
-the one monotone rule they all judge by (`first_decrease`)."""
+"""Evaluation grids for the numerical order checkers, and the one
+monotone rule they all judge by (`first_decrease`)."""
 
 from __future__ import annotations
 

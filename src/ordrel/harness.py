@@ -18,16 +18,16 @@ separately and never counts as a failure.  The paper proves most results
 twice, for series minima (PHR) and parallel maxima (PRHR): such a pair
 shares its rows, sides builder and sampler, with the side as data.
 
-The ageing rows and T5's x*r(x) row only ask `distributions`, which judges
-every ageing condition (`classify_ageing`, `xr_non_increasing`): the
-harness holds no numeric rule of its own.  A case's report carries the
-case's JSON, grids included, so `serialize.load_case` reruns it as it ran.
+The ageing rows and T5's x*r(x) row read what the baseline states
+(`distributions.classify_ageing`, `distributions.xr_non_increasing`), on
+no grid.  A case's report carries the case's JSON, grids included, so
+`serialize.load_case` reruns it as it ran.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -67,20 +67,17 @@ class TheoremCase:
         check_grid_size(self.n)
         check_case(self.id, self.scenario, self.grids)
 
-    def grid(self, key: str, **defaults) -> GridSpec:
-        """The case's grid `key`, or one of that key's `grid_kind`, built
-        from `defaults`."""
+    def grid(self, key: str) -> GridSpec:
+        """The case's grid `key`, or an `n`-point one of that key's `grid_kind`."""
         if key in self.grids:
             return self.grids[key]
-        defaults.setdefault("n", self.n)
-        return GridSpec(kind=grid_kind(key), **defaults)
+        return GridSpec(kind=grid_kind(key), n=self.n)
 
     def to_json(self) -> dict:
-        """The case as `serialize.load_case` reads it, each grid with all
-        its fields (`GridSpec.to_json` drops an x-grid's eps)."""
+        """The case as `serialize.load_case` reads it."""
         out = {"id": self.id, "scenario": _scenario_to_json(self.scenario), "n": self.n}
         if self.grids:
-            out["grids"] = {key: asdict(grid) for key, grid in self.grids.items()}
+            out["grids"] = {key: grid.to_json() for key, grid in self.grids.items()}
         return out
 
 
@@ -197,6 +194,9 @@ def _common_baseline_sides(case: TheoremCase) -> dict:
     sides = _single_baseline_sides(case, kind=SERIES_PHR)
     if sides["baseline_x"] != sides["baseline_y"]:
         raise ParameterDomainError(f"{case.id} needs one common baseline")
+    if sides["baseline_x"].support[0] < 0.0:
+        raise ParameterDomainError(f"{case.id} needs a baseline on [0, inf): "
+                                   "the star order compares positive lifetimes")
     return sides
 
 
@@ -313,8 +313,7 @@ def _floats(v):
 def _ageing_row(cls: str) -> tuple:
     """baseline_x is of ageing class `cls` ("{ageing}" for T7/T8)."""
     return (f"baseline_x_{cls.lower()}",
-            lambda s: cls.format_map(s).upper() in distributions.classify_ageing(
-                s["baseline_x"], s["case"].grid("ageing", n=128)))
+            lambda s: cls.format_map(s).upper() in distributions.classify_ageing(s["baseline_x"]))
 
 
 def _order_row(rel: str, lo: str, hi: str) -> tuple:
@@ -338,8 +337,7 @@ _BLOCK_ROWS = (
 )
 _STAR_ROWS = (
     ("sum_alpha_le_sum_beta", _SUMS[1]),  # the same comparison
-    ("x_hazard_decreasing",
-     lambda s: distributions.xr_non_increasing(s["baseline_x"], s["case"].grid("xr", n=128))),
+    ("x_hazard_decreasing", lambda s: distributions.xr_non_increasing(s["baseline_x"])),
 )
 _DEPENDENT_ROWS = (
     ("mu_{majorization}majorized_by_mu_star",
@@ -488,8 +486,8 @@ class Theorem:
 
 
 _SYSTEMS = {"system_x": "system", "system_y": "system"}
-_DISP_SERIES_GRIDS = ("ageing", "hr", "disp")
-_DISP_PARALLEL_GRIDS = ("ageing", "rh", "disp")
+_DISP_SERIES_GRIDS = ("hr", "disp")
+_DISP_PARALLEL_GRIDS = ("rh", "disp")
 _OUTLIERS = {"baseline_x": "dist", "baseline_y": "dist",
              "outlier_x": "outlier_block", "outlier_y": "outlier_block"}
 # What T7 and T8 share: all but their side and their box.
@@ -497,7 +495,7 @@ _DEPENDENT = dict(
     fields={"generator_x": "generator", "generator_y": "generator",
             "baseline_x": "dist", "baseline_y": "dist",
             "shifts_x": "number_array", "shifts_y": "number_array", "branch": "branch"},
-    optional=("branch",), grids=("ageing", "st", "dep"),
+    optional=("branch",), grids=("st", "dep"),
     dims={"shifts_x": "generator_x", "shifts_y": "generator_y"},
     hypothesis=_DEPENDENT_ROWS, conclusion=("st", "{low}", "{high}"))
 _MINIMA = {"extreme": DependentMin, "compose_low_first": False,
@@ -561,7 +559,7 @@ THEOREMS = {
              "b1": (0.3, 1.5), "b2": (0.3, 1.5), "b3": (0.3, 1.5),
              "gap1": (0.05, 1.0), "gap2": (0.05, 1.0)}),
     "T5": Theorem(
-        fields=_SYSTEMS, grids=("xr", "star"), sides=_common_baseline_sides,
+        fields=_SYSTEMS, grids=("star",), sides=_common_baseline_sides,
         hypothesis=_STAR_ROWS, conclusion=("star", "y", "x"), sampler=_sample_star,
         box={"p_shape": (0.5, 3.0), "a1": (0.3, 2.0), "a2": (0.3, 2.0),
              "sum_gap": (0.05, 1.0)}),

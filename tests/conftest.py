@@ -7,10 +7,14 @@ BAD_SCALAR_FIELDS, BAD_LENGTH_FIELDS, T7_NEGATIVE_FRANK_DIM_3, T6_UNKNOWN_GRID
 and T6_WRONG_GRID_KIND are malformed theorem cases that the loader and the
 CLI must both reject; T7_CLAYTON_FRANK and T7_LARGE_FRANK load and run;
 T7_OUT_OF_FLOAT_RANGE holds cases the CLI must refuse because a generator
-theta leaves the float range; T5_XR_OUTSIDE_SUPPORT loads but must fail
-before any check runs.
+theta leaves the float range; T5_XR_OUTSIDE_SUPPORT sets an x*r(x) grid
+left of its support under the "xr" key, which no theorem reads, so the
+loader refuses it.
 UnstatedClayton is a generator that states no closed form.
-copula_value is the reference copula C the copula tests compare against.
+copula_value is the reference copula C the copula tests compare against;
+numeric_ageing and numeric_xr_non_increasing judge ageing from the rate
+columns at given points (such as quantile_points), the reference that
+each family's stated classes and x*r(x) trend are tested against.
 run_python runs code in a fresh interpreter, for what only a new process
 shows: which modules an import loads and the order they load in; run_cli
 runs the CLI as ``python -m ordrel.cli`` does.
@@ -38,6 +42,7 @@ from ordrel import (
     parallel_prhr,
     series_phr,
 )
+from ordrel.grids import DEFAULT_TAU_MONO, first_decrease
 
 
 def _pairs():
@@ -90,6 +95,37 @@ def copula_value(g, u) -> float:
     """C(u_1, ..., u_n) = psi(sum_k phi(u_k)); a zero argument gives 0."""
     phis = [g.phi(uk) for uk in u]
     return 0.0 if math.inf in phis else g.psi(sum(phis))
+
+
+def quantile_points(d) -> list[float]:
+    """128 quantiles of ``d`` on [1e-3, 1 - 1e-3], clear of both support edges."""
+    return d.column("quantile", [1e-3 + i * (1.0 - 2e-3) / 127 for i in range(128)])
+
+
+def numeric_ageing(d, xs, tau=DEFAULT_TAU_MONO) -> frozenset[str]:
+    """The flags among IFR/DFR/IRHR/DRHR that the rate columns of ``d`` show
+    at the points ``xs``: a rate's increasing flag where `first_decrease`
+    finds no drop beyond ``tau`` in it, its decreasing flag where it finds
+    none in the negated rate, and neither where the rate is undefined at
+    some point.  A constant hazard carries both of its flags."""
+    flags = set()
+    for rate, rising, falling in (("hazard", "IFR", "DFR"), ("rev_hazard", "IRHR", "DRHR")):
+        values = d.column(rate, xs)
+        if None in values:
+            continue
+        if first_decrease(xs, values, tau) is None:
+            flags.add(rising)
+        if first_decrease(xs, [-v for v in values], tau) is None:
+            flags.add(falling)
+    return frozenset(flags)
+
+
+def numeric_xr_non_increasing(d, xs, tau=DEFAULT_TAU_MONO) -> bool:
+    """x*r(x) non-increasing at the points ``xs`` by `first_decrease`;
+    false where the hazard is undefined at some point."""
+    rates = d.column("hazard", xs)
+    return None not in rates and first_decrease(
+        xs, [-x * r for x, r in zip(xs, rates)], tau) is None
 
 
 GENERATORS = [
@@ -178,7 +214,8 @@ T5_PARETO = {"id": "T5", "scenario": {
         {"baseline": {"family": "pareto1", "params": {"shape": 1.5}}, "prop": p}
         for p in (1.0, 1.5)]}}}
 
-# Its x*r(x) grid lies wholly left of the support.
+# Its x*r(x) grid lies wholly left of the support, under a key that no
+# theorem reads since the x*r(x) row reads the stated trend.
 T5_XR_OUTSIDE_SUPPORT = {**T5_PARETO, "grids": {
     "xr": {"kind": "x", "lo": -5.0, "hi": -1.0, "n": 64}}}
 

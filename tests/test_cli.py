@@ -195,35 +195,12 @@ class TestTheorem:
         assert captured.out == ""
 
     def test_grid_outside_support_exit_two(self, spec_file, capsys):
+        # T5 reads no x*r(x) grid, so the grid is refused by its key
         path = spec_file("c.json", T5_XR_OUTSIDE_SUPPORT)
         assert main(["theorem", "-s", path]) == 2
         captured = capsys.readouterr()
-        assert "error:" in captured.err and "outside the support" in captured.err
+        assert "error:" in captured.err and "unknown keys: ['xr']" in captured.err
         assert captured.out == ""
-
-    @pytest.mark.parametrize("tid,kind,inner,lo,hi", [
-        ("T1", "series_phr", False, 0.0, 5.0),
-        ("T2", "parallel_prhr", True, -5.0, 0.0),
-    ], ids=["lower-edge", "upper-edge"])
-    def test_ageing_grid_at_a_support_edge_runs(self, spec_file, capsys, tid, kind,
-                                                inner, lo, hi):
-        # one rate of the baseline is undefined at the edge; the theorem
-        # reads only the other
-        def baseline(shape):
-            lomax = {"family": "lomax", "params": {"shape": shape}}
-            return {"family": "reflected_dfr", "params": {"inner": lomax}} if inner else lomax
-
-        def system(shape, props):
-            return {"kind": kind, "components": [{"baseline": baseline(shape), "prop": p}
-                                                 for p in props]}
-
-        path = spec_file("c.json", {"id": tid, "scenario": {
-            "system_x": system(1.0, [1.0, 2.0]), "system_y": system(2.0, [1.5, 2.0])},
-            "grids": {"ageing": {"kind": "x", "lo": lo, "hi": hi, "n": 64}}})
-        assert main(["theorem", "-s", path]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["hypothesis"]["satisfied"] is True
-        assert all(report["hypothesis"]["conditions"].values())
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -236,8 +213,8 @@ def _baseline(family, **params):
     return {"family": family, "params": params}
 
 
-def _series(*components, split=None):
-    out = {"kind": "series_phr",
+def _system(*components, kind="series_phr", split=None):
+    out = {"kind": kind,
            "components": [{"baseline": b, "prop": p} for b, p in components]}
     return out if split is None else {**out, "split": split}
 
@@ -245,28 +222,45 @@ def _series(*components, split=None):
 _LOMAX_1, _LOMAX_2 = _baseline("lomax", shape=1.0), _baseline("lomax", shape=2.0)
 _EXP = _baseline("exponential", rate=1.0)
 _PARETO_15, _PARETO_25 = _baseline("pareto1", shape=1.5), _baseline("pareto1", shape=2.5)
+_REFLECTED_1, _REFLECTED_2 = (_baseline("reflected_dfr", inner=lomax)
+                              for lomax in (_LOMAX_1, _LOMAX_2))
+# an x-grid under the "ageing" key, which no theorem reads
+_AGEING_GRID = {"ageing": {"kind": "x", "lo": 0.0, "hi": 5.0, "n": 64}}
 
 # Specs the CLI refuses once loaded, each with the one error line it prints:
 # {"case": theorem case} runs `theorem`, {"grid": grid} an st `order` call.
 REFUSALS = {
     "t1_mixed_system": ({"case": {"id": "T1", "scenario": {
-        "system_x": _series((_LOMAX_1, 1.0), (_EXP, 2.0)),
-        "system_y": _series((_LOMAX_2, 1.5), (_LOMAX_2, 2.0))}}},
+        "system_x": _system((_LOMAX_1, 1.0), (_EXP, 2.0)),
+        "system_y": _system((_LOMAX_2, 1.5), (_LOMAX_2, 2.0))}}},
         "T1 needs single-baseline systems"),
     "t5_two_baselines": ({"case": {"id": "T5", "scenario": {
-        "system_x": _series((_PARETO_15, 0.5), (_PARETO_15, 0.5)),
-        "system_y": _series((_PARETO_25, 1.0), (_PARETO_25, 1.5))}}},
+        "system_x": _system((_PARETO_15, 0.5), (_PARETO_15, 0.5)),
+        "system_y": _system((_PARETO_25, 1.0), (_PARETO_25, 1.5))}}},
         "T5 needs one common baseline"),
+    "t5_reflected_baseline": ({"case": {"id": "T5", "scenario": {
+        "system_x": _system((_REFLECTED_2, 0.5), (_REFLECTED_2, 0.5)),
+        "system_y": _system((_REFLECTED_2, 1.0), (_REFLECTED_2, 1.5))}}},
+        "T5 needs a baseline on [0, inf): the star order compares positive lifetimes"),
+    "t1_ageing_grid": ({"case": {"id": "T1", "scenario": {
+        "system_x": _system((_LOMAX_1, 1.0), (_LOMAX_1, 2.0)),
+        "system_y": _system((_LOMAX_2, 1.5), (_LOMAX_2, 2.0))}, "grids": _AGEING_GRID}},
+        "T1 grids has unknown keys: ['ageing']; T1 reads ['hr', 'disp']"),
+    "t2_ageing_grid": ({"case": {"id": "T2", "scenario": {
+        "system_x": _system((_REFLECTED_1, 1.0), (_REFLECTED_1, 2.0), kind="parallel_prhr"),
+        "system_y": _system((_REFLECTED_2, 1.5), (_REFLECTED_2, 2.0), kind="parallel_prhr")},
+        "grids": _AGEING_GRID}},
+        "T2 grids has unknown keys: ['ageing']; T2 reads ['rh', 'disp']"),
     "t3_unsplit": ({"case": {"id": "T3", "scenario": {
-        "system_x": _series((_EXP, 1.0), (_LOMAX_2, 2.0)),
-        "system_y": _series((_EXP, 1.5), (_LOMAX_2, 2.0))}}},
+        "system_x": _system((_EXP, 1.0), (_LOMAX_2, 2.0)),
+        "system_y": _system((_EXP, 1.5), (_LOMAX_2, 2.0))}}},
         "mixed-baseline theorem needs split systems"),
     "t6_lengths": ({"case": {"id": "T6", "scenario": {
         "theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.0, 3.0]}}},
         "T6 needs equal-length shape vectors"),
     "split_block_two_baselines": ({"case": {"id": "T3", "scenario": {
-        "system_x": _series((_EXP, 1.0), (_LOMAX_2, 2.0), (_EXP, 1.0), split=1),
-        "system_y": _series((_EXP, 1.5), (_LOMAX_2, 2.0), split=1)}}},
+        "system_x": _system((_EXP, 1.0), (_LOMAX_2, 2.0), (_EXP, 1.0), split=1),
+        "system_y": _system((_EXP, 1.5), (_LOMAX_2, 2.0), split=1)}}},
         "T3 scenario field 'system_x': each split block must share one baseline"),
     "reversed_grid_bounds": ({"grid": {"kind": "x", "lo": 5.0, "hi": 1.0, "n": 64}},
                              "bad grid bounds [5.0, 1.0]"),

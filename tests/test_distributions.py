@@ -1,4 +1,4 @@
-"""Baseline distribution families and the ageing classifier."""
+"""Baseline distribution families and their stated ageing classes."""
 
 import math
 import random
@@ -20,7 +20,8 @@ from ordrel import (
 )
 from ordrel.distributions import dist_from_json, xr_non_increasing
 from ordrel.systems import OrderStatDist, parallel_prhr, series_phr
-from conftest import CORPUS_PAIRS
+from conftest import (CORPUS_PAIRS, numeric_ageing, numeric_xr_non_increasing,
+                      quantile_points)
 
 ALL_DISTS = [
     Exponential(1.3),
@@ -189,7 +190,7 @@ class TestAgeing:
         ag = classify_ageing(ReflectedDFR(Lomax(2.0, 1.0)))
         assert "IRHR" in ag and "DRHR" not in ag
 
-    # one-component systems state no classes, so the numeric rule judges them
+    # the oracle on one-component systems, which state no classes
     @pytest.mark.parametrize("d,lo,hi,flag", [
         (OrderStatDist(series_phr(Lomax(2.0, 1.0), (1.0,))), 0.0, 5.0,
          "DFR"),  # reversed hazard undefined at 0
@@ -198,7 +199,7 @@ class TestAgeing:
     ], ids=["lower-edge", "upper-edge"])
     def test_rate_undefined_at_a_support_edge(self, d, lo, hi, flag):
         # the undefined rate carries neither flag; the other is judged as usual
-        ag = classify_ageing(d, GridSpec(kind="x", lo=lo, hi=hi, n=64))
+        ag = numeric_ageing(d, GridSpec(kind="x", lo=lo, hi=hi, n=64).x_points())
         assert ag == {flag}
 
     @pytest.mark.parametrize("d,lo,hi", [
@@ -206,19 +207,18 @@ class TestAgeing:
         (ReflectedDFR(Lomax(2.0, 1.0)), -5.0, 0.0),
     ], ids=["lower-edge", "upper-edge"])
     def test_stated_classes_hold_up_to_a_support_edge(self, d, lo, hi):
-        # a family's classes hold on its whole support, whatever the grid
-        ag = classify_ageing(d, GridSpec(kind="x", lo=lo, hi=hi, n=64))
-        assert ag == d.ageing_classes and len(ag) == 2
-
-    def test_stated_classes_keep_the_support_check(self):
-        with pytest.raises(SupportError, match="outside the support"):
-            classify_ageing(ParetoI(2.0), GridSpec(kind="x", lo=0.0, hi=5.0, n=64))
+        # a family's classes hold on its whole support: on a grid that ends
+        # at a support edge the oracle drops the flags of the rate undefined there
+        xs = GridSpec(kind="x", lo=lo, hi=hi, n=64).x_points()
+        assert numeric_ageing(d, xs) < classify_ageing(d) == d.ageing_classes
+        assert len(d.ageing_classes) == 2
 
     def test_every_class_occurs_in_the_corpus(self):
         flags = set()
         for pair in CORPUS_PAIRS:
             for d in pair:
-                flags |= classify_ageing(d)
+                if d.ageing_classes is not None:  # systems state none
+                    flags |= classify_ageing(d)
         assert flags == {"IFR", "DFR", "IRHR", "DRHR"}
 
     def test_class_names_are_no_argument(self):
@@ -226,10 +226,18 @@ class TestAgeing:
         with pytest.raises(TypeError):
             classify_ageing(Exponential(1.0), None, "IFR")
 
+    def test_a_grid_is_no_argument(self):
+        # both read what a distribution states, on no grid
+        grid = GridSpec(kind="x", n=128)
+        with pytest.raises(TypeError):
+            classify_ageing(Exponential(1.0), grid)
+        with pytest.raises(TypeError):
+            xr_non_increasing(Exponential(1.0), grid)
+
 
 class _Unstated(Distribution):
-    """``d``'s columns and support with nothing stated, so the ageing
-    classifier and the x*r(x) row judge it numerically."""
+    """``d``'s columns and support with nothing stated, which
+    `classify_ageing` and `xr_non_increasing` refuse."""
 
     def __init__(self, d):
         self.d = d
@@ -261,7 +269,7 @@ def _weibull_shape(rng, i):
 
 class TestStatedAgeing:
     """Each family's stated ageing classes and x*r(x) trend against the
-    numeric classifier on its default grid, which stays the oracle."""
+    numeric oracle (`conftest.numeric_ageing`) at 128 of its quantiles."""
 
     DRAW = {
         "exponential": lambda rng, i: Exponential(_log_uniform(rng, 1e-3, 1e3)),
@@ -281,15 +289,14 @@ class TestStatedAgeing:
     @pytest.mark.parametrize("family", [*DRAW, *(f"reflected_{f}" for f in DRAW)])
     def test_stated_classes_are_the_numeric_ones(self, family):
         draws = self._draws(family)
-        grid = GridSpec(kind="x", n=128)
         seen = set()
         for d in draws:
-            numeric = _Unstated(d)
+            xs = quantile_points(d)
             stated = classify_ageing(d)
-            assert stated == d.ageing_classes == classify_ageing(numeric), d
+            assert stated == d.ageing_classes == numeric_ageing(d, xs), d
             if d.xr_decreasing is not None:
-                assert (xr_non_increasing(d, grid) == d.xr_decreasing
-                        == xr_non_increasing(numeric, grid))
+                assert (xr_non_increasing(d) == d.xr_decreasing
+                        == numeric_xr_non_increasing(d, xs))
             seen.add(stated)
         assert len(draws) >= 1000
         if family == "weibull":
@@ -300,17 +307,26 @@ class TestStatedAgeing:
     def test_weibull_near_one_is_decided_exactly(self):
         # numerically the hazard's rise is within tau_mono, so both flags hold
         d = Weibull(1.0 + 1e-12, 1.0)
-        assert classify_ageing(_Unstated(d)) == {"IFR", "DFR", "DRHR"}
+        assert numeric_ageing(d, quantile_points(d)) == {"IFR", "DFR", "DRHR"}
         assert classify_ageing(d) == {"IFR", "DRHR"}
 
     def test_heavy_lomax_is_classified_without_its_quantiles(self):
         # the quantile at 1 - 1e-3 is 1e3000, beyond the float range
         d = Lomax(0.001)
         with pytest.raises(OverflowError):
-            classify_ageing(_Unstated(d))
+            quantile_points(d)
         assert classify_ageing(d) == {"DFR", "DRHR"}
-        assert not xr_non_increasing(d, GridSpec(kind="x", n=128))
+        assert not xr_non_increasing(d)
 
     def test_systems_state_nothing(self):
         assert OrderStatDist(series_phr(Lomax(2.0, 1.0), (1.0, 2.0))).ageing_classes is None
         assert ReflectedDFR(_Unstated(Lomax(2.0, 1.0))).ageing_classes is None
+
+    @pytest.mark.parametrize("d", [OrderStatDist(series_phr(Lomax(2.0, 1.0), (1.0, 2.0))),
+                                   _Unstated(Lomax(2.0))], ids=["system", "unstated"])
+    def test_what_states_nothing_is_refused(self, d):
+        name = type(d).__name__
+        with pytest.raises(ParameterDomainError, match=f"^{name} states no ageing classes$"):
+            classify_ageing(d)
+        with pytest.raises(ParameterDomainError, match=rf"^{name} states no x\*r\(x\) trend$"):
+            xr_non_increasing(d)

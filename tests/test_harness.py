@@ -16,7 +16,6 @@ from ordrel import (
     ParameterDomainError,
     ParetoI,
     ReflectedDFR,
-    SupportError,
     TheoremCase,
     mixed_parallel,
     mixed_series,
@@ -27,7 +26,6 @@ from ordrel import (
 from ordrel import orders
 from ordrel.harness import THEOREMS, grid_kind
 from ordrel.serialize import load_case
-from conftest import T5_PARETO, T5_XR_OUTSIDE_SUPPORT
 
 
 def _t1_case(alphas=(1.0, 2.0, 0.5), betas=(1.5, 2.0, 1.0)):
@@ -261,7 +259,7 @@ class TestCaseObject:
         ({"scenario": {**_t1_case().scenario, "gamma": 2.0}},
          "T1 scenario has unknown fields: ['gamma']"),
         ({"scenario": _t1_case().scenario, "grids": {"disp_grid": GridSpec(kind="u")}},
-         "T1 grids has unknown keys: ['disp_grid']; T1 reads ['ageing', 'hr', 'disp']"),
+         "T1 grids has unknown keys: ['disp_grid']; T1 reads ['hr', 'disp']"),
         ({"scenario": _t1_case().scenario, "grids": {"disp": GridSpec(kind="x")}},
          "T1 grid 'disp' needs kind 'u', got 'x'"),
     ], ids=["missing", "unknown", "grid-key", "grid-kind"])
@@ -472,69 +470,13 @@ class TestRegistry:
         assert rerun.to_json() == rep.to_json()
 
 
-class TestAgeingPoints:
-    def test_unbounded_x_grid_takes_quantiles_on_eps(self):
-        from ordrel.distributions import ageing_points
-
-        d = Exponential(1.0)
-        xs = ageing_points(d, GridSpec(kind="x", eps=0.3, n=64))
-        assert len(xs) == 64
-        assert xs[0] == d.quantile(0.3)
-        assert xs[-1] == pytest.approx(d.quantile(0.7), rel=1e-12)
-
-    def test_default_grid_points_unchanged(self):
-        from ordrel.distributions import ageing_points
-
-        d = Lomax(2.0, 1.0)
-        eps, n = 1e-3, 128
-        assert ageing_points(d, GridSpec(kind="x", n=n)) == [
-            d.quantile(eps + i * (1.0 - 2 * eps) / (n - 1)) for i in range(n)]
-
-    def test_bounded_x_grid_used_as_is(self):
-        from ordrel.distributions import ageing_points
-
-        g = GridSpec(kind="x", lo=1.0, hi=5.0, n=64)
-        assert ageing_points(ParetoI(1.5), g) == g.x_points()
-
-    def test_xr_grid_outside_support_rejected(self):
-        with pytest.raises(SupportError, match="outside the support"):
-            run_case(load_case(T5_XR_OUTSIDE_SUPPORT))
-
-    def test_weibull_ageing_grid_from_the_origin(self):
-        # the hazard at 0 is its limit, so a grid from 0 judges the ageing
-        obj = {"id": "T7", "scenario": {
-            "generator_x": {"family": "clayton", "theta": 2.0},
-            "generator_y": {"family": "clayton", "theta": 1.0},
-            "baseline_x": {"family": "weibull", "params": {"shape": 1.4, "rate": 1.0}},
-            "baseline_y": {"family": "exponential", "params": {"rate": 1.5}},
-            "shifts_x": [0.2, 0.5], "shifts_y": [0.5, 0.8]},
-            "grids": {"ageing": {"kind": "x", "lo": 0.0, "hi": 5.0, "n": 64}}}
-        assert run_case(load_case(obj)).conditions["baseline_x_ifr"] is True
-
-    def test_weibull_xr_grid_from_the_origin_runs(self):
-        weibull = {"family": "weibull", "params": {"shape": 1.4, "rate": 1.0}}
-        obj = {"id": "T5", "scenario": {
-            f"system_{s}": {"kind": "series_phr", "components": [
-                {"baseline": weibull, "prop": p} for p in props]}
-            for s, props in (("x", (0.5, 0.5)), ("y", (1.0, 1.5)))},
-            "grids": {"xr": {"kind": "x", "lo": 0.0, "hi": 5.0, "n": 64}}}
-        # x*r(x) = 1.4*x**1.4 rises from 0
-        assert run_case(load_case(obj)).conditions["x_hazard_decreasing"] is False
-
-    def test_xr_grid_inside_support_runs(self):
-        obj = {**T5_PARETO, "grids": {"xr": {"kind": "x", "lo": 1.0, "hi": 50.0, "n": 64}}}
-        assert run_case(load_case(obj)).conditions["x_hazard_decreasing"]
-
-    def test_xr_grid_past_the_hazard_tail_is_false(self):
-        # exp(-x) underflows beyond x ~ 745, where the hazard is undefined;
-        # the exponential states x*r(x) = x increasing, so the row is false
-        # whatever the grid and the case vacuous
-        expo = {"family": "exponential", "params": {"rate": 1.0}}
-        obj = {"id": "T5", "scenario": {
-            f"system_{s}": {"kind": "series_phr", "components": [
-                {"baseline": expo, "prop": p} for p in props]}
-            for s, props in (("x", (0.5, 0.5)), ("y", (1.0, 1.5)))},
-            "grids": {"xr": {"kind": "x", "lo": 1.0, "hi": 800.0, "n": 64}}}
-        rep = run_case(load_case(obj))
-        assert rep.conditions["x_hazard_decreasing"] is False
-        assert not rep.hypothesis_satisfied and rep.consistent
+class TestRetiredGridKeys:
+    # the ageing and x*r(x) rows read what the baseline states, on no grid,
+    # so a case that sets an "ageing" or "xr" grid is refused when it loads
+    @pytest.mark.parametrize("label,key", [
+        *((label, "ageing") for label in ("T1", "C1", "T2", "C2", "T7", "T8")), ("T5", "xr")])
+    def test_a_retired_key_is_refused(self, label, key):
+        obj = REPORT_FORMAT[label][0]
+        message = rf"^{obj['id']} grids has unknown keys: \['{key}'\]"
+        with pytest.raises(ConfigError, match=message):
+            load_case({**obj, "grids": {key: {"kind": "x", "n": 64}}})

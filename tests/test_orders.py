@@ -22,13 +22,13 @@ from ordrel import (
     check_rh,
     check_st,
     check_star,
-    classify_ageing,
     mixed_parallel,
     mixed_series,
     parallel_prhr,
     series_phr,
 )
 from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE
+from conftest import numeric_ageing, numeric_xr_non_increasing
 
 GX = GridSpec(kind="x", n=256)
 GU = GridSpec(kind="u", n=256)
@@ -267,17 +267,11 @@ class _Quantiles(Distribution):
 
 
 class _Sequence(Distribution):
-    """Stub whose grid point i sits at x = 2**i on the default 64-point
-    quantile grid, with rev_hazard(x) = values[i] and hazard(x) =
-    values[i]/x, so that x*hazard(x) is values[i] exactly."""
+    """Stub with rev_hazard(2**i) = values[i] and hazard(x) =
+    rev_hazard(x)/x, so that x*hazard(x) at 2**i is values[i] exactly."""
 
     def __init__(self, values):
         self.values = values
-
-    support = (0.0, math.inf)
-
-    def quantile(self, u):
-        return 2.0 ** round((u - 1e-3) * 63 / (1.0 - 2e-3))
 
     def rev_hazard(self, x):
         return self.values[int(math.log2(x))]
@@ -308,7 +302,6 @@ MONOTONE_TABLE = [
 
 @pytest.mark.parametrize("values,up,down", MONOTONE_TABLE)
 def test_one_monotone_rule(values, up, down):
-    from ordrel.distributions import xr_non_increasing
     from ordrel.grids import first_decrease
 
     xs = list(range(64))
@@ -317,7 +310,7 @@ def test_one_monotone_rule(values, up, down):
     u_grid = GridSpec(kind="u", n=64, tau_mono=TAU)
     disp = check_disp(_Quantiles((0.0,) * 64), _Quantiles(values), u_grid)
     assert disp.outcome == (HOLDS if up else FAILS)
-    x_grid = GridSpec(kind="x", n=64, tau_mono=TAU)
-    flags = classify_ageing(_Sequence(values), x_grid)
+    points = [2.0 ** i for i in range(64)]
+    flags = numeric_ageing(_Sequence(values), points, TAU)
     assert ("IRHR" in flags, "DRHR" in flags) == (up, down)
-    assert xr_non_increasing(_Sequence(values), x_grid) == down
+    assert numeric_xr_non_increasing(_Sequence(values), points, TAU) == down

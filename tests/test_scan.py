@@ -7,9 +7,11 @@ import json
 
 import pytest
 
-from ordrel import ConfigError, ParameterDomainError, scan
+from ordrel import ConfigError, ParameterDomainError, ParetoI, ReflectedDFR, Weibull, scan
+from ordrel import orders
 from ordrel.harness import SCAN_IDS, THEOREMS, TheoremReport
-from ordrel.orders import HOLDS
+from ordrel.orders import FAILS, HOLDS
+from ordrel.serialize import load_case
 
 
 class TestScan:
@@ -173,3 +175,45 @@ def test_sampler_streams_are_pinned(monkeypatch):
             for rep in scan(tid, budget=150, seed=seed, strategy=strategy).reports:
                 digest.update(json.dumps(rep.case, sort_keys=True).encode())
     assert digest.hexdigest() == SAMPLER_STREAMS
+
+
+def _exact_conclusion(sides):
+    """(Y <= X, X <= Y) in a T1/T2/T5 conclusion's order, in closed form.
+    A series PHR system on Lomax(a, s) with props alpha is Lomax(a*sum(alpha),
+    s), and a parallel PRHR system on its reflection is the reflection of
+    that; on one scale, Y <=disp X iff g*sum(beta) >= f*sum(alpha), for the
+    reflections too.  On Pareto I(p) the system is Pareto I(p*sum(alpha)),
+    and Y <=* X iff sum(beta) >= sum(alpha).  T5's Weibull violation is a
+    same-shape scale pair, which is star-ordered both ways."""
+    f, g = sides["baseline_x"], sides["baseline_y"]
+    sum_x, sum_y = sides["system_x"].prop_sum(), sides["system_y"].prop_sum()
+    if isinstance(f, Weibull):
+        return True, True
+    if isinstance(f, ParetoI):
+        return sum_y >= sum_x, sum_x >= sum_y
+    f, g = (d.inner if isinstance(d, ReflectedDFR) else d for d in (f, g))
+    assert f.scale == g.scale
+    return g.shape * sum_y >= f.shape * sum_x, f.shape * sum_x >= g.shape * sum_y
+
+
+# The grid strategy's Halton points do not depend on the seed.
+@pytest.mark.parametrize("strategy,seed", [("random", 1), ("random", 7), ("random", 13),
+                                           ("grid", 1)])
+@pytest.mark.parametrize("tid", ["T1", "T2", "T5"])
+def test_single_baseline_scans_match_their_closed_forms(tid, strategy, seed):
+    """Every T1/T2/T5 scan compares two members of one closed-form family:
+    each conclusion, and its reversal on the case's own grid, is the exact
+    answer."""
+    theorem = THEOREMS[tid]
+    rel, a, b = theorem.conclusion
+    for rep in scan(tid, budget=150, seed=seed, strategy=strategy).reports:
+        case = load_case(rep.case)
+        sides = theorem.sides(case)
+        forward, reverse = _exact_conclusion(sides)
+        assert rep.conclusion_outcome == (HOLDS if forward else FAILS), rep.case
+        reversal = orders.CHECKERS[rel](sides[b], sides[a], case.grid(rel))
+        assert reversal.outcome == (HOLDS if reverse else FAILS), rep.case
+        # T5's scan cannot produce a failing conclusion, in a vacuous case
+        # or any other: it has no power until a sampler leaves the closed
+        # forms (the exact-reference item of ROADMAP.md)
+        assert forward or tid != "T5"
