@@ -9,13 +9,15 @@ returns its IFR/DFR/IRHR/DRHR flags and `xr_non_increasing` its x*r(x)
 trend, and each refuses a distribution that states nothing.
 All objects are immutable and every method is a pure function of its
 arguments.  `Distribution.column` is the one way to evaluate a method over
-a whole grid: each family has a kernel, one comprehension per method it
-has in closed form, equal bit for bit to the per-point method.  The
-quantile has no other formula: `quantile(u)` is the one-point column for
-every class.  `rate_sweep` gives a rate and its sf or cdf on a grid;
-where the rate is the base-class formula pdf/value it divides by the column
-already in hand.  A family's JSON form is its ``family`` and its dataclass
-fields, and `dist_from_json` builds it back from its family table.
+a whole grid.  A family keeps a kernel, one comprehension equal bit for
+bit to the per-point method, only for a column a benchmark workload reads:
+exponential and Lomax sf, cdf, pdf, hazard and quantile; Weibull sf,
+hazard and quantile; Pareto I quantile.  The quantile has no other
+formula: `quantile(u)` is the one-point column for every class.
+`rate_sweep` gives a rate and its sf or cdf on a grid; where the rate is
+the base-class formula pdf/value it divides by the column in hand.  A
+family's JSON form is its ``family`` and its dataclass fields, and
+`dist_from_json` builds it back from its family table.
 
 Densities that diverge at a support edge (Weibull shape < 1 at the origin)
 evaluate to ``math.inf`` there, which doubles as the "unbounded" flag.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, SupportError, check_positive
+from .errors import ParameterDomainError, SupportError, check_positive, defined_at
 
 
 class Distribution:
@@ -71,12 +73,13 @@ class Distribution:
     def column(self, name: str, points) -> list:
         """The per-point method `name` ("sf", "cdf", "pdf", "hazard",
         "rev_hazard" or "quantile") at every point of ``points``, with None
-        where it raises SupportError.  A family overrides this with a
-        kernel for each method it has in closed form; a class with neither
-        a quantile kernel nor a per-point quantile has no quantile."""
+        where it is undefined (`errors.defined_at`).  A family overrides
+        this with a kernel for each column a workload reads; a class with
+        neither a quantile kernel nor a per-point quantile has no quantile."""
         if name == "quantile" and type(self).quantile is Distribution.quantile:
             raise NotImplementedError(f"{type(self).__name__} has no quantile")
-        return list(defined(getattr(self, name), points))
+        fn = getattr(self, name)
+        return [defined_at(fn, x) for x in points]
 
     def rate_sweep(self, rate: str, xs) -> tuple[list[float], list[float | None]]:
         """The columns (sf, hazard) for `rate` "hazard", or (cdf,
@@ -101,16 +104,6 @@ class Distribution:
         return {"family": self.family, "params": {
             k: v.to_json() if isinstance(v, Distribution) else v
             for k, v in self.__dict__.items()}}
-
-
-def defined(fn, xs):
-    """``fn`` at each point of ``xs``, lazily, with None where it raises
-    SupportError (a value undefined at that point)."""
-    for x in xs:
-        try:
-            yield fn(x)
-        except SupportError:
-            yield None
 
 
 def _bad_prob(u: float):
@@ -218,14 +211,8 @@ class Weibull(Distribution):
         shape, rate, exp = self.shape, self.rate, math.exp
         if name == "sf":
             return [1.0 if x <= 0.0 else exp(-rate * x ** shape) for x in points]
-        if name == "cdf":
-            expm1 = math.expm1
-            return [0.0 if x <= 0.0 else -expm1(-rate * x ** shape) for x in points]
-        at0, k, power = self.pdf(0.0), shape * rate, shape - 1.0
-        if name == "pdf":
-            return [0.0 if x < 0.0 else at0 if x == 0.0
-                    else k * x ** power * exp(-rate * x ** shape) for x in points]
         if name == "hazard":
+            at0, k, power = self.pdf(0.0), shape * rate, shape - 1.0
             return [None if x < 0.0 else at0 if x == 0.0 else k * x ** power
                     for x in points]
         if name == "quantile":
@@ -325,18 +312,8 @@ class ParetoI(Distribution):
         return self.shape / x
 
     def column(self, name, points):
-        shape = self.shape
-        if name == "sf":
-            return [1.0 if x <= 1.0 else x ** -shape for x in points]
-        if name == "cdf":
-            return [0.0 if x <= 1.0 else 1.0 - x ** -shape for x in points]
-        if name == "pdf":
-            power = -shape - 1.0
-            return [0.0 if x < 1.0 else shape * x ** power for x in points]
-        if name == "hazard":
-            return [None if x < 1.0 else shape / x for x in points]
         if name == "quantile":
-            power = -1.0 / shape
+            power = -1.0 / self.shape
             return [(1.0 - u) ** power if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
         return super().column(name, points)
 
@@ -423,21 +400,21 @@ def dist_from_json(obj: dict) -> Distribution:
         raise ParameterDomainError(f"bad distribution spec: {obj!r}") from exc
 
 
+def _stated(d: Distribution, attr: str, what: str):
+    """``d``'s closed form `attr`; ParameterDomainError where it states none."""
+    stated = getattr(d, attr)
+    if stated is None:
+        raise ParameterDomainError(f"{type(d).__name__} states no {what}")
+    return stated
+
+
 def classify_ageing(d: Distribution) -> frozenset[str]:
     """The flags among IFR/DFR (hazard) and IRHR/DRHR (reversed hazard)
-    that ``d`` states on its whole support (`ageing_classes`);
-    ParameterDomainError where it states none."""
-    stated = d.ageing_classes
-    if stated is None:
-        raise ParameterDomainError(f"{type(d).__name__} states no ageing classes")
-    return stated
+    that ``d`` states on its whole support (`ageing_classes`)."""
+    return _stated(d, "ageing_classes", "ageing classes")
 
 
 def xr_non_increasing(d: Distribution) -> bool:
     """x*r(x) non-increasing (T5's condition, the generalized failure rate
-    of Lariviere 2006), as ``d`` states it (`xr_decreasing`);
-    ParameterDomainError where it states no trend."""
-    stated = d.xr_decreasing
-    if stated is None:
-        raise ParameterDomainError(f"{type(d).__name__} states no x*r(x) trend")
-    return stated
+    of Lariviere 2006), as ``d`` states it (`xr_decreasing`)."""
+    return _stated(d, "xr_decreasing", "x*r(x) trend")

@@ -6,19 +6,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, check_positive
+from .errors import ParameterDomainError, check_count, check_positive
 
 DEFAULT_TAU_MONO = 1e-9
 DEFAULT_TAU_PT = 1e-9
 
 
 def check_grid_size(n):
-    """Refuse (ParameterDomainError) a grid size that is not an int of at
-    least 64: a float or a bool is no size, even where it equals one."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParameterDomainError(f"grid size n must be an integer, got {n!r}")
-    if n < 64:
-        raise ParameterDomainError("grid needs at least 64 points")
+    """Refuse (ParameterDomainError) a grid size that is no count of at least 64."""
+    check_count("grid size n", n, 64, " points")
 
 
 def first_decrease(xs, values, tau: float) -> tuple[float, float, float] | None:

@@ -36,7 +36,7 @@ from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       composition_super_additive, has_log_curvature)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
                             ReflectedDFR, Weibull)
-from .errors import ConfigError, ParameterDomainError
+from .errors import ConfigError, ParameterDomainError, check_count
 from .grids import GridSpec, check_grid_size
 from .majorization import weak_submajorizes, weak_supermajorizes
 from .orders import FAILS, HOLDS
@@ -160,9 +160,9 @@ _BUILD = {SERIES_PHR: series_phr, PARALLEL_PRHR: parallel_prhr}
 
 
 def _expand_outliers(baseline: Distribution, spec: dict, kind: str) -> SystemSpec:
-    p, q = int(spec["p"]), int(spec["q"])
-    if p < 1 or q < 0:
-        raise ParameterDomainError("outlier blocks need p >= 1, q >= 0")
+    p, q = spec["p"], spec["q"]
+    check_count("outlier block p", p, 1)
+    check_count("outlier block q", q, 0)
     return _BUILD[kind](baseline, [float(spec["a1"])] * p + [float(spec["a2"])] * q)
 
 

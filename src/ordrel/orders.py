@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SupportError
+from .errors import SupportError, defined_at
 from .grids import GridSpec, first_decrease
 
 HOLDS = "holds"
@@ -109,20 +109,6 @@ def _verdict(relation, grid, viol, decided: bool) -> OrderVerdict:
     return OrderVerdict(relation, outcome, viol, grid)
 
 
-def _sf_pair(A, B, x):
-    """(sf_A(x), sf_B(x)), A's read first, each None where it raises
-    SupportError."""
-    try:
-        va = A.sf(x)
-    except SupportError:
-        va = None
-    try:
-        vb = B.sf(x)
-    except SupportError:
-        vb = None
-    return va, vb
-
-
 def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_st B: sf_A(x) <= sf_B(x) everywhere, by the pointwise rule at
     the grid points that the sf brackets leave open (module docstring)."""
@@ -145,7 +131,7 @@ def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
         k = 0 if i < 0 else n - 1 if j == n else (i + j) // 2
         x = xs[k]
         try:
-            va, vb = _sf_pair(A, B, x)
+            va, vb = defined_at(A.sf, x), defined_at(B.sf, x)  # A's first
         except Exception as exc:  # any error is an event: raised unless an earlier one is found
             viol, error, stack = None, exc, [(i, k)]
             continue

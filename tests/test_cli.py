@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,14 @@ class TestTheorem:
         assert "error:" in captured.err and "unknown keys: ['xr']" in captured.err
         assert captured.out == ""
 
+    def test_another_configuration_is_vacuous(self, spec_file, capsys):
+        # the reference variances hold for the defaults only: exit 0, vacuous
+        path = spec_file("c.json", {"id": "Ex1", "scenario": {
+            "shape": 0.7, "rates_x": [2.0, 2.0, 0.9], "rates_y": [1.0, 3.0, 2.3]}})
+        assert main(["theorem", "-s", path, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "Ex1,False,default_configuration=False,fails,True")
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{oops")
@@ -226,6 +236,8 @@ _REFLECTED_1, _REFLECTED_2 = (_baseline("reflected_dfr", inner=lomax)
                               for lomax in (_LOMAX_1, _LOMAX_2))
 # an x-grid under the "ageing" key, which no theorem reads
 _AGEING_GRID = {"ageing": {"kind": "x", "lo": 0.0, "hi": 5.0, "n": 64}}
+_LOMAX_HEAVY_X, _LOMAX_HEAVY_Y = _baseline("lomax", shape=0.001), _baseline("lomax", shape=0.0015)
+_T7 = T7_CLAYTON_FRANK["scenario"]
 
 # Specs the CLI refuses once loaded, each with the one error line it prints:
 # {"case": theorem case} runs `theorem`, {"grid": grid} an st `order` call.
@@ -264,6 +276,26 @@ REFUSALS = {
         "T3 scenario field 'system_x': each split block must share one baseline"),
     "reversed_grid_bounds": ({"grid": {"kind": "x", "lo": 5.0, "hi": 1.0, "n": 64}},
                              "bad grid bounds [5.0, 1.0]"),
+    # Lomax states DFR, so the DFR row passes; the hr row's x-grid bound
+    # (the 1 - 1e-4 quantile) overflows
+    "t1_heavy_lomax": ({"case": {"id": "T1", "scenario": {
+        "system_x": _system((_LOMAX_HEAVY_X, 1.0), (_LOMAX_HEAVY_X, 2.0)),
+        "system_y": _system((_LOMAX_HEAVY_Y, 1.5), (_LOMAX_HEAVY_Y, 2.0))}}},
+        "T1 baseline_y_hr_le_baseline_x: Numerical result out of range"),
+    # Clayton(2000) against Clayton(1000): the rows read closed forms, and
+    # phi overflows at a grid point of the st conclusion inside the grid,
+    # ahead of any violation
+    "t7_clayton_2000_conclusion": ({"case": {"id": "T7", "scenario": {
+        **_T7, "generator_x": {"family": "clayton", "theta": 2000.0},
+        "generator_y": {"family": "clayton", "theta": 1000.0}}}},
+        "T7 conclusion: math range error"),
+    "t7_subnormal_clayton": ({"case": {"id": "T7", "scenario": {
+        **_T7, "generator_x": {"family": "clayton", "theta": 5e-324},
+        "generator_y": {"family": "clayton", "theta": 1.0}}}},
+        "T7 scenario field 'generator_x': Clayton needs a finite normal theta, got 5e-324"),
+    "t7_independence_theta": ({"case": {"id": "T7", "scenario": {
+        **_T7, "generator_y": {"family": "independence", "theta": -1.0}}}},
+        "T7 scenario field 'generator_y': generator family 'independence' takes no theta"),
 }
 
 
@@ -280,6 +312,49 @@ class TestRefusals:
                     "-s", spec_file("b.json", EXP1), "--grid", spec_file("g.json", spec["grid"])]
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# The README quickstart: its spec files, as its shell writes them, and its
+# four commands, each with its exit code and the sha256 of its stdout.
+QUICKSTART_SPECS = {
+    "exp2.json": '{"family": "exponential", "params": {"rate": 2.0}}\n',
+    "exp1.json": '{"family": "exponential", "params": {"rate": 1.0}}\n',
+    "t6.json": '{"id": "T6", "scenario": {"theta": 1.5,\n'
+               ' "alphas": [2.0, 2.0, 2.0], "alphas_star": [1.0, 2.0, 3.0]}}\n',
+    "scan.json": '{"id": "T1", "budget": 150, "seed": 7}\n',
+}
+QUICKSTART = [
+    ("ordrel dist -s exp2.json --fn sf --x 0.5 --x 1.0", 0,
+     "e84bf6429cd9235607aa097c6e920b51d537114a9d9bdcf238844b1b72b88d54"),
+    ("ordrel order --relation hr -s exp2.json -s exp1.json", 0,
+     "828b3d8d812ccab6a12b31befc7fb6aec3e65b5c0f2845dfe55600dc13d124df"),
+    ("ordrel theorem -s t6.json --format csv", 0,
+     "f688a30253a01b4192012b12d2646f03aa0e581b76897a768ff1ab7ebefb200b"),
+    ("ordrel scan -s scan.json --format csv", 0,
+     "012611d8fff5145c7cc914646bfedcf9ebaf4bdeb8a2d9de7d7da2cd3aafbe97"),
+]
+
+
+class TestQuickstart:
+    def test_the_quickstart_is_the_readme_s(self):
+        readme = README.read_text()
+        for name, text in QUICKSTART_SPECS.items():
+            spec = text.rstrip("\n")
+            assert (f"echo '{spec}' > {name}" in readme
+                    or f"cat > {name} <<'JSON'\n{spec}\nJSON" in readme), name
+        for command, _, _ in QUICKSTART:
+            assert f"\n{command}\n" in readme, command
+
+    @pytest.mark.parametrize("command,code,digest", QUICKSTART,
+                             ids=[c.split()[1] for c, _, _ in QUICKSTART])
+    def test_exit_code_and_stdout_are_pinned(self, tmp_path, command, code, digest):
+        for name, text in QUICKSTART_SPECS.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in QUICKSTART_SPECS else a for a in command.split()[1:]]
+        proc = run_cli(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 class TestScan:

@@ -108,6 +108,23 @@ class TestOutlierCorollaries:
         with pytest.raises(ParameterDomainError):
             run_case(case)
 
+    @pytest.mark.parametrize("block,message", [
+        ({"p": 2.7, "q": 1}, "outlier block p must be an integer, got 2.7"),
+        ({"p": 2, "q": True}, "outlier block q must be an integer, got True"),
+        ({"p": 2.0, "q": 1}, "outlier block p must be an integer, got 2.0"),
+        ({"p": 2, "q": -1}, "outlier block q needs at least 0, got -1"),
+    ], ids=["float-p", "bool-q", "integral-float-p", "negative-q"])
+    def test_block_sizes_are_counts(self, block, message):
+        # no block size is rounded into one: a report's case always loads
+        case = TheoremCase("C1", {
+            "baseline_x": Lomax(1.0, 1.0),
+            "baseline_y": Lomax(2.0, 1.0),
+            "outlier_x": {**block, "a1": 0.5, "a2": 1.0},
+            "outlier_y": {"p": 2, "q": 1, "a1": 1.0, "a2": 1.5},
+        })
+        with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
+            run_case(case)
+
 
 class TestMixedBlocks:
     def test_t3_series_hazard_rate(self):

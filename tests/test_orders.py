@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -27,7 +28,7 @@ from ordrel import (
     parallel_prhr,
     series_phr,
 )
-from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE
+from ordrel.orders import CHECKERS, FAILS, HOLDS, INCONCLUSIVE
 from conftest import numeric_ageing, numeric_xr_non_increasing
 
 GX = GridSpec(kind="x", n=256)
@@ -188,6 +189,34 @@ class TestGuards:
         g = GridSpec(kind="x", lo=400.0, hi=500.0, n=64)
         v = check_hr(Exponential(2.0), Exponential(1.0), g)
         assert v.outcome == INCONCLUSIVE
+
+
+# The checkers' resolution on 96-point grids: k such that the reversed pair
+# of Exponential(rate*(1+g)) <= Exponential(rate) (Pareto I shapes for star)
+# reads "fails" in every draw for each gap g = 10**-j with j <= k.  Below it
+# tau decides, and the reversed pair may read holds or inconclusive.
+RESOLUTION_FLOORS = {"st": 8, "hr": 7, "rh": 7, "lr": 7, "disp": 9, "star": 8}
+
+
+class TestResolution:
+    """1,001 pairs per relation: 91 draws at each gap 10**-j, j = 2..12, of
+    a rate from U(0.5, 2) or a Pareto I shape from U(0.5, 3)."""
+
+    @pytest.mark.parametrize("relation", sorted(RESOLUTION_FLOORS))
+    def test_no_true_pair_fails_and_reversed_pairs_fail_down_to_the_floor(self, relation):
+        family, lo, hi = (ParetoI, 0.5, 3.0) if relation == "star" else (Exponential, 0.5, 2.0)
+        grid = GridSpec(kind="u" if relation in ("disp", "star") else "x", n=96)
+        check, rng, wrong = CHECKERS[relation], random.Random(27), []
+        for j in range(2, 13):
+            gap = 10.0 ** -j
+            for _ in range(91):
+                p = rng.uniform(lo, hi)
+                small, large = family(p * (1.0 + gap)), family(p)
+                if check(small, large, grid).outcome == FAILS:
+                    wrong.append(("true pair fails", p, gap))
+                if j <= RESOLUTION_FLOORS[relation] and check(large, small, grid).outcome != FAILS:
+                    wrong.append(("reversed pair does not fail", p, gap))
+        assert wrong == []
 
 
 class TestVerdictShape:

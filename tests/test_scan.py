@@ -75,6 +75,23 @@ class TestScan:
         with pytest.raises(ConfigError):
             scan("T1", budget=5, seed=0, box=box)
 
+    @pytest.mark.parametrize("budget,message", [
+        (True, "scan budget must be an integer, got True"),
+        (2.5, "scan budget must be an integer, got 2.5"),
+        (-3, "scan budget needs at least 0, got -3"),
+    ], ids=["bool", "float", "negative"])
+    def test_budget_is_a_count(self, budget, message, monkeypatch):
+        def no_case(case):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(importlib.import_module("ordrel.scan"), "run_case", no_case)
+        with pytest.raises(ParameterDomainError, match=f"^{message}$"):
+            scan("T1", budget=budget)
+
+    def test_budget_zero_runs_no_case(self):
+        r = scan("T1", budget=0)
+        assert r.reports == () and r.to_json()["budget"] == 0
+
     def test_unknown_theorem(self):
         with pytest.raises(ParameterDomainError):
             scan("Ex1", budget=1)

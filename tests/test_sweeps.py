@@ -46,7 +46,7 @@ from ordrel import (
     parallel_prhr,
     series_phr,
 )
-from ordrel.distributions import defined
+from ordrel.errors import defined_at
 from ordrel.grids import first_decrease
 from ordrel.orders import (FAILS, HOLDS, INCONCLUSIVE, OrderVerdict, _pointwise, _verdict,
                            _x_grid)
@@ -476,7 +476,9 @@ def _st_oracle(A, B, grid):
     """The st body the walk replaced: the pointwise rule at every grid
     point, left to right."""
     grid, xs = _x_grid(A, B, grid)
-    usable, viol = _pointwise(xs, defined(A.sf, xs), defined(B.sf, xs), grid.tau_pt)
+    fas = (defined_at(A.sf, x) for x in xs)  # lazily: read up to the violation
+    fbs = (defined_at(B.sf, x) for x in xs)
+    usable, viol = _pointwise(xs, fas, fbs, grid.tau_pt)
     return _verdict("st", grid, viol, usable >= 1)
 
 
