@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .distributions import Distribution
-from .errors import ParameterDomainError, check_positive
+from .errors import ParameterDomainError, check_positive, check_real
 
 
 class Generator:
@@ -62,7 +62,7 @@ def _check_normal_theta(family: str, theta: float):
     """Refuse a theta that is not a finite normal float: with a subnormal
     theta, theta*x and theta*ln(u) round to 0 or to a subnormal, and psi
     and phi read 1.0 or raise."""
-    if not sys.float_info.min <= abs(theta) < math.inf:
+    if not sys.float_info.min <= abs(check_real(f"{family} theta", theta)) < math.inf:
         raise ParameterDomainError(f"{family} needs a finite normal theta, got {theta}")
 
 

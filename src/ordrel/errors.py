@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, the undefined-point rule
-(`defined_at`), and the positive-parameter and count rules."""
+(`defined_at`), and the real-number, positive-parameter, integer and
+count rules."""
 
 import math
 
@@ -37,16 +38,38 @@ class ConfigError(OrdrelError, ValueError):
     """Malformed or schema-violating configuration input."""
 
 
-def check_positive(name: str, v: float):
-    """Refuse (ParameterDomainError) any v outside (0, inf), NaN included."""
-    if not 0.0 < v < math.inf:
+def is_real(v) -> bool:
+    """The one real-number rule, JSON's number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def check_real(name: str, v) -> float:
+    """v as a float; refuse (ParameterDomainError) a v that is no real
+    number (`is_real`), such as a numeric string or True.  A float passes
+    first, without the call: the checks run on every object built."""
+    if not (type(v) is float or is_real(v)):
+        raise ParameterDomainError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
+def check_positive(name: str, v):
+    """Refuse (ParameterDomainError) a v that is no real number
+    (`check_real`) or lies outside (0, inf), NaN included."""
+    if not ((type(v) is float or is_real(v)) and 0.0 < v < math.inf):
+        check_real(name, v)
         raise ParameterDomainError(f"{name} must be strictly positive, got {v}")
 
 
-def check_count(name: str, v, least: int, unit: str = ""):
-    """Refuse (ParameterDomainError) a count v that is not an int of at
-    least `least`: a float or a bool is no count, even where it equals one."""
+def check_integer(name: str, v):
+    """Refuse (ParameterDomainError) a v that is not an int, or is a bool:
+    a float or a bool is no integer, even where it equals one."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParameterDomainError(f"{name} must be an integer, got {v!r}")
+
+
+def check_count(name: str, v, least: int, unit: str = ""):
+    """Refuse (ParameterDomainError) a count v that is no integer
+    (`check_integer`) or is below `least`."""
+    check_integer(name, v)
     if v < least:
         raise ParameterDomainError(f"{name} needs at least {least}{unit}, got {v}")

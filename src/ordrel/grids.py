@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, check_count, check_positive
+from .errors import ParameterDomainError, check_count, check_positive, check_real
 
 DEFAULT_TAU_MONO = 1e-9
 DEFAULT_TAU_PT = 1e-9
@@ -49,7 +49,10 @@ class GridSpec:
         if self.kind not in ("x", "u"):
             raise ParameterDomainError(f"unknown grid kind {self.kind!r}")
         check_grid_size(self.n)
-        if not (0.0 < self.eps < 0.5):
+        for name, v in (("lo", self.lo), ("hi", self.hi)):
+            if v is not None:
+                check_real(name, v)
+        if not (0.0 < check_real("eps", self.eps) < 0.5):
             raise ParameterDomainError("eps must lie in (0, 0.5)")
         check_positive("tau_mono", self.tau_mono)
         check_positive("tau_pt", self.tau_pt)

@@ -4,12 +4,12 @@ Each paper result is a conjunction of simple conditions on the parameters
 and the ageing class of the baselines, then a stochastic-order conclusion.
 `THEOREMS` is the one list of theorem ids, and each entry states one result
 whole: the scenario fields with the schema `$def` that validates each, the
-grid keys it reads (each of the kind `grid_kind` gives), a sides builder
-that validates the scenario and builds the named objects the statement
-reads, the hypothesis as (name, predicate(sides)) rows in report order,
-the conclusion as (relation, A, B) and, for scannable theorems, the
-sampler and the box of its knobs.  `CHECKS`, the loader's scenario and
-grid checks and the scan all read it; adding a theorem is adding one entry.
+grid keys it reads (each of the kind `orders.grid_kind` gives), a sides
+builder that validates the scenario and builds the named objects the
+statement reads, the hypothesis as (name, predicate(sides)) rows in report
+order, the conclusion as (relation, A, B) and, for scannable theorems, the
+sampler and the box of its knobs.  `CHECKS`, the loader's scenario and grid
+checks and the scan all read it; adding a theorem is adding one entry.
 
 One runner, `_run`, evaluates the rows and then the conclusion with the
 order checker's verdict.  A report is *inconsistent* when every row holds
@@ -36,10 +36,10 @@ from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
                       composition_super_additive, has_log_curvature)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
                             ReflectedDFR, Weibull)
-from .errors import ConfigError, ParameterDomainError, check_count
+from .errors import ConfigError, ParameterDomainError, check_count, check_positive, check_real
 from .grids import GridSpec, check_grid_size
 from .majorization import weak_submajorizes, weak_supermajorizes
-from .orders import FAILS, HOLDS
+from .orders import FAILS, HOLDS, grid_kind
 from .special import left_sum
 from .systems import (PARALLEL_PRHR, SERIES_PHR, OrderStatDist, SystemSpec,
                       lomax_min_moments, mixed_parallel, mixed_series,
@@ -79,12 +79,6 @@ class TheoremCase:
         if self.grids:
             out["grids"] = {key: grid.to_json() for key, grid in self.grids.items()}
         return out
-
-
-def grid_kind(key: str) -> str:
-    """The kind of grid a case's `key` reads: the dispersive and star
-    orders compare quantiles on a u-grid; every other key is an x-grid."""
-    return "u" if key in (orders.DISP, orders.STAR) else "x"
 
 
 def check_case(tid: str, scenario, grids) -> None:
@@ -159,11 +153,19 @@ class TheoremReport:
 _BUILD = {SERIES_PHR: series_phr, PARALLEL_PRHR: parallel_prhr}
 
 
+def _reals(key: str, v):
+    """Scenario field `key`'s number, or array of numbers, as floats:
+    each checked by `check_real` before any row runs."""
+    return [check_real(key, x) for x in v] if isinstance(v, (list, tuple)) else check_real(key, v)
+
+
 def _expand_outliers(baseline: Distribution, spec: dict, kind: str) -> SystemSpec:
-    p, q = spec["p"], spec["q"]
+    p, q, a1, a2 = spec["p"], spec["q"], spec["a1"], spec["a2"]
     check_count("outlier block p", p, 1)
     check_count("outlier block q", q, 0)
-    return _BUILD[kind](baseline, [float(spec["a1"])] * p + [float(spec["a2"])] * q)
+    check_positive("outlier block a1", a1)
+    check_positive("outlier block a2", a2)
+    return _BUILD[kind](baseline, [a1] * p + [a2] * q)
 
 
 def _system_sides(case: TheoremCase, *, kind: str, outliers: bool = False) -> dict:
@@ -212,9 +214,8 @@ def _lomax_maxima_sides(case: TheoremCase) -> dict:
     The proof of T6 rests on g(a) = a/(u**a - 1) being convex and
     decreasing in a for u > 1; those properties hold for every case and are
     checked once, by differences, in the acceptance suite."""
-    theta = float(case.scenario["theta"])
-    alphas = [float(v) for v in case.scenario["alphas"]]
-    alphas_star = [float(v) for v in case.scenario["alphas_star"]]
+    sc = case.scenario
+    theta, alphas, alphas_star = (_reals(key, sc[key]) for key in ("theta", "alphas", "alphas_star"))
     if len(alphas) != len(alphas_star):
         raise ParameterDomainError(f"{case.id} needs equal-length shape vectors")
     x, y = (OrderStatDist(SystemSpec(PARALLEL_PRHR, tuple((Lomax(a, theta), 1.0) for a in v)))
@@ -252,8 +253,7 @@ def _dependent_sides(case: TheoremCase, *, extreme: type, ageing: dict,
     the (A, B) of both: the composition is phi_high o psi_low for minima
     and phi_low o psi_high for maxima (`compose_low_first`)."""
     sc = case.scenario
-    mu = tuple(float(v) for v in sc["shifts_x"])
-    mu_star = tuple(float(v) for v in sc["shifts_y"])
+    mu, mu_star = (tuple(_reals(key, sc[key])) for key in ("shifts_x", "shifts_y"))
     branch = sc.get("branch", "log_convex")
     if branch not in ("log_convex", "log_concave"):
         raise ParameterDomainError(f"unknown branch {branch!r}")
@@ -280,8 +280,8 @@ def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
     quadrature oracle, plus the variance-ordering sign.  A worked example
     has no order conclusion; this comparison is its conclusion, which holds
     for the `defaults` only ("default": the values as floats are those)."""
-    sc = {**defaults, **case.scenario}
-    params = [[float(v) for v in sc[key]] for key in vectors]
+    sc = {k: _reals(k, v) for k, v in {**defaults, **case.scenario}.items()}
+    params = [sc[key] for key in vectors]
     var_x, var_y = (closed_form(p, sc) for p in params)
     num_x, num_y = (numeric_mean_variance(OrderStatDist(SystemSpec(
         SERIES_PHR, tuple((baseline(v, sc), 1.0) for v in p))))[1] for p in params)
@@ -298,11 +298,7 @@ def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
         "ordering": f"var_x {ordering} var_y",
     }
     return {"conclusion": conclusion, "outcome": HOLDS if ok else FAILS,
-            "default": all(_floats(sc[k]) == _floats(v) for k, v in defaults.items())}
-
-
-def _floats(v):
-    return [float(x) for x in v] if isinstance(v, (list, tuple)) else float(v)
+            "default": all(sc[k] == _reals(k, v) for k, v in defaults.items())}
 
 
 # -- hypothesis rows -------------------------------------------------------
@@ -591,8 +587,8 @@ THEOREMS = {
         optional=tuple(DEFAULT_EX1), hypothesis=_DEFAULT_ROWS,
         sides=partial(_variance_sides, defaults=DEFAULT_EX1,
                       vectors=("rates_x", "rates_y"),
-                      baseline=lambda k, sc: Weibull(float(sc["shape"]), k),
-                      closed_form=lambda ks, sc: weibull_min_variance(ks, float(sc["shape"])),
+                      baseline=lambda k, sc: Weibull(sc["shape"], k),
+                      closed_form=lambda ks, sc: weibull_min_variance(ks, sc["shape"]),
                       reference=REFERENCE_WEIBULL_VARIANCES, ordering=">")),
     "Ex2": Theorem(
         fields={"alphas_x": "positive_array", "alphas_y": "positive_array"},

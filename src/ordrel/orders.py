@@ -8,7 +8,8 @@ sf or cdf column and the rate column of a side on a whole grid (in parts of
 Verdicts are three-valued: a tail or degeneracy guard can make a check
 inconclusive, so numerical trouble never masquerades as a mathematical
 violation.  Ties at the tolerance resolve toward "holds" since all six
-orders are non-strict.
+orders are non-strict.  Every verdict comes from `_verdict`: it fails at
+a violation, else holds if the rule had its points, else is inconclusive.
 
 Three bodies carry the six checks.  One pointwise rule (`_exceeds`, within
 ``tau_pt``) judges st and the rate form of hr/rh.  One monotone rule
@@ -18,7 +19,8 @@ hr/rh, lr and the quantile spreads.  One quantile-order body
 spread passed in: the difference of the quantiles for disp, their ratio for
 star.  Each side's quantiles are one `Distribution.column`, read in one
 pass: an undefined (None) or non-finite quantile makes the check
-inconclusive.
+inconclusive.  hr and rh read each swept part once for their two forms,
+the ratio and the rate comparison, which meet in `_verdict`.
 
 st reads only the grid points it needs.  Both survival functions are
 non-increasing, so sf_A(x_i) <= sf_B(x_j) (within ``tau_pt``) with i < j
@@ -87,26 +89,11 @@ def _exceeds(small: float, large: float, tau: float) -> bool:
     return small > large + tau * (1.0 + abs(large))
 
 
-def _pointwise(xs, fas, fbs, tau: float, a_larger: bool = False):
-    """`_exceeds` over the paired values ``fas`` and ``fbs`` (in step with
-    ``xs``): fa(x) <= fb(x), or >= with `a_larger`, skipping points where
-    either is None (undefined) or not finite.  Returns the number of usable
-    points and the first violation (x, fa(x), fb(x)), or None."""
-    usable = 0
-    isfinite = math.isfinite
-    for x, va, vb in zip(xs, fas, fbs):
-        if va is None or vb is None or not (isfinite(va) and isfinite(vb)):
-            continue
-        usable += 1
-        if _exceeds(vb, va, tau) if a_larger else _exceeds(va, vb, tau):
-            return usable, (x, va, vb)
-    return usable, None
-
-
-def _verdict(relation, grid, viol, decided: bool) -> OrderVerdict:
-    """Fails at ``viol``, else holds if the rule had its points, else inconclusive."""
+def _verdict(relation, grid, viol, decided: bool, unsure=None) -> OrderVerdict:
+    """The one verdict rule: fails at ``viol``, else holds if the rule had
+    its points, else inconclusive (at ``unsure``, if given)."""
     outcome = FAILS if viol else HOLDS if decided else INCONCLUSIVE
-    return OrderVerdict(relation, outcome, viol, grid)
+    return OrderVerdict(relation, outcome, viol or (None if decided else unsure), grid)
 
 
 def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
@@ -155,40 +142,37 @@ def _ratio_and_rate_check(relation, A, B, grid, rate, a_larger: bool) -> OrderVe
     the value columns sf (hr) or cdf (rh) and the rate columns, swept
     `_SWEEP_POINTS` grid points at a time until both formulations fail.
 
-    Runs both equivalent formulations: monotonicity of the ratio
-    value_B(x)/value_A(x) and the pointwise rate comparison, where A's rate
-    is the larger side when `a_larger`.  Disagreement between the two is
-    reported as inconclusive rather than silently choosing one.
+    Runs both equivalent formulations in one pass over each part:
+    monotonicity of the ratio value_B(x)/value_A(x) and the pointwise rate
+    comparison, where A's rate is the larger side when `a_larger`, up to
+    its first violation.  Both failing fails at the rate witness; a
+    disagreement is inconclusive, at the ratio witness if there is one,
+    rather than silently choosing one formulation.
     """
     grid, xs = _x_grid(A, B, grid)
+    tau_pt, isfinite = grid.tau_pt, math.isfinite
     ratio_xs, ratios = [], []
-    ratio_viol = rate_viol = None
-    rate_usable = 0
+    ratio_viol, rate_viol, rate_usable = None, None, 0
     for i in range(0, len(xs), _SWEEP_POINTS):
         part = xs[i:i + _SWEEP_POINTS]
-        dens, rate_a = A.rate_sweep(rate, part)
-        nums, rate_b = B.rate_sweep(rate, part)
+        dens, rates_a = A.rate_sweep(rate, part)
+        nums, rates_b = B.rate_sweep(rate, part)
         seen = max(len(ratios) - 1, 0)  # the new adjacent pairs start here
-        for x, den, num in zip(part, dens, nums):
-            if den < _TINY:
-                continue
-            ratio_xs.append(x)
-            ratios.append(num / den)
+        for x, den, num, ra, rb in zip(part, dens, nums, rates_a, rates_b):
+            if not den < _TINY:
+                ratio_xs.append(x)
+                ratios.append(num / den)
+            if (rate_viol is None and ra is not None and rb is not None
+                    and isfinite(ra) and isfinite(rb)):
+                rate_usable += 1
+                if _exceeds(rb, ra, tau_pt) if a_larger else _exceeds(ra, rb, tau_pt):
+                    rate_viol = (x, ra, rb)
         if ratio_viol is None:
             ratio_viol = first_decrease(ratio_xs[seen:], ratios[seen:], grid.tau_mono)
-        if rate_viol is None:
-            usable, rate_viol = _pointwise(part, rate_a, rate_b, grid.tau_pt, a_larger)
-            rate_usable += usable
         if ratio_viol is not None and rate_viol is not None:
             break  # both formulations have failed: the rest cannot change the verdict
-
-    ratio_ok = ratio_viol is None and len(ratios) >= 2
-    rate_ok = rate_viol is None and rate_usable >= 2
-    if ratio_ok and rate_ok:
-        return OrderVerdict(relation, HOLDS, None, grid)
-    if ratio_viol is not None and rate_viol is not None:
-        return OrderVerdict(relation, FAILS, rate_viol, grid)
-    return OrderVerdict(relation, INCONCLUSIVE, ratio_viol or rate_viol, grid)
+    held = ratio_viol is None and rate_viol is None and len(ratios) >= 2 and rate_usable >= 2
+    return _verdict(relation, grid, ratio_viol and rate_viol, held, ratio_viol or rate_viol)
 
 
 def check_hr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
@@ -235,7 +219,7 @@ def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
     on which `math.isfinite` raises TypeError) or is not finite makes the
     check inconclusive."""
     if grid is None:
-        grid = GridSpec(kind="u")
+        grid = GridSpec(kind=grid_kind(relation))
     us = grid.u_points()
     try:
         qas, qbs = A.column("quantile", us), B.column("quantile", us)
@@ -268,3 +252,10 @@ CHECKERS = {
     DISP: check_disp,
     STAR: check_star,
 }
+
+
+def grid_kind(key: str) -> str:
+    """The kind of grid a relation's check (or a theorem's grid `key`)
+    reads: disp and star compare quantiles on a u-grid; every other key
+    is an x-grid."""
+    return "u" if key in (DISP, STAR) else "x"

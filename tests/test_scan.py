@@ -11,7 +11,7 @@ from ordrel import ConfigError, ParameterDomainError, ParetoI, ReflectedDFR, Wei
 from ordrel import orders
 from ordrel.harness import SCAN_IDS, THEOREMS, TheoremReport
 from ordrel.orders import FAILS, HOLDS
-from ordrel.serialize import load_case
+from ordrel.serialize import load_case, load_scan_config
 
 
 class TestScan:
@@ -87,6 +87,22 @@ class TestScan:
         monkeypatch.setattr(importlib.import_module("ordrel.scan"), "run_case", no_case)
         with pytest.raises(ParameterDomainError, match=f"^{message}$"):
             scan("T1", budget=budget)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "abc"], ids=["float", "bool", "string"])
+    def test_seed_is_an_integer(self, seed, monkeypatch):
+        # refused before any case runs: the scan_config schema reads an integer
+        def no_case(case):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(importlib.import_module("ordrel.scan"), "run_case", no_case)
+        with pytest.raises(ParameterDomainError, match=f"^scan seed must be an integer, got {seed!r}$"):
+            scan("T1", budget=2, seed=seed)
+
+    def test_a_negative_seed_runs_and_reruns_from_its_config(self):
+        r = scan("T1", budget=2, seed=-3)
+        cfg = load_scan_config({"id": r.id, "strategy": r.strategy, "seed": r.seed,
+                                "budget": r.budget})
+        assert len(r.reports) == 2 and scan(**cfg).to_json() == r.to_json()
 
     def test_budget_zero_runs_no_case(self):
         r = scan("T1", budget=0)

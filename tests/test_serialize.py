@@ -196,6 +196,36 @@ class TestGridLoading:
             load_grid(json.loads('{"kind": "x", "n": 64, "tau_pt": Infinity}'))
 
 
+class TestRealNumbers:
+    # a parameter that is no JSON number (a string or a bool) is refused
+    # when the object is built, so no object writes JSON its loader refuses
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Exponential(True), "rate must be a real number, got True"),
+        (lambda: Exponential("2.0"), "rate must be a real number, got '2.0'"),
+        (lambda: Lomax(2.0, True), "scale must be a real number, got True"),
+        (lambda: Weibull("0.7", 1.0), "shape must be a real number, got '0.7'"),
+        (lambda: ParetoI(True), "shape must be a real number, got True"),
+        (lambda: Clayton(True), "Clayton theta must be a real number, got True"),
+        (lambda: Frank(True), "Frank theta must be a real number, got True"),
+        (lambda: GridSpec(n=64, tau_pt=True), "tau_pt must be a real number, got True"),
+        (lambda: GridSpec(lo="0", hi=1.0), "lo must be a real number, got '0'"),
+        (lambda: GridSpec(kind="u", eps="0.1"), "eps must be a real number, got '0.1'"),
+    ], ids=["exponential-bool", "exponential-string", "lomax-bool", "weibull-string",
+            "pareto-bool", "clayton-bool", "frank-bool", "grid-bool-tau",
+            "grid-string-lo", "grid-string-eps"])
+    def test_a_parameter_is_a_real_number(self, build, message):
+        with pytest.raises(ParameterDomainError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("obj,load", [
+        (Exponential(3), load_dist), (Lomax(2, 1), load_dist), (Clayton(2), load_generator),
+        (Frank(-2), load_generator), (GridSpec(lo=0, hi=5, n=64, tau_pt=1), load_grid),
+    ], ids=["exponential", "lomax", "clayton", "frank", "grid"])
+    def test_an_int_parameter_is_kept_and_reloads(self, obj, load):
+        assert load(json.loads(json.dumps(obj.to_json()))) == obj
+
+
 class TestCaseLoading:
     def test_t6(self):
         case = load_case({"id": "T6", "scenario": {

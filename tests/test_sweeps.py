@@ -46,10 +46,8 @@ from ordrel import (
     parallel_prhr,
     series_phr,
 )
-from ordrel.errors import defined_at
 from ordrel.grids import first_decrease
-from ordrel.orders import (FAILS, HOLDS, INCONCLUSIVE, OrderVerdict, _pointwise, _verdict,
-                           _x_grid)
+from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE, OrderVerdict, _verdict, _x_grid
 from ordrel.special import bisect_increasing
 from ordrel.systems import PARALLEL_PRHR, SERIES_PHR, _predict
 from conftest import SHIFTED_SYSTEMS
@@ -476,9 +474,7 @@ def _st_oracle(A, B, grid):
     """The st body the walk replaced: the pointwise rule at every grid
     point, left to right."""
     grid, xs = _x_grid(A, B, grid)
-    fas = (defined_at(A.sf, x) for x in xs)  # lazily: read up to the violation
-    fbs = (defined_at(B.sf, x) for x in xs)
-    usable, viol = _pointwise(xs, fas, fbs, grid.tau_pt)
+    usable, viol = _two_loop_pointwise(xs, A.sf, B.sf, grid.tau_pt)
     return _verdict("st", grid, viol, usable >= 1)
 
 
