@@ -15,11 +15,15 @@ root, and starts each later solve from a root predicted by the last (up to
 three) solves: their targets and roots extrapolated to the new target by
 Newton divided differences (`_predict`), or the previous root where that
 prediction is undefined or leaves the support; a one-point column, which
-is ``quantile``, predicts nothing.  Every other column is the base class's
-per-point one.
+is ``quantile``, predicts nothing.  A shared-baseline column where some
+level 1-(1-u)**(1/sum p) or u**(1/sum p) rounds off, so that its baseline
+has no quantile there, is solved as a mixed one.
 ``rate_sweep`` gives a system's sf or cdf and its own rate (hazard for
 series, rev_hazard for parallel) on a whole grid, sweeping each baseline
 once, for the hr and rh checkers; the other rate is swept point by point.
+The pdf column, which the lr checker reads (the Weibull minima of the
+large-grid-oracle benchmark), is product times rate sum from that one
+sweep.  Every other column is the base class's per-point one.
 """
 
 from __future__ import annotations
@@ -247,20 +251,30 @@ class OrderStatDist(Distribution):
         return product, [None if v <= 0.0 else t for v, t in zip(product, totals)]
 
     def column(self, name, us):
-        """`Distribution.column`; the quantile column is one sweep, which
-        raises what a solve raises.  Each u maps to the component level
+        """`Distribution.column`.  The pdf column is `pdf` at every point:
+        product times rate sum from one `rate_sweep` of the own rate, 0.0
+        off the open support or where the product is 0, None where the rate
+        sum is undefined.  The quantile column is one sweep, which raises
+        what a solve raises.  Each u maps to the component level
         t = 1-(1-u)**(1/sum p) (series) or u**(1/sum p) (parallel).  A
         shared-baseline system reads its baseline's quantile column at the
-        levels t.  A mixed-baseline system solves the cumulative hazard
-        (series) or log cdf (parallel) for each u, with the rate sum as
-        derivative.  The first solve starts inside [min_i Q_i(t), max_i
-        Q_i(t)] over the component quantiles Q_i, which holds the root
-        (`_seed`), so only its level t is computed.  Each later solve starts
-        where `_predict` extrapolates the last (up to three) targets and
-        roots to its own target, or from the previous root where that
-        prediction is undefined or leaves the support.  A start is only a
-        guess, so neither it nor the order of ``us`` matters beyond the
-        solver tolerances."""
+        levels t.  Where its baseline has no quantile at some t (t rounds
+        to 0 or 1, or 1-t to 1 for a reflection), it solves, as a
+        mixed-baseline system does: the cumulative hazard (series) or log
+        cdf (parallel) for each u, with the rate sum as derivative.  The
+        first solve starts inside [min_i Q_i(t), max_i Q_i(t)] over the
+        component quantiles Q_i, which holds the root (`_seed`), so a mixed
+        system computes only its level t.  Each later solve starts where
+        `_predict` extrapolates the last (up to three) targets and roots to
+        its own target, or from the previous root where that prediction is
+        undefined or leaves the support.  A start is only a guess, so
+        neither it nor the order of ``us`` matters beyond the solver
+        tolerances."""
+        if name == "pdf":
+            lo, hi = self.support
+            product, totals = self.rate_sweep(self._rate, us)
+            return [0.0 if not (lo < x < hi) or v <= 0.0 else None if t is None else v * t
+                    for x, v, t in zip(us, product, totals)]
         if name != "quantile":
             return super().column(name, us)
         for u in us:
@@ -269,8 +283,11 @@ class OrderStatDist(Distribution):
         series = self._series
         p = 1.0 / self.spec.prop_sum()
         if self._shared is not None:
-            return self._shared.column(
-                "quantile", [1.0 - (1.0 - u) ** p if series else u ** p for u in us])
+            try:
+                return self._shared.column(
+                    "quantile", [1.0 - (1.0 - u) ** p if series else u ** p for u in us])
+            except ParameterDomainError:  # a level rounds off: no baseline quantile there
+                pass
         lo, hi = self.support
         out, targets = [], []
         for u in us:
@@ -290,15 +307,16 @@ class OrderStatDist(Distribution):
         """The middle of [min_i Q_i(t), max_i Q_i(t)].  At the low end every
         component has sf_i >= 1-t (cdf_i <= t), so the system has
         sf >= (1-t)**sum p = 1-u (cdf <= u); the high end gives the reverse,
-        so the root lies in between.  Where t rounds to 0 or 1, or no
-        component quantile is finite, it is the middle of the support
-        clipped to [-1, 1]."""
+        so the root lies in between.  It skips a component quantile that
+        overflows or has no level (1-t rounds to 1 for a reflection); where
+        t rounds to 0 or 1, or no component quantile is left finite, it is
+        the middle of the support clipped to [-1, 1]."""
         qs = []
         if 0.0 < t < 1.0:
             for b in dict.fromkeys(b for b, _ in self._comps):
                 try:
                     q = b.quantile(t)
-                except OverflowError:
+                except (OverflowError, ParameterDomainError):
                     continue
                 if math.isfinite(q):
                     qs.append(q)

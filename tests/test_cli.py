@@ -127,6 +127,19 @@ class TestTheorem:
         report = json.loads(capsys.readouterr().out)
         assert report["consistent"] is True
 
+    def test_a_component_level_rounding_to_one_is_solved(self, spec_file, capsys):
+        # sum p = 0.1: the x-grid's component level 1-(1e-4)**10 rounds to 1
+        lomax = _baseline("lomax", shape=2.0, scale=1.0)
+        path = spec_file("c.json", {"id": "T1", "scenario": {
+            "system_x": _system((lomax, 0.05), (lomax, 0.05)),
+            "system_y": _system((lomax, 0.1), (lomax, 0.1))}})
+        assert main(["theorem", "-s", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hypothesis"] == {"satisfied": True, "conditions": {
+            "baseline_x_dfr": True, "baseline_y_hr_le_baseline_x": True,
+            "sum_beta_ge_sum_alpha": True}}
+        assert (report["conclusion_outcome"], report["consistent"]) == ("holds", True)
+
     def test_csv_summary(self, spec_file, capsys):
         path = spec_file("c.json", {"id": "Ex2", "scenario": {}})
         assert main(["theorem", "-s", path, "--format", "csv"]) == 0

@@ -3,11 +3,12 @@ quantile solves.
 
 `column` and `rate_sweep` must give the per-point surface bit for bit, with
 None exactly where the per-point method raises SupportError, and raise
-what it raises otherwise; the hr/rh checks read the sweeps and
-must keep the verdicts and witnesses of the per-point body they replaced
-(`_two_loop_check`, a copy of that body).  The st check reads only the
-grid points its sf brackets leave open, and must keep the verdicts and
-witnesses of the rule read at every point (`_st_oracle`).  A
+what it raises otherwise; lr on a system reads its pdf column, and the
+hr/rh checks read the sweeps and must keep the verdicts and witnesses of
+the per-point body they replaced (`_two_loop_check`, a copy of that
+body).  The st check reads only the grid points its sf brackets leave
+open, and must keep the verdicts and witnesses of the rule read at every
+point (`_st_oracle`).  A
 mixed-baseline system's first quantile solve starts inside the bracket of
 its components' quantiles, and each later one from a root predicted by
 the solves before it.
@@ -39,6 +40,7 @@ from ordrel import (
     SystemSpec,
     Weibull,
     check_hr,
+    check_lr,
     check_rh,
     check_st,
     mixed_parallel,
@@ -218,6 +220,9 @@ def test_an_overflow_raises_as_per_point():
     # a float power that overflows raises OverflowError at the same point
     assert isinstance(_assert_column(ParetoI(0.01), "quantile", [0.5, 1.0 - 1e-9]), OverflowError)
     assert isinstance(_assert_column(Weibull(1.6, 0.8), "pdf", [1.0, 1e300]), OverflowError)
+    for build in (series_phr, parallel_prhr):
+        d = OrderStatDist(build(Weibull(1.6, 0.8), (0.5, 1.0)))
+        assert isinstance(_assert_column(d, "pdf", [1.0, 1e300]), OverflowError)
 
 
 def test_the_columns_reach_every_kind_of_value():
@@ -261,6 +266,30 @@ def test_a_shared_baseline_is_swept_once():
         OrderStatDist(build(Counted(2.0, 1.0), (0.5, 1.0, 2.0))).rate_sweep(rate, XS)
         assert calls == [rate]
         calls.clear()
+
+
+SYSTEMS = sorted(name for name, d in SURFACES.items() if isinstance(d, OrderStatDist))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_a_system_pdf_column_is_its_per_point_pdf(name):
+    # product times rate sum from the one sweep of the system's own rate
+    assert _assert_column(SURFACES[name], "pdf", COLUMN_XS) is None
+
+
+def test_lr_on_systems_reads_no_per_point_pdf(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("per-point OrderStatDist.pdf called")
+
+    monkeypatch.setattr(OrderStatDist, "pdf", refuse)
+    # a larger rate sum is lower in lr for a series system, higher for a
+    # parallel one, and a mixed pair's verdict comes from its columns alone
+    for build, base, lower, upper in ((series_phr, Weibull(1.3, 1.0), (2.0, 1.5), (0.5, 0.7)),
+                                      (parallel_prhr, Exponential(0.8), (0.5, 0.7), (2.0, 1.5))):
+        a, b = (OrderStatDist(build(base, props)) for props in (lower, upper))
+        assert (check_lr(a, b).outcome, check_lr(b, a).outcome) == (HOLDS, FAILS)
+    check_lr(SURFACES["mixed-series"], SURFACES["unsplit-series"])
+    check_lr(SURFACES["mixed-parallel"], SURFACES["mixed-parallel-weibull"])
 
 
 # -- the series/parallel mirror --------------------------------------------

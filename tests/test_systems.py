@@ -198,6 +198,13 @@ class TestSharedBaselineSweep:
         for u, q in zip(self.US[:-3], o.column("quantile", self.US[:-3])):
             assert o.cdf(q) == pytest.approx(u, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("build", [series_phr, parallel_prhr])
+    def test_levels_inside_0_1_keep_the_closed_form(self, build):
+        # a sum of 0.15 whose levels all lie in (0, 1) on this grid
+        o = OrderStatDist(build(Lomax(2.0, 1.0), (0.05, 0.1)))
+        us = [u for u in self.US if u <= 0.99]
+        assert o.column("quantile", us) == [_closed_form_quantile(o, u) for u in us]
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
     @pytest.mark.parametrize("o", SHARED_SYSTEMS[::4], ids=["series", "parallel"])
     def test_sweep_validates_probabilities(self, o, bad):
@@ -205,6 +212,43 @@ class TestSharedBaselineSweep:
             o.column("quantile", [0.5, bad])
         with pytest.raises(ParameterDomainError):
             o.quantile(bad)
+
+
+def _lomax_min_quantile(total, u):
+    """Q(u) of the minimum of Lomax(2, 1) components with parameter sum
+    `total`, whose sf is (1 + x)**(-2 total)."""
+    return (1.0 - u) ** (-1.0 / (2.0 * total)) - 1.0
+
+
+class TestLevelRoundsOff:
+    """For a small parameter sum, a series level 1-(1-u)**(1/sum p) rounds
+    to 1, and a parallel level u**(1/sum p) is so small that 1 minus it
+    rounds to 1 in a reflection.  The baseline has no quantile there, so
+    such a column solves the system's own cumulative hazard or log cdf."""
+
+    def test_one_point_quantile(self):
+        o = OrderStatDist(series_phr(Lomax(2, 1), (0.05, 0.05)))
+        assert 1.0 - (1e-4) ** (1.0 / 0.1) == 1.0
+        assert o.quantile(1.0 - 1e-4) == pytest.approx(_lomax_min_quantile(0.1, 1.0 - 1e-4),
+                                                       rel=1e-9)
+
+    def test_u_grid_column(self):
+        o = OrderStatDist(series_phr(Lomax(2.0, 1.0), (0.05, 0.1)))
+        us = GridSpec(kind="u", n=64).u_points()
+        assert len(us) == 64 and 1.0 - (1.0 - us[-1]) ** (1.0 / 0.15) == 1.0
+        for u, q in zip(us, o.column("quantile", us)):
+            assert q == pytest.approx(_lomax_min_quantile(0.15, u), rel=1e-9)
+
+    def test_reflected_parallel_quantile(self):
+        # the max of reflected Lomax(2, 1) components has cdf (1-x)**(-2 sum p)
+        o = OrderStatDist(parallel_prhr(ReflectedDFR(Lomax(2.0, 1.0)), (0.1, 0.1)))
+        assert 1.0 - (1e-4) ** (1.0 / 0.2) == 1.0
+        assert o.quantile(1e-4) == pytest.approx(1.0 - (1e-4) ** (-1.0 / 0.4), rel=1e-9)
+
+    def test_mixed_seed_skips_a_level_without_a_quantile(self):
+        o = OrderStatDist(mixed_parallel(ReflectedDFR(Lomax(2.0, 1.0)), (0.1,),
+                                         ReflectedDFR(Exponential(1.0)), (0.1,)))
+        assert o.cdf(o.quantile(1e-4)) == pytest.approx(1e-4, rel=1e-9)
 
 
 class TestLomaxClosedForms:
