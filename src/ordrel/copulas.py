@@ -7,8 +7,8 @@ Clayton and Frank with theta > 0 are completely monotone, so psi is a
 Laplace transform (Bernstein) and ln psi is convex (Hoelder); Frank with
 theta < 0 is log-concave, independence (ln psi = -x) both.  Within one
 family, and with independence as theta = 0 against either, phi_a o psi_b
-is super-additive exactly when theta_a >= theta_b.  Clayton x Frank pairs
-and generators that state neither go to the numeric checks.
+is super-additive exactly when theta_a >= theta_b.  A generator that
+states no curvature is refused; only Clayton x Frank goes to a numeric check.
 
 phi(0) is represented by the saturating sentinel ``math.inf`` with
 psi(inf) = 0, so a vanished survival term never poisons the generator sum.
@@ -24,13 +24,13 @@ import sys
 from dataclasses import dataclass
 
 from .distributions import Distribution
-from .errors import ParameterDomainError, check_positive, check_real
+from .errors import ParameterDomainError, check_positive, check_real, stated
 
 
 class Generator:
     """Archimedean generator psi with inverse phi.  `log_curvature` holds the
-    branches ln psi satisfies, `theta_kin` the families whose phi o psi with
-    it is super-additive iff theta_outer >= theta_inner; unset: numeric checks."""
+    branches ln psi satisfies (None: refused), `theta_kin` the families whose
+    phi o psi with it is super-additive iff theta_outer >= theta_inner."""
 
     family = "abstract"
     dim: int
@@ -202,11 +202,9 @@ def is_log_concave(g: Generator) -> bool:
 
 
 def has_log_curvature(g: Generator, branch: str) -> bool:
-    """ln psi is convex (`branch` "log_convex") or concave ("log_concave"):
-    the generator's stated curvature, else the numeric check."""
-    if g.log_curvature is not None:
-        return branch in g.log_curvature
-    return (is_log_convex if branch == "log_convex" else is_log_concave)(g)
+    """ln psi is convex (`branch` "log_convex") or concave ("log_concave"), as
+    ``g`` states it (`log_curvature`); refused where it states none."""
+    return branch in stated(g, "log_curvature", "log curvature")
 
 
 def composition_super_additive(outer: Generator, inner: Generator) -> bool:

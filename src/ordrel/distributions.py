@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, SupportError, check_positive, defined_at
+from .errors import ParameterDomainError, SupportError, check_positive, defined_at, stated
 
 
 class Distribution:
@@ -137,8 +137,8 @@ class Exponential(Distribution):
         return self.rate * math.exp(-self.rate * x)
 
     def hazard(self, x):
-        if self.sf(x) <= 0.0:
-            raise SupportError("right tail")
+        if x < 0.0:
+            raise SupportError("hazard needs x >= 0")
         return self.rate
 
     def column(self, name, points):
@@ -150,8 +150,8 @@ class Exponential(Distribution):
             return [0.0 if x <= 0.0 else -expm1(-rate * x) for x in points]
         if name == "pdf":
             return [0.0 if x < 0.0 else rate * exp(-rate * x) for x in points]
-        if name == "hazard":  # sf(x) <= 0 only where exp underflows
-            return [None if x > 0.0 and exp(-rate * x) <= 0.0 else rate for x in points]
+        if name == "hazard":
+            return [None if x < 0.0 else rate for x in points]
         if name == "quantile":
             log1p = math.log1p
             return [-log1p(-u) / rate if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
@@ -400,21 +400,13 @@ def dist_from_json(obj: dict) -> Distribution:
         raise ParameterDomainError(f"bad distribution spec: {obj!r}") from exc
 
 
-def _stated(d: Distribution, attr: str, what: str):
-    """``d``'s closed form `attr`; ParameterDomainError where it states none."""
-    stated = getattr(d, attr)
-    if stated is None:
-        raise ParameterDomainError(f"{type(d).__name__} states no {what}")
-    return stated
-
-
 def classify_ageing(d: Distribution) -> frozenset[str]:
     """The flags among IFR/DFR (hazard) and IRHR/DRHR (reversed hazard)
     that ``d`` states on its whole support (`ageing_classes`)."""
-    return _stated(d, "ageing_classes", "ageing classes")
+    return stated(d, "ageing_classes", "ageing classes")
 
 
 def xr_non_increasing(d: Distribution) -> bool:
     """x*r(x) non-increasing (T5's condition, the generalized failure rate
     of Lariviere 2006), as ``d`` states it (`xr_decreasing`)."""
-    return _stated(d, "xr_decreasing", "x*r(x) trend")
+    return stated(d, "xr_decreasing", "x*r(x) trend")

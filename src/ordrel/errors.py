@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, the undefined-point rule
-(`defined_at`), and the real-number, positive-parameter, integer and
-count rules."""
+(`defined_at`), the stated-or-refuse rule (`stated`), and the real-number,
+positive-parameter, integer and count rules."""
 
 import math
 
@@ -24,6 +24,14 @@ def defined_at(fn, x):
         return fn(x)
     except SupportError:
         return None
+
+
+def stated(obj, attr: str, what: str):
+    """``obj``'s closed form `attr`; ParameterDomainError where it is None."""
+    value = getattr(obj, attr)
+    if value is None:
+        raise ParameterDomainError(f"{type(obj).__name__} states no {what}")
+    return value
 
 
 class MomentUndefinedError(OrdrelError, ValueError):

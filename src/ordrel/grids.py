@@ -10,6 +10,7 @@ from .errors import ParameterDomainError, check_count, check_positive, check_rea
 
 DEFAULT_TAU_MONO = 1e-9
 DEFAULT_TAU_PT = 1e-9
+DEFAULT_EPS = 1e-3
 
 
 def check_grid_size(n):
@@ -35,12 +36,14 @@ class GridSpec:
     kind="x": n points on [lo, hi]; lo/hi of None means "derive from the
     quantiles of the distributions under comparison".
     kind="u": n probability points on (eps, 1-eps).
+    A field of the other kind (lo or hi on a u-grid, an eps other than
+    ``DEFAULT_EPS`` on an x-grid) is refused, as it would be dropped.
     """
 
     kind: str = "x"  # "x" | "u"
     lo: float | None = None
     hi: float | None = None
-    eps: float = 1e-3
+    eps: float = DEFAULT_EPS
     n: int = 512
     tau_mono: float = DEFAULT_TAU_MONO
     tau_pt: float = DEFAULT_TAU_PT
@@ -54,6 +57,11 @@ class GridSpec:
                 check_real(name, v)
         if not (0.0 < check_real("eps", self.eps) < 0.5):
             raise ParameterDomainError("eps must lie in (0, 0.5)")
+        if self.kind == "u" and (self.lo is not None or self.hi is not None):
+            raise ParameterDomainError(
+                f"a u-grid takes no lo or hi, got lo={self.lo}, hi={self.hi}")
+        if self.kind == "x" and self.eps != DEFAULT_EPS:
+            raise ParameterDomainError(f"an x-grid takes no eps, got {self.eps}")
         check_positive("tau_mono", self.tau_mono)
         check_positive("tau_pt", self.tau_pt)
 

@@ -23,13 +23,6 @@ from .orders import FAILS, HOLDS, INCONCLUSIVE
 SCAN_GRID_N = 96  # per-check grid resolution during scans
 
 
-def _rescale(knobs, box):
-    out = {}
-    for name, (lo, hi) in box.items():
-        out[name] = lo + knobs[name] * (hi - lo)
-    return out
-
-
 _VIOLATE_PERIOD = 10
 _VIOLATE_COUNT = 3  # 3 of every 10 configurations break the hypothesis
 _OUTCOME_CLASSES = {HOLDS: "satisfied_holds", FAILS: "inconsistent",
@@ -67,15 +60,8 @@ class ScanResult:
         }
 
 
-def _primes(count: int) -> list[int]:
-    """The first `count` primes, by trial division."""
-    out = []
-    n = 2
-    while len(out) < count:
-        if all(n % p for p in out):
-            out.append(n)
-        n += 1
-    return out
+# one prime base per knob: T8's box, the largest, has 8 (an override adds none)
+_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 def _radical_inverse(i: int, base: int) -> float:
@@ -97,9 +83,8 @@ def _knob_stream(names, strategy, seed, budget):
         # Halton points 1..budget (Halton 1960): knob j is the radical
         # inverse of the point's index in the j-th prime base, so every knob
         # takes `budget` distinct values in (0, 1).
-        bases = _primes(len(names))
         for i in range(1, budget + 1):
-            yield {name: _radical_inverse(i, base) for name, base in zip(names, bases)}
+            yield {name: _radical_inverse(i, base) for name, base in zip(names, _HALTON_BASES)}
     else:
         raise ParameterDomainError(f"unknown strategy {strategy!r}")
 
@@ -134,6 +119,7 @@ def scan(theorem_id: str, box: dict | None = None, strategy: str = "random",
     reports = []
     for idx, knobs in enumerate(_knob_stream(sorted(box), strategy, seed, budget)):
         violate = (idx % _VIOLATE_PERIOD) >= (_VIOLATE_PERIOD - _VIOLATE_COUNT)
-        scenario = sampler(_rescale(knobs, box), violate)
+        scenario = sampler({name: lo + knobs[name] * (hi - lo)
+                            for name, (lo, hi) in box.items()}, violate)
         reports.append(run_case(TheoremCase(theorem_id, scenario, n=grid_n)))
     return ScanResult(theorem_id, strategy, seed, budget, tuple(reports))

@@ -216,7 +216,7 @@ class OrderStatDist(Distribution):
 
     def pdf(self, x):
         lo, hi = self.support
-        if not (lo < x < hi):
+        if not (lo <= x <= hi):
             return 0.0
         v = self._product(x)
         return v * self._rate_sum(x) if v > 0.0 else 0.0
@@ -253,7 +253,7 @@ class OrderStatDist(Distribution):
     def column(self, name, us):
         """`Distribution.column`.  The pdf column is `pdf` at every point:
         product times rate sum from one `rate_sweep` of the own rate, 0.0
-        off the open support or where the product is 0, None where the rate
+        off the closed support or where the product is 0, None where the rate
         sum is undefined.  The quantile column is one sweep, which raises
         what a solve raises.  Each u maps to the component level
         t = 1-(1-u)**(1/sum p) (series) or u**(1/sum p) (parallel).  A
@@ -273,7 +273,7 @@ class OrderStatDist(Distribution):
         if name == "pdf":
             lo, hi = self.support
             product, totals = self.rate_sweep(self._rate, us)
-            return [0.0 if not (lo < x < hi) or v <= 0.0 else None if t is None else v * t
+            return [0.0 if not (lo <= x <= hi) or v <= 0.0 else None if t is None else v * t
                     for x, v, t in zip(us, product, totals)]
         if name != "quantile":
             return super().column(name, us)

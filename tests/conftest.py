@@ -84,8 +84,9 @@ SHIFTED_SYSTEMS = [
 ]
 
 class UnstatedClayton(Clayton):
-    """Clayton's psi and phi with no closed form stated, so the T7/T8
-    generator rows take the numeric checks."""
+    """Clayton's psi and phi with no closed form stated: its
+    super-additivity takes the numeric check, and its log-curvature row
+    refuses it."""
 
     log_curvature = None
     theta_kin = frozenset()

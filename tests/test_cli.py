@@ -114,6 +114,14 @@ class TestOrder:
         assert captured.out == ""
         assert captured.err == "error: tau_pt must be strictly positive, got inf\n"
 
+    def test_another_kinds_grid_field_is_usage_error(self, spec_file, capsys):
+        a, b = spec_file("a.json", EXP1), spec_file("b.json", EXP2)
+        g = spec_file("g.json", {"kind": "u", "hi": 2.0, "n": 64})
+        assert main(["order", "--relation", "disp", "-s", a, "-s", b, "--grid", g]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a u-grid takes no lo or hi, got lo=None, hi=2.0\n"
+
     def test_one_spec_is_usage_error(self, spec_file):
         a = spec_file("a.json", EXP1)
         assert main(["order", "--relation", "st", "-s", a]) == 2

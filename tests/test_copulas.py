@@ -222,10 +222,12 @@ class TestClosedForms:
             calls.clear()
             assert composition_super_additive(outer, inner) == expect
             assert calls == ["super_additive_check"]
-        for branch, name in (("log_convex", "is_log_convex"), ("log_concave", "is_log_concave")):
+        for branch in ("log_convex", "log_concave"):
             calls.clear()
-            assert has_log_curvature(UnstatedClayton(2.0), branch) == (branch == "log_convex")
-            assert calls == [name]
+            with pytest.raises(ParameterDomainError) as info:
+                has_log_curvature(UnstatedClayton(2.0), branch)
+            assert str(info.value) == "UnstatedClayton states no log curvature"
+            assert calls == []
         assert Generator.log_curvature is None and Generator.theta_kin == frozenset()
 
 

@@ -126,6 +126,16 @@ class TestSurface:
         with pytest.raises(SupportError):
             Exponential(1.0).rev_hazard(-1.0)
 
+    def test_exponential_hazard_is_its_rate_on_the_support(self):
+        # refused below 0, as Weibull's and Lomax's are, and the rate where
+        # sf underflows, as Weibull(1, 1)'s is
+        d = Exponential(1.0)
+        for other in (d, Weibull(1.5, 1.0), Lomax(2.0, 1.0)):
+            with pytest.raises(SupportError, match="hazard needs x >= 0"):
+                other.hazard(-1.0)
+        assert d.hazard(800.0) == Weibull(1.0, 1.0).hazard(800.0) == 1.0
+        assert d.column("hazard", [-1.0, 0.0, 800.0]) == [None, 1.0, 1.0]
+
     @pytest.mark.parametrize("shape,limit", [(0.7, math.inf), (1.0, 2.5), (1.4, 0.0)])
     def test_weibull_hazard_at_the_origin_is_its_limit(self, shape, limit):
         d = Weibull(shape, 2.5)

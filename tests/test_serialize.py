@@ -190,6 +190,18 @@ class TestGridLoading:
         with pytest.raises(ParameterDomainError, match=f"{key} must be strictly positive"):
             GridSpec(kind=kind, **{key: value})
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"kind": "u", "hi": 2.0}, "a u-grid takes no lo or hi, got lo=None, hi=2.0"),
+        ({"kind": "u", "lo": 0.0, "n": 64}, "a u-grid takes no lo or hi, got lo=0.0, hi=None"),
+        ({"kind": "x", "lo": 0, "hi": 1, "eps": 0.2}, "an x-grid takes no eps, got 0.2"),
+    ], ids=["u-hi", "u-lo", "x-eps"])
+    def test_another_kinds_field_is_refused(self, fields, message):
+        # dropped, it would run as another grid than the one asked for
+        for build in (GridSpec, lambda **f: load_grid(f)):
+            with pytest.raises(ParameterDomainError) as info:
+                build(**fields)
+            assert str(info.value) == message
+
     def test_infinite_tolerance_in_a_file_is_refused(self):
         # JSON's Infinity passes the schema's exclusiveMinimum of 0
         with pytest.raises(ParameterDomainError, match="tau_pt"):

@@ -251,6 +251,32 @@ class TestLevelRoundsOff:
         assert o.cdf(o.quantile(1e-4)) == pytest.approx(1e-4, rel=1e-9)
 
 
+class TestClosedSupportEnd:
+    """A one-component system with prop 1 is its baseline, whose density is
+    defined at its finite support end; where the system's product is 0
+    there (a series system on a reflection, a parallel one on a lifetime)
+    the density reads 0.0."""
+
+    @pytest.mark.parametrize("build,baseline,end,density", [
+        (series_phr, Exponential(1.5), 0.0, 1.5),
+        (series_phr, Lomax(2.0, 1.0), 0.0, 2.0),
+        (series_phr, Weibull(1.5, 1.0), 0.0, 0.0),
+        (series_phr, Weibull(0.7, 1.0), 0.0, math.inf),
+        (series_phr, ParetoI(2.0), 1.0, 2.0),
+        (parallel_prhr, ReflectedDFR(Lomax(2.0, 1.0)), 0.0, 2.0),
+    ], ids=["exponential", "lomax", "weibull-ifr", "weibull-dfr", "pareto", "reflected-lomax"])
+    def test_reads_its_baseline_density(self, build, baseline, end, density):
+        o = OrderStatDist(build(baseline, (1.0,)))
+        assert o.pdf(end) == o.column("pdf", [end])[0] == baseline.pdf(end) == density
+
+    @pytest.mark.parametrize("build,baseline", [
+        (series_phr, ReflectedDFR(Lomax(2.0, 1.0))), (parallel_prhr, Lomax(2.0, 1.0)),
+    ], ids=["series-reflected", "parallel-lifetime"])
+    def test_an_end_where_the_product_is_0_reads_0(self, build, baseline):
+        o = OrderStatDist(build(baseline, (1.0,)))
+        assert o.pdf(0.0) == o.column("pdf", [0.0])[0] == 0.0
+
+
 class TestLomaxClosedForms:
     def test_rev_hazard_matches_numeric(self):
         # the max of Lomax(alpha_i, theta) has reversed hazard
