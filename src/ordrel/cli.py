@@ -55,7 +55,7 @@ def _cmd_dist(args) -> int:
     d = serialize.load_dist_or_system(serialize.read_json_file(args.spec))
     fn = getattr(d, args.fn)
     if args.x:
-        xs = [float(v) for v in args.x]
+        xs = args.x
     else:
         grid = _default_grid(args)
         if grid is None:
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--spec", "-s", required=True,
                         help="DistSpec or SystemSpec JSON file")
     p_dist.add_argument("--fn", required=True, choices=_FNS)
-    p_dist.add_argument("--x", action="append",
+    p_dist.add_argument("--x", action="append", type=float,
                         help="evaluation point (repeatable)")
     p_dist.add_argument("--grid", help="GridSpec JSON file")
     p_dist.add_argument("--out", help="output file (default stdout)")

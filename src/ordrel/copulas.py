@@ -173,38 +173,20 @@ def generator_from_json(obj: dict) -> Generator:
         raise ParameterDomainError(f"bad generator spec: {obj!r}") from exc
 
 
-LOG_CURVATURE_GRID = tuple(1e-3 + i * (20.0 - 1e-3) / 255 for i in range(256))
-LOG_CURVATURE_TOL = 1e-9
 SUPER_ADDITIVE_TAU = 1e-9
 SUPER_ADDITIVE_X_MAX = 10.0
 SUPER_ADDITIVE_N = 48
 
 
-def _log_curvature_holds(g: Generator, sign: float) -> bool:
-    """sign * (second difference of ln psi) >= -``LOG_CURVATURE_TOL`` *
-    (1 + |ln psi|) at every interior point of ``LOG_CURVATURE_GRID``."""
-    logs = [math.log(g.psi(x)) for x in LOG_CURVATURE_GRID]
-    for i in range(1, len(logs) - 1):
-        d2 = sign * (logs[i - 1] - 2.0 * logs[i] + logs[i + 1])
-        if d2 < -LOG_CURVATURE_TOL * (1.0 + abs(logs[i])):
-            return False
-    return True
-
-
 def is_log_convex(g: Generator) -> bool:
-    """Numeric convexity of ln psi via second differences on a grid."""
-    return _log_curvature_holds(g, 1.0)
+    """ln psi is convex, as ``g`` states it (`log_curvature`); refused
+    where it states none."""
+    return "log_convex" in stated(g, "log_curvature", "log curvature")
 
 
 def is_log_concave(g: Generator) -> bool:
-    """Numeric concavity of ln psi: the convexity test with the sign flipped."""
-    return _log_curvature_holds(g, -1.0)
-
-
-def has_log_curvature(g: Generator, branch: str) -> bool:
-    """ln psi is convex (`branch` "log_convex") or concave ("log_concave"), as
-    ``g`` states it (`log_curvature`); refused where it states none."""
-    return branch in stated(g, "log_curvature", "log curvature")
+    """ln psi is concave, as ``g`` states it; refused where it states none."""
+    return "log_concave" in stated(g, "log_curvature", "log curvature")
 
 
 def composition_super_additive(outer: Generator, inner: Generator) -> bool:

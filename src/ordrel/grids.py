@@ -87,7 +87,7 @@ class GridSpec:
             qhi = max(d.quantile(1.0 - 1e-4) for d in dists)
             lo = qlo if lo is None else lo
             hi = qhi if hi is None else hi
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        if not 0.0 < hi - lo < math.inf:  # NaN, an infinite bound, hi <= lo, overflow
             raise ParameterDomainError(f"bad grid bounds [{lo}, {hi}]")
         return self._points(lo, hi)
 

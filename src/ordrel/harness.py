@@ -33,7 +33,7 @@ from typing import Callable
 
 from . import distributions, orders
 from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
-                      composition_super_additive, has_log_curvature)
+                      composition_super_additive, is_log_concave, is_log_convex)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
                             ReflectedDFR, Weibull)
 from .errors import ConfigError, ParameterDomainError, check_count, check_positive, check_real
@@ -339,7 +339,8 @@ _DEPENDENT_ROWS = (
     ("mu_{majorization}majorized_by_mu_star",
      lambda s: (weak_submajorizes if s["convex"] else weak_supermajorizes)(
          s["mu"], s["mu_star"])),
-    ("generator_x_{branch}", lambda s: has_log_curvature(s["generator_x"], s["branch"])),
+    ("generator_x_{branch}",
+     lambda s: (is_log_convex if s["convex"] else is_log_concave)(s["generator_x"])),
     _ageing_row("{ageing}"),
     _order_row("st", "{low}", "{high}"),
     ("composition_super_additive",

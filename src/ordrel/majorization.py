@@ -2,9 +2,10 @@
 
 The three relations are one ascending prefix-sum test with a float
 tolerance scaled by the vector magnitude: weak supermajorization is the
-test itself, majorization is equal sums and the test, and weak
-submajorization is the test on the negated vectors (negation is exact and
-turns descending prefix sums into ascending ones).
+test itself, weak submajorization is the test on the negated vectors
+(negation is exact and turns descending prefix sums into ascending ones),
+and majorization is both weak relations: their full prefix sums bound the
+sum of a by that of b from each side.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from itertools import accumulate
 
 from .errors import ParameterDomainError
-from .special import left_sum
 
 _REL_TOL = 1e-12
 
@@ -42,12 +42,9 @@ def _ascending_prefixes_dominate(a, b) -> bool:
 
 
 def majorizes(a, b) -> bool:
-    """a majorized by b (a < b in the majorization pre-order): equal sums and
-    every ascending prefix sum of a at least that of b."""
-    a, b = _prep(a, b)
-    if abs(left_sum(a) - left_sum(b)) > _tol(a, b):
-        return False
-    return _ascending_prefixes_dominate(a, b)
+    """a majorized by b (a < b in the majorization pre-order): a is both
+    weakly sub- and weakly supermajorized by b."""
+    return weak_submajorizes(a, b) and weak_supermajorizes(a, b)
 
 
 def weak_submajorizes(a, b) -> bool:

@@ -230,5 +230,5 @@ def read_json_file(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a file that is not UTF-8
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc

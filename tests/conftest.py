@@ -14,7 +14,9 @@ UnstatedClayton is a generator that states no closed form.
 copula_value is the reference copula C the copula tests compare against;
 numeric_ageing and numeric_xr_non_increasing judge ageing from the rate
 columns at given points (such as quantile_points), the reference that
-each family's stated classes and x*r(x) trend are tested against.
+each family's stated classes and x*r(x) trend are tested against;
+numeric_log_curvature is the same reference for a generator's stated
+log-curvature.
 run_python runs code in a fresh interpreter, for what only a new process
 shows: which modules an import loads and the order they load in; run_cli
 runs the CLI as ``python -m ordrel.cli`` does.
@@ -127,6 +129,22 @@ def numeric_xr_non_increasing(d, xs, tau=DEFAULT_TAU_MONO) -> bool:
     rates = d.column("hazard", xs)
     return None not in rates and first_decrease(
         xs, [-x * r for x, r in zip(xs, rates)], tau) is None
+
+
+LOG_CURVATURE_GRID = tuple(1e-3 + i * (20.0 - 1e-3) / 255 for i in range(256))
+LOG_CURVATURE_TOL = 1e-9
+
+
+def numeric_log_curvature(g, sign: float) -> bool:
+    """sign * (second difference of ln psi) >= -``LOG_CURVATURE_TOL`` *
+    (1 + |ln psi|) at every interior point of ``LOG_CURVATURE_GRID``: ln psi
+    convex at sign 1.0, concave at -1.0."""
+    logs = [math.log(g.psi(x)) for x in LOG_CURVATURE_GRID]
+    for i in range(1, len(logs) - 1):
+        d2 = sign * (logs[i - 1] - 2.0 * logs[i] + logs[i + 1])
+        if d2 < -LOG_CURVATURE_TOL * (1.0 + abs(logs[i])):
+            return False
+    return True
 
 
 GENERATORS = [

@@ -297,6 +297,10 @@ REFUSALS = {
         "T3 scenario field 'system_x': each split block must share one baseline"),
     "reversed_grid_bounds": ({"grid": {"kind": "x", "lo": 5.0, "hi": 1.0, "n": 64}},
                              "bad grid bounds [5.0, 1.0]"),
+    # finite bounds whose distance overflows: Exp(1) <=_st Exp(2) was judged
+    # at x = inf alone and read holds
+    "overflowing_grid_width": ({"grid": {"kind": "x", "lo": -1e308, "hi": 1e308, "n": 64}},
+                               "bad grid bounds [-1e+308, 1e+308]"),
     # Lomax states DFR, so the DFR row passes; the hr row's x-grid bound
     # (the 1 - 1e-4 quantile) overflows
     "t1_heavy_lomax": ({"case": {"id": "T1", "scenario": {
@@ -469,4 +473,17 @@ class TestUsage:
     def test_unknown_relation(self, spec_file, capsys):
         a = spec_file("a.json", EXP1)
         assert main(["order", "--relation", "total", "-s", a, "-s", a]) == 2
+
+    def test_non_numeric_x_is_usage_error(self, spec_file):
+        # exit 1 would read as an order that fails
+        proc = run_cli("dist", "-s", spec_file("d.json", EXP1), "--fn", "sf", "--x", "abc")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_spec_that_is_not_utf8_is_usage_error(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(b"\xff\xfe{")
+        proc = run_cli("dist", "-s", str(path), "--fn", "sf", "--x", "1")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: malformed JSON in {path}: ")
 

@@ -25,9 +25,9 @@ from ordrel import (
     super_additive_check,
 )
 from ordrel import copulas
-from ordrel.copulas import (Generator, composition_super_additive, generator_from_json,
-                            has_log_curvature)
-from conftest import GENERATORS, SHIFTED_SYSTEMS, UnstatedClayton, copula_value
+from ordrel.copulas import Generator, composition_super_additive, generator_from_json
+from conftest import (GENERATORS, SHIFTED_SYSTEMS, UnstatedClayton, copula_value,
+                      numeric_log_curvature)
 
 prob = st.floats(min_value=1e-6, max_value=1.0 - 1e-9)
 
@@ -112,15 +112,16 @@ class TestLogCurvature:
 
 @pytest.fixture
 def numeric_only(monkeypatch):
-    """The numeric checks, while the module names the exact rows could fall
-    back to raise; a row that calls them then fails."""
-    checks = (is_log_convex, is_log_concave, super_additive_check)
+    """The numeric checks: the log-curvature oracle for each branch, and the
+    super-additivity check, whose module name now raises, so a closed-form
+    row that falls back to it fails."""
+    checks = (lambda g: numeric_log_curvature(g, 1.0),
+              lambda g: numeric_log_curvature(g, -1.0), super_additive_check)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a closed form went to a numeric check")
 
-    for name in ("is_log_convex", "is_log_concave", "super_additive_check"):
-        monkeypatch.setattr(copulas, name, forbidden)
+    monkeypatch.setattr(copulas, "super_additive_check", forbidden)
     return checks
 
 
@@ -180,8 +181,8 @@ class TestClosedForms:
         rng = random.Random(f"curvature-{family}")
         generators = [self.DRAW[family](rng) for _ in range(1000)] + [Independence()]
         for g in generators:
-            assert has_log_curvature(g, "log_convex") == convex(g)
-            assert has_log_curvature(g, "log_concave") == concave(g)
+            assert copulas.is_log_convex(g) == convex(g)
+            assert copulas.is_log_concave(g) == concave(g)
 
     def test_scan_box_is_covered(self):
         # T7/T8 scan Clayton theta up to 5.0
@@ -194,9 +195,9 @@ class TestClosedForms:
         (Frank(-1e-7), (False, True), (True, True)),
     ], ids=repr)
     def test_tolerance_limited_curvature_is_exact(self, g, convex, concave):
-        # (convex, concave): the closed form, then what the numeric checks read
-        assert (has_log_curvature(g, "log_convex"), has_log_curvature(g, "log_concave")) == convex
-        assert (is_log_convex(g), is_log_concave(g)) == concave
+        # (convex, concave): the closed form, then what the numeric oracle reads
+        assert (is_log_convex(g), is_log_concave(g)) == convex
+        assert (numeric_log_curvature(g, 1.0), numeric_log_curvature(g, -1.0)) == concave
 
     @pytest.mark.parametrize("outer,inner", [
         (Frank(0.5), Frank(0.5 * (1.0 + 1e-8))),
@@ -222,12 +223,12 @@ class TestClosedForms:
             calls.clear()
             assert composition_super_additive(outer, inner) == expect
             assert calls == ["super_additive_check"]
-        for branch in ("log_convex", "log_concave"):
+        for name in ("is_log_convex", "is_log_concave"):
             calls.clear()
             with pytest.raises(ParameterDomainError) as info:
-                has_log_curvature(UnstatedClayton(2.0), branch)
+                getattr(copulas, name)(UnstatedClayton(2.0))
             assert str(info.value) == "UnstatedClayton states no log curvature"
-            assert calls == []
+            assert calls == [name]
         assert Generator.log_curvature is None and Generator.theta_kin == frozenset()
 
 

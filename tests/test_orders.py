@@ -183,6 +183,14 @@ class TestGuards:
                            match="^grid bounds unset and no distributions given$"):
             GridSpec(kind="x", lo=0.0).x_points()
 
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0),
+                                       (5.0, 1.0), (1.0, 1.0)])
+    def test_bad_bounds_refused(self, lo, hi):
+        # -1e308 and 1e308 are finite, but their distance overflows: the
+        # points would read [nan, inf, inf, ...]
+        with pytest.raises(ParameterDomainError, match="^bad grid bounds"):
+            GridSpec(kind="x", lo=lo, hi=hi, n=64).x_points()
+
     def test_inconclusive_on_degenerate_tail_grid(self):
         # grid entirely in the far right tail: both sfs vanish, the hazard
         # ratio degenerates, and the two hr formulations cannot agree

@@ -53,19 +53,21 @@ def test_install_then_restore_leaves_nothing_wrapped(tracing):
 def _traced_cases(label):
     """(case, span it must not open) pairs traced for `label`.  T7's
     generator rows call the numeric check only where no closed form
-    applies, a Clayton x Frank composition; every generator states its
-    log-curvature, so no case opens that span."""
+    applies, a Clayton x Frank composition: the Clayton x Clayton case
+    must not open that span, and the Clayton x Frank case opens every
+    span, the log-curvature row's included."""
     obj = REPORT_FORMAT[label][0]
     if label != "T7":
         return [(load_case(obj), None)]
     mixed = load_case({**obj, "scenario": {
         **obj["scenario"], "generator_y": {"family": "frank", "theta": 1.0}}})
-    return [(mixed, "copulas.log_curvature")]
+    return [(load_case(obj), "copulas.super_additive_check"), (mixed, None)]
 
 
 @pytest.mark.parametrize("label,spans", [
     ("T1", {"harness.T1", "distributions.classify_ageing", "orders.hr"}),
-    ("T7", {"harness.T7", "majorization", "copulas.super_additive_check", "orders.st"}),
+    ("T7", {"harness.T7", "majorization", "copulas.log_curvature",
+            "copulas.super_additive_check", "orders.st"}),
 ])
 def test_tracer_sees_the_hypothesis_rows(tracing, label, spans):
     # a row that bound a checker where the tracer cannot patch it would
