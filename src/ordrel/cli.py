@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import serialize
@@ -43,6 +44,17 @@ def _emit(text: str, out_path: str | None):
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _point(text: str) -> float:
+    """A --x value: any float but NaN (+-inf are points)."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if math.isnan(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return x
 
 
 def _default_grid(args) -> GridSpec | None:
@@ -129,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--spec", "-s", required=True,
                         help="DistSpec or SystemSpec JSON file")
     p_dist.add_argument("--fn", required=True, choices=_FNS)
-    p_dist.add_argument("--x", action="append", type=float,
+    p_dist.add_argument("--x", action="append", type=_point,
                         help="evaluation point (repeatable)")
     p_dist.add_argument("--grid", help="GridSpec JSON file")
     p_dist.add_argument("--out", help="output file (default stdout)")

@@ -231,7 +231,8 @@ def super_additive_check(h) -> tuple[bool, tuple | None]:
 @dataclass(frozen=True)
 class ShiftedSystem:
     """Dependent lifetimes Y_i = X - mu_i coupled by an Archimedean
-    survival copula."""
+    survival copula.  Its extremes, `DependentMin` and `DependentMax`, are
+    subclasses that define only `sf`; the support and cdf = 1 - sf are here."""
 
     baseline: Distribution
     shifts: tuple[float, ...]
@@ -244,6 +245,14 @@ class ShiftedSystem:
                 f"{len(self.shifts)} shifts")
         if len(self.shifts) < 2:
             raise ParameterDomainError("need at least two components")
+
+    @property
+    def support(self):
+        lo, hi = self.baseline.support
+        return (lo - max(self.shifts), hi - min(self.shifts))
+
+    def cdf(self, x):
+        return 1.0 - self.sf(x)
 
 
 def _generator_sum(s: ShiftedSystem, x: float, value: str) -> float:
@@ -271,33 +280,15 @@ def j2(s: ShiftedSystem, x: float) -> float:
     return 1.0 - _generator_sum(s, x, "cdf")
 
 
-class _DependentExtreme:
-    """Support and cdf = 1 - sf of the dependent minimum and maximum of a
-    ShiftedSystem; each subclass's sf calls `j1` or `j2` by name."""
-
-    def __init__(self, system: ShiftedSystem):
-        self.system = system
-
-    @property
-    def support(self):
-        lo, hi = self.system.baseline.support
-        mn, mx = min(self.system.shifts), max(self.system.shifts)
-        return (lo - mx, hi - mn)
-
-    def cdf(self, x):
-        return 1.0 - self.sf(x)
-
-
-class DependentMin(_DependentExtreme):
-    """Minimal distribution surface (sf/cdf/support) for J1, so the order
-    checkers can consume dependent minima."""
+class DependentMin(ShiftedSystem):
+    """The dependent minimum, whose sf is J1 (looked up by name)."""
 
     def sf(self, x):
-        return j1(self.system, x)
+        return j1(self, x)
 
 
-class DependentMax(_DependentExtreme):
-    """Distribution surface for J2 (survival of the dependent maximum)."""
+class DependentMax(ShiftedSystem):
+    """The dependent maximum, whose sf is J2 (looked up by name)."""
 
     def sf(self, x):
-        return j2(self.system, x)
+        return j2(self, x)

@@ -94,9 +94,10 @@ class Distribution:
         return values, [None if v <= 0.0 or d is None else d / v
                         for v, d in zip(values, self.column("pdf", xs))]
 
-    def tail_exponent(self) -> float:
-        """Power-law decay exponent of the right tail; inf for light tails."""
-        return math.inf
+    def tail_exponents(self) -> tuple[float, float]:
+        """Power-law decay exponents of the (left, right) tails; inf for a
+        light or bounded tail."""
+        return (math.inf, math.inf)
 
     def to_json(self) -> dict:
         """{"family": ..., "params": {...}}, with the family's dataclass
@@ -274,8 +275,8 @@ class Lomax(Distribution):
                     for u in points]
         return super().column(name, points)
 
-    def tail_exponent(self):
-        return self.shape
+    def tail_exponents(self):
+        return (math.inf, self.shape)
 
 
 @dataclass(frozen=True)
@@ -317,8 +318,8 @@ class ParetoI(Distribution):
             return [(1.0 - u) ** power if 0.0 < u < 1.0 else _bad_prob(u) for u in points]
         return super().column(name, points)
 
-    def tail_exponent(self):
-        return self.shape
+    def tail_exponents(self):
+        return (math.inf, self.shape)
 
 
 @dataclass(frozen=True)
@@ -364,6 +365,9 @@ class ReflectedDFR(Distribution):
     # each ageing flag of the inner read at -x (a rate that rises in -x
     # falls in x); x*r(x) states nothing
     _MIRRORED_CLASS = {"DFR": "IRHR", "IFR": "DRHR", "DRHR": "IFR", "IRHR": "DFR"}
+
+    def tail_exponents(self):
+        return self.inner.tail_exponents()[::-1]
 
     @property
     def ageing_classes(self):

@@ -32,8 +32,8 @@ from functools import partial
 from typing import Callable
 
 from . import distributions, orders
-from .copulas import (Clayton, DependentMax, DependentMin, ShiftedSystem,
-                      composition_super_additive, is_log_concave, is_log_convex)
+from .copulas import (Clayton, DependentMax, DependentMin, composition_super_additive,
+                      is_log_concave, is_log_convex)
 from .distributions import (Distribution, Exponential, Lomax, ParetoI,
                             ReflectedDFR, Weibull)
 from .errors import ConfigError, ParameterDomainError, check_count, check_positive, check_real
@@ -223,7 +223,7 @@ def _lomax_maxima_sides(case: TheoremCase) -> dict:
     return {"alphas": alphas, "alphas_star": alphas_star, "x": x, "y": y}
 
 
-def _dep_grid(case, systems_) -> GridSpec:
+def _dep_grid(case, extremes) -> GridSpec:
     """The case's "dep" grid.  The dependent extremes have no quantile
     function, so an unset bound comes from the baseline quantiles at
     0.01/0.99 moved by the shifts."""
@@ -231,7 +231,7 @@ def _dep_grid(case, systems_) -> GridSpec:
     if grid.lo is not None and grid.hi is not None:
         return grid
     los, his = [], []
-    for s in systems_:
+    for s in extremes:
         qlo, qhi = s.baseline.quantile(0.01), s.baseline.quantile(0.99)
         los.append(qlo - max(s.shifts))
         his.append(qhi - min(s.shifts))
@@ -258,18 +258,16 @@ def _dependent_sides(case: TheoremCase, *, extreme: type, ageing: dict,
     if branch not in ("log_convex", "log_concave"):
         raise ParameterDomainError(f"unknown branch {branch!r}")
     convex = branch == "log_convex"
-    shifted = (ShiftedSystem(sc["baseline_x"], mu, sc["generator_x"]),
-               ShiftedSystem(sc["baseline_y"], mu_star, sc["generator_y"]))
+    x = extreme(sc["baseline_x"], mu, sc["generator_x"])
+    y = extreme(sc["baseline_y"], mu_star, sc["generator_y"])
     low, high = ("y", "x") if convex else ("x", "y")
     outer, inner = (low, high) if compose_low_first else (high, low)
     return {"case": case, "branch": branch, "convex": convex,
             "majorization": "sub" if convex else "super",
             "ageing": ageing[branch].lower(), "low": low, "high": high,
-            "mu": mu, "mu_star": mu_star, "generator_x": sc["generator_x"],
             "outer": sc[f"generator_{outer}"], "inner": sc[f"generator_{inner}"],
             "baseline_x": sc["baseline_x"], "baseline_y": sc["baseline_y"],
-            "x": extreme(shifted[0]), "y": extreme(shifted[1]),
-            "grid": _dep_grid(case, shifted)}
+            "x": x, "y": y, "grid": _dep_grid(case, (x, y))}
 
 
 def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
@@ -338,9 +336,9 @@ _STAR_ROWS = (
 _DEPENDENT_ROWS = (
     ("mu_{majorization}majorized_by_mu_star",
      lambda s: (weak_submajorizes if s["convex"] else weak_supermajorizes)(
-         s["mu"], s["mu_star"])),
+         s["x"].shifts, s["y"].shifts)),
     ("generator_x_{branch}",
-     lambda s: (is_log_convex if s["convex"] else is_log_concave)(s["generator_x"])),
+     lambda s: (is_log_convex if s["convex"] else is_log_concave)(s["x"].generator)),
     _ageing_row("{ageing}"),
     _order_row("st", "{low}", "{high}"),
     ("composition_super_additive",

@@ -13,10 +13,11 @@ non-vacuous.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParameterDomainError, check_count, check_integer
+from .errors import ConfigError, ParameterDomainError, check_count, check_integer, is_real
 from .harness import SCAN_IDS, THEOREMS, TheoremCase, TheoremReport, run_case
 from .orders import FAILS, HOLDS, INCONCLUSIVE
 
@@ -47,10 +48,6 @@ class ScanResult:
             counts["vacuous" if not rep.hypothesis_satisfied
                    else _OUTCOME_CLASSES[rep.conclusion_outcome]] += 1
         return counts
-
-    @property
-    def inconsistent(self) -> tuple[TheoremReport, ...]:
-        return tuple(r for r in self.reports if not r.consistent)
 
     def to_json(self) -> dict:
         return {
@@ -90,16 +87,17 @@ def _knob_stream(names, strategy, seed, budget):
 
 
 def scan(theorem_id: str, box: dict | None = None, strategy: str = "random",
-         budget: int = 100, seed: int = 0, grid_n: int = SCAN_GRID_N) -> ScanResult:
-    """Evaluate `budget` configurations of one theorem.
+         budget: int = 100, seed: int = 0) -> ScanResult:
+    """Evaluate `budget` configurations of one theorem, each on
+    ``SCAN_GRID_N``-point grids.
 
     Any inconsistent report (hypothesis satisfied and conclusion fails) is a
     release-blocking artifact bug or a genuine finding; full reproduction
     data rides along in each report.  `box` overrides some of the theorem's
-    knob ranges; an unknown knob or a range with lo > hi is a ConfigError,
-    and a budget that is no count (`check_count`) or a seed that is no
-    integer (`check_integer`) a ParameterDomainError, each raised before
-    any case runs.
+    knob ranges; an unknown knob, or a range whose bounds are not finite
+    reals (`is_real`) with lo <= hi, is a ConfigError, and a budget that is
+    no count (`check_count`) or a seed that is no integer (`check_integer`)
+    a ParameterDomainError, each raised before any case runs.
     """
     check_count("scan budget", budget, 0)
     check_integer("scan seed", seed)
@@ -113,13 +111,14 @@ def scan(theorem_id: str, box: dict | None = None, strategy: str = "random",
         raise ConfigError(f"{theorem_id} box has unknown knobs {unknown}; "
                           f"choose from {sorted(default_box)}")
     for name, (lo, hi) in box.items():
-        if not lo <= hi:
-            raise ConfigError(f"{theorem_id} box {name!r} has lo {lo!r} above hi {hi!r}")
+        if not (is_real(lo) and is_real(hi) and -math.inf < lo <= hi < math.inf):
+            raise ConfigError(f"{theorem_id} box {name!r} needs finite real bounds "
+                              f"lo <= hi, got ({lo!r}, {hi!r})")
     box = {**default_box, **box}
     reports = []
     for idx, knobs in enumerate(_knob_stream(sorted(box), strategy, seed, budget)):
         violate = (idx % _VIOLATE_PERIOD) >= (_VIOLATE_PERIOD - _VIOLATE_COUNT)
         scenario = sampler({name: lo + knobs[name] * (hi - lo)
                             for name, (lo, hi) in box.items()}, violate)
-        reports.append(run_case(TheoremCase(theorem_id, scenario, n=grid_n)))
+        reports.append(run_case(TheoremCase(theorem_id, scenario, n=SCAN_GRID_N)))
     return ScanResult(theorem_id, strategy, seed, budget, tuple(reports))

@@ -218,7 +218,7 @@ def load_scan_config(obj: dict) -> dict:
     validate(obj, "scan_config")
     _check_id(obj, "scan_config", SCAN_IDS)
     cfg = {"theorem_id": obj["id"], "budget": obj["budget"]}
-    cfg.update((k, obj[k]) for k in ("strategy", "seed", "grid_n") if k in obj)
+    cfg.update((k, obj[k]) for k in ("strategy", "seed") if k in obj)
     if "box" in obj:
         cfg["box"] = {k: (float(v[0]), float(v[1])) for k, v in obj["box"].items()}
     return cfg

@@ -328,12 +328,15 @@ class OrderStatDist(Distribution):
     def to_json(self):
         return self.spec.to_json()
 
-    def tail_exponent(self):
-        # the survival product multiplies the decay rates; the heaviest
-        # component tail dominates the max
+    def tail_exponents(self):
+        """(left, right): on its own tail (right for series, left for
+        parallel) the product multiplies the decay rates; on the other the
+        heaviest component tail dominates."""
+        lefts, rights = zip(*(b.tail_exponents() for b, _ in self._comps))
+        props = [p for _, p in self._comps]
         if self._series:
-            return left_sum([p * b.tail_exponent() for b, p in self._comps])
-        return min([b.tail_exponent() for b, _ in self._comps])
+            return (min(lefts), left_sum([p * e for p, e in zip(props, rights)]))
+        return (left_sum([p * e for p, e in zip(props, lefts)]), min(rights))
 
 
 # -- module-level operations ----------------------------------------------
@@ -372,10 +375,11 @@ def numeric_moment(o: OrderStatDist, order: int) -> float:
     """Raw moment E[X**order] by adaptive quadrature of x**order dF."""
     if order not in (1, 2):
         raise ParameterDomainError("only first and second moments supported")
-    if o.tail_exponent() <= order:
+    left, right = o.tail_exponents()
+    if min(left, right) <= order:
         raise MomentUndefinedError(
-            f"moment of order {order} diverges (tail exponent "
-            f"{o.tail_exponent():g})", threshold=float(order))
+            f"moment of order {order} diverges (tail exponents {left:g}, "
+            f"{right:g})", threshold=float(order))
     lo, hi = o.support
     return adaptive_quad(lambda x: x ** order * o.pdf(x), lo, hi)
 

@@ -476,9 +476,10 @@ class TestUsage:
 
     def test_non_numeric_x_is_usage_error(self, spec_file):
         # exit 1 would read as an order that fails
-        proc = run_cli("dist", "-s", spec_file("d.json", EXP1), "--fn", "sf", "--x", "abc")
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+        for x in ("abc", "nan"):
+            proc = run_cli("dist", "-s", spec_file("d.json", EXP1), "--fn", "sf", "--x", x)
+            assert (proc.returncode, proc.stdout) == (2, ""), x
+            assert "usage:" in proc.stderr and "Traceback" not in proc.stderr, x
 
     def test_spec_that_is_not_utf8_is_usage_error(self, tmp_path):
         path = tmp_path / "d.json"

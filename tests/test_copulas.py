@@ -501,8 +501,8 @@ class TestShiftedSystems:
                 assert j2(s2, x) <= j2(s, x) + 1e-12
 
     def test_wrappers_expose_distribution_surface(self):
-        s = ShiftedSystem(Lomax(2.0, 1.0), (0.0, 0.5), Clayton(1.0))
-        mn, mx = DependentMin(s), DependentMax(s)
+        mn, mx = (extreme(Lomax(2.0, 1.0), (0.0, 0.5), Clayton(1.0))
+                  for extreme in (DependentMin, DependentMax))
         x = 0.7
         assert mn.sf(x) + mn.cdf(x) == pytest.approx(1.0, abs=1e-12)
         assert mx.sf(x) + mx.cdf(x) == pytest.approx(1.0, abs=1e-12)

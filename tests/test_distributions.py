@@ -61,7 +61,8 @@ class TestClosedForms:
         d = Lomax(2.0, 1.5)
         assert d.sf(1.5) == pytest.approx(0.25, rel=1e-14)
         assert d.hazard(0.5) == pytest.approx(1.0, rel=1e-14)
-        assert d.tail_exponent() == 2.0
+        assert d.tail_exponents() == (math.inf, 2.0)
+        assert ReflectedDFR(d).tail_exponents() == (2.0, math.inf)
 
     def test_pareto1(self):
         d = ParetoI(3.0)

@@ -442,7 +442,7 @@ SEEDS = {
     "theorem_case": {"id": "T7", "scenario": {"theta": 1.0}, "n": 64,
                      "grids": {"x": {"kind": "x", "n": 128}}},
     "scan_config": {"id": "T1", "budget": 5, "strategy": "grid", "seed": 3,
-                    "grid_n": 64, "box": {"a1": [0.5, 1.0]}},
+                    "box": {"a1": [0.5, 1.0]}},
 }
 
 VALUES = [

@@ -352,9 +352,8 @@ DEPENDENT_XS = sorted({*XS, *(-3.0 + 0.01 * i for i in range(1000))})
 
 @pytest.mark.parametrize("s", SHIFTED_SYSTEMS, ids=lambda s: type(s.generator).__name__)
 def test_dependent_max_is_the_mirrored_dependent_min(s):
-    mx = DependentMax(s)
-    mn = DependentMin(ShiftedSystem(ReflectedDFR(s.baseline),
-                                    tuple(-mu for mu in s.shifts), s.generator))
+    mx = DependentMax(s.baseline, s.shifts, s.generator)
+    mn = DependentMin(ReflectedDFR(s.baseline), tuple(-mu for mu in s.shifts), s.generator)
     assert all(map(_same, mx.support, [-e for e in reversed(mn.support)]))
     for x in DEPENDENT_XS:
         assert _same(mx.sf(x), mn.cdf(-x)), x
@@ -579,7 +578,8 @@ def _st_case(rng):
             bounds = (min(los), max(his))
         else:
             bounds = (rng.uniform(-1.0, 1.0), rng.uniform(2.0, 40.0))
-        return extreme(sa), extreme(sb), _st_grid(rng, bounds)
+        return (extreme(sa.baseline, sa.shifts, sa.generator),
+                extreme(sb.baseline, sb.shifts, sb.generator), _st_grid(rng, bounds))
     if rng.random() < 0.2:
         a = ReflectedDFR(Lomax(rng.uniform(0.5, 3.0), 1.0))
         b = a if same else ReflectedDFR(_lifetime(rng))

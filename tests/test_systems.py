@@ -1,5 +1,6 @@
 """Series/parallel system distributions, closed forms and moments."""
 
+import importlib
 import math
 import random
 
@@ -124,11 +125,17 @@ class TestOrderStatSurface:
 
     def test_tail_exponent_series_sums(self):
         o = OrderStatDist(series_phr(Lomax(1.5, 1.0), (1.0, 2.0)))
-        assert o.tail_exponent() == pytest.approx(4.5)
+        assert o.tail_exponents() == (math.inf, 4.5)
+        # the mirror: a parallel system sums on its left tail
+        o = OrderStatDist(parallel_prhr(ReflectedDFR(Lomax(1.5, 1.0)), (1.0, 2.0)))
+        assert o.tail_exponents() == (4.5, math.inf)
 
     def test_tail_exponent_parallel_takes_min(self):
         spec = SystemSpec(PARALLEL_PRHR, ((Lomax(1.5, 1.0), 1.0), (Lomax(3.0, 1.0), 1.0)))
-        assert OrderStatDist(spec).tail_exponent() == pytest.approx(1.5)
+        assert OrderStatDist(spec).tail_exponents() == (math.inf, 1.5)
+        spec = SystemSpec(SERIES_PHR, ((ReflectedDFR(Lomax(1.5, 1.0)), 1.0),
+                                       (ReflectedDFR(Lomax(3.0, 1.0)), 1.0)))
+        assert OrderStatDist(spec).tail_exponents() == (1.5, math.inf)
 
     @given(pos, pos, st.floats(min_value=0.05, max_value=0.95))
     def test_series_quantile_identity(self, a1, a2, u):
@@ -339,6 +346,23 @@ class TestMoments:
         with pytest.raises(MomentUndefinedError):
             numeric_moment(o2, 2)
         assert numeric_moment(o2, 1) == pytest.approx(1.0 / 0.6, rel=1e-6)
+        o3 = OrderStatDist(series_phr(ParetoI(1.5), (1.0,)))  # tail 1.5
+        with pytest.raises(MomentUndefinedError):
+            numeric_moment(o3, 2)
+
+    def test_numeric_moment_guards_the_left_tail(self, monkeypatch):
+        par = OrderStatDist(parallel_prhr(ReflectedDFR(Lomax(1.5, 1.0)), (1.0,)))  # left 1.5
+        ser = OrderStatDist(series_phr(Lomax(1.5, 1.0), (1.0,)))
+        assert numeric_moment(par, 1) == -numeric_moment(ser, 1) == -1.9999997001610006
+
+        def no_quad(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(importlib.import_module("ordrel.systems"), "adaptive_quad", no_quad)
+        for o in (par, ser):
+            with pytest.raises(MomentUndefinedError) as exc:
+                numeric_moment(o, 2)
+            assert exc.value.threshold == 2.0
 
     def test_numeric_moment_orders(self):
         o = OrderStatDist(series_phr(Exponential(1.0), (1.0, 2.0)))
