@@ -57,6 +57,18 @@ def _point(text: str) -> float:
     return x
 
 
+def _glue_points(argv) -> list:
+    """argv with each `--x V` as `--x=V`: after a space, argparse reads a V
+    that starts with "-" and is no plain decimal (-1e-3, -inf) as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--x":
+            out[-1] = f"--x={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _default_grid(args) -> GridSpec | None:
     if getattr(args, "grid", None):
         return serialize.load_grid(serialize.read_json_file(args.grid))
@@ -174,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_points(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

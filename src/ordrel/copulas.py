@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .distributions import Distribution
-from .errors import ParameterDomainError, check_positive, check_real, stated
+from .errors import ParameterDomainError, check_count, check_positive, check_real, stated
 
 
 class Generator:
@@ -36,6 +36,9 @@ class Generator:
     dim: int
     log_curvature: frozenset | None = None
     theta_kin: frozenset = frozenset()
+
+    def __post_init__(self):
+        check_count("generator dim", self.dim, 2)
 
     def psi(self, x: float) -> float:
         raise NotImplementedError
@@ -94,6 +97,7 @@ class Clayton(Generator):
     theta_kin = frozenset({"clayton", "independence"})
 
     def __post_init__(self):
+        super().__post_init__()
         check_positive("Clayton theta", self.theta)
         _check_normal_theta("Clayton", self.theta)
 
@@ -127,6 +131,7 @@ class Frank(Generator):
     theta_kin = frozenset({"frank", "independence"})
 
     def __post_init__(self):
+        super().__post_init__()
         _check_normal_theta("Frank", self.theta)
         if self.theta < 0.0 and self.dim > 2:
             raise ParameterDomainError("Frank with theta < 0 is only 2-monotone: dim 2")
@@ -164,13 +169,14 @@ _GEN_FAMILIES = {cls.family: cls for cls in (Independence, Clayton, Frank)}
 
 def generator_from_json(obj: dict) -> Generator:
     """Build a generator from {"family": ..., **fields}, the form
-    `Generator.to_json` writes: every other key is a constructor argument,
-    so a key the family does not take is an error."""
+    `Generator.to_json` writes (every other key a constructor argument), or
+    refuse it with its cause."""
     try:
-        cls = _GEN_FAMILIES[obj["family"]]
+        cls = _GEN_FAMILIES[obj.get("family")]
         return cls(**{k: v for k, v in obj.items() if k != "family"})
-    except (KeyError, TypeError) as exc:
-        raise ParameterDomainError(f"bad generator spec: {obj!r}") from exc
+    except (KeyError, TypeError, AttributeError) as exc:
+        cause = f"unknown family {exc}" if isinstance(exc, KeyError) else exc
+        raise ParameterDomainError(f"bad generator spec {obj!r}: {cause}") from exc
 
 
 SUPER_ADDITIVE_TAU = 1e-9
@@ -243,8 +249,6 @@ class ShiftedSystem:
             raise ParameterDomainError(
                 f"generator dimension {self.generator.dim} != "
                 f"{len(self.shifts)} shifts")
-        if len(self.shifts) < 2:
-            raise ParameterDomainError("need at least two components")
 
     @property
     def support(self):

@@ -394,14 +394,17 @@ _FAMILIES = {cls.family: cls for cls in (Exponential, Weibull, Lomax, ParetoI, R
 
 def dist_from_json(obj: dict) -> Distribution:
     """Build a distribution from {"family": ..., "params": {...}}, the form
-    `Distribution.to_json` writes: the params are the family's constructor
-    arguments, and a dict param is a nested spec."""
+    `Distribution.to_json` writes (params: the family's constructor arguments,
+    a dict param a nested spec), or refuse it with its cause."""
     try:
-        cls = _FAMILIES[obj["family"]]
+        if not {"family", "params"}.issuperset(obj):
+            raise TypeError("a spec takes only the keys family and params")
+        cls = _FAMILIES[obj.get("family")]
         return cls(**{k: dist_from_json(v) if isinstance(v, dict) else v
                       for k, v in obj.get("params", {}).items()})
     except (KeyError, TypeError, AttributeError) as exc:
-        raise ParameterDomainError(f"bad distribution spec: {obj!r}") from exc
+        cause = f"unknown family {exc}" if isinstance(exc, KeyError) else exc
+        raise ParameterDomainError(f"bad distribution spec {obj!r}: {cause}") from exc
 
 
 def classify_ageing(d: Distribution) -> frozenset[str]:

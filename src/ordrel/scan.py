@@ -94,10 +94,11 @@ def scan(theorem_id: str, box: dict | None = None, strategy: str = "random",
     Any inconsistent report (hypothesis satisfied and conclusion fails) is a
     release-blocking artifact bug or a genuine finding; full reproduction
     data rides along in each report.  `box` overrides some of the theorem's
-    knob ranges; an unknown knob, or a range whose bounds are not finite
-    reals (`is_real`) with lo <= hi, is a ConfigError, and a budget that is
-    no count (`check_count`) or a seed that is no integer (`check_integer`)
-    a ParameterDomainError, each raised before any case runs.
+    knob ranges; an unknown knob, or a range that is no (lo, hi) pair of
+    finite reals (`is_real`) with lo <= hi, is a ConfigError, and a budget
+    that is no count (`check_count`) or a seed that is no integer
+    (`check_integer`) a ParameterDomainError, each raised before any case
+    runs.
     """
     check_count("scan budget", budget, 0)
     check_integer("scan seed", seed)
@@ -110,10 +111,11 @@ def scan(theorem_id: str, box: dict | None = None, strategy: str = "random",
     if unknown:
         raise ConfigError(f"{theorem_id} box has unknown knobs {unknown}; "
                           f"choose from {sorted(default_box)}")
-    for name, (lo, hi) in box.items():
-        if not (is_real(lo) and is_real(hi) and -math.inf < lo <= hi < math.inf):
-            raise ConfigError(f"{theorem_id} box {name!r} needs finite real bounds "
-                              f"lo <= hi, got ({lo!r}, {hi!r})")
+    for name, bounds in box.items():
+        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                and all(map(is_real, bounds)) and -math.inf < bounds[0] <= bounds[1] < math.inf):
+            raise ConfigError(f"{theorem_id} box {name!r} needs a pair of finite real "
+                              f"bounds lo <= hi, got {bounds!r}")
     box = {**default_box, **box}
     reports = []
     for idx, knobs in enumerate(_knob_stream(sorted(box), strategy, seed, budget)):

@@ -1,14 +1,14 @@
 """JSON loading and validation for all configuration objects.
 
 Everything entering from a file is checked against the bundled JSON Schema
-(`schemas/ordrel.schema.json`, unknown fields rejected) before any object
-is constructed.  A theorem case gets a second pass here, because its shape
-depends on its id: the id must be in the registry (`harness.THEOREMS`),
-whose entry names the scenario fields, the `$def` that each field is
-validated against and loaded by (`_LOADERS`), the least length of some
-array fields and the generator whose dimension others must match, and the
-grid keys a case may set with the kind of grid each must be; every
-`TheoremCase` obeys these rules (`harness.check_case`).
+(`schemas/ordrel.schema.json`, unknown fields rejected) for its shape before
+any object is constructed; a family's class checks its name and values.  A
+theorem case gets a second pass here, because its shape depends on its id:
+the id must be in the registry (`harness.THEOREMS`), whose entry names the
+scenario fields, the `$def` each field is validated against and loaded by
+(`_LOADERS`), the least length of some array fields and the generator whose
+dimension others must match, and the grid keys a case may set with the kind
+of grid each must be; every `TheoremCase` obeys them (`harness.check_case`).
 
 The check is a small recursive interpreter of the keywords the schema
 uses (`_RULES`); a test walks the schema file so that it cannot use one the
@@ -94,20 +94,10 @@ def _items(v, sub, schema, path):
         return _first(_check(item, sub, path + (i,)) for i, item in enumerate(v))
 
 
-def _one_of(v, branches, schema, path):
-    errors = [_check(v, branch, path) for branch in branches]
-    if errors.count(None) == 1:
-        return None
-    if None in errors:
-        return path, f"{v!r} matches more than one oneOf alternative"
-    return max(errors, key=lambda err: len(err[0]))  # the branch that got furthest
-
-
 _RULES = {
     "$ref": lambda v, ref, s, path: _check(
         v, _schema()["$defs"][ref.removeprefix("#/$defs/")], path),
     "type": _type,
-    "const": lambda v, c, s, path: None if v == c else (path, f"{v!r} is not {c!r}"),
     "enum": lambda v, e, s, path: None if v in e else (path, f"{v!r} is not one of {e}"),
     "required": lambda v, names, s, path: isinstance(v, dict) and _first(
         (path, f"{k!r} is a required property") for k in names if k not in v),
@@ -119,7 +109,6 @@ _RULES = {
     "minimum": _bound(operator.ge, ">="),
     "exclusiveMinimum": _bound(operator.gt, ">"),
     "exclusiveMaximum": _bound(operator.lt, "<"),
-    "oneOf": _one_of,
 }
 
 
@@ -157,9 +146,6 @@ def load_generator(obj: dict):
     from .copulas import generator_from_json
 
     validate(obj, "generator")
-    if (obj["family"] == "independence") == ("theta" in obj):
-        rule = "takes no" if "theta" in obj else "needs"
-        raise ConfigError(f"generator family {obj['family']!r} {rule} theta")
     return generator_from_json(obj)
 
 

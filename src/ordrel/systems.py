@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .distributions import Distribution, _bad_prob, dist_from_json
-from .errors import (MomentUndefinedError, ParameterDomainError, SupportError, check_positive,
-                     check_real)
+from .errors import (MomentUndefinedError, ParameterDomainError, SupportError, check_count,
+                     check_positive, check_real)
 from .quadrature import adaptive_quad
 from .special import bisect_increasing, left_sum
 
@@ -63,7 +63,8 @@ class SystemSpec:
         for _, prop in self.components:
             check_positive("prop", prop)
         if self.split is not None:
-            if not (0 < self.split < len(self.components)):
+            check_count("split", self.split, 1)
+            if self.split >= len(self.components):
                 raise ParameterDomainError("split must partition the component list")
             blocks = (self.components[: self.split], self.components[self.split:])
             if any(len({b for b, _ in block}) > 1 for block in blocks):
@@ -345,6 +346,8 @@ def weibull_min_variance(ks, a: float) -> float:
     """Variance of the minimum of independent Weibull lifetimes with common
     shape a and rates ks: (1/sum k)**(2/a) * (G(2/a+1) - G(1/a+1)**2)."""
     ks = list(ks)
+    if not ks:
+        raise ParameterDomainError("weibull_min_variance needs at least one rate")
     for v in (a, *ks):
         check_positive("shape and rates", v)
     total = left_sum(ks)
@@ -357,6 +360,8 @@ def lomax_min_moments(alphas) -> tuple[float, float]:
     """Mean and variance of the minimum of independent Lomax lifetimes with
     scale 1 and shapes alphas (exists for sum > 1 resp. sum > 2)."""
     alphas = list(alphas)
+    if not alphas:
+        raise ParameterDomainError("lomax_min_moments needs at least one shape")
     for a in alphas:
         check_positive("shape", a)
     total = left_sum(alphas)

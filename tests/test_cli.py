@@ -320,7 +320,8 @@ REFUSALS = {
         "T7 scenario field 'generator_x': Clayton needs a finite normal theta, got 5e-324"),
     "t7_independence_theta": ({"case": {"id": "T7", "scenario": {
         **_T7, "generator_y": {"family": "independence", "theta": -1.0}}}},
-        "T7 scenario field 'generator_y': generator family 'independence' takes no theta"),
+        "T7 scenario field 'generator_y': bad generator spec {'family': 'independence', "
+        "'theta': -1.0}: Independence.__init__() got an unexpected keyword argument 'theta'"),
 }
 
 
@@ -480,6 +481,13 @@ class TestUsage:
             proc = run_cli("dist", "-s", spec_file("d.json", EXP1), "--fn", "sf", "--x", x)
             assert (proc.returncode, proc.stdout) == (2, ""), x
             assert "usage:" in proc.stderr and "Traceback" not in proc.stderr, x
+
+    @pytest.mark.parametrize("x,row", [("-1e-3", "-0.001,1"), ("-inf", "-inf,1")],
+                             ids=["minus-1e-3", "minus-inf"])
+    def test_a_negative_x_after_a_space_is_a_point(self, spec_file, x, row):
+        # argparse alone reads such a value as an option and exits 2
+        proc = run_cli("dist", "-s", spec_file("d.json", EXP1), "--fn", "sf", "--x", x)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"x,value\n{row}\n", "")
 
     def test_spec_that_is_not_utf8_is_usage_error(self, tmp_path):
         path = tmp_path / "d.json"

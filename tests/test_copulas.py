@@ -77,6 +77,20 @@ class TestGenerators:
             with pytest.raises(ParameterDomainError):
                 generator_from_json({"family": "frank", "theta": -0.5, "dim": dim})
 
+    @pytest.mark.parametrize("family", sorted(copulas._GEN_FAMILIES))
+    @pytest.mark.parametrize("dim,message", [
+        (1, "generator dim needs at least 2, got 1"),
+        (2.5, "generator dim must be an integer, got 2.5"),
+        (True, "generator dim must be an integer, got True"),
+    ], ids=["one", "float", "bool"])
+    def test_dim_is_a_count_of_at_least_2(self, family, dim, message):
+        # Independence(dim=True) built, and its JSON did not load back
+        cls = copulas._GEN_FAMILIES[family]
+        theta = {} if cls is Independence else {"theta": 1.5}
+        with pytest.raises(ParameterDomainError) as info:
+            cls(**theta, dim=dim)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("g", GENERATORS, ids=lambda g: repr(g))
     def test_json_roundtrip(self, g):
         g2 = generator_from_json(g.to_json())

@@ -313,6 +313,16 @@ class TestWorkedExamples:
         assert rep.conditions == {"default_configuration": True}
         assert rep.consistent and rep.conclusion_outcome == "holds"
 
+    @pytest.mark.parametrize("tid,scenario,message", [
+        ("Ex1", {"rates_x": []}, "weibull_min_variance needs at least one rate"),
+        ("Ex2", {"alphas_y": []}, "lomax_min_moments needs at least one shape"),
+    ], ids=["Ex1", "Ex2"])
+    def test_an_empty_vector_is_refused(self, tid, scenario, message):
+        # only a file's schema refused [] (minItems); from Python it divided by 0
+        with pytest.raises(ParameterDomainError) as info:
+            run_case(TheoremCase(tid, scenario))
+        assert str(info.value) == message
+
     def test_reports_are_pinned(self):
         digest = hashlib.sha256()
         for tid in ("Ex1", "Ex2"):

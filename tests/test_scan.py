@@ -68,9 +68,10 @@ class TestScan:
 
     @pytest.mark.parametrize("box", [{"f_shap": (1.0, 2.0)}, {"a1": (3.0, -1.0)},
                                      {"f_shape": (0.5, math.inf)}, {"a1": (-math.inf, 1.0)},
-                                     {"a1": (True, 2.0)}],
+                                     {"a1": (True, 2.0)}, {"a1": (1.0,)},
+                                     {"a1": (1.0, 2.0, 3.0)}, {"a1": 5}],
                              ids=["unknown-knob", "lo-above-hi", "hi-inf", "lo-minus-inf",
-                                  "lo-bool"])
+                                  "lo-bool", "one-bound", "three-bounds", "no-pair"])
     def test_malformed_box_rejected_before_any_case(self, box, monkeypatch):
         def no_case(case):
             raise AssertionError("a case ran")

@@ -1,6 +1,7 @@
 """JSON schema validation and object loading."""
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -8,9 +9,9 @@ import random
 import pytest
 
 from ordrel import (ConfigError, Clayton, Exponential, Frank, GridSpec, Independence,
-                    Lomax, ParameterDomainError, ParetoI, ReflectedDFR, Weibull)
-from ordrel.copulas import generator_from_json
-from ordrel.distributions import dist_from_json
+                    Lomax, OrdrelError, ParameterDomainError, ParetoI, ReflectedDFR, Weibull)
+from ordrel.copulas import _GEN_FAMILIES, generator_from_json
+from ordrel.distributions import _FAMILIES, dist_from_json
 from ordrel.harness import THEOREMS, run_case
 from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND,
                       T7_NEGATIVE_FRANK_DIM_3)
@@ -47,8 +48,11 @@ class TestDistLoading:
         assert d.inner == Lomax(1.5, 1.0)
 
     def test_unknown_family(self):
-        with pytest.raises(ConfigError):
+        # the family table, not the schema, knows the families
+        with pytest.raises(ParameterDomainError) as info:
             load_dist({"family": "gamma", "params": {"shape": 1.0}})
+        assert str(info.value) == ("bad distribution spec {'family': 'gamma', "
+                                   "'params': {'shape': 1.0}}: unknown family 'gamma'")
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -56,12 +60,14 @@ class TestDistLoading:
                        "extra": True})
 
     def test_nonpositive_parameter_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterDomainError) as info:
             load_dist({"family": "exponential", "params": {"rate": -1.0}})
+        assert str(info.value) == "rate must be strictly positive, got -1.0"
 
     def test_nan_parameter_rejected(self):
-        with pytest.raises(ConfigError, match="at params/rate:"):
+        with pytest.raises(ParameterDomainError) as info:
             load_dist({"family": "exponential", "params": {"rate": math.nan}})
+        assert str(info.value) == "rate must be strictly positive, got nan"
 
 
 class TestSystemLoading:
@@ -90,22 +96,28 @@ class TestGeneratorLoading:
         assert g.family == "independence"
 
     def test_clayton_requires_theta(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterDomainError) as info:
             load_generator({"family": "clayton"})
+        assert str(info.value) == ("bad generator spec {'family': 'clayton'}: Clayton.__init__() "
+                                   "missing 1 required positional argument: 'theta'")
 
     def test_dim(self):
         g = load_generator({"family": "frank", "theta": 2.0, "dim": 3})
         assert g.dim == 3
 
-    @pytest.mark.parametrize("spec,message", [
-        ({"family": "frank"}, "'frank' needs theta"),
-        ({"family": "independence", "theta": -1.0}, "'independence' takes no theta"),
-        ({"family": "independence", "theta": 2.0, "dim": 3}, "'independence' takes no theta"),
+    # the constructor states which family takes theta; the loader adds no rule
+    @pytest.mark.parametrize("spec,cause", [
+        ({"family": "frank"}, "Frank.__init__() missing 1 required positional argument: 'theta'"),
+        ({"family": "independence", "theta": -1.0},
+         "Independence.__init__() got an unexpected keyword argument 'theta'"),
+        ({"family": "independence", "theta": 2.0, "dim": 3},
+         "Independence.__init__() got an unexpected keyword argument 'theta'"),
     ], ids=["frank-without-theta", "independence-with-theta",
             "independence-with-theta-and-dim"])
-    def test_theta_rule_is_a_config_error(self, spec, message):
-        with pytest.raises(ConfigError, match=message):
+    def test_theta_rule_is_a_config_error(self, spec, cause):
+        with pytest.raises(ParameterDomainError) as info:
             load_generator(spec)
+        assert str(info.value) == f"bad generator spec {spec!r}: {cause}"
 
 
 # Every family and generator with the JSON it writes, key order included;
@@ -161,6 +173,69 @@ MALFORMED = [
 def test_malformed_spec_is_a_domain_error(from_json, spec):
     with pytest.raises(ParameterDomainError, match="bad (distribution|generator) spec"):
         from_json(spec)
+
+
+# A value every family takes, by the annotation of its dataclass field.
+_VALID = {"float": 1.5, "int": 2, "Distribution": {"family": "lomax", "params": {"shape": 1.5}}}
+# Values no field takes (-1 is left out: Frank's theta takes it).
+_NO_FIELD_TAKES = [0, math.nan, math.inf, True, "1", None]
+
+
+def _family_docs():
+    """(loader, class, its document's form for given field values, its
+    fields' `_VALID` values) for every class of both family tables."""
+    out = []
+    for table, loader in ((_FAMILIES, load_dist), (_GEN_FAMILIES, load_generator)):
+        for family, cls in table.items():
+            def form(values, family=family, loader=loader):
+                if loader is load_dist:
+                    return {"family": family, "params": values}
+                return {"family": family, **values}  # a generator's fields are its keys
+            valid = {f.name: _VALID[f.type] for f in dataclasses.fields(cls)}
+            out.append((loader, cls, form, valid))
+    return out
+
+
+FAMILY_DOCS = _family_docs()
+
+
+def _family_refusals():
+    """(id, loader, document) for each document its loader must refuse, made
+    from the dataclass fields of every family, so that a new family is
+    covered as it enters its table."""
+    out = []
+    for loader, cls, form, valid in FAMILY_DOCS:
+        family = cls.family
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING:
+                out.append((f"{family}-without-{f.name}", loader,
+                            form({k: v for k, v in valid.items() if k != f.name})))
+            out += [(f"{family}-{f.name}={bad!r}", loader, form({**valid, f.name: bad}))
+                    for bad in _NO_FIELD_TAKES]
+            if f.type == "Distribution":
+                out.append((f"{family}-{f.name}-extra-key", loader,
+                            form({**valid, f.name: {**valid[f.name], "extra": 1.0}})))
+        if loader is load_dist:
+            out.append((f"{family}-extra-param", loader, form({**valid, "extra": 1.0})))
+        out.append((f"{family}-extra-key", loader, {**form(valid), "extra": 1.0}))
+    return out
+
+
+FAMILY_REFUSALS = _family_refusals()
+
+
+@pytest.mark.parametrize("loader,cls,form,valid", FAMILY_DOCS,
+                         ids=[cls.family for _, cls, _, _ in FAMILY_DOCS])
+def test_every_family_loads_its_table_document(loader, cls, form, valid):
+    # each refusal below breaks this one document in one place
+    assert type(loader(form(valid))) is cls
+
+
+@pytest.mark.parametrize("loader,doc", [r[1:] for r in FAMILY_REFUSALS],
+                         ids=[r[0] for r in FAMILY_REFUSALS])
+def test_a_family_refuses_what_its_class_does_not_take(loader, doc):
+    with pytest.raises(OrdrelError):
+        loader(doc)
 
 
 class TestGridLoading:
@@ -517,6 +592,10 @@ class TestSchemaChecker:
                 name = sub["$ref"].removeprefix("#/$defs/")
                 assert sub["$ref"] == f"#/$defs/{name}" and name in root["$defs"]
             assert isinstance(sub.get("additionalProperties", True), (bool, dict))
+
+    def test_schema_is_a_valid_draft_2020_12_schema(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.Draft202012Validator.check_schema(_schema())
 
     def test_every_def_has_a_seed(self):
         assert set(SEEDS) == set(_schema()["$defs"])

@@ -52,6 +52,14 @@ class TestSystemSpec:
         assert mixed.front_sum() == pytest.approx(1.0)
         assert mixed.back_sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("split", [True, 1.0, 1.5])
+    def test_split_is_a_count(self, split):
+        # True split after the first component; a float raised a bare TypeError
+        comps = ((Exponential(1.0), 1.0), (Lomax(2.0), 0.5))
+        with pytest.raises(ParameterDomainError) as info:
+            SystemSpec(SERIES_PHR, comps, split=split)
+        assert str(info.value) == f"split must be an integer, got {split!r}"
+
     def test_sums_add_left_to_right(self):
         # a compensated sum gives 1e16 + 2; left to right, each + 1.0 rounds
         # back to 1e16 (ties to even), on every Python version
@@ -315,6 +323,16 @@ class TestMoments:
         assert var == pytest.approx(12.0 / 1210.0, rel=1e-14)
         mean2, var2 = lomax_min_moments((1.2, 3.5, 7.2))
         assert var2 == pytest.approx(11.9 / 1176.219, rel=1e-12)
+
+    @pytest.mark.parametrize("moments,message", [
+        (lambda: weibull_min_variance([], 0.7), "weibull_min_variance needs at least one rate"),
+        (lambda: lomax_min_moments([]), "lomax_min_moments needs at least one shape"),
+    ], ids=["weibull", "lomax"])
+    def test_an_empty_vector_is_refused(self, moments, message):
+        # not a ZeroDivisionError, nor a mean that needs sum(alphas) > 1
+        with pytest.raises(ParameterDomainError) as info:
+            moments()
+        assert str(info.value) == message
 
     def test_lomax_moment_thresholds(self):
         with pytest.raises(MomentUndefinedError) as exc:
