@@ -15,7 +15,11 @@ exponential and Lomax sf, cdf, pdf, hazard and quantile; Weibull sf,
 hazard and quantile; Pareto I quantile.  The quantile has no other
 formula: `quantile(u)` is the one-point column for every class.
 `rate_sweep` gives a rate and its sf or cdf on a grid; where the rate is
-the base-class formula pdf/value it divides by the column in hand.  A
+the base-class formula pdf/value it divides by the column in hand.
+`stated_order(rel, a, b)` gives a <=_rel b on the whole support where the
+class of both states it in closed form (`Distribution.stated_le`):
+exponential and Lomax st and hr, and a reflected pair's st and rh, read
+from its inner pair; any other pair states nothing (None).  A
 family's JSON form is its ``family`` and its dataclass fields, and
 `dist_from_json` builds it back from its family table.
 
@@ -99,6 +103,11 @@ class Distribution:
         light or bounded tail."""
         return (math.inf, math.inf)
 
+    def stated_le(self, rel: str, other: "Distribution") -> bool | None:
+        """self <=_rel other on the whole support, for ``other`` of this
+        class, where the class states it in closed form; None otherwise."""
+        return None
+
     def to_json(self) -> dict:
         """{"family": ..., "params": {...}}, with the family's dataclass
         fields as params (a distribution as its JSON); `dist_from_json` reads it."""
@@ -109,6 +118,17 @@ class Distribution:
 
 def _bad_prob(u: float):
     raise ParameterDomainError(f"probability must lie in (0,1), got {u}")
+
+
+def _product_ge(a, b, c, d) -> bool:
+    """a*b >= c*d exactly: rounding keeps a strict order of the two
+    products, and a tie of the rounded products is settled in rationals
+    (imported here: `fractions` loads `decimal`, which no CLI call needs)."""
+    p, q = a * b, c * d
+    if p != q:
+        return p > q
+    from fractions import Fraction
+    return Fraction(a) * Fraction(b) >= Fraction(c) * Fraction(d)
 
 
 @dataclass(frozen=True)
@@ -141,6 +161,10 @@ class Exponential(Distribution):
         if x < 0.0:
             raise SupportError("hazard needs x >= 0")
         return self.rate
+
+    def stated_le(self, rel, other):
+        """A constant hazard: A <=_st B and A <=_hr B iff rate_A >= rate_B."""
+        return self.rate >= other.rate if rel in ("st", "hr") else None
 
     def column(self, name, points):
         rate, exp = self.rate, math.exp
@@ -258,6 +282,16 @@ class Lomax(Distribution):
             raise SupportError("hazard needs x >= 0")
         return self.shape / (self.scale + x)
 
+    def stated_le(self, rel, other):
+        """hazard_A - hazard_B has the sign of the line (shape_A - shape_B)*x
+        + shape_A*scale_B - shape_B*scale_A on x >= 0, so A <=_hr B iff both
+        coefficients are >= 0; A <=_st B iff the same, as d/dx of
+        log(sf_B/sf_A), which is 0 at x = 0, is that hazard difference."""
+        if rel not in ("st", "hr"):
+            return None
+        return self.shape >= other.shape and _product_ge(self.shape, other.scale,
+                                                         other.shape, self.scale)
+
     def column(self, name, points):
         shape, scale = self.shape, self.scale
         if name == "sf":
@@ -362,12 +396,18 @@ class ReflectedDFR(Distribution):
 
     _REFLECTED = {"sf": "cdf", "cdf": "sf", "pdf": "pdf",
                   "hazard": "rev_hazard", "rev_hazard": "hazard"}
+    # -X <=_st -Y iff Y <=_st X, and -X <=_rh -Y iff Y <=_hr X
+    _MIRRORED_ORDER = {"st": "st", "rh": "hr"}
     # each ageing flag of the inner read at -x (a rate that rises in -x
     # falls in x); x*r(x) states nothing
     _MIRRORED_CLASS = {"DFR": "IRHR", "IFR": "DRHR", "DRHR": "IFR", "IRHR": "DFR"}
 
     def tail_exponents(self):
         return self.inner.tail_exponents()[::-1]
+
+    def stated_le(self, rel, other):
+        mirrored = self._MIRRORED_ORDER.get(rel)
+        return None if mirrored is None else stated_order(mirrored, other.inner, self.inner)
 
     @property
     def ageing_classes(self):
@@ -405,6 +445,13 @@ def dist_from_json(obj: dict) -> Distribution:
     except (KeyError, TypeError, AttributeError) as exc:
         cause = f"unknown family {exc}" if isinstance(exc, KeyError) else exc
         raise ParameterDomainError(f"bad distribution spec {obj!r}: {cause}") from exc
+
+
+def stated_order(rel: str, a: Distribution, b: Distribution) -> bool | None:
+    """a <=_rel b on the whole support where the class of both states it in
+    closed form (`Distribution.stated_le`); None for a pair of two classes
+    or a relation their class states nothing of."""
+    return a.stated_le(rel, b) if type(a) is type(b) else None
 
 
 def classify_ageing(d: Distribution) -> frozenset[str]:

@@ -20,8 +20,10 @@ shares its rows, sides builder and sampler, with the side as data.
 
 The ageing rows and T5's x*r(x) row read what the baseline states
 (`distributions.classify_ageing`, `distributions.xr_non_increasing`), on
-no grid.  A case's report carries the case's JSON, grids included, so
-`serialize.load_case` reruns it as it ran.
+no grid.  A baseline-order row reads the order the two baselines' class
+states (`distributions.stated_order`) and sweeps its grid only for a pair
+that states none.  A case's report carries the case's JSON, grids
+included, so `serialize.load_case` reruns it as it ran.
 """
 
 from __future__ import annotations
@@ -311,12 +313,14 @@ def _ageing_row(cls: str) -> tuple:
 
 
 def _order_row(rel: str, lo: str, hi: str) -> tuple:
-    """baseline_lo <=_rel baseline_hi on the case's `rel` grid; `lo` and `hi`
-    are "x", "y" or templates on the sides."""
-    return (f"baseline_{lo}_{rel}_le_baseline_{hi}",
-            lambda s: orders.CHECKERS[rel](s[f"baseline_{lo}".format_map(s)],
-                                           s[f"baseline_{hi}".format_map(s)],
-                                           s["case"].grid(rel)).holds)
+    """baseline_lo <=_rel baseline_hi as the two baselines' class states it
+    (`distributions.stated_order`), else on the case's `rel` grid; `lo` and
+    `hi` are "x", "y" or templates on the sides."""
+    def holds(s):
+        a, b = s[f"baseline_{lo}".format_map(s)], s[f"baseline_{hi}".format_map(s)]
+        stated = distributions.stated_order(rel, a, b)
+        return orders.CHECKERS[rel](a, b, s["case"].grid(rel)).holds if stated is None else stated
+    return (f"baseline_{lo}_{rel}_le_baseline_{hi}", holds)
 
 
 _SUMS = ("sum_beta_ge_sum_alpha",

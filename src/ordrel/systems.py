@@ -106,7 +106,8 @@ class SystemSpec:
                 for c in obj["components"])
             return cls(kind=obj["kind"], components=comps, split=obj.get("split"))
         except (KeyError, TypeError) as exc:
-            raise ParameterDomainError(f"bad system spec: {obj!r}") from exc
+            cause = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ParameterDomainError(f"bad system spec {obj!r}: {cause}") from exc
 
 
 def _single_baseline(kind, baseline, props, split=None) -> SystemSpec:

@@ -257,7 +257,6 @@ _REFLECTED_1, _REFLECTED_2 = (_baseline("reflected_dfr", inner=lomax)
                               for lomax in (_LOMAX_1, _LOMAX_2))
 # an x-grid under the "ageing" key, which no theorem reads
 _AGEING_GRID = {"ageing": {"kind": "x", "lo": 0.0, "hi": 5.0, "n": 64}}
-_LOMAX_HEAVY_X, _LOMAX_HEAVY_Y = _baseline("lomax", shape=0.001), _baseline("lomax", shape=0.0015)
 _T7 = T7_CLAYTON_FRANK["scenario"]
 
 # Specs the CLI refuses once loaded, each with the one error line it prints:
@@ -288,6 +287,17 @@ REFUSALS = {
         "system_x": _system((_EXP, 1.0), (_LOMAX_2, 2.0)),
         "system_y": _system((_EXP, 1.5), (_LOMAX_2, 2.0))}}},
         "mixed-baseline theorem needs split systems"),
+    # the schema leaves split and theta to the classes, which refuse these
+    "split_zero": ({"case": {"id": "T3", "scenario": {
+        "system_x": _system((_EXP, 1.0), (_LOMAX_2, 2.0), split=0),
+        "system_y": _system((_EXP, 1.5), (_LOMAX_2, 2.0), split=1)}}},
+        "T3 scenario field 'system_x': split needs at least 1, got 0"),
+    "t7_string_theta": ({"case": {"id": "T7", "scenario": {
+        **_T7, "generator_x": {"family": "clayton", "theta": "2.0"}}}},
+        "T7 scenario field 'generator_x': Clayton theta must be a real number, got '2.0'"),
+    "t7_null_frank_theta": ({"case": {"id": "T7", "scenario": {
+        **_T7, "generator_y": {"family": "frank", "theta": None}}}},
+        "T7 scenario field 'generator_y': Frank theta must be a real number, got None"),
     "t6_lengths": ({"case": {"id": "T6", "scenario": {
         "theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.0, 3.0]}}},
         "T6 needs equal-length shape vectors"),
@@ -301,12 +311,6 @@ REFUSALS = {
     # at x = inf alone and read holds
     "overflowing_grid_width": ({"grid": {"kind": "x", "lo": -1e308, "hi": 1e308, "n": 64}},
                                "bad grid bounds [-1e+308, 1e+308]"),
-    # Lomax states DFR, so the DFR row passes; the hr row's x-grid bound
-    # (the 1 - 1e-4 quantile) overflows
-    "t1_heavy_lomax": ({"case": {"id": "T1", "scenario": {
-        "system_x": _system((_LOMAX_HEAVY_X, 1.0), (_LOMAX_HEAVY_X, 2.0)),
-        "system_y": _system((_LOMAX_HEAVY_Y, 1.5), (_LOMAX_HEAVY_Y, 2.0))}}},
-        "T1 baseline_y_hr_le_baseline_x: Numerical result out of range"),
     # Clayton(2000) against Clayton(1000): the rows read closed forms, and
     # phi overflows at a grid point of the st conclusion inside the grid,
     # ahead of any violation
@@ -323,6 +327,26 @@ REFUSALS = {
         "T7 scenario field 'generator_y': bad generator spec {'family': 'independence', "
         "'theta': -1.0}: Independence.__init__() got an unexpected keyword argument 'theta'"),
 }
+
+
+_LOMAX_HEAVY_X, _LOMAX_HEAVY_Y = _baseline("lomax", shape=0.001), _baseline("lomax", shape=0.0015)
+T1_HEAVY_LOMAX = {"id": "T1", "scenario": {
+    "system_x": _system((_LOMAX_HEAVY_X, 1.0), (_LOMAX_HEAVY_X, 2.0)),
+    "system_y": _system((_LOMAX_HEAVY_Y, 1.5), (_LOMAX_HEAVY_Y, 2.0))}}
+
+
+def test_heavy_lomax_case_runs(spec_file):
+    # Lomax states DFR and its hr order, so every row holds without a grid;
+    # the disp conclusion's quantiles overflow, so it is inconclusive
+    proc = run_cli("theorem", "-s", spec_file("case.json", T1_HEAVY_LOMAX))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["hypothesis"] == {"satisfied": True, "conditions": {
+        "baseline_x_dfr": True, "baseline_y_hr_le_baseline_x": True,
+        "sum_beta_ge_sum_alpha": True}}
+    assert (report["conclusion_outcome"], report["consistent"]) == ("inconclusive", True)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "6cd0b3757c08c91dafe156379ab11f7c7ab360b794e7a652b687550510f518a5")
 
 
 class TestRefusals:
@@ -460,6 +484,12 @@ class TestLoadedModules:
         rc, loaded = self._loaded(tmp_path, "theorem", "-s", spec_file("t6.json", T6))
         assert rc == 0 and "ordrel.harness" in loaded
         assert "ordrel.scan" not in loaded
+
+    def test_a_stated_order_loads_no_fractions(self, spec_file, tmp_path):
+        # Lomax's order reads rationals only where the rounded products tie
+        rc, loaded = self._loaded(tmp_path, "theorem", "-s", spec_file("t1.json", T1_HEAVY_LOMAX))
+        assert rc == 0 and "ordrel.harness" in loaded
+        assert "fractions" not in loaded and "decimal" not in loaded
 
     def test_import_ordrel_loads_no_submodule(self):
         proc = run_python("import json, sys, ordrel; print(json.dumps(sorted(sys.modules)))")

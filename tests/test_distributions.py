@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,8 @@ from ordrel import (
     Weibull,
     classify_ageing,
 )
-from ordrel.distributions import dist_from_json, xr_non_increasing
+from ordrel import orders
+from ordrel.distributions import dist_from_json, stated_order, xr_non_increasing
 from ordrel.systems import OrderStatDist, parallel_prhr, series_phr
 from conftest import (CORPUS_PAIRS, numeric_ageing, numeric_xr_non_increasing,
                       quantile_points)
@@ -341,3 +343,139 @@ class TestStatedAgeing:
             classify_ageing(d)
         with pytest.raises(ParameterDomainError, match=rf"^{name} states no x\*r\(x\) trend$"):
             xr_non_increasing(d)
+
+
+def _lomax_le(a, b) -> bool:
+    """The oracle for a <=_hr b (and a <=_st b) on two Lomax baselines:
+    the hazard-line coefficients shape_a - shape_b and
+    shape_a*scale_b - shape_b*scale_a, both >= 0, in exact rationals."""
+    sa, ca, sb, cb = map(Fraction, (a.shape, a.scale, b.shape, b.scale))
+    return sa >= sb and sa * cb >= sb * ca
+
+
+def _lomax_pairs(count=1500):
+    """Seeded Lomax pairs with scales that differ; every third is a near
+    tie: B's scale is where the product term vanishes, moved by -1, 0 or
+    +1 ulp, and every fifth pair shares its shape."""
+    rng = random.Random("stated-order-lomax")
+    pairs = []
+    for i in range(count):
+        a = Lomax(_log_uniform(rng, 0.3, 5.0), _log_uniform(rng, 0.3, 3.0))
+        shape = a.shape if i % 5 == 0 else _log_uniform(rng, 0.3, 5.0)
+        scale = _log_uniform(rng, 0.3, 3.0)
+        if i % 3 == 0:
+            scale = shape * a.scale / a.shape
+            scale = math.nextafter(scale, scale * (1.0 + rng.choice((-1, 0, 1))))
+        pairs.append((a, Lomax(shape, scale)))
+    return pairs
+
+
+def _hazard_crossing(a, b) -> float:
+    """Where hazard_a - hazard_b, the line of `_lomax_le`, changes sign."""
+    return (b.shape * a.scale - a.shape * b.scale) / (a.shape - b.shape)
+
+
+def _sf_crossing(a, b) -> float:
+    """The x > 0 where the sf of two Lomax baselines cross, for a pair whose
+    hazards cross at x* > 0: log(sf_b/sf_a) is monotone beyond x*, so the
+    root is bracketed by doubling and bisected."""
+    def log_ratio(x):
+        return a.shape * math.log1p(x / a.scale) - b.shape * math.log1p(x / b.scale)
+
+    lo = _hazard_crossing(a, b)
+    hi, rising = 2.0 * lo, log_ratio(2.0 * lo) > log_ratio(lo)
+    while (log_ratio(hi) > 0.0) != rising and hi < 1e300:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (log_ratio(mid) > 0.0) != rising else (lo, mid)
+    return hi
+
+
+class TestStatedOrder:
+    """`stated_order` against exact rational arithmetic of the hazard line,
+    and against the numeric checkers where the line (hr) or the sf curves
+    (st) cross inside the checker's default window."""
+
+    def test_lomax_is_the_exact_hazard_line_sign(self):
+        pairs = _lomax_pairs()
+        read = [(stated_order("hr", a, b), stated_order("st", a, b)) for a, b in pairs]
+        assert read == [(_lomax_le(a, b),) * 2 for a, b in pairs]
+        # the near ties reach both answers, and the shared shapes both too
+        ties = [_lomax_le(a, b) for i, (a, b) in enumerate(pairs) if i % 3 == 0]
+        shared = [_lomax_le(a, b) for a, b in pairs if a.shape == b.shape]
+        assert set(ties) == set(shared) == {True, False}
+
+    def test_exponential_is_the_rate_order(self):
+        rng = random.Random("stated-order-exponential")
+        for _ in range(500):
+            r = _log_uniform(rng, 1e-3, 1e3)
+            a, b = Exponential(r), Exponential(rng.choice((r, math.nextafter(r, 0.0),
+                                                           _log_uniform(rng, 1e-3, 1e3))))
+            assert stated_order("st", a, b) == stated_order("hr", a, b) == (a.rate >= b.rate)
+
+    def test_a_reflected_pair_is_its_inner_pair_swapped(self):
+        for a, b in _lomax_pairs(300):
+            ra, rb = ReflectedDFR(a), ReflectedDFR(b)
+            assert stated_order("st", ra, rb) == _lomax_le(b, a)
+            assert stated_order("rh", ra, rb) == _lomax_le(b, a)
+            assert stated_order("hr", ra, rb) is None
+        assert stated_order("rh", ReflectedDFR(Exponential(2.0)),
+                            ReflectedDFR(Exponential(1.0))) is False
+        assert stated_order("rh", ReflectedDFR(Exponential(1.0)),
+                            ReflectedDFR(Exponential(2.0))) is True
+
+    @pytest.mark.parametrize("rel,a,b", [
+        ("hr", Exponential(1.0), Lomax(2.0)),
+        ("st", Lomax(2.0), Exponential(1.0)),
+        ("hr", Weibull(0.5, 2.0), Weibull(0.5, 1.0)),
+        ("st", Weibull(1.0, 2.0), Weibull(1.0, 1.0)),
+        ("st", ParetoI(2.0), ParetoI(1.0)),
+        ("st", Exponential(1.0), Weibull(1.0, 1.0)),
+        ("rh", ReflectedDFR(Lomax(2.0)), ReflectedDFR(Exponential(1.0))),
+        ("rh", ReflectedDFR(Weibull(0.5, 1.0)), ReflectedDFR(Weibull(0.5, 2.0))),
+        ("lr", Lomax(2.0), Lomax(1.0)),
+        ("rh", Lomax(2.0), Lomax(1.0)),
+        ("lr", Exponential(2.0), Exponential(1.0)),
+    ], ids=["exp-lomax", "lomax-exp", "weibull", "weibull-shape-1", "pareto",
+            "exp-weibull", "reflected-lomax-exp", "reflected-weibull",
+            "lomax-lr", "lomax-rh", "exp-lr"])
+    def test_what_no_class_states_is_none(self, rel, a, b):
+        assert stated_order(rel, a, b) is None
+
+    @pytest.mark.parametrize("rel,reflect", [("hr", False), ("st", False),
+                                             ("rh", True), ("st", True)])
+    def test_the_checker_agrees_where_the_pair_crosses_in_its_window(self, rel, reflect):
+        # a pair the rule holds for never crosses, and one whose hazards
+        # (hr, rh) or sf curves (st) cross inside the window fails both
+        grid = GridSpec(kind="x", n=96)
+        counts = {True: 0, False: 0}
+        for a, b in _lomax_pairs():
+            pair = (ReflectedDFR(a), ReflectedDFR(b)) if reflect else (a, b)
+            stated = stated_order(rel, *pair)
+            if not stated:
+                # -X <=_rel -Y reads the inner pair (Y, X), which crosses at -x
+                inner = (b, a) if reflect else (a, b)
+                if inner[0].shape == inner[1].shape or _hazard_crossing(*inner) <= 0.0:
+                    continue
+                x = (_sf_crossing if rel == "st" else _hazard_crossing)(*inner)
+                xs = grid.x_points(pair)
+                if not xs[0] < (-x if reflect else x) < xs[-1]:
+                    continue
+            counts[stated] += 1
+            assert orders.CHECKERS[rel](*pair, grid).holds == stated, pair
+        assert min(counts.values()) >= 100
+
+    @pytest.mark.parametrize("rel,reflect", [("hr", False), ("st", False),
+                                             ("rh", True), ("st", True)])
+    def test_beyond_the_window_the_rule_answers_for_the_whole_support(self, rel, reflect):
+        # the hazards cross at x* = 1e9 - 1 and the sf curves further out,
+        # both beyond the window [q(1e-4), q(1 - 1e-4)], which ends near 2e4:
+        # the checker reads the window only
+        a, b = Lomax(1.0, 1.0), Lomax(1.0 + 1e-9, 2.0)
+        assert 0.9e9 < _hazard_crossing(a, b) < _sf_crossing(a, b)
+        pair = (ReflectedDFR(b), ReflectedDFR(a)) if reflect else (a, b)
+        grid = GridSpec(kind="x", n=96)
+        assert max(map(abs, grid.x_points(pair))) < 1e5
+        assert orders.CHECKERS[rel](*pair, grid).holds
+        assert stated_order(rel, *pair) is False

@@ -50,14 +50,18 @@ class TestSeriesDispersive:
         assert rep.consistent  # vacuous cases are always consistent
 
     def test_heavy_lomax_passes_its_dfr_row(self):
-        # Lomax states DFR, so the ageing row reads no quantile; the hr
-        # row's x-grid bound (the 1 - 1e-4 quantile) is beyond the float range
+        # Lomax states DFR and its hr order, so neither row reads a
+        # quantile; the disp conclusion's quantiles overflow, so it is
+        # inconclusive
         case = TheoremCase("T1", {
             "system_x": series_phr(Lomax(0.001), (1.0, 2.0)),
             "system_y": series_phr(Lomax(0.0015), (1.5, 2.0)),
         })
-        with pytest.raises(OverflowError, match="^T1 baseline_y_hr_le_baseline_x: "):
-            run_case(case)
+        rep = run_case(case)
+        assert rep.conditions == {"sum_beta_ge_sum_alpha": True, "baseline_x_dfr": True,
+                                  "baseline_y_hr_le_baseline_x": True}
+        assert rep.hypothesis_satisfied and rep.consistent
+        assert rep.conclusion_outcome == "inconclusive"
 
     def test_needs_series_systems(self):
         case = TheoremCase("T1", {
@@ -468,6 +472,28 @@ REPORT_FORMAT = {
 }
 
 
+# The grid key of each baseline-order row: a pair whose class states the
+# order (`distributions.stated_order`) reads no grid for it.
+_ORDER_ROW_KEY = {"T1": "hr", "C1": "hr", "T2": "rh", "C2": "rh", "T7": "st", "T8": "st"}
+_UNSTATED = sorted(label for label in REPORT_FORMAT if label.split("-")[0] in _ORDER_ROW_KEY)
+
+
+def as_weibull(obj):
+    """`obj` with each Lomax baseline of shape a made Weibull(0.5, a) and
+    each exponential of rate r Weibull(1.5, r): every ageing flag and
+    every baseline order keep their truth, and no pair states its order."""
+    if isinstance(obj, list):
+        return [as_weibull(v) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    params = obj.get("params", {})
+    if obj.get("family") == "lomax":
+        return {"family": "weibull", "params": {"shape": 0.5, "rate": params["shape"]}}
+    if obj.get("family") == "exponential":
+        return {"family": "weibull", "params": {"shape": 1.5, "rate": params["rate"]}}
+    return {k: as_weibull(v) for k, v in obj.items()}
+
+
 class _RecordingGrids(dict):
     """An empty grids mapping that records every key a check looks up."""
 
@@ -500,7 +526,38 @@ class TestRegistry:
         assert rep.id == obj["id"] and rep.consistent
         assert rep.conclusion.get("relation") == relation
         assert tuple(rep.conditions) == names
-        assert grids.read == set(THEOREMS[case.id].grids)  # the declared grid keys
+        # the declared grid keys, less a stated order row's
+        assert grids.read == set(THEOREMS[case.id].grids) - {_ORDER_ROW_KEY.get(case.id)}
+
+    @pytest.mark.parametrize("label", _UNSTATED)
+    def test_an_unstated_pair_reads_every_declared_key(self, label):
+        obj, relation, names = REPORT_FORMAT[label]
+        case = load_case(as_weibull(obj))
+        grids = _RecordingGrids()
+        rep = run_case(dataclasses.replace(case, grids=grids))
+        assert rep.consistent and rep.conclusion.get("relation") == relation
+        assert rep.conditions == run_case(load_case(obj)).conditions
+        assert tuple(rep.conditions) == names
+        assert grids.read == set(THEOREMS[case.id].grids)
+
+    @pytest.mark.parametrize("baseline_y,calls", [(_lomax(2.0), 0), (_exp(2.0), 1)],
+                             ids=["lomax-lomax", "lomax-exponential"])
+    def test_only_an_unstated_pair_reaches_the_checker(self, baseline_y, calls, monkeypatch):
+        # C1's hr row on Lomax(1) and baseline_y: a pair of two classes
+        # states no order, and the row reads the checker on the hr grid
+        seen, check_hr = [], orders.CHECKERS["hr"]
+
+        def recording(*args):
+            seen.append(args)
+            return check_hr(*args)
+
+        monkeypatch.setitem(orders.CHECKERS, "hr", recording)
+        obj = REPORT_FORMAT["C1"][0]
+        rep = run_case(load_case({**obj, "scenario": {**obj["scenario"],
+                                                      "baseline_y": baseline_y}}))
+        assert rep.conditions["baseline_y_hr_le_baseline_x"] is True
+        assert len(seen) == calls
+        assert all(grid == GridSpec(kind="x", n=128) for _, _, grid in seen)
 
     @pytest.mark.parametrize("label", sorted(REPORT_FORMAT))
     def test_each_row_feeds_the_verdict(self, label, monkeypatch):

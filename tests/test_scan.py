@@ -66,6 +66,14 @@ class TestScan:
             comp = rep.case["scenario"]["system_x"]["components"][0]
             assert comp["baseline"]["params"]["shape"] == pytest.approx(1.0)
 
+    def test_a_heavy_lomax_box_finishes(self):
+        # Lomax states its hr order, so no x-grid bound (the 1 - 1e-4
+        # quantile, beyond the float range) is solved for the hr row; the
+        # disp conclusions whose quantiles overflow are inconclusive
+        c = scan("T1", box={"f_shape": (0.001, 0.01)}, budget=150, seed=7).counts
+        assert c == {"total": 150, "satisfied_holds": 74, "vacuous": 45,
+                     "inconsistent": 0, "inconclusive": 31}
+
     @pytest.mark.parametrize("box", [{"f_shap": (1.0, 2.0)}, {"a1": (3.0, -1.0)},
                                      {"f_shape": (0.5, math.inf)}, {"a1": (-math.inf, 1.0)},
                                      {"a1": (True, 2.0)}, {"a1": (1.0,)},

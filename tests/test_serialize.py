@@ -9,7 +9,8 @@ import random
 import pytest
 
 from ordrel import (ConfigError, Clayton, Exponential, Frank, GridSpec, Independence,
-                    Lomax, OrdrelError, ParameterDomainError, ParetoI, ReflectedDFR, Weibull)
+                    Lomax, OrdrelError, ParameterDomainError, ParetoI, ReflectedDFR, SystemSpec,
+                    Weibull)
 from ordrel.copulas import _GEN_FAMILIES, generator_from_json
 from ordrel.distributions import _FAMILIES, dist_from_json
 from ordrel.harness import THEOREMS, run_case
@@ -173,6 +174,21 @@ MALFORMED = [
 def test_malformed_spec_is_a_domain_error(from_json, spec):
     with pytest.raises(ParameterDomainError, match="bad (distribution|generator) spec"):
         from_json(spec)
+
+
+_EXP3 = {"family": "exponential", "params": {"rate": 3}}
+
+
+@pytest.mark.parametrize("spec,cause", [
+    ({"kind": "series_phr", "components": [{"baseline": _EXP3}]}, "missing key 'prop'"),
+    ({"components": [{"baseline": _EXP3, "prop": 1.0}]}, "missing key 'kind'"),
+    ({"kind": "series_phr", "components": 5}, "'int' object is not iterable"),
+], ids=["missing-prop", "missing-kind", "components-not-a-list"])
+def test_a_malformed_system_names_its_cause(spec, cause):
+    # as dist_from_json and generator_from_json end theirs
+    with pytest.raises(ParameterDomainError) as exc:
+        SystemSpec.from_json(spec)
+    assert str(exc.value) == f"bad system spec {spec!r}: {cause}"
 
 
 # A value every family takes, by the annotation of its dataclass field.

@@ -18,7 +18,7 @@ import pytest
 from ordrel.harness import run_case
 from ordrel.serialize import load_case
 from conftest import run_python
-from test_harness import REPORT_FORMAT
+from test_harness import REPORT_FORMAT, as_weibull
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -51,12 +51,16 @@ def test_install_then_restore_leaves_nothing_wrapped(tracing):
 
 
 def _traced_cases(label):
-    """(case, span it must not open) pairs traced for `label`.  T7's
-    generator rows call the numeric check only where no closed form
+    """(case, span it must not open) pairs traced for `label`.  T1's hr row
+    calls the checker only for a pair that states no hr order: the Lomax
+    case must not open that span, and its Weibull twin opens every span.
+    T7's generator rows call the numeric check only where no closed form
     applies, a Clayton x Frank composition: the Clayton x Clayton case
     must not open that span, and the Clayton x Frank case opens every
     span, the log-curvature row's included."""
     obj = REPORT_FORMAT[label][0]
+    if label == "T1":
+        return [(load_case(obj), "orders.hr"), (load_case(as_weibull(obj)), None)]
     if label != "T7":
         return [(load_case(obj), None)]
     mixed = load_case({**obj, "scenario": {
