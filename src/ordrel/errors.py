@@ -53,11 +53,16 @@ def is_real(v) -> bool:
 
 def check_real(name: str, v) -> float:
     """v as a float; refuse (ParameterDomainError) a v that is no real
-    number (`is_real`), such as a numeric string or True.  A float passes
-    first, without the call: the checks run on every object built."""
+    number (`is_real`), such as a numeric string or True, or an int past
+    the float range.  A float passes first, without the call: the checks
+    run on every object built."""
     if not (type(v) is float or is_real(v)):
         raise ParameterDomainError(f"{name} must be a real number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ParameterDomainError(f"{name} must lie in the float range, got an int "
+                                   f"of {v.bit_length()} bits") from None
 
 
 def check_positive(name: str, v):

@@ -3,9 +3,9 @@
 Each paper result is a conjunction of simple conditions on the parameters
 and the ageing class of the baselines, then a stochastic-order conclusion.
 `THEOREMS` is the one list of theorem ids, and each entry states one result
-whole: the scenario fields with the schema `$def` that validates each, the
+whole: the scenario fields with the schema `$def` that types each, the
 grid keys it reads (each of the kind `orders.grid_kind` gives), a sides
-builder that validates the scenario and builds the named objects the
+builder that checks the scenario's values and builds the named objects the
 statement reads, the hypothesis as (name, predicate(sides)) rows in report
 order, the conclusion as (relation, A, B) and, for scannable theorems, the
 sampler and the box of its knobs.  `CHECKS`, the loader's scenario and grid
@@ -36,8 +36,7 @@ from typing import Callable
 from . import distributions, orders
 from .copulas import (Clayton, DependentMax, DependentMin, composition_super_additive,
                       is_log_concave, is_log_convex)
-from .distributions import (Distribution, Exponential, Lomax, ParetoI,
-                            ReflectedDFR, Weibull)
+from .distributions import Exponential, Lomax, ParetoI, ReflectedDFR, Weibull
 from .errors import ConfigError, ParameterDomainError, check_count, check_positive, check_real
 from .grids import GridSpec, check_grid_size
 from .majorization import weak_submajorizes, weak_supermajorizes
@@ -85,8 +84,8 @@ class TheoremCase:
 
 def check_case(tid: str, scenario, grids) -> None:
     """The registry's case rules, which every `TheoremCase` obeys: theorem
-    `tid`'s fields, no other, of the lengths `min_entries` and `dims` ask,
-    and grids under the keys it reads, of the kind each key reads."""
+    `tid`'s fields and no other, and grids under the keys it reads, of the
+    kind each key reads.  A field's value is its sides builder's to check."""
     theorem = THEOREMS[tid]
     unknown = set(scenario) - set(theorem.fields)
     if unknown:
@@ -94,14 +93,6 @@ def check_case(tid: str, scenario, grids) -> None:
     missing = set(theorem.fields) - set(scenario) - set(theorem.optional)
     if missing:
         raise ConfigError(f"{tid} scenario missing fields: {sorted(missing)}")
-    for key, least in theorem.min_entries.items():
-        if len(scenario[key]) < least:
-            raise ConfigError(f"{tid} scenario field {key!r} needs at least {least} "
-                              f"entries, got {len(scenario[key])}")
-    for key, gen in theorem.dims.items():
-        if len(scenario[key]) != scenario[gen].dim:
-            raise ConfigError(f"{tid} scenario field {key!r} needs {scenario[gen].dim} "
-                              f"entries, one per dimension of {gen}, got {len(scenario[key])}")
     unknown = set(grids) - set(theorem.grids)
     if unknown:
         raise ConfigError(f"{tid} grids has unknown keys: {sorted(unknown)}; "
@@ -149,25 +140,35 @@ class TheoremReport:
 
 
 # -- sides: the named objects a theorem's rows and conclusion read ---------
-# A sides builder validates the scenario and returns a dict; rows read the
-# case's grids through its "case".
+# A sides builder checks every value of the scenario it reads (a range, a
+# choice, a length) and returns a dict; rows read the case's grids through
+# its "case".
 
 _BUILD = {SERIES_PHR: series_phr, PARALLEL_PRHR: parallel_prhr}
 
 
-def _reals(key: str, v):
-    """Scenario field `key`'s number, or array of numbers, as floats:
-    each checked by `check_real` before any row runs."""
-    return [check_real(key, x) for x in v] if isinstance(v, (list, tuple)) else check_real(key, v)
+def _reals(key: str, v) -> list:
+    """Scenario array field `key` as floats: a value that is no list or
+    tuple is refused by name, and each entry is checked by `check_real`,
+    the number fields' rule, before any row runs."""
+    if not isinstance(v, (list, tuple)):
+        raise ParameterDomainError(f"{key} must be an array of real numbers, got {v!r}")
+    return [check_real(key, x) for x in v]
 
 
-def _expand_outliers(baseline: Distribution, spec: dict, kind: str) -> SystemSpec:
+def _expand_outliers(sc: dict, side: str, kind: str) -> SystemSpec:
+    """The `kind` system on baseline_{side} with the p components of
+    parameter a1 and the q of a2 that block outlier_{side} states."""
+    spec = sc[f"outlier_{side}"]
+    if not (isinstance(spec, dict) and set(spec) == {"p", "q", "a1", "a2"}):
+        raise ParameterDomainError(f"outlier_{side} needs exactly the keys p, q, a1 and a2, "
+                                   f"got {spec!r}")
     p, q, a1, a2 = spec["p"], spec["q"], spec["a1"], spec["a2"]
     check_count("outlier block p", p, 1)
     check_count("outlier block q", q, 0)
     check_positive("outlier block a1", a1)
     check_positive("outlier block a2", a2)
-    return _BUILD[kind](baseline, [a1] * p + [a2] * q)
+    return _BUILD[kind](sc[f"baseline_{side}"], [a1] * p + [a2] * q)
 
 
 def _system_sides(case: TheoremCase, *, kind: str, outliers: bool = False) -> dict:
@@ -176,8 +177,7 @@ def _system_sides(case: TheoremCase, *, kind: str, outliers: bool = False) -> di
     parameter vectors."""
     sc = case.scenario
     if outliers:
-        sx, sy = (_expand_outliers(sc[f"baseline_{s}"], sc[f"outlier_{s}"], kind)
-                  for s in "xy")
+        sx, sy = (_expand_outliers(sc, s, kind) for s in "xy")
     else:
         sx, sy = sc["system_x"], sc["system_y"]
         if sx.kind != kind or sy.kind != kind:
@@ -217,7 +217,11 @@ def _lomax_maxima_sides(case: TheoremCase) -> dict:
     decreasing in a for u > 1; those properties hold for every case and are
     checked once, by differences, in the acceptance suite."""
     sc = case.scenario
-    theta, alphas, alphas_star = (_reals(key, sc[key]) for key in ("theta", "alphas", "alphas_star"))
+    theta = check_real("theta", sc["theta"])
+    alphas, alphas_star = (_reals(key, sc[key]) for key in ("alphas", "alphas_star"))
+    if min(len(alphas), len(alphas_star)) < 2:
+        raise ParameterDomainError(f"{case.id} needs at least 2 entries per shape vector, "
+                                   f"got {len(alphas)} and {len(alphas_star)}")
     if len(alphas) != len(alphas_star):
         raise ParameterDomainError(f"{case.id} needs equal-length shape vectors")
     x, y = (OrderStatDist(SystemSpec(PARALLEL_PRHR, tuple((Lomax(a, theta), 1.0) for a in v)))
@@ -279,8 +283,12 @@ def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
     `baseline(param, scenario)`: closed form vs reference values vs the
     quadrature oracle, plus the variance-ordering sign.  A worked example
     has no order conclusion; this comparison is its conclusion, which holds
-    for the `defaults` only ("default": the values as floats are those)."""
-    sc = {k: _reals(k, v) for k, v in {**defaults, **case.scenario}.items()}
+    for the `defaults` only ("default": the values as floats are those).
+    A field is an array or a number as its default is."""
+    def read(k, v):
+        return (_reals if isinstance(defaults[k], tuple) else check_real)(k, v)
+
+    sc = {k: read(k, v) for k, v in {**defaults, **case.scenario}.items()}
     params = [sc[key] for key in vectors]
     var_x, var_y = (closed_form(p, sc) for p in params)
     num_x, num_y = (numeric_mean_variance(OrderStatDist(SystemSpec(
@@ -298,7 +306,7 @@ def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
         "ordering": f"var_x {ordering} var_y",
     }
     return {"conclusion": conclusion, "outcome": HOLDS if ok else FAILS,
-            "default": all(sc[k] == _reals(k, v) for k, v in defaults.items())}
+            "default": all(sc[k] == read(k, v) for k, v in defaults.items())}
 
 
 # -- hypothesis rows -------------------------------------------------------
@@ -470,16 +478,16 @@ class Theorem:
     conclusion's A and B are "x", "y" or templates on the sides (T7/T8's
     "{low}" and "{high}"), and a "grid" in the sides replaces the case's
     grid for the relation.  Without a conclusion (the worked examples) the
-    sides carry the report's "conclusion" and "outcome"."""
+    sides carry the report's "conclusion" and "outcome".  The entry names
+    a case's fields and grids; each field's value, its length included, is
+    the sides builder's to check."""
 
-    fields: dict  # scenario field -> name of the schema $def that validates it
-    sides: Callable[[TheoremCase], dict]  # validates the scenario, builds the sides
+    fields: dict  # scenario field -> name of the schema $def that types it
+    sides: Callable[[TheoremCase], dict]  # checks the scenario's values, builds the sides
     hypothesis: tuple  # (name, predicate(sides)) rows in report order
     grids: tuple = ()  # the grid keys the rows and conclusion read, each of its `grid_kind`
     optional: tuple = ()  # scenario fields a case may leave out
     conclusion: tuple | None = None  # (relation, A, B), A and B "x", "y" or templates
-    min_entries: dict = field(default_factory=dict)  # array field -> least length
-    dims: dict = field(default_factory=dict)  # array field -> generator whose .dim it matches
     sampler: Callable | None = None  # (knob values, violate) -> scenario
     box: dict | None = None  # knob -> (lo, hi); sorted(box) fixes the random stream
 
@@ -493,9 +501,8 @@ _OUTLIERS = {"baseline_x": "dist", "baseline_y": "dist",
 _DEPENDENT = dict(
     fields={"generator_x": "generator", "generator_y": "generator",
             "baseline_x": "dist", "baseline_y": "dist",
-            "shifts_x": "number_array", "shifts_y": "number_array", "branch": "branch"},
+            "shifts_x": "number_array", "shifts_y": "number_array", "branch": "string"},
     optional=("branch",), grids=("st", "dep"),
-    dims={"shifts_x": "generator_x", "shifts_y": "generator_y"},
     hypothesis=_DEPENDENT_ROWS, conclusion=("st", "{low}", "{high}"))
 _MINIMA = {"extreme": DependentMin, "compose_low_first": False,
            "ageing": {"log_convex": "IFR", "log_concave": "DFR"}}
@@ -563,13 +570,11 @@ THEOREMS = {
         box={"p_shape": (0.5, 3.0), "a1": (0.3, 2.0), "a2": (0.3, 2.0),
              "sum_gap": (0.05, 1.0)}),
     "T6": Theorem(
-        fields={"theta": "positive", "alphas": "positive_array",
-                "alphas_star": "positive_array"},
+        fields={"theta": "number", "alphas": "number_array", "alphas_star": "number_array"},
         grids=("rh",), sides=_lomax_maxima_sides,
         hypothesis=(("alpha_supermajorized_by_alpha_star",
                      lambda s: weak_supermajorizes(s["alphas"], s["alphas_star"])),),
         conclusion=("rh", "x", "y"), sampler=_sample_lomax_maxima,
-        min_entries={"alphas": 2, "alphas_star": 2},
         box={"theta": (0.5, 2.0), "b1": (0.5, 3.0), "b2": (0.5, 3.0),
              "b3": (0.5, 3.0), "shift": (0.1, 1.0), "mode": (0.0, 1.0)}),
     "T7": Theorem(
@@ -585,8 +590,7 @@ THEOREMS = {
              "shape_gap": (0.05, 1.0), "scale": (0.5, 2.0),
              "m1": (0.2, 1.5), "m2": (0.2, 1.5), "shift": (0.05, 0.8)}),
     "Ex1": Theorem(
-        fields={"shape": "positive", "rates_x": "positive_array",
-                "rates_y": "positive_array"},
+        fields={"shape": "number", "rates_x": "number_array", "rates_y": "number_array"},
         optional=tuple(DEFAULT_EX1), hypothesis=_DEFAULT_ROWS,
         sides=partial(_variance_sides, defaults=DEFAULT_EX1,
                       vectors=("rates_x", "rates_y"),
@@ -594,7 +598,7 @@ THEOREMS = {
                       closed_form=lambda ks, sc: weibull_min_variance(ks, sc["shape"]),
                       reference=REFERENCE_WEIBULL_VARIANCES, ordering=">")),
     "Ex2": Theorem(
-        fields={"alphas_x": "positive_array", "alphas_y": "positive_array"},
+        fields={"alphas_x": "number_array", "alphas_y": "number_array"},
         optional=tuple(DEFAULT_EX2), hypothesis=_DEFAULT_ROWS,
         sides=partial(_variance_sides, defaults=DEFAULT_EX2,
                       vectors=("alphas_x", "alphas_y"),

@@ -1,26 +1,26 @@
 """JSON loading and validation for all configuration objects.
 
 Everything entering from a file is checked against the bundled JSON Schema
-(`schemas/ordrel.schema.json`, unknown fields rejected) for its shape before
-any object is constructed; a family's class checks its name and values.  A
-theorem case gets a second pass here, because its shape depends on its id:
-the id must be in the registry (`harness.THEOREMS`), whose entry names the
-scenario fields, the `$def` each field is validated against and loaded by
-(`_LOADERS`), the least length of some array fields and the generator whose
-dimension others must match, and the grid keys a case may set with the kind
-of grid each must be; every `TheoremCase` obeys them (`harness.check_case`).
+(`schemas/ordrel.schema.json`, unknown fields rejected) before any object
+is constructed.  The schema is shape and types only: its objects, their
+keys and each value's JSON type.  Every rule on a value (a range, a
+choice, a length) is checked once, by the constructor or sides builder
+that reads it.  A theorem case gets a second pass here, because its shape
+depends on its id: the id must be in the registry (`harness.THEOREMS`),
+whose entry names the scenario fields, the `$def` each field is validated
+against and loaded by (`_LOADERS`), and the grid keys a case may set with
+the kind of grid each must be; every `TheoremCase` obeys them
+(`harness.check_case`).
 
 The check is a small recursive interpreter of the keywords the schema
 uses (`_RULES`); a test walks the schema file so that it cannot use one the
-interpreter lacks.  It is stricter than Draft 2020-12 in two ways: an
-integer field takes only JSON integers (not `64.0`), and NaN fails every
-bound.
+interpreter lacks.  It is stricter than Draft 2020-12 in one way: an
+integer field takes only JSON integers (not `64.0`).
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from functools import lru_cache
 from importlib import resources
 
@@ -60,20 +60,6 @@ def _type(v, names, schema, path):
         return path, f"{v!r} is not of type {' or '.join(map(repr, names))}"
 
 
-def _bound(op, sign):
-    def rule(v, limit, schema, path):
-        if is_real(v) and not op(v, limit):  # so NaN fails every bound
-            return path, f"{v!r} is not {sign} {limit!r}"
-    return rule
-
-
-def _length(op, sign):
-    def rule(v, limit, schema, path):
-        if isinstance(v, list) and not op(len(v), limit):
-            return path, f"{v!r} does not have {sign} {limit} items"
-    return rule
-
-
 def _properties(v, props, schema, path):
     if isinstance(v, dict):
         return _first(_check(v[k], sub, path + (k,))
@@ -98,17 +84,11 @@ _RULES = {
     "$ref": lambda v, ref, s, path: _check(
         v, _schema()["$defs"][ref.removeprefix("#/$defs/")], path),
     "type": _type,
-    "enum": lambda v, e, s, path: None if v in e else (path, f"{v!r} is not one of {e}"),
     "required": lambda v, names, s, path: isinstance(v, dict) and _first(
         (path, f"{k!r} is a required property") for k in names if k not in v),
     "properties": _properties,
     "additionalProperties": _additional,
     "items": _items,
-    "minItems": _length(operator.ge, ">="),
-    "maxItems": _length(operator.le, "<="),
-    "minimum": _bound(operator.ge, ">="),
-    "exclusiveMinimum": _bound(operator.gt, ">"),
-    "exclusiveMaximum": _bound(operator.lt, "<"),
 }
 
 
@@ -168,13 +148,12 @@ _LOADERS = {
     "system": load_system,
     "generator": load_generator,
     **{name: _load_json(name) for name in
-       ("outlier_block", "positive", "positive_array", "number_array", "branch")},
+       ("outlier_block", "number", "number_array", "string")},
 }
 
 
 def _check_id(obj: dict, def_name: str, ids) -> str:
-    """The id of a validated `def_name` object; one outside `ids` is
-    rejected the way a schema enum would reject it."""
+    """The id of a validated `def_name` object, one of `ids`."""
     if obj["id"] not in ids:
         raise ConfigError(f"invalid {def_name} at id: {obj['id']!r} is not one of {list(ids)}")
     return obj["id"]
@@ -204,9 +183,7 @@ def load_scan_config(obj: dict) -> dict:
     validate(obj, "scan_config")
     _check_id(obj, "scan_config", SCAN_IDS)
     cfg = {"theorem_id": obj["id"], "budget": obj["budget"]}
-    cfg.update((k, obj[k]) for k in ("strategy", "seed") if k in obj)
-    if "box" in obj:
-        cfg["box"] = {k: (float(v[0]), float(v[1])) for k, v in obj["box"].items()}
+    cfg.update((k, obj[k]) for k in ("strategy", "seed", "box") if k in obj)
     return cfg
 
 

@@ -3,13 +3,17 @@
 CORPUS_PAIRS is the pool of comparable (A, B) pairs used by the
 implication-chain meta-test and various checker tests; SHIFTED_SYSTEMS is
 the pool of dependent systems exercised by the copula invariants.
-BAD_SCALAR_FIELDS, BAD_LENGTH_FIELDS, T7_NEGATIVE_FRANK_DIM_3, T6_UNKNOWN_GRID
-and T6_WRONG_GRID_KIND are malformed theorem cases that the loader and the
-CLI must both reject; T7_CLAYTON_FRANK and T7_LARGE_FRANK load and run;
-T7_OUT_OF_FLOAT_RANGE holds cases the CLI must refuse because a generator
-theta leaves the float range; T5_XR_OUTSIDE_SUPPORT sets an x*r(x) grid
-left of its support under the "xr" key, which no theorem reads, so the
-loader refuses it.
+BAD_SCALAR_FIELDS, T7_NEGATIVE_FRANK_DIM_3, T6_UNKNOWN_GRID and
+T6_WRONG_GRID_KIND are malformed theorem cases that the loader and the CLI
+must both reject; BAD_LENGTH_FIELDS load, and their sides builder refuses
+them with the BAD_LENGTH_MESSAGES line (the CLI too); T7_CLAYTON_FRANK and
+T7_LARGE_FRANK load and run; T7_OUT_OF_FLOAT_RANGE holds cases the CLI
+must refuse because a generator theta leaves the float range;
+T5_XR_OUTSIDE_SUPPORT sets an x*r(x) grid left of its support under the
+"xr" key, which no theorem reads, so the loader refuses it.
+DROPPED_RULES holds one document per value rule that the schema no longer
+states, each with the error the class or sides builder that reads the
+value refuses it with.
 UnstatedClayton is a generator that states no closed form.
 copula_value is the reference copula C the copula tests compare against;
 numeric_ageing and numeric_xr_non_increasing judge ageing from the rate
@@ -32,11 +36,13 @@ import pytest
 import ordrel
 from ordrel import (
     Clayton,
+    ConfigError,
     Exponential,
     Frank,
     Independence,
     Lomax,
     OrderStatDist,
+    ParameterDomainError,
     ParetoI,
     ReflectedDFR,
     ShiftedSystem,
@@ -157,8 +163,8 @@ GENERATORS = [
 ]
 
 
-# Scenario fields of the wrong type, one per kind of scalar $def (positive
-# number, number array); the loader must reject each before any check runs.
+# Scenario fields of the wrong JSON type, one per kind of scenario $def
+# (number, number array); the loader must reject each before any check runs.
 BAD_SCALAR_FIELDS = {
     "theta": {"id": "T6", "scenario": {"theta": "a", "alphas": [1.0], "alphas_star": [1.0]}},
     "shape": {"id": "Ex1", "scenario": {"shape": "x"}},
@@ -181,12 +187,97 @@ def _t7_t8(tid, shifts_x, shifts_y):
 
 # Array fields of a length the theorem cannot use: a T6 shape vector needs
 # two entries, and a T7/T8 shift vector one per dimension of its generator.
+# The sides builder refuses each: T6's, and ShiftedSystem's for T7/T8.
 BAD_LENGTH_FIELDS = {
     "alphas": {"id": "T6", "scenario": {"theta": 1.0, "alphas": [1.0], "alphas_star": [2.0]}},
     "alphas_star": {"id": "T6", "scenario": {
         "theta": 1.0, "alphas": [1.0, 2.0], "alphas_star": [2.0]}},
     "shifts_x": _t7_t8("T8", [0.2, 0.5, 0.7], [0.5, 0.8]),
     "shifts_y": _t7_t8("T7", [0.2, 0.5], [0.5]),
+}
+BAD_LENGTH_MESSAGES = {
+    "alphas": "T6 needs at least 2 entries per shape vector, got 1 and 1",
+    "alphas_star": "T6 needs at least 2 entries per shape vector, got 2 and 1",
+    "shifts_x": "generator dimension 2 != 3 shifts",
+    "shifts_y": "generator dimension 2 != 1 shifts",
+}
+
+# One document per value rule that the schema no longer states (a range, a
+# choice or a length): each is the rule of the class or sides builder that
+# reads the value, and it refuses the document with this error.  The kind
+# names what reads the document: a "system" or a "grid" file, a theorem
+# "case" or a "scan" config.
+_EXP = {"family": "exponential", "params": {"rate": 1.0}}
+_SERIES = {"kind": "series_phr", "components": [{"baseline": _EXP, "prop": 1.0}]}
+_C1 = {"id": "C1", "scenario": {
+    "baseline_x": {"family": "lomax", "params": {"shape": 1.0, "scale": 1.0}},
+    "baseline_y": {"family": "lomax", "params": {"shape": 2.0, "scale": 1.0}},
+    "outlier_x": {"p": 2, "q": 1, "a1": 0.5, "a2": 1.0},
+    "outlier_y": {"p": 2, "q": 1, "a1": 1.0, "a2": 1.5}}}
+_T6 = {"id": "T6", "scenario": {"theta": 1.5, "alphas": [2.0, 2.0], "alphas_star": [1.0, 2.5]}}
+
+
+def _with(case, **fields):
+    return {**case, "scenario": {**case["scenario"], **fields}}
+
+
+def _outlier_x(**block):
+    return _with(_C1, outlier_x={**_C1["scenario"]["outlier_x"], **block})
+
+
+DROPPED_RULES = {
+    "system-kind": ("system", {**_SERIES, "kind": "foo"}, ParameterDomainError,
+                    "unknown system kind 'foo'"),
+    "system-components": ("system", {**_SERIES, "components": []}, ParameterDomainError,
+                          "system needs at least one component"),
+    "system-prop": ("system", {**_SERIES, "components": [{"baseline": _EXP, "prop": 0}]},
+                    ParameterDomainError, "prop must be strictly positive, got 0.0"),
+    "grid-kind": ("grid", {"kind": "y"}, ParameterDomainError, "unknown grid kind 'y'"),
+    "grid-eps-0": ("grid", {"kind": "u", "eps": 0}, ParameterDomainError,
+                   "eps must lie in (0, 0.5)"),
+    "grid-eps-half": ("grid", {"kind": "u", "eps": 0.5}, ParameterDomainError,
+                      "eps must lie in (0, 0.5)"),
+    "grid-n": ("grid", {"n": 63}, ParameterDomainError,
+               "grid size n needs at least 64 points, got 63"),
+    "grid-tau_mono": ("grid", {"tau_mono": -1e-9}, ParameterDomainError,
+                      "tau_mono must be strictly positive, got -1e-09"),
+    "grid-tau_pt": ("grid", {"tau_pt": 0}, ParameterDomainError,
+                    "tau_pt must be strictly positive, got 0"),
+    "outlier-p": ("case", _outlier_x(p=0), ParameterDomainError,
+                  "outlier block p needs at least 1, got 0"),
+    "outlier-q": ("case", _outlier_x(q=-1), ParameterDomainError,
+                  "outlier block q needs at least 0, got -1"),
+    "outlier-a1": ("case", _outlier_x(a1=0), ParameterDomainError,
+                   "outlier block a1 must be strictly positive, got 0"),
+    "outlier-a2": ("case", _outlier_x(a2=-0.5), ParameterDomainError,
+                   "outlier block a2 must be strictly positive, got -0.5"),
+    "case-n": ("case", {**_T6, "n": 63}, ParameterDomainError,
+               "grid size n needs at least 64 points, got 63"),
+    "t6-theta": ("case", _with(_T6, theta=0), ParameterDomainError,
+                 "scale must be strictly positive, got 0.0"),
+    "t6-alpha": ("case", _with(_T6, alphas=[0.0, 2.0]), ParameterDomainError,
+                 "shape must be strictly positive, got 0.0"),
+    "t6-one-entry": ("case", _with(_T6, alphas=[2.0]), ParameterDomainError,
+                     "T6 needs at least 2 entries per shape vector, got 1 and 2"),
+    "t7-three-shifts": ("case", _t7_t8("T7", [0.2, 0.5, 0.7], [0.5, 0.8]), ParameterDomainError,
+                        "generator dimension 2 != 3 shifts"),
+    "t7-no-shifts": ("case", _t7_t8("T7", [0.2, 0.5], []), ParameterDomainError,
+                     "generator dimension 2 != 0 shifts"),
+    "t7-branch": ("case", _with(_t7_t8("T7", [0.2, 0.5], [0.5, 0.8]), branch="sideways"),
+                  ParameterDomainError, "unknown branch 'sideways'"),
+    "ex1-shape": ("case", {"id": "Ex1", "scenario": {"shape": 0}}, ParameterDomainError,
+                  "shape and rates must be strictly positive, got 0.0"),
+    "ex1-no-rates": ("case", {"id": "Ex1", "scenario": {"rates_x": []}}, ParameterDomainError,
+                     "weibull_min_variance needs at least one rate"),
+    "scan-budget": ("scan", {"id": "T1", "budget": -1}, ParameterDomainError,
+                    "scan budget needs at least 0, got -1"),
+    "scan-strategy": ("scan", {"id": "T1", "budget": 5, "strategy": "sobol"},
+                      ParameterDomainError, "unknown strategy 'sobol'"),
+    "scan-box-1": ("scan", {"id": "T1", "budget": 5, "box": {"f_shape": [1.0]}}, ConfigError,
+                   "T1 box 'f_shape' needs a pair of finite real bounds lo <= hi, got [1.0]"),
+    "scan-box-3": ("scan", {"id": "T1", "budget": 5, "box": {"f_shape": [1.0, 2.0, 3.0]}},
+                   ConfigError, "T1 box 'f_shape' needs a pair of finite real bounds "
+                                "lo <= hi, got [1.0, 2.0, 3.0]"),
 }
 
 # Negative-theta Frank is 2-monotone only, so this case must not load.

@@ -11,8 +11,8 @@ import pytest
 
 import ordrel
 from ordrel.cli import main
-from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T5_XR_OUTSIDE_SUPPORT,
-                      T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND, T7_CLAYTON_FRANK,
+from conftest import (BAD_LENGTH_FIELDS, BAD_LENGTH_MESSAGES, BAD_SCALAR_FIELDS, DROPPED_RULES,
+                      T5_XR_OUTSIDE_SUPPORT, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND, T7_CLAYTON_FRANK,
                       T7_LARGE_FRANK, T7_NEGATIVE_FRANK_DIM_3, T7_OUT_OF_FLOAT_RANGE,
                       run_cli, run_python)
 
@@ -199,8 +199,7 @@ class TestTheorem:
         path = spec_file("c.json", obj)
         assert main(["theorem", "-s", path]) == 2
         captured = capsys.readouterr()
-        assert f"error: {obj['id']} scenario field {field!r} needs " in captured.err
-        assert captured.out == ""
+        assert (captured.out, captured.err) == ("", f"error: {BAD_LENGTH_MESSAGES[field]}\n")
 
     def test_unknown_grid_key_exit_two(self, spec_file, capsys):
         path = spec_file("c.json", T6_UNKNOWN_GRID)
@@ -362,6 +361,24 @@ class TestRefusals:
                     "-s", spec_file("b.json", EXP1), "--grid", spec_file("g.json", spec["grid"])]
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+class TestDroppedSchemaRules:
+    """A value rule that the schema no longer states is the rule of the class
+    or sides builder that reads the value: each document exits 2 with its
+    message, and prints nothing."""
+
+    @pytest.mark.parametrize("name", sorted(DROPPED_RULES))
+    def test_exit_two_with_the_class_message(self, spec_file, capsys, name):
+        kind, doc, _, message = DROPPED_RULES[name]
+        path = spec_file(f"{kind}.json", doc)
+        argv = {"system": ["dist", "-s", path, "--fn", "sf", "--x", "1.0"],
+                "grid": ["dist", "-s", spec_file("exp.json", EXP1), "--fn", "sf", "--grid", path],
+                "case": ["theorem", "-s", path],
+                "scan": ["scan", "-s", path]}[kind]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -130,6 +130,26 @@ class TestOutlierCorollaries:
         with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
             run_case(case)
 
+    @pytest.mark.parametrize("tid,side,block", [
+        ("C1", "x", {"p": 2, "q": 1, "a1": 0.5}),
+        ("C1", "y", {"p": 2, "q": 1, "a1": 1.0, "a2": 1.5, "a3": 2.0}),
+        ("C2", "x", {"p": 1, "q": 2, "a2": 0.7}),
+        ("C2", "y", [1, 2, 0.8, 1.0]),
+    ], ids=["c1-missing-a2", "c1-extra-key", "c2-missing-a1", "c2-not-an-object"])
+    def test_a_block_has_exactly_its_four_keys(self, tid, side, block, monkeypatch):
+        # a file's schema refuses each; from Python a missing key was a bare
+        # KeyError, and an extra one was dropped while the case ran
+        monkeypatch.setitem(THEOREMS, tid, dataclasses.replace(
+            THEOREMS[tid], hypothesis=(("row", lambda s: pytest.fail("a row ran")),)))
+        baseline = Lomax(1.0, 1.0) if tid == "C1" else ReflectedDFR(Lomax(1.0, 1.0))
+        scenario = {"baseline_x": baseline, "baseline_y": baseline,
+                    "outlier_x": {"p": 1, "q": 2, "a1": 0.5, "a2": 0.7},
+                    "outlier_y": {"p": 1, "q": 2, "a1": 0.8, "a2": 1.0}, f"outlier_{side}": block}
+        with pytest.raises(ParameterDomainError) as info:
+            run_case(TheoremCase(tid, scenario))
+        assert str(info.value) == (f"outlier_{side} needs exactly the keys p, q, a1 and a2, "
+                                   f"got {block!r}")
+
 
 class TestMixedBlocks:
     def test_t3_series_hazard_rate(self):
@@ -231,6 +251,17 @@ def _c1_scenario(**outlier_x):
 _T6_SCENARIO = {"theta": 1.0, "alphas": [2.0, 2.0, 2.0], "alphas_star": [1.0, 2.0, 3.0]}
 
 
+def _fields(def_name):
+    """(theorem id, scenario field) for every field of schema def `def_name`."""
+    return [(tid, key) for tid, theorem in THEOREMS.items()
+            for key, name in theorem.fields.items() if name == def_name]
+
+
+# A scenario per theorem with number fields, each of whose fields loads.
+_SCENARIOS = {"T6": _T6_SCENARIO, "T7": TestDependent()._t7_scenario(),
+              "T8": TestDependent()._t7_scenario(), "Ex1": {}, "Ex2": {}}
+
+
 class TestRealNumbers:
     # a scenario number that is no JSON number (a string or a bool) is
     # refused before any row runs: the case it would write does not load
@@ -252,6 +283,23 @@ class TestRealNumbers:
         with pytest.raises(ParameterDomainError) as info:
             run_case(TheoremCase(tid, scenario))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("tid,key", _fields("number_array"))
+    def test_an_array_field_given_a_number_is_refused(self, tid, key, monkeypatch):
+        # a bare TypeError (no len(), not iterable) before each field had its kind
+        monkeypatch.setitem(THEOREMS, tid, dataclasses.replace(
+            THEOREMS[tid], hypothesis=(("row", lambda s: pytest.fail("a row ran")),)))
+        with pytest.raises(ParameterDomainError) as info:
+            run_case(TheoremCase(tid, {**_SCENARIOS[tid], key: 1.5}))
+        assert str(info.value) == f"{key} must be an array of real numbers, got 1.5"
+
+    @pytest.mark.parametrize("tid,key", _fields("number"))
+    def test_a_number_field_given_an_array_is_refused(self, tid, key, monkeypatch):
+        monkeypatch.setitem(THEOREMS, tid, dataclasses.replace(
+            THEOREMS[tid], hypothesis=(("row", lambda s: pytest.fail("a row ran")),)))
+        with pytest.raises(ParameterDomainError) as info:
+            run_case(TheoremCase(tid, {**_SCENARIOS[tid], key: [1.5]}))
+        assert str(info.value) == f"{key} must be a real number, got [1.5]"
 
     @pytest.mark.parametrize("build", [
         lambda p: series_phr(Lomax(1.0, 1.0), (1.0, p)),
@@ -322,7 +370,7 @@ class TestWorkedExamples:
         ("Ex2", {"alphas_y": []}, "lomax_min_moments needs at least one shape"),
     ], ids=["Ex1", "Ex2"])
     def test_an_empty_vector_is_refused(self, tid, scenario, message):
-        # only a file's schema refused [] (minItems); from Python it divided by 0
+        # the class refuses [], from a file and from Python alike
         with pytest.raises(ParameterDomainError) as info:
             run_case(TheoremCase(tid, scenario))
         assert str(info.value) == message
@@ -359,12 +407,18 @@ class TestCaseObject:
             run_case(TheoremCase("T1", **kwargs))
         assert str(info.value) == message
 
-    def test_a_python_case_obeys_the_length_rules(self):
-        with pytest.raises(ConfigError, match="'alphas' needs at least 2 entries, got 1"):
-            TheoremCase("T6", {"theta": 1.0, "alphas": (1.0,), "alphas_star": (2.0,)})
+    def test_a_python_case_obeys_the_length_rules(self, monkeypatch):
+        # the sides builder states each length, and refuses before any row runs
         sc = TestDependent()._t7_scenario()
-        with pytest.raises(ConfigError, match="'shifts_y' needs 2 entries, one per dimension"):
-            TheoremCase("T7", {**sc, "shifts_y": (0.5, 0.8, 0.9)})
+        for tid, scenario, message in (
+                ("T6", {"theta": 1.0, "alphas": (1.0,), "alphas_star": (2.0,)},
+                 "T6 needs at least 2 entries per shape vector, got 1 and 1"),
+                ("T7", {**sc, "shifts_y": (0.5, 0.8, 0.9)}, "generator dimension 2 != 3 shifts")):
+            monkeypatch.setitem(THEOREMS, tid, dataclasses.replace(
+                THEOREMS[tid], hypothesis=(("row", lambda s: pytest.fail("a row ran")),)))
+            with pytest.raises(ParameterDomainError) as info:
+                run_case(TheoremCase(tid, scenario))
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("n", [100.0, 100.5, True, "100", 63])
     def test_a_case_grid_size_is_an_int_of_at_least_64(self, n):

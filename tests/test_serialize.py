@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import importlib
 import json
 import math
 import random
@@ -10,12 +11,12 @@ import pytest
 
 from ordrel import (ConfigError, Clayton, Exponential, Frank, GridSpec, Independence,
                     Lomax, OrdrelError, ParameterDomainError, ParetoI, ReflectedDFR, SystemSpec,
-                    Weibull)
+                    Weibull, scan)
 from ordrel.copulas import _GEN_FAMILIES, generator_from_json
 from ordrel.distributions import _FAMILIES, dist_from_json
 from ordrel.harness import THEOREMS, run_case
-from conftest import (BAD_LENGTH_FIELDS, BAD_SCALAR_FIELDS, T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND,
-                      T7_NEGATIVE_FRANK_DIM_3)
+from conftest import (BAD_LENGTH_FIELDS, BAD_LENGTH_MESSAGES, BAD_SCALAR_FIELDS, DROPPED_RULES,
+                      T6_UNKNOWN_GRID, T6_WRONG_GRID_KIND, T7_NEGATIVE_FRANK_DIM_3)
 from ordrel.serialize import (
     _LOADERS,
     _RULES,
@@ -87,8 +88,10 @@ class TestSystemLoading:
         assert o.sf(1.0) == pytest.approx(Exponential(1.0).sf(1.0))
 
     def test_bad_kind(self):
-        with pytest.raises(ConfigError):
+        # the schema types kind as a string; the class knows the kinds
+        with pytest.raises(ParameterDomainError) as info:
             load_system({"kind": "bridge", "components": []})
+        assert str(info.value) == "unknown system kind 'bridge'"
 
 
 class TestGeneratorLoading:
@@ -264,8 +267,9 @@ class TestGridLoading:
         assert g.kind == "u" and g.n == 64
 
     def test_too_few_points(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterDomainError) as info:
             load_grid({"n": 10})
+        assert str(info.value) == "grid size n needs at least 64 points, got 10"
 
     @pytest.mark.parametrize("n", [64.0, True])
     def test_integer_field_takes_only_integers(self, n):
@@ -294,7 +298,7 @@ class TestGridLoading:
             assert str(info.value) == message
 
     def test_infinite_tolerance_in_a_file_is_refused(self):
-        # JSON's Infinity passes the schema's exclusiveMinimum of 0
+        # JSON's Infinity is of the schema's number type; GridSpec refuses it
         with pytest.raises(ParameterDomainError, match="tau_pt"):
             load_grid(json.loads('{"kind": "x", "n": 64, "tau_pt": Infinity}'))
 
@@ -371,15 +375,18 @@ class TestCaseLoading:
 
     @pytest.mark.parametrize("field,obj", list(BAD_LENGTH_FIELDS.items()))
     def test_bad_length_field_rejected(self, field, obj):
-        with pytest.raises(ConfigError, match=f"{obj['id']} scenario field '{field}' needs "):
-            load_case(obj)
+        # a length is the sides builder's rule: the case loads, its sides do not
+        case = load_case(obj)
+        with pytest.raises(ParameterDomainError) as info:
+            THEOREMS[case.id].sides(case)
+        assert str(info.value) == BAD_LENGTH_MESSAGES[field]
 
     def test_length_rules_name_the_need(self):
-        with pytest.raises(ConfigError, match="needs at least 2 entries, got 1"):
-            load_case(BAD_LENGTH_FIELDS["alphas"])
-        with pytest.raises(ConfigError, match="needs 2 entries, one per dimension of "
-                                              "generator_x, got 3"):
-            load_case(BAD_LENGTH_FIELDS["shifts_x"])
+        # run_case reaches the same rule: the sides are built before any row
+        for field in ("alphas", "shifts_x"):
+            with pytest.raises(ParameterDomainError) as info:
+                run_case(load_case(BAD_LENGTH_FIELDS[field]))
+            assert str(info.value) == BAD_LENGTH_MESSAGES[field]
 
     def test_negative_frank_above_dimension_2_is_refused(self):
         # as a Clayton generator with theta <= 0 is
@@ -469,9 +476,10 @@ class TestScanConfig:
         assert cfg == {"theorem_id": "T1", "budget": 10}
 
     def test_box(self):
+        # each range passes through as written; scan() judges it
         cfg = load_scan_config({"id": "T1", "budget": 5,
                                 "box": {"f_shape": [1.0, 2.0]}})
-        assert cfg["box"] == {"f_shape": (1.0, 2.0)}
+        assert cfg["box"] == {"f_shape": [1.0, 2.0]}
 
     def test_float_budget_rejected(self):
         with pytest.raises(ConfigError, match="at budget:"):
@@ -499,6 +507,31 @@ class TestFiles:
             read_json_file(p)
 
 
+class TestDroppedSchemaRules:
+    """The schema takes each document of a value rule it no longer states;
+    the loader's class refuses it, or the theorem's sides builder does
+    (before any row), or `scan` does (before any case)."""
+
+    @pytest.mark.parametrize("name", sorted(DROPPED_RULES))
+    def test_refused_by_what_reads_the_value(self, name, monkeypatch):
+        kind, doc, error, message = DROPPED_RULES[name]
+        def_name = {"case": "theorem_case", "scan": "scan_config"}.get(kind, kind)
+        assert _check(doc, _schema()["$defs"][def_name], ()) is None
+        monkeypatch.setattr(importlib.import_module("ordrel.scan"), "run_case",
+                            lambda case: pytest.fail("a case ran"))
+        with pytest.raises(error) as info:
+            if kind == "system":
+                load_system(doc)
+            elif kind == "grid":
+                load_grid(doc)
+            elif kind == "case":
+                case = load_case(doc)
+                THEOREMS[case.id].sides(case)
+            else:
+                scan(**load_scan_config(doc))
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
 def _subschemas(schema):
     """Every schema position in `schema`, following the keywords that nest."""
     yield schema
@@ -517,10 +550,9 @@ def _subschemas(schema):
 
 # One valid document per $defs entry; the fuzz below mutates these.
 SEEDS = {
-    "positive": 1.5,
-    "positive_array": [0.5, 2.0],
+    "number": 1.5,
     "number_array": [-0.5, 1.5],
-    "branch": "log_concave",
+    "string": "log_concave",
     "dist": {"family": "reflected_dfr", "params": {
         "inner": {"family": "lomax", "params": {"shape": 1.5, "scale": 2.0}}}},
     "system": {"kind": "parallel_prhr", "split": 1, "components": [
@@ -585,13 +617,12 @@ def _mutate(doc, rng, keys):
 
 
 def _deliberate_difference(doc, err) -> bool:
-    """The checker rejects NaN at a bound and integral floats as integers,
-    where Draft 2020-12 accepts both."""
+    """The checker rejects integral floats as integers, where Draft 2020-12
+    accepts them."""
     path, reason = err
     for step in path:
         doc = doc[step]
-    return (isinstance(doc, float) and
-            (math.isnan(doc) or (doc.is_integer() and "'integer'" in reason)))
+    return isinstance(doc, float) and doc.is_integer() and "'integer'" in reason
 
 
 class TestSchemaChecker:
