@@ -35,6 +35,12 @@ from dataclasses import dataclass
 from .errors import ParameterDomainError, SupportError, check_positive, defined_at, stated
 
 
+def parts(values, size: int):
+    """``values`` as consecutive slices of ``size`` items, the last one
+    shorter if need be."""
+    return (values[i:i + size] for i in range(0, len(values), size))
+
+
 class Distribution:
     """Common surface for all lifetime distributions."""
 
@@ -84,6 +90,14 @@ class Distribution:
             raise NotImplementedError(f"{type(self).__name__} has no quantile")
         fn = getattr(self, name)
         return [defined_at(fn, x) for x in points]
+
+    def quantile_parts(self, us, size: int):
+        """The quantile column at ``us`` as a generator of its consecutive
+        parts of ``size`` points, for a reader that may stop early: here
+        slices of `column("quantile", us)`, computed (and raising) at the
+        first draw; a mixed-baseline system solves each part when it is
+        drawn."""
+        yield from parts(self.column("quantile", us), size)
 
     def rate_sweep(self, rate: str, xs) -> tuple[list[float], list[float | None]]:
         """The columns (sf, hazard) for `rate` "hazard", or (cdf,

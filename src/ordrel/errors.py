@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit, the undefined-point rule
-(`defined_at`), the stated-or-refuse rule (`stated`), and the real-number,
-positive-parameter, integer and count rules."""
+(`defined_at`), the stated-or-refuse rule (`stated`), the scenario-field
+rule (`scenario_field`), and the real-number, positive-parameter, integer
+and count rules."""
 
 import math
+from contextlib import contextmanager
 
 
 class OrdrelError(Exception):
@@ -46,6 +48,17 @@ class ConfigError(OrdrelError, ValueError):
     """Malformed or schema-violating configuration input."""
 
 
+@contextmanager
+def scenario_field(tid: str, key: str, catch=ParameterDomainError, error=ParameterDomainError):
+    """The one rule that names a scenario field in a refusal: an exception
+    of a ``catch`` class raised inside becomes
+    ``error("<tid> scenario field '<key>': <message>")``."""
+    try:
+        yield
+    except catch as exc:
+        raise error(f"{tid} scenario field {key!r}: {exc}") from exc
+
+
 def is_real(v) -> bool:
     """The one real-number rule, JSON's number: an int or a float, not a bool."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -67,9 +80,9 @@ def check_real(name: str, v) -> float:
 
 def check_positive(name: str, v):
     """Refuse (ParameterDomainError) a v that is no real number
-    (`check_real`) or lies outside (0, inf), NaN included."""
-    if not ((type(v) is float or is_real(v)) and 0.0 < v < math.inf):
-        check_real(name, v)
+    (`check_real`, which also refuses an int past the float range) or lies
+    outside (0, inf), NaN included.  A float passes without the call."""
+    if not 0.0 < (v if type(v) is float else check_real(name, v)) < math.inf:
         raise ParameterDomainError(f"{name} must be strictly positive, got {v}")
 
 

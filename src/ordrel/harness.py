@@ -37,7 +37,8 @@ from . import distributions, orders
 from .copulas import (Clayton, DependentMax, DependentMin, composition_super_additive,
                       is_log_concave, is_log_convex)
 from .distributions import Exponential, Lomax, ParetoI, ReflectedDFR, Weibull
-from .errors import ConfigError, ParameterDomainError, check_count, check_positive, check_real
+from .errors import (ConfigError, ParameterDomainError, check_count, check_positive, check_real,
+                     scenario_field)
 from .grids import GridSpec, check_grid_size
 from .majorization import weak_submajorizes, weak_supermajorizes
 from .orders import FAILS, HOLDS, grid_kind
@@ -224,9 +225,14 @@ def _lomax_maxima_sides(case: TheoremCase) -> dict:
                                    f"got {len(alphas)} and {len(alphas_star)}")
     if len(alphas) != len(alphas_star):
         raise ParameterDomainError(f"{case.id} needs equal-length shape vectors")
-    x, y = (OrderStatDist(SystemSpec(PARALLEL_PRHR, tuple((Lomax(a, theta), 1.0) for a in v)))
-            for v in (alphas, alphas_star))
-    return {"alphas": alphas, "alphas_star": alphas_star, "x": x, "y": y}
+    with scenario_field(case.id, "theta"):
+        check_positive("scale", theta)  # the Lomax scale of every component
+    sides = {"alphas": alphas, "alphas_star": alphas_star}
+    for key, side in (("alphas", "x"), ("alphas_star", "y")):
+        with scenario_field(case.id, key):
+            sides[side] = OrderStatDist(SystemSpec(
+                PARALLEL_PRHR, tuple((Lomax(a, theta), 1.0) for a in sides[key])))
+    return sides
 
 
 def _dep_grid(case, extremes) -> GridSpec:
@@ -284,13 +290,22 @@ def _variance_sides(case: TheoremCase, *, defaults: dict, vectors: tuple,
     quadrature oracle, plus the variance-ordering sign.  A worked example
     has no order conclusion; this comparison is its conclusion, which holds
     for the `defaults` only ("default": the values as floats are those).
-    A field is an array or a number as its default is."""
+    A field is an array or a number as its default is; a number is a
+    positive parameter, and a refusal of a field names it."""
     def read(k, v):
         return (_reals if isinstance(defaults[k], tuple) else check_real)(k, v)
 
     sc = {k: read(k, v) for k, v in {**defaults, **case.scenario}.items()}
+    for k in defaults:
+        if k not in vectors:
+            with scenario_field(case.id, k):
+                check_positive(k, sc[k])
     params = [sc[key] for key in vectors]
-    var_x, var_y = (closed_form(p, sc) for p in params)
+    closed = []
+    for key in vectors:
+        with scenario_field(case.id, key):
+            closed.append(closed_form(sc[key], sc))
+    var_x, var_y = closed
     num_x, num_y = (numeric_mean_variance(OrderStatDist(SystemSpec(
         SERIES_PHR, tuple((baseline(v, sc), 1.0) for v in p))))[1] for p in params)
     ref_x, ref_y = reference

@@ -3,40 +3,50 @@
 Each checker works on any pair of objects exposing the distribution surface
 (baseline distributions, order-statistic distributions, or the dependent
 min/max wrappers).  hr and rh read it through `rate_sweep`, which gives the
-sf or cdf column and the rate column of a side on a whole grid (in parts of
-`_SWEEP_POINTS` points on a large grid); lr reads each side's pdf column.
+sf or cdf column and the rate column of a side on a grid; lr reads each
+side's pdf column, and disp and star each side's `quantile_parts`.
 Verdicts are three-valued: a tail or degeneracy guard can make a check
 inconclusive, so numerical trouble never masquerades as a mathematical
 violation.  Ties at the tolerance resolve toward "holds" since all six
 orders are non-strict.  Every verdict comes from `_verdict`: it fails at
 a violation, else holds if the rule had its points, else is inconclusive.
 
-Three bodies carry the six checks.  One pointwise rule (`_exceeds`, within
+Two rules judge the six checks.  One pointwise rule (`_exceeds`, within
 ``tau_pt``) judges st and the rate form of hr/rh.  One monotone rule
 (`grids.first_decrease`, within ``tau_mono``) judges the ratio form of
 hr/rh, lr and the quantile spreads.  One quantile-order body
 (`_check_quantile_spread`) serves disp and star, which differ only in the
 spread passed in: the difference of the quantiles for disp, their ratio for
-star.  Each side's quantiles are one `Distribution.column`, read in one
-pass: an undefined (None) or non-finite quantile makes the check
-inconclusive.  hr and rh read each swept part once for their two forms,
-the ratio and the rate comparison, which meet in `_verdict`.
+star.  hr and rh read each part once for their two forms, the ratio and
+the rate comparison, which meet in `_verdict`.
 
-st reads only the grid points it needs.  Both survival functions are
-non-increasing, so sf_A(x_i) <= sf_B(x_j) (within ``tau_pt``) with i < j
-means the rule holds at every grid point between x_i and x_j.  `check_st`
-reads both ends of the grid and bisects, left first, every interval that
-bracket leaves open, down to neighbouring points.  It stops at the first
-point in grid order that violates the rule or where A.sf or B.sf raised.
-Its verdict and witness are those of the rule read at every point left to
-right, except that an error at a point inside a bracketed interval is
-never raised, as that point is never read.
+Every check reads its grid in grid order and stops once its verdict is
+decided, so a pair that fails early reads a few points, not the grid.  hr,
+rh, lr, disp and star read `_SWEEP_POINTS` grid points at a time, and judge
+each part by the monotone rule from the last value of the part before it;
+a grid of at most `_SWEEP_POINTS` points is one part.  hr and rh stop once
+both forms have failed, lr and the quantile spreads at the part with their
+first decrease.  lr skips a point where a pdf is unusable, so the parts
+after its first decrease cannot change its verdict.  An unusable quantile
+(undefined, not finite, or raising) in a part read makes disp and star
+inconclusive; a violation in a part that is not the last stands only if
+both sides' quantiles at the grid's last u are usable, as a quantile
+function is non-decreasing and so overflows at its top end.  st reads
+fewer points still.  Both survival functions are non-increasing, so
+sf_A(x_i) <= sf_B(x_j) (within ``tau_pt``) with i < j means the rule holds
+at every grid point between x_i and x_j.  `check_st` reads both ends of the
+grid and bisects, left first, every interval that bracket leaves open, down
+to neighbouring points, and stops at the first point in grid order that
+violates the rule or where A.sf or B.sf raised.  Each check's verdict and
+witness are those of its rule read at every point left to right, except
+that an error at a point never read is never raised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import SupportError, defined_at
 from .grids import GridSpec, first_decrease
@@ -48,8 +58,8 @@ INCONCLUSIVE = "inconclusive"
 ST, HR, RH, LR, DISP, STAR = "st", "hr", "rh", "lr", "disp", "star"
 
 _TINY = 1e-300
-# Grid points per sweep in the hr/rh checks: a large grid is swept in parts,
-# so that a check stops sweeping once both formulations have failed.
+# Grid points per part: a large grid is read in parts, in grid order, so
+# that a check stops reading once its verdict is decided.
 _SWEEP_POINTS = 256
 
 
@@ -189,16 +199,25 @@ def check_rh(A, B, grid: GridSpec | None = None) -> OrderVerdict:
 def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_lr B: pdf_B/pdf_A non-decreasing, on both sides' pdf columns,
     skipping points where either pdf is undefined or not finite, or A's
-    is below `_TINY`."""
+    is below `_TINY`.  The columns are read `_SWEEP_POINTS` grid points at
+    a time, up to the part with the first decrease.  A skipped point is no
+    event, so lr needs no end rule: its verdict and witness are those of
+    the whole columns."""
     grid, xs = _x_grid(A, B, grid)
-    rxs, ratios = [], []
+    rxs, ratios, viol = [], [], None
     isfinite = math.isfinite
-    for x, fa, fb in zip(xs, A.column("pdf", xs), B.column("pdf", xs)):
-        if fa is None or fb is None or fa < _TINY or not (isfinite(fa) and isfinite(fb)):
-            continue
-        rxs.append(x)
-        ratios.append(fb / fa)
-    return _verdict(LR, grid, first_decrease(rxs, ratios, grid.tau_mono), len(ratios) >= 2)
+    for i in range(0, len(xs), _SWEEP_POINTS):
+        part = xs[i:i + _SWEEP_POINTS]
+        seen = max(len(ratios) - 1, 0)  # the new adjacent pairs start here
+        for x, fa, fb in zip(part, A.column("pdf", part), B.column("pdf", part)):
+            if fa is None or fb is None or fa < _TINY or not (isfinite(fa) and isfinite(fb)):
+                continue
+            rxs.append(x)
+            ratios.append(fb / fa)
+        viol = first_decrease(rxs[seen:], ratios[seen:], grid.tau_mono)
+        if viol is not None:
+            break
+    return _verdict(LR, grid, viol, len(ratios) >= 2)
 
 
 def _differences(qas, qbs) -> list[float]:
@@ -212,22 +231,67 @@ def _positive_ratios(qas, qbs) -> list[float]:
     return [qb / qa for qa, qb in zip(qas, qbs)]
 
 
+def _read_quantiles(read_a, read_b):
+    """The quantile lists that ``read_a()`` and ``read_b()`` return, in
+    that order, or None where a quantile in one of them overflows, is
+    undefined (None, on which `math.isfinite` raises TypeError) or is not
+    finite."""
+    try:
+        qas, qbs = read_a(), read_b()
+        if all(map(math.isfinite, qas)) and all(map(math.isfinite, qbs)):
+            return qas, qbs
+    except (SupportError, OverflowError, TypeError):
+        pass
+    return None
+
+
 def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
     """The one quantile-order body: spread(quantiles_A, quantiles_B) must
-    be non-decreasing on the u-grid, whose quantiles each side gives as one
-    `Distribution.column`.  A quantile that overflows, is undefined (None,
-    on which `math.isfinite` raises TypeError) or is not finite makes the
-    check inconclusive."""
+    be non-decreasing on the u-grid.  Both sides' quantiles are drawn from
+    their `Distribution.quantile_parts` `_SWEEP_POINTS` points at a time,
+    A's before B's, and each part is judged by the monotone rule from the
+    last spread of the part before it; a grid of one part is judged on the
+    two columns.  An unusable quantile in a part (`_read_quantiles`) makes
+    the check inconclusive.  A violation, or a refusal of the spread
+    (SupportError), in a part that is not the last stands only if both
+    sides' quantiles at the grid's last u, each a one-point column, are
+    usable; else the check is inconclusive.  A quantile function is
+    non-decreasing, so it overflows at its top end: the last u decides
+    whether any later point is unusable, and the verdict is that of the
+    whole columns."""
     if grid is None:
         grid = GridSpec(kind=grid_kind(relation))
     us = grid.u_points()
-    try:
-        qas, qbs = A.column("quantile", us), B.column("quantile", us)
-        finite = all(map(math.isfinite, qas)) and all(map(math.isfinite, qbs))
-    except (SupportError, OverflowError, TypeError):
-        finite = False
-    viol = first_decrease(us, spread(qas, qbs), grid.tau_mono) if finite else None
-    return _verdict(relation, grid, viol, finite)
+    if len(us) <= _SWEEP_POINTS:  # one part: the two columns, judged whole
+        read = _read_quantiles(partial(A.column, "quantile", us),
+                               partial(B.column, "quantile", us))
+        if read is None:
+            return _verdict(relation, grid, None, False)
+        return _verdict(relation, grid, first_decrease(us, spread(*read), grid.tau_mono), True)
+    read_a = partial(next, A.quantile_parts(us, _SWEEP_POINTS))
+    read_b = partial(next, B.quantile_parts(us, _SWEEP_POINTS))
+
+    def stands(i):  # an event in the part at i is the whole columns' event
+        top = us[-1:]
+        return i + _SWEEP_POINTS >= len(us) or _read_quantiles(
+            partial(A.column, "quantile", top), partial(B.column, "quantile", top)) is not None
+
+    last = []  # the last spread of the part before
+    for i in range(0, len(us), _SWEEP_POINTS):
+        read = _read_quantiles(read_a, read_b)
+        if read is None:
+            return _verdict(relation, grid, None, False)
+        try:
+            values = last + spread(*read)
+        except SupportError:
+            if stands(i):
+                raise
+            return _verdict(relation, grid, None, False)
+        viol = first_decrease(us[i - len(last):i + _SWEEP_POINTS], values, grid.tau_mono)
+        if viol is not None:
+            return _verdict(relation, grid, viol if stands(i) else None, False)
+        last = values[-1:]
+    return _verdict(relation, grid, None, True)
 
 
 def check_disp(A, B, grid: GridSpec | None = None) -> OrderVerdict:

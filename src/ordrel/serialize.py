@@ -25,7 +25,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .distributions import Distribution, dist_from_json
-from .errors import ConfigError, is_real
+from .errors import ConfigError, is_real, scenario_field
 from .grids import GridSpec
 
 
@@ -167,10 +167,9 @@ def load_case(obj: dict):
     fields = THEOREMS[tid].fields
     scenario = {}
     for key, value in obj["scenario"].items():  # an unknown field is the case's to refuse
-        try:
+        # ConfigError is a ValueError
+        with scenario_field(tid, key, (TypeError, ValueError), ConfigError):
             scenario[key] = _LOADERS[fields[key]](value) if key in fields else value
-        except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
-            raise ConfigError(f"{tid} scenario field {key!r}: {exc}") from exc
     grids = {k: load_grid(v) for k, v in obj.get("grids", {}).items()}
     return TheoremCase(tid, scenario, grids=grids, n=obj.get("n", TheoremCase.n))
 

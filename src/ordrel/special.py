@@ -36,7 +36,10 @@ def bisect_increasing(
     Otherwise it grows the bracket geometrically while one side is still
     open, or bisects.  A derivative that is 0, nan or inf, a non-finite
     ``fn`` value and a point on a bound also fall back to bracketing, so the
-    guess and ``dfn`` only affect the speed.
+    guess and ``dfn`` only affect the speed.  A growth step too small to
+    move the bracket's end (it rounds off against an end past 2**53) grows
+    to the end's magnitude, so the bracket reaches a root beyond the float
+    range (inf) instead of stalling at a finite point that is no root.
 
     It stops when |fn(x) - target| < ``YTOL``, or when the bracket or the
     Newton step is narrower than ``XTOL`` * (1 + |x|), after at most
@@ -72,9 +75,15 @@ def bisect_increasing(
                     continue
         if not has_lo:
             x = max(hi - step, lo_bound)
+            if x == hi and math.isfinite(hi):  # the step rounds off: grow it to |hi|
+                step = abs(hi)
+                x = max(hi - step, lo_bound)
             step *= 2.0
         elif not has_hi:
             x = min(lo + step, hi_bound)
+            if x == lo and math.isfinite(lo):  # the step rounds off: grow it to |lo|
+                step = abs(lo)
+                x = min(lo + step, hi_bound)
             step *= 2.0
         else:
             x = 0.5 * (lo + hi)

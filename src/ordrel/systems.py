@@ -8,16 +8,20 @@ When all components share one baseline the product collapses to a single
 power, which gives closed-form quantiles.  Mixed-baseline systems invert
 the cumulative hazard -log sf (series) or log cdf (parallel) by safeguarded
 Newton steps, whose derivative is the system's rate sum.  The quantile
-``column`` sweeps a u-grid in one call: a shared-baseline system computes
-its exponent once and applies the closed form to each u; a mixed-baseline
-one seeds its first solve from its components' quantiles, which bracket the
-root, and starts each later solve from a root predicted by the last (up to
-three) solves: their targets and roots extrapolated to the new target by
-Newton divided differences (`_predict`), or the previous root where that
-prediction is undefined or leaves the support; a one-point column, which
-is ``quantile``, predicts nothing.  A shared-baseline column where some
-level 1-(1-u)**(1/sum p) or u**(1/sum p) rounds off, so that its baseline
-has no quantile there, is solved as a mixed one.
+``column`` sweeps a u-grid, and ``quantile_parts`` sweeps it a part at a
+time: a shared-baseline system computes its exponent once and applies the
+closed form to each u; a mixed-baseline one solves for each u, and in parts
+solves a part's roots only when the part is drawn, so the disp and star
+checkers, which stop at their first violation, run no solve past the last
+part they read, and every root drawn is the column's bit for bit.  It seeds
+its first solve from its components' quantiles, which bracket the root, and
+starts each later solve from a root predicted by the last (up to three)
+solves: their targets and roots extrapolated to the new target by Newton
+divided differences (`_predict`), or the previous root where that
+prediction is undefined or leaves the support; a one-point column, which is
+``quantile``, predicts nothing.  A shared-baseline column where some level
+1-(1-u)**(1/sum p) or u**(1/sum p) rounds off, so that its baseline has no
+quantile there, is solved as a mixed one.
 ``rate_sweep`` gives a system's sf or cdf and its own rate (hazard for
 series, rev_hazard for parallel) on a whole grid, sweeping each baseline
 once, for the hr and rh checkers; the other rate is swept point by point.
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .distributions import Distribution, _bad_prob, dist_from_json
+from .distributions import Distribution, _bad_prob, dist_from_json, parts
 from .errors import (MomentUndefinedError, ParameterDomainError, SupportError, check_count,
                      check_positive, check_real)
 from .quadrature import adaptive_quad
@@ -257,11 +261,11 @@ class OrderStatDist(Distribution):
         product times rate sum from one `rate_sweep` of the own rate, 0.0
         off the closed support or where the product is 0, None where the rate
         sum is undefined.  The quantile column is one sweep, which raises
-        what a solve raises.  Each u maps to the component level
-        t = 1-(1-u)**(1/sum p) (series) or u**(1/sum p) (parallel).  A
+        what a solve raises.  Each u maps to the component level t =
+        1-(1-u)**(1/sum p) (series) or u**(1/sum p) (parallel).  A
         shared-baseline system reads its baseline's quantile column at the
-        levels t.  Where its baseline has no quantile at some t (t rounds
-        to 0 or 1, or 1-t to 1 for a reflection), it solves, as a
+        levels t.  Where its baseline has no quantile at some t (t rounds to
+        0 or 1, or 1-t to 1 for a reflection), it solves, as a
         mixed-baseline system does: the cumulative hazard (series) or log
         cdf (parallel) for each u, with the rate sum as derivative.  The
         first solve starts inside [min_i Q_i(t), max_i Q_i(t)] over the
@@ -279,19 +283,48 @@ class OrderStatDist(Distribution):
                     for x, v, t in zip(us, product, totals)]
         if name != "quantile":
             return super().column(name, us)
+        closed = self._closed_form(us)
+        return closed if closed is not None else self._solve(us, [], [])
+
+    def quantile_parts(self, us, size):
+        """`Distribution.quantile_parts`.  A shared-baseline system slices
+        its closed-form column, computed at the first draw.  A solved column
+        solves each part's roots when the part is drawn, from the roots
+        before them, so a reader that stops early runs no solve past its
+        last part, and the roots it draws are the column's bit for bit."""
+        closed = self._closed_form(us)
+        if closed is not None:
+            yield from parts(closed, size)
+            return
+        roots, targets = [], []
+        for k in range(0, len(us), size):
+            yield self._solve(us[k:k + size], roots, targets)[k:]
+
+    def _closed_form(self, us):
+        """Refuse a u outside (0, 1).  A shared-baseline system's quantiles
+        at ``us``: its baseline's quantile column at the levels t; None for
+        a mixed-baseline system, and where a level rounds off, so that the
+        baseline has no quantile there."""
         for u in us:
             if not 0.0 < u < 1.0:
                 _bad_prob(u)
+        if self._shared is None:
+            return None
+        p = 1.0 / self.spec.prop_sum()
+        try:
+            return self._shared.column(
+                "quantile", [1.0 - (1.0 - u) ** p if self._series else u ** p for u in us])
+        except ParameterDomainError:  # a level rounds off: no baseline quantile there
+            return None
+
+    def _solve(self, us, out, targets):
+        """``out``, extended by the solved quantiles at ``us`` (and
+        ``targets`` by their targets).  Each solve starts from the roots
+        before it, so a column solved in consecutive slices has the roots
+        of one sweep, bit for bit."""
         series = self._series
         p = 1.0 / self.spec.prop_sum()
-        if self._shared is not None:
-            try:
-                return self._shared.column(
-                    "quantile", [1.0 - (1.0 - u) ** p if series else u ** p for u in us])
-            except ParameterDomainError:  # a level rounds off: no baseline quantile there
-                pass
         lo, hi = self.support
-        out, targets = [], []
         for u in us:
             target = -math.log1p(-u) if series else math.log(u)
             if out:

@@ -254,9 +254,9 @@ DROPPED_RULES = {
     "case-n": ("case", {**_T6, "n": 63}, ParameterDomainError,
                "grid size n needs at least 64 points, got 63"),
     "t6-theta": ("case", _with(_T6, theta=0), ParameterDomainError,
-                 "scale must be strictly positive, got 0.0"),
+                 "T6 scenario field 'theta': scale must be strictly positive, got 0.0"),
     "t6-alpha": ("case", _with(_T6, alphas=[0.0, 2.0]), ParameterDomainError,
-                 "shape must be strictly positive, got 0.0"),
+                 "T6 scenario field 'alphas': shape must be strictly positive, got 0.0"),
     "t6-one-entry": ("case", _with(_T6, alphas=[2.0]), ParameterDomainError,
                      "T6 needs at least 2 entries per shape vector, got 1 and 2"),
     "t7-three-shifts": ("case", _t7_t8("T7", [0.2, 0.5, 0.7], [0.5, 0.8]), ParameterDomainError,
@@ -266,9 +266,9 @@ DROPPED_RULES = {
     "t7-branch": ("case", _with(_t7_t8("T7", [0.2, 0.5], [0.5, 0.8]), branch="sideways"),
                   ParameterDomainError, "unknown branch 'sideways'"),
     "ex1-shape": ("case", {"id": "Ex1", "scenario": {"shape": 0}}, ParameterDomainError,
-                  "shape and rates must be strictly positive, got 0.0"),
+                  "Ex1 scenario field 'shape': shape must be strictly positive, got 0.0"),
     "ex1-no-rates": ("case", {"id": "Ex1", "scenario": {"rates_x": []}}, ParameterDomainError,
-                     "weibull_min_variance needs at least one rate"),
+                     "Ex1 scenario field 'rates_x': weibull_min_variance needs at least one rate"),
     "scan-budget": ("scan", {"id": "T1", "budget": -1}, ParameterDomainError,
                     "scan budget needs at least 0, got -1"),
     "scan-strategy": ("scan", {"id": "T1", "budget": 5, "strategy": "sobol"},

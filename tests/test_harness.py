@@ -366,11 +366,14 @@ class TestWorkedExamples:
         assert rep.consistent and rep.conclusion_outcome == "holds"
 
     @pytest.mark.parametrize("tid,scenario,message", [
-        ("Ex1", {"rates_x": []}, "weibull_min_variance needs at least one rate"),
-        ("Ex2", {"alphas_y": []}, "lomax_min_moments needs at least one shape"),
+        ("Ex1", {"rates_x": []},
+         "Ex1 scenario field 'rates_x': weibull_min_variance needs at least one rate"),
+        ("Ex2", {"alphas_y": []},
+         "Ex2 scenario field 'alphas_y': lomax_min_moments needs at least one shape"),
     ], ids=["Ex1", "Ex2"])
     def test_an_empty_vector_is_refused(self, tid, scenario, message):
-        # the class refuses [], from a file and from Python alike
+        # the class refuses [], from a file and from Python alike, and the
+        # refusal names the field
         with pytest.raises(ParameterDomainError) as info:
             run_case(TheoremCase(tid, scenario))
         assert str(info.value) == message

@@ -325,6 +325,17 @@ class TestRealNumbers:
             build()
         assert str(info.value) == message
 
+    def test_a_positive_int_past_the_float_range_is_refused(self):
+        # 10**400 is positive, but it has no float: it used to build, and
+        # its sf raised a bare OverflowError
+        message = "rate must lie in the float range, got an int of 1329 bits"
+        for build in (lambda: Exponential(10 ** 400),
+                      lambda: load_dist(json.loads(
+                          '{"family": "exponential", "params": {"rate": 1%s}}' % ("0" * 400)))):
+            with pytest.raises(ParameterDomainError) as info:
+                build()
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("obj,load", [
         (Exponential(3), load_dist), (Lomax(2, 1), load_dist), (Clayton(2), load_generator),
         (Frank(-2), load_generator), (GridSpec(lo=0, hi=5, n=64, tau_pt=1), load_grid),

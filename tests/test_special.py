@@ -69,6 +69,18 @@ class TestNewton:
         assert bisect_increasing(cdf, 0.9, 1.5, lo_bound=1.0, hi_bound=2.0,
                                  dfn=dfn) == 2.0
 
+    def test_a_root_past_the_float_range_is_inf(self):
+        # the log cdf of Lomax(0.005) stays below log(0.999) at every float
+        # (its root is about 10**600); Newton steps run x far past the
+        # growth step, which used to round off against x, so the solve
+        # stalled at a finite x that is no root
+        a = 0.005
+        fn = lambda x: math.log(-math.expm1(-a * math.log1p(x)))
+        dfn = lambda x: a / ((1.0 + x) * math.expm1(a * math.log1p(x)))
+        target = math.log(0.999)
+        assert fn(1.7e308) < target
+        assert bisect_increasing(fn, target, 7.6, lo_bound=0.0, dfn=dfn) == math.inf
+
     def test_exponential_quantile_in_few_evaluations(self):
         most = 0
         for i in range(999):

@@ -18,6 +18,7 @@ import json
 import math
 import random
 import sys
+from functools import partial
 
 import pytest
 
@@ -39,10 +40,12 @@ from ordrel import (
     SupportError,
     SystemSpec,
     Weibull,
+    check_disp,
     check_hr,
     check_lr,
     check_rh,
     check_st,
+    check_star,
     mixed_parallel,
     mixed_series,
     parallel_prhr,
@@ -867,3 +870,220 @@ def test_repeated_us_give_equal_roots():
             if us[i] == us[i - 1]:
                 assert qs[i] == qs[i - 1], (d.spec, us[i])
         assert qs[8] == pytest.approx(qs[0], rel=1e-9)
+
+
+# -- disp, star and lr: parts against the whole columns --------------------
+
+def _spread_oracle(relation, A, B, grid):
+    """The disp/star body before the parts: both whole quantile columns,
+    A's first, an unusable quantile anywhere inconclusive, then the
+    monotone rule on the whole spread."""
+    us = grid.u_points()
+    try:
+        qas, qbs = A.column("quantile", us), B.column("quantile", us)
+        finite = all(map(math.isfinite, qas)) and all(map(math.isfinite, qbs))
+    except (SupportError, OverflowError, TypeError):
+        finite = False
+    if not finite:
+        return _verdict(relation, grid, None, False)
+    if relation == "star" and (min(qas) <= 0.0 or min(qbs) <= 0.0):
+        raise SupportError("star order needs strictly positive quantiles")
+    spread = [qb / qa if relation == "star" else qb - qa for qa, qb in zip(qas, qbs)]
+    return _verdict(relation, grid, first_decrease(us, spread, grid.tau_mono), True)
+
+
+def _lr_oracle(A, B, grid):
+    """The lr body before the parts: both whole pdf columns."""
+    grid, xs = _x_grid(A, B, grid)
+    rxs, ratios = [], []
+    for x, fa, fb in zip(xs, A.column("pdf", xs), B.column("pdf", xs)):
+        if fa is None or fb is None or fa < 1e-300 or not (math.isfinite(fa)
+                                                            and math.isfinite(fb)):
+            continue
+        rxs.append(x)
+        ratios.append(fb / fa)
+    return _verdict("lr", grid, first_decrease(rxs, ratios, grid.tau_mono), len(ratios) >= 2)
+
+
+class _Table(Distribution):
+    """Stub whose quantile at each u of a table is the table's value (a
+    one-point column at the grid's last u included)."""
+
+    support = (0.0, math.inf)
+
+    def __init__(self, us, values):
+        self.table = dict(zip(us, values))
+
+    def column(self, name, points):
+        return [self.table[u] for u in points]
+
+
+def _lgo_pair(rng):
+    """One pair of a large-grid-oracle kind, smaller side first: exponential,
+    Weibull minima, Pareto-I minima, mixed series or mixed parallel systems
+    (X with c times Y's parameters)."""
+    u = rng.uniform
+    kind = rng.choice((0, 1, 2, 0, 1, 2, 3, 4))  # the mixed systems take most of the time
+    if kind == 0:
+        slow = u(0.5, 2.0)
+        return Exponential(slow * u(1.3, 2.5)), Exponential(slow)
+    if kind in (1, 2):
+        base = Weibull(u(0.5, 2.0), 1.0) if kind == 1 else ParetoI(u(0.5, 3.0))
+        small = [u(0.3, 1.5) for _ in range(3 if kind == 1 else 2)]
+        big = [v * u(1.3, 2.5) for v in small]
+        return OrderStatDist(series_phr(base, big)), OrderStatDist(series_phr(base, small))
+    c = u(1.3, 2.0)
+    front, back = [u(0.3, 1.5), u(0.3, 1.5)], [u(0.3, 1.5)]
+    lomax, expo = Lomax(u(0.8, 2.5), 1.0), Exponential(u(0.5, 2.0))
+    if kind == 3:
+        return (OrderStatDist(mixed_series(lomax, [c * v for v in front], expo,
+                                           [c * v for v in back])),
+                OrderStatDist(mixed_series(lomax, front, expo, back)))
+    rlomax, rexpo = ReflectedDFR(lomax), ReflectedDFR(expo)
+    return (OrderStatDist(mixed_parallel(rlomax, [c * v for v in front], rexpo,
+                                         [c * v for v in back])),
+            OrderStatDist(mixed_parallel(rlomax, front, rexpo, back)))
+
+
+def _heavy(rng):
+    """A Pareto-I or Lomax lifetime, or a mixed system with a Lomax block,
+    whose top quantiles may lie past the float range."""
+    shape = 10.0 ** rng.uniform(-2.6, -1.0)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ParetoI(shape)
+    lomax = Lomax(shape, rng.uniform(0.5, 2.0))
+    if kind == 1:
+        return lomax
+    mixed = rng.choice((mixed_series, mixed_parallel))
+    return OrderStatDist(mixed(lomax, (rng.uniform(0.3, 1.5),),
+                               Exponential(rng.uniform(0.5, 2.0)), (rng.uniform(0.3, 1.5),)))
+
+
+def _ties(rng, us, tau):
+    """A side of 1.0 and a rising side with drops of tau*(1 + a) and its
+    neighbours one ulp away, one of them at a part boundary."""
+    n = len(us)
+    values, level = [], 1.0
+    drops = {rng.choice([k for k in (1, 255, 256, 257, n - 1) if k < n]),
+             rng.randrange(1, n)}
+    for i in range(n):
+        if i in drops:
+            a = values[-1] - 1.0  # the disp spread before this point
+            b = a - tau * (1.0 + abs(a))
+            b = rng.choice((math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)))
+            level = 1.0 + b
+        else:
+            level += rng.choice((0.0, 2.0 ** -20))
+        values.append(level)
+    return _Table(us, [1.0] * n), _Table(us, values)
+
+
+def _spread_case(rng):
+    """Two sides and a grid size and tau_mono for disp, star and lr."""
+    n = 2048 if rng.random() < 0.1 else rng.choice((64, 256, 257, 257))
+    tau = rng.choice((1e-9, 1e-9, 1e-3, 1e-12))
+    kind = rng.random()
+    if kind < 0.35:
+        a, b = _lgo_pair(rng)
+    elif kind < 0.6:
+        a, b = _lifetime(rng), _lifetime(rng)
+        if rng.random() < 0.2:
+            a, b = ReflectedDFR(Lomax(rng.uniform(0.5, 3.0), 1.0)), ReflectedDFR(_lifetime(rng))
+    elif kind < 0.75:
+        a, b = _heavy(rng), rng.choice((_heavy(rng), _lifetime(rng)))
+    elif kind < 0.87:
+        a, b = _UndefinedAbove(), rng.choice((Exponential(rng.uniform(0.3, 3.0)),
+                                              Lomax(rng.uniform(0.5, 3.0), 1.0)))
+    else:
+        tau = math.nextafter(tau, rng.choice((-math.inf, math.inf)))
+        a, b = _ties(rng, GridSpec(kind="u", n=n).u_points(), tau)
+    if rng.random() < 0.5:
+        a, b = b, a
+    return a, b, n, tau
+
+
+class _UndefinedAbove(Distribution):
+    """The stub of tests/test_orders.py: the base-class column of
+    quantile(u) = u, undefined (None in the column) above u = 0.9."""
+
+    support = (0.0, 1.0)
+
+    def quantile(self, u):
+        if u > 0.9:
+            raise SupportError("quantile undefined")
+        return u
+
+
+def test_disp_star_and_lr_keep_the_whole_column_verdicts():
+    rng = random.Random(20261021)
+    outcomes = {rel: {HOLDS: 0, FAILS: 0, INCONCLUSIVE: 0, "raises": 0}
+                for rel in ("disp", "star", "lr")}
+    ended = 0  # inconclusive verdicts on a grid of more than one part
+    for _ in range(2000):
+        a, b, n, tau = _spread_case(rng)
+        u_grid, x_grid = GridSpec(kind="u", n=n, tau_mono=tau), GridSpec(n=n, tau_mono=tau)
+        for rel, check, oracle in (("disp", check_disp, partial(_spread_oracle, "disp")),
+                                   ("star", check_star, partial(_spread_oracle, "star")),
+                                   ("lr", check_lr, _lr_oracle)):
+            grid = x_grid if rel == "lr" else u_grid
+            want, got = _outcome(oracle, a, b, grid), _outcome(check, a, b, grid)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want)), (rel, a, b, grid)
+                outcomes[rel]["raises"] += 1
+            else:
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json()), (rel, a, b, grid)
+                outcomes[rel][got.outcome] += 1
+                ended += rel != "lr" and n > 256 and got.outcome == INCONCLUSIVE
+    # disp raises nothing that its oracle does not; an lr ratio is
+    # inconclusive only with fewer than two usable points
+    assert min(outcomes["star"].values()) >= 20, outcomes
+    for rel in ("disp", "lr"):
+        assert min(outcomes[rel][k] for k in (HOLDS, FAILS, INCONCLUSIVE)) >= 20, outcomes
+    assert ended >= 50, ended
+
+
+def test_a_reversed_mixed_disp_solves_one_part_and_the_last_u(monkeypatch):
+    # a large-grid-oracle mixed series pair, reversed: it fails at u-index 1,
+    # so each side solves the first part and its one-point top quantile
+    rng = random.Random(36)
+    while True:
+        low, high = _lgo_pair(rng)
+        if low.spec.split is not None and low.spec.kind == SERIES_PHR:
+            break
+    grid = GridSpec(kind="u", n=2048)
+    solves = _solves(monkeypatch)
+    v = check_disp(high, low, grid)
+    assert v.outcome == FAILS and v.witness[0] == grid.u_points()[1]
+    for side in (high, low):
+        assert sum(fn.__self__ is side for fn, *_ in solves) <= 257
+    assert len(solves) == 2 * 257
+
+
+def test_the_lazy_quantiles_are_the_column():
+    # drawn a part at a time, two systems' parts interleaved, the roots
+    # equal the column bit for bit, whatever the part size
+    rng = random.Random(8128)
+    us = GridSpec(kind="u", n=600).u_points()
+    for _ in range(40):
+        a, b = _mixed_system(rng), _mixed_system(rng)
+        size = rng.choice((1, 7, 256, 599, 600, 601))
+        got_a, got_b = [], []
+        for part_a, part_b in zip(a.quantile_parts(us, size), b.quantile_parts(us, size)):
+            assert len(part_a) == len(part_b) == min(size, len(us) - len(got_a))
+            got_a += part_a
+            got_b += part_b
+        assert got_a == a.column("quantile", us) and got_b == b.column("quantile", us)
+
+
+def test_a_root_past_the_float_range_reads_inf_in_both_reads():
+    # the Lomax(0.005) block puts the top quantiles past 1e308: the one-point
+    # solve reaches inf, and the column is not finite there either
+    d = OrderStatDist(mixed_parallel(Lomax(0.005, 1.0), (1.0,), Exponential(1.0), (1.0,)))
+    us = GridSpec(kind="u", n=2048).u_points()
+    assert d.quantile(us[-1]) == math.inf
+    assert not math.isfinite(d.column("quantile", us)[-1])
+    e = OrderStatDist(mixed_parallel(Lomax(2.0, 1.0), (1.0,), Exponential(1.0), (1.0,)))
+    grid = GridSpec(kind="u", n=2048)
+    assert check_disp(d, e, grid) == _spread_oracle("disp", d, e, grid)
+    assert check_disp(d, e, grid).outcome == INCONCLUSIVE
