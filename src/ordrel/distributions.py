@@ -35,12 +35,6 @@ from dataclasses import dataclass
 from .errors import ParameterDomainError, SupportError, check_positive, defined_at, stated
 
 
-def parts(values, size: int):
-    """``values`` as consecutive slices of ``size`` items, the last one
-    shorter if need be."""
-    return (values[i:i + size] for i in range(0, len(values), size))
-
-
 class Distribution:
     """Common surface for all lifetime distributions."""
 
@@ -97,7 +91,9 @@ class Distribution:
         slices of `column("quantile", us)`, computed (and raising) at the
         first draw; a mixed-baseline system solves each part when it is
         drawn."""
-        yield from parts(self.column("quantile", us), size)
+        column = self.column("quantile", us)
+        for k in range(0, len(us), size):
+            yield column[k:k + size]
 
     def rate_sweep(self, rate: str, xs) -> tuple[list[float], list[float | None]]:
         """The columns (sf, hazard) for `rate` "hazard", or (cdf,

@@ -29,9 +29,9 @@ both forms have failed, lr and the quantile spreads at the part with their
 first decrease.  lr skips a point where a pdf is unusable, so the parts
 after its first decrease cannot change its verdict.  An unusable quantile
 (undefined, not finite, or raising) in a part read makes disp and star
-inconclusive; a violation in a part that is not the last stands only if
-both sides' quantiles at the grid's last u are usable, as a quantile
-function is non-decreasing and so overflows at its top end.  st reads
+inconclusive, and so does an unusable quantile at the grid's last u,
+which a grid of more than one part reads first: a quantile function is
+non-decreasing and so overflows at its top end.  st reads
 fewer points still.  Both survival functions are non-increasing, so
 sf_A(x_i) <= sf_B(x_j) (within ``tau_pt``) with i < j means the rule holds
 at every grid point between x_i and x_j.  `check_st` reads both ends of the
@@ -250,46 +250,31 @@ def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
     be non-decreasing on the u-grid.  Both sides' quantiles are drawn from
     their `Distribution.quantile_parts` `_SWEEP_POINTS` points at a time,
     A's before B's, and each part is judged by the monotone rule from the
-    last spread of the part before it; a grid of one part is judged on the
-    two columns.  An unusable quantile in a part (`_read_quantiles`) makes
-    the check inconclusive.  A violation, or a refusal of the spread
-    (SupportError), in a part that is not the last stands only if both
-    sides' quantiles at the grid's last u, each a one-point column, are
-    usable; else the check is inconclusive.  A quantile function is
-    non-decreasing, so it overflows at its top end: the last u decides
-    whether any later point is unusable, and the verdict is that of the
-    whole columns."""
+    last spread of the part before it, up to the part with the first
+    decrease.  An unusable quantile in a part (`_read_quantiles`) makes the
+    check inconclusive.  A grid of more than one part first reads both
+    sides' quantiles at its last u, each a one-point column: if either is
+    unusable the check is inconclusive.  A quantile function is
+    non-decreasing, so it overflows at its top end: a usable last u means
+    every point is usable, and a violation, or a refusal of the spread
+    (SupportError), in an early part is that of the whole columns."""
     if grid is None:
         grid = GridSpec(kind=grid_kind(relation))
     us = grid.u_points()
-    if len(us) <= _SWEEP_POINTS:  # one part: the two columns, judged whole
-        read = _read_quantiles(partial(A.column, "quantile", us),
-                               partial(B.column, "quantile", us))
-        if read is None:
-            return _verdict(relation, grid, None, False)
-        return _verdict(relation, grid, first_decrease(us, spread(*read), grid.tau_mono), True)
+    if len(us) > _SWEEP_POINTS and _read_quantiles(
+            partial(A.column, "quantile", us[-1:]), partial(B.column, "quantile", us[-1:])) is None:
+        return _verdict(relation, grid, None, False)
     read_a = partial(next, A.quantile_parts(us, _SWEEP_POINTS))
     read_b = partial(next, B.quantile_parts(us, _SWEEP_POINTS))
-
-    def stands(i):  # an event in the part at i is the whole columns' event
-        top = us[-1:]
-        return i + _SWEEP_POINTS >= len(us) or _read_quantiles(
-            partial(A.column, "quantile", top), partial(B.column, "quantile", top)) is not None
-
     last = []  # the last spread of the part before
     for i in range(0, len(us), _SWEEP_POINTS):
         read = _read_quantiles(read_a, read_b)
         if read is None:
             return _verdict(relation, grid, None, False)
-        try:
-            values = last + spread(*read)
-        except SupportError:
-            if stands(i):
-                raise
-            return _verdict(relation, grid, None, False)
+        values = last + spread(*read)
         viol = first_decrease(us[i - len(last):i + _SWEEP_POINTS], values, grid.tau_mono)
         if viol is not None:
-            return _verdict(relation, grid, viol if stands(i) else None, False)
+            return _verdict(relation, grid, viol, False)
         last = values[-1:]
     return _verdict(relation, grid, None, True)
 

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .distributions import Distribution, _bad_prob, dist_from_json, parts
+from .distributions import Distribution, _bad_prob, dist_from_json
 from .errors import (MomentUndefinedError, ParameterDomainError, SupportError, check_count,
                      check_positive, check_real)
 from .quadrature import adaptive_quad
@@ -293,12 +293,10 @@ class OrderStatDist(Distribution):
         before them, so a reader that stops early runs no solve past its
         last part, and the roots it draws are the column's bit for bit."""
         closed = self._closed_form(us)
-        if closed is not None:
-            yield from parts(closed, size)
-            return
         roots, targets = [], []
         for k in range(0, len(us), size):
-            yield self._solve(us[k:k + size], roots, targets)[k:]
+            yield (closed[k:k + size] if closed is not None
+                   else self._solve(us[k:k + size], roots, targets)[k:])
 
     def _closed_form(self, us):
         """Refuse a u outside (0, 1).  A shared-baseline system's quantiles
