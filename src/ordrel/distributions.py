@@ -85,15 +85,21 @@ class Distribution:
         fn = getattr(self, name)
         return [defined_at(fn, x) for x in points]
 
-    def quantile_parts(self, us, size: int):
-        """The quantile column at ``us`` as a generator of its consecutive
-        parts of ``size`` points, for a reader that may stop early: here
-        slices of `column("quantile", us)`, computed (and raising) at the
-        first draw; a mixed-baseline system solves each part when it is
-        drawn."""
-        column = self.column("quantile", us)
-        for k in range(0, len(us), size):
-            yield column[k:k + size]
+    def quantile_parts(self, us, bounds):
+        """A reader of the quantile column at ``us`` for a checker that may
+        stop early: each call returns the next part, the column at
+        ``us[i:j]`` for the next (i, j) of ``bounds``, consecutive parts
+        that tile ``us`` in order.  Here the first call computes (and
+        raises) the whole column and each call slices it; a mixed-baseline
+        system solves each part when it is read."""
+        parts, column = iter(bounds), []
+
+        def read():
+            i, j = next(parts)
+            if i == 0:
+                column[:] = self.column("quantile", us)
+            return column[i:j]
+        return read
 
     def rate_sweep(self, rate: str, xs) -> tuple[list[float], list[float | None]]:
         """The columns (sf, hazard) for `rate` "hazard", or (cdf,

@@ -93,9 +93,16 @@ def check_integer(name: str, v):
         raise ParameterDomainError(f"{name} must be an integer, got {v!r}")
 
 
-def check_count(name: str, v, least: int, unit: str = ""):
+# The most points a grid, or components an outlier block, may have: a
+# count that a document states is built into a list of that length.
+COUNT_CEILING = 2 ** 20
+
+
+def check_count(name: str, v, least: int, unit: str = "", most: int | None = None):
     """Refuse (ParameterDomainError) a count v that is no integer
-    (`check_integer`) or is below `least`."""
+    (`check_integer`), is below `least` or, where given, above `most`."""
     check_integer(name, v)
     if v < least:
         raise ParameterDomainError(f"{name} needs at least {least}{unit}, got {v}")
+    if most is not None and v > most:
+        raise ParameterDomainError(f"{name} needs at most {most}{unit}, got {v}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, check_count, check_positive, check_real
+from .errors import COUNT_CEILING, ParameterDomainError, check_count, check_positive, check_real
 
 DEFAULT_TAU_MONO = 1e-9
 DEFAULT_TAU_PT = 1e-9
@@ -14,18 +14,25 @@ DEFAULT_EPS = 1e-3
 
 
 def check_grid_size(n):
-    """Refuse (ParameterDomainError) a grid size that is no count of at least 64."""
-    check_count("grid size n", n, 64, " points")
+    """Refuse (ParameterDomainError) a grid size that is no count from 64 to
+    `errors.COUNT_CEILING`."""
+    check_count("grid size n", n, 64, " points", COUNT_CEILING)
 
 
-def first_decrease(xs, values, tau: float) -> tuple[float, float, float] | None:
+def first_decrease(xs, values, tau: float, start: int = 1) -> tuple[float, float, float] | None:
     """The one monotone rule: the first adjacent pair (a, b) of ``values``
     with b < a - tau*(1 + max(|a|, |b|)), as (x at b, b, a), or None.  The
-    non-increasing test is this test on the negated values (exact)."""
-    for i in range(1, len(values)):
-        a, b = values[i - 1], values[i]
+    non-increasing test is this test on the negated values (exact).  A
+    reader that judges its values a part at a time passes the index of the
+    part's first value as ``start``: the pairs from (values[start - 1],
+    values[start]) on are judged, the ones before were."""
+    start = max(start, 1)
+    a = values[start - 1] if start <= len(values) else None
+    for i in range(start, len(values)):
+        b = values[i]
         if b < a and b < a - tau * (1.0 + max(abs(a), abs(b))):
             return (xs[i], b, a)
+        a = b
     return None
 
 

@@ -37,8 +37,8 @@ from . import distributions, orders
 from .copulas import (Clayton, DependentMax, DependentMin, composition_super_additive,
                       is_log_concave, is_log_convex)
 from .distributions import Exponential, Lomax, ParetoI, ReflectedDFR, Weibull
-from .errors import (ConfigError, ParameterDomainError, check_count, check_positive, check_real,
-                     scenario_field)
+from .errors import (COUNT_CEILING, ConfigError, ParameterDomainError, check_count, check_positive,
+                     check_real, scenario_field)
 from .grids import GridSpec, check_grid_size
 from .majorization import weak_submajorizes, weak_supermajorizes
 from .orders import FAILS, HOLDS, grid_kind
@@ -165,8 +165,8 @@ def _expand_outliers(sc: dict, side: str, kind: str) -> SystemSpec:
         raise ParameterDomainError(f"outlier_{side} needs exactly the keys p, q, a1 and a2, "
                                    f"got {spec!r}")
     p, q, a1, a2 = spec["p"], spec["q"], spec["a1"], spec["a2"]
-    check_count("outlier block p", p, 1)
-    check_count("outlier block q", q, 0)
+    check_count("outlier block p", p, 1, most=COUNT_CEILING)
+    check_count("outlier block q", q, 0, most=COUNT_CEILING)
     check_positive("outlier block a1", a1)
     check_positive("outlier block a2", a2)
     return _BUILD[kind](sc[f"baseline_{side}"], [a1] * p + [a2] * q)

@@ -4,7 +4,8 @@ Each checker works on any pair of objects exposing the distribution surface
 (baseline distributions, order-statistic distributions, or the dependent
 min/max wrappers).  hr and rh read it through `rate_sweep`, which gives the
 sf or cdf column and the rate column of a side on a grid; lr reads each
-side's pdf column, and disp and star each side's `quantile_parts`.
+side's pdf column, and disp and star each side's quantile column, through
+`quantile_parts` on a grid of more than one part.
 Verdicts are three-valued: a tail or degeneracy guard can make a check
 inconclusive, so numerical trouble never masquerades as a mathematical
 violation.  Ties at the tolerance resolve toward "holds" since all six
@@ -22,22 +23,27 @@ the rate comparison, which meet in `_verdict`.
 
 Every check reads its grid in grid order and stops once its verdict is
 decided, so a pair that fails early reads a few points, not the grid.  hr,
-rh, lr, disp and star read `_SWEEP_POINTS` grid points at a time, and judge
-each part by the monotone rule from the last value of the part before it;
-a grid of at most `_SWEEP_POINTS` points is one part.  hr and rh stop once
-both forms have failed, lr and the quantile spreads at the part with their
-first decrease.  lr skips a point where a pdf is unusable, so the parts
-after its first decrease cannot change its verdict.  An unusable quantile
-(undefined, not finite, or raising) in a part read makes disp and star
-inconclusive, and so does an unusable quantile at the grid's last u,
-which a grid of more than one part reads first: a quantile function is
-non-decreasing and so overflows at its top end.  st reads
-fewer points still.  Both survival functions are non-increasing, so
-sf_A(x_i) <= sf_B(x_j) (within ``tau_pt``) with i < j means the rule holds
-at every grid point between x_i and x_j.  `check_st` reads both ends of the
-grid and bisects, left first, every interval that bracket leaves open, down
-to neighbouring points, and stops at the first point in grid order that
-violates the rule or where A.sf or B.sf raised.  Each check's verdict and
+rh, lr, disp and star read their grid in the parts of one schedule
+(`_parts`), and judge each part by the monotone rule from the last value of
+the part before it.  A grid of at most `_SWEEP_POINTS` points, such as
+every scan grid, is one part.  A longer grid reads its first two points as
+a part of their own, then `_SWEEP_POINTS` points at a time: its first
+adjacent pair is the earliest point where the monotone rule, or the rate
+form of hr/rh at its first usable point, can fail, so a reversed pair
+stops after two points.  hr and rh stop once both forms have failed, lr
+and the quantile spreads at the part with their first decrease.  lr skips
+a point where a pdf is unusable, so the parts after its first decrease
+cannot change its verdict.  An unusable quantile (undefined, not finite,
+or raising) in a part read makes disp and star inconclusive, and so does
+an unusable quantile at the grid's last u, which a grid of more than one
+part reads first: a quantile function is non-decreasing and so overflows
+at its top end.  st reads fewer points still.  Both survival functions
+are non-increasing, so sf_A(x_i) <= sf_B(x_j) (within ``tau_pt``) with
+i < j means the rule holds at every grid point between x_i and x_j.
+`check_st` reads both ends of the grid and bisects, left first, every
+interval that bracket leaves open, down to neighbouring points, and stops
+at the first point in grid order that violates the rule or where A.sf or
+B.sf raised.  Each check's verdict and
 witness are those of its rule read at every point left to right, except
 that an error at a point never read is never raised.
 """
@@ -91,6 +97,19 @@ def _x_grid(A, B, grid: GridSpec | None) -> tuple[GridSpec, list[float]]:
     if hi <= lo:
         raise SupportError("supports do not overlap")
     return grid, grid.x_points((A, B))
+
+
+def _parts(n: int) -> tuple[tuple[int, int], ...]:
+    """The one part schedule of hr, rh, lr, disp and star: the (start,
+    stop) bounds of the consecutive parts that tile a grid of ``n`` points.
+    A grid of at most `_SWEEP_POINTS` points is one part.  A longer grid
+    reads its first two points as a part of their own, then
+    `_SWEEP_POINTS` points at a time: the first adjacent pair is where the
+    monotone rule can first fail, and the rate form of hr/rh at its first
+    usable point, so a reversed pair stops there."""
+    if n <= _SWEEP_POINTS:
+        return ((0, n),)
+    return ((0, 2), *((i, min(i + _SWEEP_POINTS, n)) for i in range(2, n, _SWEEP_POINTS)))
 
 
 def _exceeds(small: float, large: float, tau: float) -> bool:
@@ -149,8 +168,10 @@ def check_st(A, B, grid: GridSpec | None = None) -> OrderVerdict:
 
 def _ratio_and_rate_check(relation, A, B, grid, rate, a_larger: bool) -> OrderVerdict:
     """Shared body of the hr and rh checks, on `rate_sweep`s of A and B:
-    the value columns sf (hr) or cdf (rh) and the rate columns, swept
-    `_SWEEP_POINTS` grid points at a time until both formulations fail.
+    the value columns sf (hr) or cdf (rh) and the rate columns, swept a
+    part of the `_parts` schedule at a time until both formulations fail
+    (on a grid of more than `_SWEEP_POINTS` points, a reversed pair fails
+    both in the first part, its first two points).
 
     Runs both equivalent formulations in one pass over each part:
     monotonicity of the ratio value_B(x)/value_A(x) and the pointwise rate
@@ -163,11 +184,11 @@ def _ratio_and_rate_check(relation, A, B, grid, rate, a_larger: bool) -> OrderVe
     tau_pt, isfinite = grid.tau_pt, math.isfinite
     ratio_xs, ratios = [], []
     ratio_viol, rate_viol, rate_usable = None, None, 0
-    for i in range(0, len(xs), _SWEEP_POINTS):
-        part = xs[i:i + _SWEEP_POINTS]
+    for i, j in _parts(len(xs)):
+        part = xs[i:j]
         dens, rates_a = A.rate_sweep(rate, part)
         nums, rates_b = B.rate_sweep(rate, part)
-        seen = max(len(ratios) - 1, 0)  # the new adjacent pairs start here
+        new = len(ratios)  # the first new ratio
         for x, den, num, ra, rb in zip(part, dens, nums, rates_a, rates_b):
             if not den < _TINY:
                 ratio_xs.append(x)
@@ -178,7 +199,7 @@ def _ratio_and_rate_check(relation, A, B, grid, rate, a_larger: bool) -> OrderVe
                 if _exceeds(rb, ra, tau_pt) if a_larger else _exceeds(ra, rb, tau_pt):
                     rate_viol = (x, ra, rb)
         if ratio_viol is None:
-            ratio_viol = first_decrease(ratio_xs[seen:], ratios[seen:], grid.tau_mono)
+            ratio_viol = first_decrease(ratio_xs, ratios, grid.tau_mono, new)
         if ratio_viol is not None and rate_viol is not None:
             break  # both formulations have failed: the rest cannot change the verdict
     held = ratio_viol is None and rate_viol is None and len(ratios) >= 2 and rate_usable >= 2
@@ -199,22 +220,23 @@ def check_rh(A, B, grid: GridSpec | None = None) -> OrderVerdict:
 def check_lr(A, B, grid: GridSpec | None = None) -> OrderVerdict:
     """A <=_lr B: pdf_B/pdf_A non-decreasing, on both sides' pdf columns,
     skipping points where either pdf is undefined or not finite, or A's
-    is below `_TINY`.  The columns are read `_SWEEP_POINTS` grid points at
-    a time, up to the part with the first decrease.  A skipped point is no
-    event, so lr needs no end rule: its verdict and witness are those of
-    the whole columns."""
+    is below `_TINY`.  The columns are read a part of the `_parts`
+    schedule at a time, up to the part with the first decrease (on a grid
+    of more than `_SWEEP_POINTS` points, the first two points are a part).
+    A skipped point is no event, so lr needs no end rule: its verdict and
+    witness are those of the whole columns."""
     grid, xs = _x_grid(A, B, grid)
     rxs, ratios, viol = [], [], None
     isfinite = math.isfinite
-    for i in range(0, len(xs), _SWEEP_POINTS):
-        part = xs[i:i + _SWEEP_POINTS]
-        seen = max(len(ratios) - 1, 0)  # the new adjacent pairs start here
+    for i, j in _parts(len(xs)):
+        part = xs[i:j]
+        new = len(ratios)  # the first new ratio
         for x, fa, fb in zip(part, A.column("pdf", part), B.column("pdf", part)):
             if fa is None or fb is None or fa < _TINY or not (isfinite(fa) and isfinite(fb)):
                 continue
             rxs.append(x)
             ratios.append(fb / fa)
-        viol = first_decrease(rxs[seen:], ratios[seen:], grid.tau_mono)
+        viol = first_decrease(rxs, ratios, grid.tau_mono, new)
         if viol is not None:
             break
     return _verdict(LR, grid, viol, len(ratios) >= 2)
@@ -247,11 +269,14 @@ def _read_quantiles(read_a, read_b):
 
 def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
     """The one quantile-order body: spread(quantiles_A, quantiles_B) must
-    be non-decreasing on the u-grid.  Both sides' quantiles are drawn from
-    their `Distribution.quantile_parts` `_SWEEP_POINTS` points at a time,
-    A's before B's, and each part is judged by the monotone rule from the
-    last spread of the part before it, up to the part with the first
-    decrease.  An unusable quantile in a part (`_read_quantiles`) makes the
+    be non-decreasing on the u-grid.  Both sides' quantiles are read a part
+    of the `_parts` schedule at a time, A's before B's, and each part is
+    judged by the monotone rule from the last spread of the part before it,
+    up to the part with the first decrease.  A grid of one part reads each
+    side's quantile column in one `column("quantile", us)` call; a longer
+    grid reads them from `Distribution.quantile_parts`, its first two u
+    first, so a mixed-baseline side solves two roots before the first pair
+    is judged.  An unusable quantile in a part (`_read_quantiles`) makes the
     check inconclusive.  A grid of more than one part first reads both
     sides' quantiles at its last u, each a one-point column: if either is
     unusable the check is inconclusive.  A quantile function is
@@ -261,21 +286,23 @@ def _check_quantile_spread(relation, A, B, grid, spread) -> OrderVerdict:
     if grid is None:
         grid = GridSpec(kind=grid_kind(relation))
     us = grid.u_points()
-    if len(us) > _SWEEP_POINTS and _read_quantiles(
-            partial(A.column, "quantile", us[-1:]), partial(B.column, "quantile", us[-1:])) is None:
+    parts = _parts(len(us))
+    if len(parts) == 1:
+        read_a, read_b = partial(A.column, "quantile", us), partial(B.column, "quantile", us)
+    elif _read_quantiles(partial(A.column, "quantile", us[-1:]),
+                         partial(B.column, "quantile", us[-1:])) is None:
         return _verdict(relation, grid, None, False)
-    read_a = partial(next, A.quantile_parts(us, _SWEEP_POINTS))
-    read_b = partial(next, B.quantile_parts(us, _SWEEP_POINTS))
-    last = []  # the last spread of the part before
-    for i in range(0, len(us), _SWEEP_POINTS):
+    else:
+        read_a, read_b = A.quantile_parts(us, parts), B.quantile_parts(us, parts)
+    spreads = []
+    for i, _ in parts:
         read = _read_quantiles(read_a, read_b)
         if read is None:
             return _verdict(relation, grid, None, False)
-        values = last + spread(*read)
-        viol = first_decrease(us[i - len(last):i + _SWEEP_POINTS], values, grid.tau_mono)
+        spreads += spread(*read)
+        viol = first_decrease(us, spreads, grid.tau_mono, i)
         if viol is not None:
             return _verdict(relation, grid, viol, False)
-        last = values[-1:]
     return _verdict(relation, grid, None, True)
 
 

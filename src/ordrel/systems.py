@@ -8,17 +8,20 @@ When all components share one baseline the product collapses to a single
 power, which gives closed-form quantiles.  Mixed-baseline systems invert
 the cumulative hazard -log sf (series) or log cdf (parallel) by safeguarded
 Newton steps, whose derivative is the system's rate sum.  The quantile
-``column`` sweeps a u-grid, and ``quantile_parts`` sweeps it a part at a
-time: a shared-baseline system computes its exponent once and applies the
-closed form to each u; a mixed-baseline one solves for each u, and in parts
-solves a part's roots only when the part is drawn, so the disp and star
-checkers, which stop at their first violation, run no solve past the last
-part they read, and every root drawn is the column's bit for bit.  It seeds
-its first solve from its components' quantiles, which bracket the root, and
-starts each later solve from a root predicted by the last (up to three)
-solves: their targets and roots extrapolated to the new target by Newton
-divided differences (`_predict`), or the previous root where that
-prediction is undefined or leaves the support; a one-point column, which is
+``column`` sweeps a u-grid, and ``quantile_parts`` reads it in the parts
+whose bounds the disp and star checkers give (on a grid of more than one
+part; a one-part grid reads the column): a shared-baseline system computes
+its exponent once and applies the closed form to each u; a mixed-baseline
+one solves for each u, and in parts solves a part's roots only when the
+part is read, so the checkers, which stop at their first violation, run no
+solve past the last part they read (on a reversed pair, the first two u),
+and every root read is the column's bit for bit.  It seeds its first solve
+from its components' quantiles, which bracket the root, and starts each
+later solve from a root predicted by the last (up to three) solves: their
+targets and roots extrapolated to the new target by Newton divided
+differences (`_predict`), or the previous root where that prediction is
+undefined or leaves the support.  A solve after a root that is not finite
+starts from the seed, as the first does; a one-point column, which is
 ``quantile``, predicts nothing.  A shared-baseline column where some level
 1-(1-u)**(1/sum p) or u**(1/sum p) rounds off, so that its baseline has no
 quantile there, is solved as a mixed one.
@@ -177,6 +180,7 @@ class OrderStatDist(Distribution):
         self._series = value == "sf"
         self._comps = spec.components
         self._shared = spec.same_baseline()
+        self._power = 1.0 / spec.prop_sum()  # the level t is 1-(1-u)**power or u**power
         self._support = (self._end([b.support[0] for b, _ in self._comps]),
                          self._end([b.support[1] for b, _ in self._comps]))
 
@@ -273,7 +277,9 @@ class OrderStatDist(Distribution):
         system computes only its level t.  Each later solve starts where
         `_predict` extrapolates the last (up to three) targets and roots to
         its own target, or from the previous root where that prediction is
-        undefined or leaves the support.  A start is only a guess, so
+        undefined or leaves the support; a solve after a root that is not
+        finite starts from `_seed`, so the column reads inf where the
+        one-point column does, not nan.  A start is only a guess, so
         neither it nor the order of ``us`` matters beyond the solver
         tolerances."""
         if name == "pdf":
@@ -286,17 +292,23 @@ class OrderStatDist(Distribution):
         closed = self._closed_form(us)
         return closed if closed is not None else self._solve(us, [], [])
 
-    def quantile_parts(self, us, size):
+    def quantile_parts(self, us, bounds):
         """`Distribution.quantile_parts`.  A shared-baseline system slices
-        its closed-form column, computed at the first draw.  A solved column
-        solves each part's roots when the part is drawn, from the roots
+        its closed-form column, computed at the first read.  A solved column
+        solves each part's roots when the part is read, from the roots
         before them, so a reader that stops early runs no solve past its
-        last part, and the roots it draws are the column's bit for bit."""
-        closed = self._closed_form(us)
-        roots, targets = [], []
-        for k in range(0, len(us), size):
-            yield (closed[k:k + size] if closed is not None
-                   else self._solve(us[k:k + size], roots, targets)[k:])
+        last part, and the roots it reads are the column's bit for bit."""
+        parts, closed, roots, targets = iter(bounds), None, [], []
+
+        def read():
+            nonlocal closed
+            i, j = next(parts)
+            if i == 0:
+                closed = self._closed_form(us)
+            if closed is not None:
+                return closed[i:j]
+            return self._solve(us[i:j], roots, targets)[i:]
+        return read
 
     def _closed_form(self, us):
         """Refuse a u outside (0, 1).  A shared-baseline system's quantiles
@@ -308,7 +320,7 @@ class OrderStatDist(Distribution):
                 _bad_prob(u)
         if self._shared is None:
             return None
-        p = 1.0 / self.spec.prop_sum()
+        p = self._power
         try:
             return self._shared.column(
                 "quantile", [1.0 - (1.0 - u) ** p if self._series else u ** p for u in us])
@@ -319,13 +331,14 @@ class OrderStatDist(Distribution):
         """``out``, extended by the solved quantiles at ``us`` (and
         ``targets`` by their targets).  Each solve starts from the roots
         before it, so a column solved in consecutive slices has the roots
-        of one sweep, bit for bit."""
-        series = self._series
-        p = 1.0 / self.spec.prop_sum()
+        of one sweep, bit for bit.  A solve after a root that is not finite
+        (past the float range) starts from `_seed`, as the first does, so
+        it reads what the one-point column reads."""
+        series, p = self._series, self._power
         lo, hi = self.support
         for u in us:
             target = -math.log1p(-u) if series else math.log(u)
-            if out:
+            if out and math.isfinite(out[-1]):
                 guess = _predict(targets, out, target)
                 if not lo < guess < hi:  # also a nan prediction
                     guess = out[-1]

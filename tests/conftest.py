@@ -239,6 +239,8 @@ DROPPED_RULES = {
                       "eps must lie in (0, 0.5)"),
     "grid-n": ("grid", {"n": 63}, ParameterDomainError,
                "grid size n needs at least 64 points, got 63"),
+    "grid-n-ceiling": ("grid", {"n": 10 ** 30}, ParameterDomainError,
+                       f"grid size n needs at most 1048576 points, got {10 ** 30}"),
     "grid-tau_mono": ("grid", {"tau_mono": -1e-9}, ParameterDomainError,
                       "tau_mono must be strictly positive, got -1e-09"),
     "grid-tau_pt": ("grid", {"tau_pt": 0}, ParameterDomainError,
@@ -247,12 +249,18 @@ DROPPED_RULES = {
                   "outlier block p needs at least 1, got 0"),
     "outlier-q": ("case", _outlier_x(q=-1), ParameterDomainError,
                   "outlier block q needs at least 0, got -1"),
+    "outlier-p-ceiling": ("case", _outlier_x(p=10 ** 30), ParameterDomainError,
+                          f"outlier block p needs at most 1048576, got {10 ** 30}"),
+    "outlier-q-ceiling": ("case", _outlier_x(q=2 ** 20 + 1), ParameterDomainError,
+                          "outlier block q needs at most 1048576, got 1048577"),
     "outlier-a1": ("case", _outlier_x(a1=0), ParameterDomainError,
                    "outlier block a1 must be strictly positive, got 0"),
     "outlier-a2": ("case", _outlier_x(a2=-0.5), ParameterDomainError,
                    "outlier block a2 must be strictly positive, got -0.5"),
     "case-n": ("case", {**_T6, "n": 63}, ParameterDomainError,
                "grid size n needs at least 64 points, got 63"),
+    "case-n-ceiling": ("case", {**_T6, "n": 10 ** 30}, ParameterDomainError,
+                       f"grid size n needs at most 1048576 points, got {10 ** 30}"),
     "t6-theta": ("case", _with(_T6, theta=0), ParameterDomainError,
                  "T6 scenario field 'theta': scale must be strictly positive, got 0.0"),
     "t6-alpha": ("case", _with(_T6, alphas=[0.0, 2.0]), ParameterDomainError,

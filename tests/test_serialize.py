@@ -271,6 +271,12 @@ class TestGridLoading:
             load_grid({"n": 10})
         assert str(info.value) == "grid size n needs at least 64 points, got 10"
 
+    def test_the_count_ceiling(self):
+        assert load_grid({"n": 2 ** 20}).n == 2 ** 20
+        with pytest.raises(ParameterDomainError) as info:
+            load_grid({"n": 2 ** 20 + 1})
+        assert str(info.value) == "grid size n needs at most 1048576 points, got 1048577"
+
     @pytest.mark.parametrize("n", [64.0, True])
     def test_integer_field_takes_only_integers(self, n):
         with pytest.raises(ConfigError, match="at n:"):

@@ -52,7 +52,7 @@ from ordrel import (
     series_phr,
 )
 from ordrel.grids import first_decrease
-from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE, OrderVerdict, _verdict, _x_grid
+from ordrel.orders import FAILS, HOLDS, INCONCLUSIVE, OrderVerdict, _parts, _verdict, _x_grid
 from ordrel.special import bisect_increasing
 from ordrel.systems import PARALLEL_PRHR, SERIES_PHR, _predict
 from conftest import SHIFTED_SYSTEMS
@@ -484,16 +484,17 @@ class _Surface(Distribution):
 
 
 def test_a_ratio_drop_between_two_parts_is_found():
-    # on x = 0, 1, ..., 599 the ratio sf_B/sf_A = x drops only from x = 255
-    # to x = 256, the first point of the second part
+    # on x = 0, 1, ..., 599 the ratio sf_B/sf_A = x drops only from x = 257
+    # to x = 258, the first point of the third part (the parts start at 0,
+    # 2, 258 and 514)
     swept = []
     a = _Surface(lambda x: 1.0, lambda x: 1.0)
-    b = _Surface(lambda x: swept.append(x) or (0.5 if x == 256.0 else x), lambda x: 2.0)
+    b = _Surface(lambda x: swept.append(x) or (0.5 if x == 258.0 else x), lambda x: 2.0)
     grid = GridSpec(lo=0.0, hi=599.0, n=600)
     got = check_hr(a, b, grid)
-    # the rates fail at x = 0 and the ratio in the second part: the third
+    # the rates fail at x = 0 and the ratio in the third part: the fourth
     # part is never swept
-    assert len(swept) == 512
+    assert len(swept) == 514
     want = _two_loop_check("hr", a, b, grid)
     assert got.outcome == want.outcome == FAILS
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
@@ -874,6 +875,19 @@ def test_repeated_us_give_equal_roots():
 
 # -- disp, star and lr: parts against the whole columns --------------------
 
+def test_the_parts_tile_the_grid():
+    # one part up to 256 points; past that the first adjacent pair alone,
+    # then 256-point parts
+    for n in range(64, 3001):
+        parts = _parts(n)
+        assert [i for i, _ in parts] == [0, *(j for _, j in parts[:-1])]
+        assert parts[-1][1] == n and all(i < j for i, j in parts)
+        assert (len(parts) == 1) == (n <= 256)
+        if n > 256:
+            assert parts[0] == (0, 2) and all(j - i == 256 for i, j in parts[1:-1])
+            assert parts[-1][1] - parts[-1][0] <= 256
+
+
 def _spread_oracle(relation, A, B, grid):
     """The disp/star body before the parts: both whole quantile columns,
     A's first, an unusable quantile anywhere inconclusive, then the
@@ -962,10 +976,10 @@ def _heavy(rng):
 
 def _ties(rng, us, tau):
     """A side of 1.0 and a rising side with drops of tau*(1 + a) and its
-    neighbours one ulp away, one of them at a part boundary."""
+    neighbours one ulp away, one of them at or next to a part boundary."""
     n = len(us)
     values, level = [], 1.0
-    drops = {rng.choice([k for k in (1, 255, 256, 257, n - 1) if k < n]),
+    drops = {rng.choice([k for k in (1, 2, 255, 256, 257, 258, n - 1) if k < n]),
              rng.randrange(1, n)}
     for i in range(n):
         if i in drops:
@@ -1043,9 +1057,10 @@ def test_disp_star_and_lr_keep_the_whole_column_verdicts():
     assert ended >= 50, ended
 
 
-def test_a_reversed_mixed_disp_solves_one_part_and_the_last_u(monkeypatch):
+def test_a_reversed_mixed_disp_solves_its_first_pair_and_the_last_u(monkeypatch):
     # a large-grid-oracle mixed series pair, reversed: it fails at u-index 1,
-    # so each side solves the first part and its one-point top quantile
+    # so each side solves its one-point top quantile and the first part, the
+    # first two u
     rng = random.Random(36)
     while True:
         low, high = _lgo_pair(rng)
@@ -1056,8 +1071,8 @@ def test_a_reversed_mixed_disp_solves_one_part_and_the_last_u(monkeypatch):
     v = check_disp(high, low, grid)
     assert v.outcome == FAILS and v.witness[0] == grid.u_points()[1]
     for side in (high, low):
-        assert sum(fn.__self__ is side for fn, *_ in solves) <= 257
-    assert len(solves) == 2 * 257
+        assert sum(fn.__self__ is side for fn, *_ in solves) == 3
+    assert len(solves) == 2 * 3
 
 
 def test_the_lazy_quantiles_are_the_column():
@@ -1068,9 +1083,12 @@ def test_the_lazy_quantiles_are_the_column():
     for _ in range(40):
         a, b = _mixed_system(rng), _mixed_system(rng)
         size = rng.choice((1, 7, 256, 599, 600, 601))
+        bounds = [(i, min(i + size, len(us))) for i in range(0, len(us), size)]
+        read_a, read_b = a.quantile_parts(us, bounds), b.quantile_parts(us, bounds)
         got_a, got_b = [], []
-        for part_a, part_b in zip(a.quantile_parts(us, size), b.quantile_parts(us, size)):
-            assert len(part_a) == len(part_b) == min(size, len(us) - len(got_a))
+        for i, j in bounds:
+            part_a, part_b = read_a(), read_b()
+            assert len(part_a) == len(part_b) == j - i
             got_a += part_a
             got_b += part_b
         assert got_a == a.column("quantile", us) and got_b == b.column("quantile", us)
@@ -1082,7 +1100,13 @@ def test_a_root_past_the_float_range_reads_inf_in_both_reads():
     d = OrderStatDist(mixed_parallel(Lomax(0.005, 1.0), (1.0,), Exponential(1.0), (1.0,)))
     us = GridSpec(kind="u", n=2048).u_points()
     assert d.quantile(us[-1]) == math.inf
-    assert not math.isfinite(d.column("quantile", us)[-1])
+    column = d.column("quantile", us)
+    assert not math.isfinite(column[-1])
+    # past its first inf each solve starts from the seed, as the one-point
+    # column does: no nan, and the one-point value at every u
+    assert not any(map(math.isnan, column))
+    first = column.index(math.inf)
+    assert column[first:] == [d.quantile(u) for u in us[first:]]
     e = OrderStatDist(mixed_parallel(Lomax(2.0, 1.0), (1.0,), Exponential(1.0), (1.0,)))
     grid = GridSpec(kind="u", n=2048)
     assert check_disp(d, e, grid) == _spread_oracle("disp", d, e, grid)
